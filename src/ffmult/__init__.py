@@ -6,11 +6,15 @@ Layers, bottom to top:
 
 * fields / polys / laurent -- exact F_q and F_q[x] arithmetic, enumeration,
   irreducibles and factorization, Laurent-tail linear forms.
+* gn -- index-space kernels on G_n (digits, leading coefficients, "G_m
+  times a fixed polynomial" as an index map, additive-group arithmetic)
+  that every array path reads.
 * groups / characters -- a generic finite-abelian character engine and the
   three families built on it (Dirichlet, short-interval, degree twists),
   combined into Hayes products.
 * multiplicative -- the multiplicative-function framework (Moebius,
-  Liouville, constant one, character-derived, seeded random, twists).
+  Liouville, constant one, character-derived, seeded random, twists) and
+  its prime-power sieve onto G_n.
 * phases -- polynomial phases in structured form, discrete derivatives,
   multilinear forms, bias/analytic rank, rank bookkeeping, projective
   zero counts.
@@ -32,7 +36,7 @@ from .characters import (DegreeTwist, DirichletCharacter, HayesCharacter,
                          dirichlet_characters, eval_hayes, r_s_group,
                          short_interval_characters, unit_group)
 from .multiplicative import (MultiplicativeFunction, builtin, from_character,
-                             random_on_irreducibles, twist)
+                             function_on_gn, random_on_irreducibles, twist)
 from .phases import (BiasResult, MultilinearForm, PolynomialPhase, RankBounds,
                      ZeroCountResult, delta, derivative_form, diagonal,
                      eval_phase, iterated_difference, projective_common_zeros,

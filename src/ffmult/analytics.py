@@ -9,9 +9,14 @@ whose trends the theory predicts.  Conventions shared by all ops:
 * Multiplicative inputs use f(0) = 0; the `domain` selector picks between
   all of G_n ("all"), G_n minus 0 ("nonzero"), and the monic top slice of
   degree n-1 ("monic").
-* Means are formed with exact compensated summation (math.fsum) in scalar
-  paths and numpy pairwise summation in vectorized paths; both are
-  bit-stable and partition-invariant.
+* Correlation means and Katai inner sums are summed with math.fsum
+  (correctly rounded, so independent of order and partition) in the
+  per-element and the array paths alike.  Array products there use
+  separate float64 ufuncs (re = ar*br - ai*bi, im = ar*bi + ai*br), which
+  round exactly as Python's complex product does; numpy's complex `*` may
+  fuse the multiply-add and is not used.  So both paths give the same
+  float, bit for bit.  Gowers and progression averages use numpy's mean
+  and complex products: deterministic, with no scalar twin.
 * Gowers norms: the U^k brute-force cube average is computed by iterating
   multiplicative derivatives (an exact regrouping of the sum over
   (x, h_1..h_k)); the independent U^2 route goes through the additive
@@ -28,62 +33,19 @@ import numpy as np
 
 from .errors import BudgetError
 from .fields import Field
+from .gn import GnIndex, digit_matrix, times_fixed
 from .laurent import LaurentTruncation, linear_form_table
-from .multiplicative import MultiplicativeFunction
+from .multiplicative import MultiplicativeFunction, function_on_gn
 from .phases import PolynomialPhase, derivative_form
 from .polys import Poly, g_n, irreducible_count, irreducibles_of_degree, monic_of_degree, p_k
 
 
-# -- group indexing -----------------------------------------------------------
-
-
-class GnIndex:
-    """Vectorized additive-group arithmetic on G_n index arrays."""
-
-    def __init__(self, field: Field, n: int):
-        self.field = field
-        self.n = n
-        self.size = field.q ** n
-        if self.size > field.enumeration_budget:
-            raise BudgetError(f"G_{n} over the enumeration budget")
-        self._table = None
-
-    def digits(self, idx):
-        q = self.field.q
-        return [((idx // q ** j) % q).astype(np.int16) for j in range(self.n)]
-
-    def add(self, a, b):
-        q = self.field.q
-        add_t = self.field.add_table
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for j in range(self.n):
-            da = (a // q ** j) % q
-            db = (b // q ** j) % q
-            out += add_t[da, db].astype(np.int64) * q ** j
-        return out
-
-    def smul(self, c: int, a):
-        q = self.field.q
-        mul_row = self.field.mul_table[c]
-        out = np.zeros(np.shape(a), dtype=np.int64)
-        for j in range(self.n):
-            da = (a // q ** j) % q
-            out += mul_row[da].astype(np.int64) * q ** j
-        return out
-
-    @property
-    def table(self) -> np.ndarray:
-        """Full addition table; only for small groups (shift rows for U^k)."""
-        if self._table is None:
-            if self.size > 4096:
-                raise BudgetError(f"addition table for |G| = {self.size} too large")
-            idx = np.arange(self.size, dtype=np.int64)
-            self._table = self.add(idx[:, None], idx[None, :])
-        return self._table
-
-
 def sample_on_gn(field: Field, n: int, f) -> np.ndarray:
-    """Materialize a function on G_n to a complex array in index order."""
+    """Materialize a function on G_n to a complex array in index order.
+
+    A MultiplicativeFunction goes through `function_on_gn` (the sieve, or
+    its per-element fallback); any other callable is evaluated per element.
+    """
     size = field.q ** n
     if isinstance(f, np.ndarray):
         if f.shape != (size,):
@@ -93,6 +55,8 @@ def sample_on_gn(field: Field, n: int, f) -> np.ndarray:
         if f.n != n:
             raise ValueError(f"phase lives on G_{f.n}, asked to sample on G_{n}")
         return phase_character_array(f)
+    if isinstance(f, MultiplicativeFunction):
+        return function_on_gn(f, n)
     out = np.empty(size, dtype=np.complex128)
     for idx in range(size):
         out[idx] = f(Poly.from_index(field, idx))
@@ -146,6 +110,19 @@ def _fsum_complex(parts) -> complex:
     return complex(math.fsum(re), math.fsum(im))
 
 
+def _products(a: np.ndarray, b: np.ndarray, conjugate_b: bool = False):
+    """Real and imaginary parts of a * b (or a * conj b), elementwise,
+    rounded as Python's complex product rounds them: separate float64
+    ufuncs, never numpy's complex `*`, which may fuse the multiply-add."""
+    ar, ai = a.real, a.imag
+    br, bi = b.real, (-b.imag if conjugate_b else b.imag)
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _fsum_arrays(re: np.ndarray, im: np.ndarray) -> complex:
+    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+
+
 # -- correlation ----------------------------------------------------------------
 
 
@@ -177,28 +154,39 @@ def domain_indices(field: Field, n: int, domain: str):
     raise ValueError(f"unknown domain {domain!r}")
 
 
+_SAMPLED = (np.ndarray, PolynomialPhase, MultiplicativeFunction)
+
+
+def _pointwise(field: Field, n: int, f):
+    """(idx, g) -> f(g): an array lookup for arrays and phases, else a call."""
+    if isinstance(f, (np.ndarray, PolynomialPhase)):
+        arr = sample_on_gn(field, n, f)
+        return lambda idx, g: arr[idx]
+    return lambda idx, g: f(g)
+
+
 def correlate(field: Field, nu, t, n: int, domain: str = "all") -> complex:
     """Mean of nu(g) * t(g) over the chosen slice of G_n.
 
-    `nu` is a callable on Poly (typically a MultiplicativeFunction); `t` is
-    a callable on Poly, an index-order array on G_n, or a PolynomialPhase
-    (meaning alpha_1 applied to it).
+    `nu` and `t` are each a callable on Poly, an index-order array on G_n,
+    a MultiplicativeFunction or a PolynomialPhase (meaning alpha_1 applied
+    to it).  When neither is a plain callable the products are formed on
+    arrays; either way the result is the same float, bit for bit.
     """
     size = field.q ** n
     if size > field.enumeration_budget:
         raise BudgetError(f"G_{n} over the enumeration budget")
-    if isinstance(t, (np.ndarray, PolynomialPhase)):
-        t_arr = sample_on_gn(field, n, t)
-        t_of = lambda idx, g: t_arr[idx]
-    else:
-        t_of = lambda idx, g: t(g)
+    rng = domain_indices(field, n, domain)
+    if isinstance(nu, _SAMPLED) and isinstance(t, _SAMPLED):
+        re, im = _products(sample_on_gn(field, n, nu)[rng.start:rng.stop],
+                           sample_on_gn(field, n, t)[rng.start:rng.stop])
+        return _fsum_arrays(re, im) / len(rng)
+    nu_of, t_of = _pointwise(field, n, nu), _pointwise(field, n, t)
     parts = []
-    count = 0
-    for idx in domain_indices(field, n, domain):
+    for idx in rng:
         g = Poly.from_index(field, idx)
-        parts.append(complex(nu(g)) * complex(t_of(idx, g)))
-        count += 1
-    return _fsum_complex(parts) / count
+        parts.append(complex(nu_of(idx, g)) * complex(t_of(idx, g)))
+    return _fsum_complex(parts) / len(rng)
 
 
 # -- Gowers norms -----------------------------------------------------------------
@@ -310,6 +298,11 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
 
     pair_set "P_k" uses irreducibles of degree k and k+1; "G_{k+1}" uses all
     nonzero polynomials of degree <= k.
+
+    `f` is a MultiplicativeFunction, an index-order array on G_n or any
+    callable on Poly.  The first two read f(a g) from one array through an
+    index map per (a, m); a callable is evaluated on Poly products.  Both
+    give the same float, bit for bit.
     """
     if field.q ** (n - k) > field.enumeration_budget:
         raise BudgetError(f"inner sums over G_{n - k} exceed the enumeration budget")
@@ -321,24 +314,31 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
         raise ValueError("pair_set must be 'P_k' or 'G_{k+1}'")
     if not base:
         raise ValueError("empty pair set")
-    if isinstance(f, np.ndarray):
-        f_arr = f
+    if isinstance(f, (np.ndarray, MultiplicativeFunction)):
+        f_arr = sample_on_gn(field, n, f)
+        at = {}      # (a, m) -> f(a g) for g in G_m, one index map each
 
-        def f_of(g: Poly) -> complex:
-            return complex(f_arr[g.to_index()])
+        def f_times(a: Poly, m: int) -> np.ndarray:
+            if (a.coeffs, m) not in at:
+                at[a.coeffs, m] = f_arr[times_fixed(field, a.coeffs, m)]
+            return at[a.coeffs, m]
+
+        def inner_sum(a: Poly, b: Poly, m: int) -> complex:
+            return _fsum_arrays(*_products(f_times(a, m), f_times(b, m), conjugate_b=True))
     else:
-        f_of = f
+        def inner_sum(a: Poly, b: Poly, m: int) -> complex:
+            inner = []
+            for gi in range(field.q ** m):
+                g = Poly.from_index(field, gi)
+                inner.append(complex(f(a * g)) * complex(f(b * g)).conjugate())
+            return _fsum_complex(inner)
     total_parts = []
     for a in base:
         for b in base:
             m = n - int(max(a.degree, b.degree))
             if m < 0:
                 raise ValueError("n too small for the chosen pair degrees")
-            inner = []
-            for gi in range(field.q ** m):
-                g = Poly.from_index(field, gi)
-                inner.append(complex(f_of(a * g)) * complex(f_of(b * g)).conjugate())
-            mag = abs(_fsum_complex(inner))
+            mag = abs(inner_sum(a, b, m))
             total_parts.append(mag / field.q ** m if per_pair else mag)
     total = math.fsum(total_parts)
     if per_pair:
@@ -433,6 +433,8 @@ def turan_kubilius(field: Field, n: int, W: int, H: int) -> TKResult:
 
     A = sum over irreducibles with W < deg p < H of q^{-deg p};
     lhs = sum over G_n of |#{p in window : p | g} - A|^2; ratio = lhs/(A q^n).
+    Every p divides g = 0, so the count at g = 0 is the number of primes in
+    the window.
     """
     degrees = [d for d in range(W + 1, H) if d >= 1]
     primes = [p for d in degrees for p in irreducibles_of_degree(field, d)]
@@ -443,21 +445,13 @@ def turan_kubilius(field: Field, n: int, W: int, H: int) -> TKResult:
         raise BudgetError(f"G_{n} over the enumeration budget")
     A = math.fsum(field.q ** -int(p.degree) for p in primes)
     counts = np.zeros(size, dtype=np.int32)
-    q = field.q
-    powers = q ** np.arange(n, dtype=np.int64)
-    add_t, mul_t = field.add_table, field.mul_table
-    for p in primes:
-        d = int(p.degree)
-        cof_size = q ** (n - d)
-        cof = np.stack([((np.arange(cof_size, dtype=np.int64) // q ** j) % q).astype(np.int16)
-                        for j in range(n - d)], axis=1)
-        prod = np.zeros((cof_size, n), dtype=np.int16)
-        for i, pc in enumerate(p.coeffs):
-            if pc:
-                seg = prod[:, i:i + n - d]
-                prod[:, i:i + n - d] = add_t[seg, mul_t[pc][cof]]
-        idx = prod.astype(np.int64) @ powers
-        counts[idx] += 1
+    for d in degrees:
+        # multiples of p in G_n are p*h, h in G_{n-d}; a prime of degree
+        # >= n divides only g = 0
+        m = max(n - d, 0)
+        cofactors = digit_matrix(field.q, m)
+        for p in irreducibles_of_degree(field, d):
+            counts[times_fixed(field, p.coeffs, m, cofactors)] += 1
     dev = counts.astype(np.float64) - A
     lhs = float(np.sum(dev * dev))
     return TKResult(A, lhs, lhs / (A * size), n, (W, H))

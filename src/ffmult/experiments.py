@@ -28,7 +28,7 @@ from .fields import Field, build_field, is_prime
 from .laurent import LaurentTruncation
 from .multiplicative import builtin, from_character, random_on_irreducibles, twist
 from .phases import MultilinearForm, PolynomialPhase, projective_common_zeros
-from .polys import Poly
+from .polys import Poly, necklace_count
 
 KINDS = ("decay-table", "distance-growth", "gowers-decay", "ap-decay",
          "katai-check", "tk-check", "bias-rank-demo", "zero-count-check")
@@ -138,14 +138,33 @@ def _check_keys(problems, obj, allowed, where):
     return True
 
 
+def _katai_cost(n: int, q: int, k: int, pair_set: str) -> int:
+    """Inner-sum terms of katai_statistic: sum over pairs (a, b) of
+    q^(n - max(deg a, deg b)), from the per-degree sizes of the pair set."""
+    if pair_set == "G_{k+1}":
+        sizes = {d: (q - 1) * q ** d for d in range(k + 1)}
+    else:
+        sizes = {d: necklace_count(q, d) for d in (k, k + 1)}
+    cost, below = 0, 0
+    for d in sorted(sizes):
+        # pairs whose larger degree is d
+        pairs = (below + sizes[d]) ** 2 - below ** 2
+        if d <= n:
+            cost += pairs * q ** (n - d)
+        below += sizes[d]
+    return cost
+
+
 def _estimated_cost(kind: str, n: int, q: int, sections: dict) -> int:
-    if kind in ("decay-table", "distance-growth", "katai-check"):
-        if kind == "katai-check":
-            k = sections.get("katai", {}).get("k", 1)
-            return q ** max(n - k, 0) * 4 * q ** 2  # pairs x inner, rough
+    if kind == "katai-check":
+        sec = sections.get("katai", {})
+        return _katai_cost(n, q, sec.get("k", 2), sec.get("pair_set", "P_k"))
+    if kind in ("decay-table", "distance-growth"):
         return q ** n
     if kind == "gowers-decay":
         k = sections.get("gowers", {}).get("k", 2)
+        if k == 2:
+            return q ** n          # u2_fourier: one transform of size q^n
         return q ** (n * (k + 1))
     if kind == "ap-decay":
         return q ** (2 * n)
@@ -332,13 +351,19 @@ def _jsonable(v):
     return v
 
 
+def _function_on_prefixes(cfg: ExperimentConfig, field: Field):
+    """The configured function sampled once on G_{n_stop}; G_n is its prefix."""
+    f = resolve_function(field, cfg.sections["function"], cfg.seed)
+    return analytics.sample_on_gn(field, cfg.n_stop, f)
+
+
 def _rows_decay_table(cfg: ExperimentConfig, field: Field):
-    nu = resolve_function(field, cfg.sections["function"], cfg.seed)
+    nu = _function_on_prefixes(cfg, field)
+    P = resolve_phase(field, cfg.sections["phase"], cfg.n_stop)
     for n in range(cfg.n_start, cfg.n_stop + 1):
-        P = resolve_phase(field, cfg.sections["phase"], cfg.n_stop)
         Pn = PolynomialPhase(field, n, P.product_terms, P.monomial_terms)
-        mean = analytics.correlate(field, nu, analytics.phase_character_array(Pn),
-                                   n, cfg.domain)
+        mean = analytics.correlate(field, nu[:field.q ** n],
+                                   analytics.phase_character_array(Pn), n, cfg.domain)
         yield (n, abs(mean), mean.real, mean.imag, field.q ** n)
 
 
@@ -370,11 +395,11 @@ def _rows_ap_decay(cfg: ExperimentConfig, field: Field):
 
 
 def _rows_katai(cfg: ExperimentConfig, field: Field):
-    f = resolve_function(field, cfg.sections["function"], cfg.seed)
+    f = _function_on_prefixes(cfg, field)
     sec = cfg.sections.get("katai", {})
     k = sec.get("k", 2)
     for n in range(cfg.n_start, cfg.n_stop + 1):
-        stat = analytics.katai_statistic(field, f, n, k,
+        stat = analytics.katai_statistic(field, f[:field.q ** n], n, k,
                                          sec.get("pair_set", "P_k"),
                                          sec.get("per_pair", False))
         yield (n, stat)

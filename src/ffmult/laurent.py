@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Field
+from .gn import digit
 from .polys import Poly
 
 
@@ -137,6 +138,5 @@ def linear_form_table(beta: LaurentTruncation, n: int) -> np.ndarray:
     for j in range(n):
         c = beta.coeffs[j]
         if c:
-            digit = (idx // q ** j) % q
-            vals = add_t[vals, mul_t[c][digit]]
+            vals = add_t[vals, mul_t[c][digit(idx, q, j)]]
     return vals

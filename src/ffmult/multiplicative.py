@@ -2,8 +2,11 @@
 
 A function here is determined by its rule on prime powers (irreducible p,
 exponent k), a rule on units (default: constant 1, so built-ins are
-unit-invariant), and the convention f(0) = 0.  Values at arbitrary
-polynomials come from the factor table and are memoized.
+unit-invariant), and the convention f(0) = 0.  A value at one polynomial,
+f(g), comes from factor() and is memoized; that is the only use of the
+field's factor-degree bound.  A whole array on G_n comes from
+`function_on_gn`, a prime-power sieve over index space that needs neither
+factor() nor the memo and gives the same values bit for bit.
 
 Built-ins: moebius (mu(p) = -1, zero on non-squarefree), liouville
 (lambda(p^k) = (-1)^k), one.  Character-derived functions wrap a Hayes
@@ -21,8 +24,12 @@ from __future__ import annotations
 import cmath
 import random
 
+import numpy as np
+
 from .characters import HayesCharacter
+from .errors import BudgetError
 from .fields import Field
+from .gn import digit_matrix, leading_coefficients, times_fixed
 from .polys import Poly, factor, irreducibles_of_degree
 
 _CACHE_CAP_DEFAULT = 1 << 20
@@ -78,6 +85,64 @@ class MultiplicativeFunction:
 
     def __repr__(self):
         return f"MultiplicativeFunction({self.name} over {self.field!r})"
+
+
+def _scale(re: np.ndarray, im: np.ndarray, idx: np.ndarray, c: complex):
+    """(re + i im)[idx] *= c, rounded as Python's complex product rounds it.
+
+    Separate float64 ufuncs, never numpy's complex `*`, which may fuse the
+    multiply-add and then differs in the last bit.
+    """
+    ar, ai = re[idx], im[idx]
+    re[idx] = ar * c.real - ai * c.imag
+    im[idx] = ar * c.imag + ai * c.real
+
+
+def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
+    """f on all of G_n as a complex array in index order, bit-identical to
+    [f(g) for g in G_n].
+
+    Functions without an eval_override are sieved over index space: every
+    nonzero index starts at unit_rule(lc), and for each irreducible p, in
+    (degree, index) order, the indices exactly divisible by p^k are
+    multiplied by prime_power_rule(p, k).  That is the order factor()
+    returns, so each value sees the same roundings as the scalar path.
+    Functions with an eval_override (characters, twists) are evaluated
+    element by element.
+    """
+    field = f.field
+    q = field.q
+    size = q ** n
+    if size > field.enumeration_budget:
+        raise BudgetError(f"G_{n} over the enumeration budget")
+    if f.eval_override is not None:
+        out = np.empty(size, dtype=np.complex128)
+        for idx in range(size):
+            out[idx] = f(Poly.from_index(field, idx))
+        return out
+    units = [0j] + [complex(f.unit_rule(c)) for c in range(1, q)]
+    lc = leading_coefficients(q, n)
+    re = np.array([u.real for u in units])[lc]
+    im = np.array([u.imag for u in units])[lc]
+    for d in range(1, n):
+        cofactors = digit_matrix(q, n - d)
+        for p in irreducibles_of_degree(field, d):
+            # mult[h] = index of p^k h, h in G_{n-kd}; those h divisible by
+            # p are step[:q^(n-(k+1)d)], and h = 0 always is
+            step = times_fixed(field, p.coeffs, n - d, cofactors)
+            mult, k = step, 1
+            while True:
+                rest = n - (k + 1) * d
+                divisible = step[:q ** max(rest, 0)]
+                exact = np.ones(mult.size, dtype=bool)
+                exact[divisible] = False
+                _scale(re, im, mult[exact], complex(f.prime_power_rule(p, k)))
+                if rest < 1:
+                    break
+                mult, k = mult[divisible], k + 1
+    out = np.empty(size, dtype=np.complex128)
+    out.real, out.imag = re, im        # keeps the signs of zeros
+    return out
 
 
 def builtin(field: Field, name: str) -> MultiplicativeFunction:

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .fields import Field
+from .gn import digit
 from .laurent import LaurentTruncation, linear_form, linear_form_table
 from .polys import Poly
 
@@ -184,9 +185,8 @@ class PolynomialPhase:
             for c, powers in self.monomial_terms:
                 v = np.full(size, c, dtype=np.int16)
                 for j, e in powers:
-                    digit = ((idx // q ** j) % q).astype(np.int16)
                     pow_col = np.array([F.pow_(a, e) for a in range(q)], dtype=np.int16)
-                    v = mul_t[v, pow_col[digit]]
+                    v = mul_t[v, pow_col[digit(idx, q, j)]]
                 acc = add_t[acc, v]
         return acc
 
@@ -661,9 +661,9 @@ def projective_common_zeros(phases, dim: int, budget: int = 10 ** 6,
     first_nonzero = np.zeros(size, dtype=np.int16)
     found = np.zeros(size, dtype=bool)
     for j in range(dim):
-        digit = ((idx // q ** j) % q).astype(np.int16)
-        newly = ~found & (digit != 0)
-        first_nonzero[newly] = digit[newly]
+        coeff = digit(idx, q, j)
+        newly = ~found & (coeff != 0)
+        first_nonzero[newly] = coeff[newly]
         found |= newly
     reps = found & (first_nonzero == 1)
     zero_mask = reps
@@ -672,7 +672,3 @@ def projective_common_zeros(phases, dim: int, budget: int = 10 ** 6,
     count = int(np.count_nonzero(zero_mask))
     bound = proj_size / (2 * q ** (D + 1))
     return ZeroCountResult(count, proj_size, bound, count >= bound, D)
-
-
-def projective_space_size(field: Field, dim: int) -> int:
-    return (field.q ** dim - 1) // (field.q - 1)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .fields import Field
+from .gn import digit_matrix, times_fixed
 
 NEG_INF = float("-inf")
 
@@ -46,6 +47,14 @@ class Poly:
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def _trusted(cls, field: Field, coeffs: tuple) -> "Poly":
+        """A Poly from an already normalized tuple of in-range ints, unchecked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "field", field)
+        object.__setattr__(g, "coeffs", coeffs)
+        return g
 
     # -- constructors -------------------------------------------------------
 
@@ -308,25 +317,19 @@ def _mobius_int(n: int) -> int:
 
 def irreducible_count(field: Field, d: int) -> int:
     """Exact count of monic irreducibles of degree d (necklace formula)."""
+    return necklace_count(field.q, d)
+
+
+def necklace_count(q: int, d: int) -> int:
+    """irreducible_count for F_q given by q alone, with no field tables."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    q = field.q
     total = 0
     for e in range(1, d + 1):
         if d % e == 0:
             total += _mobius_int(e) * q ** (d // e)
     assert total % d == 0
     return total // d
-
-
-def _monic_digit_matrix(field: Field, m: int) -> np.ndarray:
-    """(q^m, m+1) coefficient rows of all monic degree-m polynomials."""
-    q = field.q
-    n_rows = q ** m
-    cols = [((np.arange(n_rows, dtype=np.int64) // q ** j) % q).astype(np.int16)
-            for j in range(m)]
-    cols.append(np.ones(n_rows, dtype=np.int16))
-    return np.stack(cols, axis=1)
 
 
 def irreducibles_of_degree(field: Field, d: int) -> tuple:
@@ -343,23 +346,18 @@ def irreducibles_of_degree(field: Field, d: int) -> tuple:
         cache[1] = out
         return out
     composite = np.zeros(q ** d, dtype=bool)
-    powers = (q ** np.arange(d, dtype=np.int64))
-    add_t, mul_t = field.add_table, field.mul_table
     for e in range(1, d // 2 + 1):
-        cof = _monic_digit_matrix(field, d - e)
+        # monic cofactors of degree d - e: the indices [q^(d-e), 2 q^(d-e)),
+        # whose products are the monic indices [q^d, 2 q^d) of G_{d+1}
+        m = d - e
+        cof = digit_matrix(q, m + 1, np.arange(q ** m, 2 * q ** m, dtype=np.int64))
         for p in irreducibles_of_degree(field, e):
-            prod = np.zeros((cof.shape[0], d + 1), dtype=np.int16)
-            for i, pc in enumerate(p.coeffs):
-                if pc:
-                    seg = prod[:, i:i + cof.shape[1]]
-                    prod[:, i:i + cof.shape[1]] = add_t[seg, mul_t[pc][cof]]
-            composite[prod[:, :d].astype(np.int64) @ powers] = True
+            idx = times_fixed(field, p.coeffs, m + 1, cof)
+            idx -= q ** d
+            composite[idx] = True
     survivors = np.nonzero(~composite)[0]
-    out = []
-    for idx in survivors:
-        low = Poly.from_index(field, int(idx)).coeffs
-        out.append(Poly(field, low + (0,) * (d - len(low)) + (1,)))
-    cache[d] = tuple(out)
+    cache[d] = tuple(Poly._trusted(field, tuple(low) + (1,))
+                     for low in digit_matrix(q, d, survivors).tolist())
     return cache[d]
 
 

@@ -310,6 +310,18 @@ def test_tk_against_direct_factor_count():
     assert res.ratio > 0
 
 
+def test_tk_window_reaching_past_n_against_divisibility_count():
+    # primes of degree >= n divide only g = 0 in G_n
+    for n in (4, 5, 6):
+        res = turan_kubilius(F2, n, 1, 6)
+        window = [p for d in range(2, 6) for p in irreducibles_of_degree(F2, d)]
+        counts = np.array([sum(1 for p in window if (g % p).is_zero())
+                           for g in (Poly.from_index(F2, i) for i in range(2 ** n))])
+        assert counts[0] == len(window)
+        dev = counts.astype(np.float64) - res.A
+        assert res.lhs == float(np.sum(dev * dev))
+
+
 def test_tk_empty_window_rejected():
     with pytest.raises(ValueError):
         turan_kubilius(F2, 6, 1, 2)

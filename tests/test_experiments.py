@@ -7,6 +7,8 @@ import pytest
 
 from ffmult.errors import BudgetError, ConfigError
 from ffmult.experiments import (list_builtins, run_experiment, validate_config)
+from ffmult.fields import build_field
+from ffmult.polys import Poly
 
 
 def decay_config(**over):
@@ -222,6 +224,56 @@ def test_cli_subcommand_with_flag_overrides():
     assert r.returncode == 0
     assert "columns=n,A,lhs,ratio" in r.stdout
     assert any(line.startswith("5,") for line in r.stdout.splitlines())
+
+
+def test_cli_tk_window_with_primes_of_degree_at_least_n():
+    r = run_cli("tk-check", "--p", "2", "--n-start", "4", "--n-stop", "6",
+                "--set", "tk.W=1", "--set", "tk.H=6")
+    assert r.returncode == 0, r.stderr
+    assert [line.split(",")[0] for line in r.stdout.splitlines()
+            if not line.startswith("#")] == ["4", "5", "6"]
+
+
+def test_cli_gowers_u2_is_charged_for_the_transform():
+    # k = 2 runs u2_fourier (cost ~ q^n); it used to be charged q^(3n) and
+    # refused at n = 7
+    r = run_cli("gowers-decay", "--p", "2", "--n-start", "6", "--n-stop", "9",
+                "--seed", "1", "--set", "function.kind=builtin",
+                "--set", "function.name=moebius")
+    assert r.returncode == 0, r.stderr
+
+
+def _katai_config(k, n, **budget):
+    cfg = {"kind": "katai-check", "field": {"p": 2, "r": 1}, "seed": 3,
+           "n": {"start": n, "stop": n},
+           "function": {"kind": "random", "values": "pm1"}, "katai": {"k": k}}
+    if budget:
+        cfg["budget"] = budget
+    return cfg
+
+
+def test_katai_estimate_counts_inner_terms():
+    from ffmult.polys import p_k
+    from ffmult.experiments import _estimated_cost
+    for (p, r), k, n, pair_set in (((2, 1), 5, 13, "P_k"), ((2, 1), 7, 15, "P_k"),
+                                   ((3, 1), 2, 6, "P_k"), ((2, 1), 2, 7, "G_{k+1}"),
+                                   ((3, 1), 1, 4, "G_{k+1}")):
+        field = build_field(p, r)
+        q = field.q
+        base = (list(p_k(field, k)) if pair_set == "P_k"
+                else [Poly.from_index(field, i) for i in range(1, q ** (k + 1))])
+        actual = sum(q ** (n - int(max(a.degree, b.degree))) for a in base for b in base)
+        sections = {"katai": {"k": k, "pair_set": pair_set}}
+        assert _estimated_cost("katai-check", n, q, sections) == actual
+    assert _estimated_cost("katai-check", 13, 2, {"katai": {"k": 5}}) == 33_408
+    assert _estimated_cost("katai-check", 15, 2, {"katai": {"k": 7}}) == 336_384
+
+
+def test_katai_budget_refusal_uses_the_exact_estimate():
+    with pytest.raises(ConfigError) as e:
+        validate_config(_katai_config(7, 15, max_evals_per_n=5000))
+    assert any(p.startswith("budget:") and "336384" in p for p in e.value.problems)
+    validate_config(_katai_config(5, 13))          # the benchmark's katai-random size
 
 
 def test_cli_no_command_prints_help():

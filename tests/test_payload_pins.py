@@ -1,0 +1,125 @@
+"""Byte-identity pins: one small config per experiment kind (several for the
+kinds that evaluate a multiplicative function on G_n), with the sha256 of
+the CSV payload `run_experiment` streams.
+
+The hashes were recorded before the sieve-built function arrays replaced the
+per-element factor loop, so every evaluation path that reads those arrays
+(decay-table, gowers-decay, ap-decay, katai-check) is held to the payload
+the factor loop produced, byte for byte.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from ffmult.experiments import run_experiment
+
+_PHASE2 = {"terms": [{"coef": 1, "factors": [[1, 0, 1, 1, 0, 0, 1, 1, 1, 0],
+                                             [0, 1, 1, 0, 1, 0, 1, 1, 0, 1]]}]}
+_PHASE3 = {"terms": [{"coef": 2, "factors": [[1, 2, 0, 1, 1, 2, 0]]}],
+           "monomials": [{"coef": 1, "powers": [[0, 2], [1, 1]]}]}
+_PHASE4 = {"terms": [{"coef": 3, "factors": [[1, 2, 3, 0, 1], [2, 0, 1, 3, 1]]}]}
+
+PINS = {
+    "decay-moebius-f2": (
+        {"kind": "decay-table", "field": {"p": 2, "r": 1}, "n": {"start": 4, "stop": 10},
+         "function": {"kind": "builtin", "name": "moebius"}, "phase": _PHASE2},
+        "ae66e5337638f072bc908e3c57c4940cf4b5e9f7cf85b217a432bea3f38cc713"),
+    "decay-liouville-f3-nonzero": (
+        {"kind": "decay-table", "field": {"p": 3, "r": 1}, "n": {"start": 2, "stop": 7},
+         "domain": "nonzero",
+         "function": {"kind": "builtin", "name": "liouville"}, "phase": _PHASE3},
+        "c4701fef8588e020ab11b4d557aad355831295e30c2841355bc8258f6aebc059"),
+    "decay-random-unit-f4-monic": (
+        {"kind": "decay-table", "field": {"p": 2, "r": 2}, "n": {"start": 2, "stop": 5},
+         "domain": "monic", "seed": 11,
+         "function": {"kind": "random", "values": "unit"}, "phase": _PHASE4},
+        "4b1d810655fef5dbaec97935933e79f3addd32a6420d46d218ee4ad2b272bab7"),
+    "decay-twist-f2": (
+        {"kind": "decay-table", "field": {"p": 2, "r": 1}, "n": {"start": 3, "stop": 7},
+         "function": {"kind": "twist", "base": {"kind": "builtin", "name": "moebius"},
+                      "hayes": {"theta": "1/3", "short": {"s": 2, "index": 1}}},
+         "phase": _PHASE2},
+        "fbfa9a76503889cc1912e156edd2bdde1c5cf4dbe4e69d39ff35aa7e5c9152f2"),
+    "decay-character-f3": (
+        {"kind": "decay-table", "field": {"p": 3, "r": 1}, "n": {"start": 2, "stop": 5},
+         "function": {"kind": "character",
+                      "hayes": {"dirichlet": {"modulus": [1, 0, 1], "index": 3}}},
+         "phase": _PHASE3},
+        "fc56cdae3c8020cf8108a0cd54b9c152f4599345c7b06cf53ddbf53106a5b0ab"),
+    "distance-moebius-f3": (
+        {"kind": "distance-growth", "field": {"p": 3, "r": 1}, "n": {"start": 1, "stop": 7},
+         "function": {"kind": "builtin", "name": "moebius"},
+         "hayes": {"theta": "1/4"}},
+        "2371c23da7e96d5b6ab8bbfe7308c6d3c1be2b3a6b9a715401726e3e0a6bbca7"),
+    "gowers-u2-liouville-f2": (
+        {"kind": "gowers-decay", "field": {"p": 2, "r": 1}, "n": {"start": 3, "stop": 6},
+         "function": {"kind": "builtin", "name": "liouville"}, "gowers": {"k": 2}},
+        "e7c958d408137895923873cfb849bb3f9ab89f3977a76fda9945268fa7f67cbf"),
+    "gowers-u2-random-unit-f4": (
+        {"kind": "gowers-decay", "field": {"p": 2, "r": 2}, "n": {"start": 1, "stop": 3},
+         "seed": 2, "function": {"kind": "random", "values": "unit"}, "gowers": {"k": 2}},
+        "b0564c39bd152b11bdbb52aa3f8716aeeffdcb65d4248744635a1ad3050664b4"),
+    "gowers-u3-random-f3": (
+        {"kind": "gowers-decay", "field": {"p": 3, "r": 1}, "n": {"start": 1, "stop": 2},
+         "seed": 5, "function": {"kind": "random", "values": "pm1"}, "gowers": {"k": 3}},
+        "9b3c6a0b8c6ec37eaeb0ee99067c9b68a8b7236606eef83d37d2bac14e5f7ed1"),
+    "ap-moebius-f5": (
+        {"kind": "ap-decay", "field": {"p": 5, "r": 1}, "n": {"start": 1, "stop": 2},
+         "function": {"kind": "builtin", "name": "moebius"}, "ap": {"k": 3}},
+        "9dc88e65ccdf6aedb465d1641bf39136f783e8bad7fa1db31e7134768d434b3b"),
+    "ap-random-unit-f3": (
+        {"kind": "ap-decay", "field": {"p": 3, "r": 1}, "n": {"start": 1, "stop": 3},
+         "seed": 8, "function": {"kind": "random", "values": "unit"}, "ap": {"k": 2}},
+        "d37a8777f7e05fe9af9c99ef28878b59b5ef305f8ada0553351ab95ba70cbea9"),
+    "katai-random-f2": (
+        {"kind": "katai-check", "field": {"p": 2, "r": 1}, "n": {"start": 6, "stop": 9},
+         "seed": 3, "function": {"kind": "random", "values": "pm1"}, "katai": {"k": 3}},
+        "fc48915832667130ab8f2007b76e15a5f6ddb1024dde633d2b4563052debf128"),
+    "katai-moebius-f3-per-pair": (
+        {"kind": "katai-check", "field": {"p": 3, "r": 1}, "n": {"start": 3, "stop": 5},
+         "function": {"kind": "builtin", "name": "moebius"},
+         "katai": {"k": 1, "per_pair": True}},
+        "9e7c8dd95bf336340a612f4f21df5b46ec7957b3e8c56c1b80dc3fca73c35fe7"),
+    "katai-liouville-f2-gk": (
+        {"kind": "katai-check", "field": {"p": 2, "r": 1}, "n": {"start": 4, "stop": 6},
+         "function": {"kind": "builtin", "name": "liouville"},
+         "katai": {"k": 2, "pair_set": "G_{k+1}"}},
+        "b1b4e3ad68b896c51956c4bd6f6cc76e77941257d4a05d31d6e58067b7957a2c"),
+    "katai-twist-f2": (
+        {"kind": "katai-check", "field": {"p": 2, "r": 1}, "n": {"start": 5, "stop": 6},
+         "function": {"kind": "twist", "base": {"kind": "builtin", "name": "liouville"},
+                      "hayes": {"theta": 0.3}, "conjugate": True},
+         "katai": {"k": 2}},
+        "6c09ae72947e740d2985ca391fb35998675b1ccd603f946209447387e3b76fe4"),
+    "tk-f2": (
+        {"kind": "tk-check", "field": {"p": 2, "r": 1}, "n": {"start": 6, "stop": 9},
+         "tk": {"W": 1, "H": 5}},
+        "2ece1620e04ca81535be982da0dd3d5650810ed190f75c9001773e3bc26b47d4"),
+    "bias-rank-f3": (
+        {"kind": "bias-rank-demo", "field": {"p": 3, "r": 1},
+         "bias": {"r_values": [1, 2], "slot_dim": 3, "arity": 2}},
+        "3b8aa25ce2f6774c377c74c890b947f3a605de596d3bdda1a2b03adf29e583d7"),
+    "zero-count-f2": (
+        {"kind": "zero-count-check", "field": {"p": 2, "r": 1}, "seed": 9,
+         "zero_count": {"dim": 5, "trials": 6, "max_total_degree": 3}},
+        "a9517f9d72a5a32828af535eaf62cf4f6f81c2dbe52d72c6c5192bb60a92a22d"),
+}
+
+
+def payload(cfg) -> bytes:
+    buf = io.StringIO()
+    run_experiment(cfg, stream=buf)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_payload_matches_pin(name):
+    cfg, pinned = PINS[name]
+    assert hashlib.sha256(payload(cfg)).hexdigest() == pinned
+
+
+def test_pins_cover_every_kind():
+    from ffmult.experiments import KINDS
+    assert {cfg["kind"] for cfg, _ in PINS.values()} == set(KINDS)
