@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .fields import Field
-from .gn import GnIndex, digit_matrix, times_fixed
+from .gn import GnIndex, times_fixed
 from .laurent import LaurentTruncation, linear_form_table
 from .multiplicative import MultiplicativeFunction, function_on_gn
 from .phases import PolynomialPhase, derivative_form
@@ -300,9 +300,9 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
     nonzero polynomials of degree <= k.
 
     `f` is a MultiplicativeFunction, an index-order array on G_n or any
-    callable on Poly.  The first two read f(a g) from one array through an
-    index map per (a, m); a callable is evaluated on Poly products.  Both
-    give the same float, bit for bit.
+    callable on Poly.  The first two read f(a g) from one array through one
+    index map per (deg a, m), batched over the a of that degree; a callable
+    is evaluated on Poly products.  Both give the same float, bit for bit.
     """
     if field.q ** (n - k) > field.enumeration_budget:
         raise BudgetError(f"inner sums over G_{n - k} exceed the enumeration budget")
@@ -316,11 +316,16 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
         raise ValueError("empty pair set")
     if isinstance(f, (np.ndarray, MultiplicativeFunction)):
         f_arr = sample_on_gn(field, n, f)
-        at = {}      # (a, m) -> f(a g) for g in G_m, one index map each
+        by_degree = {}
+        for a in base:
+            by_degree.setdefault(a.degree, []).append(a)
+        at = {}      # (a, m) -> f(a g) for g in G_m, one index map per (deg a, m)
 
         def f_times(a: Poly, m: int) -> np.ndarray:
             if (a.coeffs, m) not in at:
-                at[a.coeffs, m] = f_arr[times_fixed(field, a.coeffs, m)]
+                same = by_degree[a.degree]
+                values = f_arr[times_fixed(field, [b.coeffs for b in same], m)]
+                at.update(((b.coeffs, m), row) for b, row in zip(same, values))
             return at[a.coeffs, m]
 
         def inner_sum(a: Poly, b: Poly, m: int) -> complex:
@@ -428,6 +433,36 @@ class TKResult:
     window: tuple
 
 
+def window_divisor_counts(field: Field, n: int, W: int, H: int) -> np.ndarray:
+    """#{p in window : p | g} for every g in G_n, the window being the monic
+    irreducibles with W < deg p < H.
+
+    The count of g does not depend on n, so the counts on G_m, m <= n, are
+    the prefix [:q^m].  Every p divides g = 0.  G_n is checked against the
+    enumeration budget before any irreducible of the window is sieved.
+    """
+    degrees = _tk_degrees(W, H)
+    size = field.q ** n
+    if size > field.enumeration_budget:
+        raise BudgetError(f"G_{n} over the enumeration budget")
+    counts = np.zeros(size, dtype=np.int32)
+    for d in degrees:
+        # multiples of p in G_n are p*h, h in G_{n-d}; a prime of degree
+        # >= n divides only g = 0
+        multiples = times_fixed(field, [p.coeffs for p in irreducibles_of_degree(field, d)],
+                                max(n - d, 0))
+        for row in multiples:       # one prime at a time: h -> p*h is injective
+            counts[row] += 1
+    return counts
+
+
+def _tk_degrees(W: int, H: int) -> list:
+    degrees = [d for d in range(W + 1, H) if d >= 1]
+    if not degrees:
+        raise ValueError(f"no irreducibles with {W} < degree < {H}")
+    return degrees
+
+
 def turan_kubilius(field: Field, n: int, W: int, H: int) -> TKResult:
     """Variance of the windowed distinct-prime-divisor count on G_n.
 
@@ -436,23 +471,17 @@ def turan_kubilius(field: Field, n: int, W: int, H: int) -> TKResult:
     Every p divides g = 0, so the count at g = 0 is the number of primes in
     the window.
     """
-    degrees = [d for d in range(W + 1, H) if d >= 1]
-    primes = [p for d in degrees for p in irreducibles_of_degree(field, d)]
-    if not primes:
-        raise ValueError(f"no irreducibles with {W} < degree < {H}")
+    return turan_kubilius_from_counts(field, window_divisor_counts(field, n, W, H), n, W, H)
+
+
+def turan_kubilius_from_counts(field: Field, counts: np.ndarray, n: int,
+                               W: int, H: int) -> TKResult:
+    """turan_kubilius on G_n from its window counts, e.g. the prefix of
+    window_divisor_counts on a larger G_N."""
+    A = math.fsum(field.q ** -d for d in _tk_degrees(W, H)
+                  for _ in irreducibles_of_degree(field, d))
     size = field.q ** n
-    if size > field.enumeration_budget:
-        raise BudgetError(f"G_{n} over the enumeration budget")
-    A = math.fsum(field.q ** -int(p.degree) for p in primes)
-    counts = np.zeros(size, dtype=np.int32)
-    for d in degrees:
-        # multiples of p in G_n are p*h, h in G_{n-d}; a prime of degree
-        # >= n divides only g = 0
-        m = max(n - d, 0)
-        cofactors = digit_matrix(field.q, m)
-        for p in irreducibles_of_degree(field, d):
-            counts[times_fixed(field, p.coeffs, m, cofactors)] += 1
-    dev = counts.astype(np.float64) - A
+    dev = counts[:size].astype(np.float64) - A
     lhs = float(np.sum(dev * dev))
     return TKResult(A, lhs, lhs / (A * size), n, (W, H))
 

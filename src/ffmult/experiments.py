@@ -155,6 +155,12 @@ def _katai_cost(n: int, q: int, k: int, pair_set: str) -> int:
     return cost
 
 
+def _tk_cost(n: int, q: int, W: int, H: int) -> int:
+    """Index rows window_divisor_counts marks on G_n: q^(n-d) multiples of
+    each window prime of degree d < n, and the single index 0 for d >= n."""
+    return sum(necklace_count(q, d) * q ** max(n - d, 0) for d in range(max(W + 1, 1), H))
+
+
 def _estimated_cost(kind: str, n: int, q: int, sections: dict) -> int:
     if kind == "katai-check":
         sec = sections.get("katai", {})
@@ -169,7 +175,10 @@ def _estimated_cost(kind: str, n: int, q: int, sections: dict) -> int:
     if kind == "ap-decay":
         return q ** (2 * n)
     if kind == "tk-check":
-        return q ** n
+        sec = sections.get("tk", {})
+        W, H = sec.get("W"), sec.get("H")
+        # a window that is not two integers is reported as its own problem
+        return _tk_cost(n, q, W, H) if isinstance(W, int) and isinstance(H, int) else 0
     if kind == "bias-rank-demo":
         dim = sections.get("bias", {}).get("slot_dim", 3)
         arity = sections.get("bias", {}).get("arity", 2)
@@ -271,6 +280,11 @@ def validate_config(source) -> ExperimentConfig:
     for req in needs.get(kind, ()):
         if req not in sections:
             problems.append(f"{req}: required for kind {kind}")
+
+    tk = sections.get("tk")
+    if kind == "tk-check" and tk is not None and not all(
+            isinstance(tk.get(key), int) for key in ("W", "H")):
+        problems.append("tk.W, tk.H: required integers")
 
     seed = raw.get("seed")
     randomized = (kind == "zero-count-check"
@@ -406,9 +420,11 @@ def _rows_katai(cfg: ExperimentConfig, field: Field):
 
 
 def _rows_tk(cfg: ExperimentConfig, field: Field):
-    sec = cfg.sections["tk"]
+    W, H = cfg.sections["tk"]["W"], cfg.sections["tk"]["H"]
+    # a divisor count does not depend on n: G_n reads the prefix of G_{n_stop}
+    counts = analytics.window_divisor_counts(field, cfg.n_stop, W, H)
     for n in range(cfg.n_start, cfg.n_stop + 1):
-        res = analytics.turan_kubilius(field, n, sec["W"], sec["H"])
+        res = analytics.turan_kubilius_from_counts(field, counts, n, W, H)
         yield (n, res.A, res.lhs, res.ratio)
 
 

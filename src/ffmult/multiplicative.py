@@ -29,7 +29,7 @@ import numpy as np
 from .characters import HayesCharacter
 from .errors import BudgetError
 from .fields import Field
-from .gn import digit_matrix, leading_coefficients, times_fixed
+from .gn import leading_coefficients, times_fixed
 from .polys import Poly, factor, irreducibles_of_degree
 
 _CACHE_CAP_DEFAULT = 1 << 20
@@ -125,11 +125,11 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
     re = np.array([u.real for u in units])[lc]
     im = np.array([u.imag for u in units])[lc]
     for d in range(1, n):
-        cofactors = digit_matrix(q, n - d)
-        for p in irreducibles_of_degree(field, d):
+        primes = irreducibles_of_degree(field, d)
+        steps = times_fixed(field, [p.coeffs for p in primes], n - d)
+        for p, step in zip(primes, steps):
             # mult[h] = index of p^k h, h in G_{n-kd}; those h divisible by
             # p are step[:q^(n-(k+1)d)], and h = 0 always is
-            step = times_fixed(field, p.coeffs, n - d, cofactors)
             mult, k = step, 1
             while True:
                 rest = n - (k + 1) * d

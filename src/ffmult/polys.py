@@ -350,11 +350,10 @@ def irreducibles_of_degree(field: Field, d: int) -> tuple:
         # monic cofactors of degree d - e: the indices [q^(d-e), 2 q^(d-e)),
         # whose products are the monic indices [q^d, 2 q^d) of G_{d+1}
         m = d - e
-        cof = digit_matrix(q, m + 1, np.arange(q ** m, 2 * q ** m, dtype=np.int64))
-        for p in irreducibles_of_degree(field, e):
-            idx = times_fixed(field, p.coeffs, m + 1, cof)
-            idx -= q ** d
-            composite[idx] = True
+        idx = times_fixed(field, [p.coeffs for p in irreducibles_of_degree(field, e)],
+                          m + 1, np.arange(q ** m, 2 * q ** m, dtype=np.int64))
+        idx -= q ** d
+        composite[idx] = True
     survivors = np.nonzero(~composite)[0]
     cache[d] = tuple(Poly._trusted(field, tuple(low) + (1,))
                      for low in digit_matrix(q, d, survivors).tolist())

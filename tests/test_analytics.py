@@ -322,6 +322,16 @@ def test_tk_window_reaching_past_n_against_divisibility_count():
         assert res.lhs == float(np.sum(dev * dev))
 
 
+def test_tk_over_budget_refused_before_sieving():
+    from ffmult.analytics import window_divisor_counts
+    field = build_field(2, 1, enumeration_budget=2 ** 10)
+    with pytest.raises(BudgetError):
+        turan_kubilius(field, 11, 1, 7)
+    with pytest.raises(BudgetError):
+        window_divisor_counts(field, 11, 1, 7)
+    assert not set(field._irreducibles) & set(range(2, 7))
+
+
 def test_tk_empty_window_rejected():
     with pytest.raises(ValueError):
         turan_kubilius(F2, 6, 1, 2)

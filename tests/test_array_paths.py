@@ -1,5 +1,10 @@
 """The array paths against the per-element paths, bit for bit.
 
+`times_fixed`, the one product kernel on index space, must give the indices
+of the Poly products p*h for stacks of polynomials, explicit cofactor rows
+and any chunking; the Turan-Kubilius counts built once on G_{n_stop} must
+equal the counts built on each G_n.
+
 `function_on_gn` (the prime-power sieve, or its per-element fallback for
 characters and twists) must give exactly the bytes of [f(g) for g in G_n],
 and `correlate` / `katai_statistic` must give the same floats whether the
@@ -15,8 +20,12 @@ import pytest
 from ffmult import (LaurentTruncation, Poly, PolynomialPhase, build_field, builtin,
                     correlate, from_character, katai_statistic, phase_character_array,
                     random_on_irreducibles, sample_on_gn, twist)
+from ffmult import gn
+from ffmult.analytics import turan_kubilius_from_counts, window_divisor_counts
 from ffmult.experiments import resolve_hayes
+from ffmult.gn import GnIndex, times_fixed
 from ffmult.multiplicative import function_on_gn
+from ffmult.polys import irreducibles_of_degree
 
 # (p, r) -> largest n of the grid
 GRID = {(2, 1): 11, (3, 1): 7, (2, 2): 5, (5, 1): 4}
@@ -117,3 +126,72 @@ def test_katai_bit_equal_across_argument_forms(pr, n, k, name, per_pair):
     as_lambda = katai_statistic(field, lambda h: g(h), n, k, pair_set, per_pair)
     assert struct.pack("<d", as_mf) == struct.pack("<d", as_array) \
         == struct.pack("<d", as_lambda)
+
+
+# q -> ((p, r), largest cofactor width m of the kernel grid)
+KERNEL_GRID = {2: ((2, 1), 7), 3: ((3, 1), 4), 4: ((2, 2), 3), 5: ((5, 1), 3),
+               9: ((3, 2), 2)}
+
+
+def poly_products(field, stack, cofactors):
+    return np.array([[(Poly(field, coeffs) * Poly.from_index(field, int(h))).to_index()
+                      for h in cofactors] for coeffs in stack], dtype=np.int64)
+
+
+def kernel_stacks(field):
+    """One prime (k = 1), every prime of degree 1 and 2, every nonzero
+    constant and every nonzero polynomial of degree 1 (leading coefficients
+    other than 1)."""
+    q = field.q
+    return [[irreducibles_of_degree(field, 2)[-1].coeffs],
+            [p.coeffs for p in irreducibles_of_degree(field, 1)],
+            [p.coeffs for p in irreducibles_of_degree(field, 2)],
+            [(c,) for c in range(1, q)],
+            [(c0, c1) for c1 in range(1, q) for c0 in range(q)]]
+
+
+@pytest.mark.parametrize("q", sorted(KERNEL_GRID))
+@pytest.mark.parametrize("chunk", [None, 7, 40])
+def test_times_fixed_equals_poly_products(q, chunk, monkeypatch):
+    if chunk is not None:
+        # chunk boundaries inside stacks, cofactor rows and digit parts
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    (p, r), m_max = KERNEL_GRID[q]
+    field = build_field(p, r)
+    for stack in kernel_stacks(field):
+        for m in range(m_max + 1):
+            out = times_fixed(field, stack, m)
+            assert out.dtype == np.int64 and out.shape == (len(stack), q ** m)
+            assert np.array_equal(out, poly_products(field, stack, range(q ** m))), (stack, m)
+            # the sieve's explicit rows: the monic cofactors of degree m
+            monic = np.arange(q ** m, 2 * q ** m, dtype=np.int64)
+            assert np.array_equal(times_fixed(field, stack, m + 1, monic),
+                                  poly_products(field, stack, monic)), (stack, m)
+
+
+@pytest.mark.parametrize("q", sorted(KERNEL_GRID))
+def test_smul_is_the_product_by_a_constant(q):
+    (p, r), m_max = KERNEL_GRID[q]
+    field = build_field(p, r)
+    G = GnIndex(field, m_max)
+    idx = np.arange(q ** m_max, dtype=np.int64).reshape(q, -1)
+    for c in range(q):
+        expected = poly_products(field, [(c,)], idx.ravel()).reshape(idx.shape)
+        assert np.array_equal(G.smul(c, idx), expected)
+
+
+@pytest.mark.parametrize("pr,n_stop,W,H", [((2, 1), 9, 1, 11), ((3, 1), 6, 1, 8),
+                                           ((2, 2), 5, 0, 7), ((5, 1), 4, 1, 5)])
+def test_tk_counts_on_g_n_stop_have_the_per_n_counts_as_prefixes(pr, n_stop, W, H):
+    # H - 1 > n_stop: every n has window primes of degree >= n, which
+    # divide only g = 0
+    field = build_field(*pr)
+    full = window_divisor_counts(field, n_stop, W, H)
+    for n in range(1, n_stop + 1):
+        per_n = window_divisor_counts(field, n, W, H)
+        assert np.array_equal(full[:field.q ** n], per_n), n
+        a = turan_kubilius_from_counts(field, full, n, W, H)
+        b = turan_kubilius_from_counts(field, per_n, n, W, H)
+        assert struct.pack("<3d", a.A, a.lhs, a.ratio) == struct.pack("<3d", b.A, b.lhs, b.ratio)
+    primes = sum(len(irreducibles_of_degree(field, d)) for d in range(max(W + 1, 1), H))
+    assert full[0] == primes

@@ -276,6 +276,48 @@ def test_katai_budget_refusal_uses_the_exact_estimate():
     validate_config(_katai_config(5, 13))          # the benchmark's katai-random size
 
 
+def test_tk_estimate_equals_the_rows_the_kernel_marks(monkeypatch):
+    from ffmult import analytics
+    from ffmult.experiments import _estimated_cost
+    real = analytics.times_fixed
+    marked = []
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        marked.append(out.size)
+        return out
+
+    monkeypatch.setattr(analytics, "times_fixed", counting)
+    # three of the windows hold primes of degree >= n (one row each, the index 0)
+    for (p, r), n, W, H in (((3, 1), 8, 1, 9), ((2, 1), 14, 1, 12), ((2, 1), 5, 1, 8),
+                            ((2, 2), 5, 0, 7), ((5, 1), 4, 1, 4)):
+        field = build_field(p, r)
+        marked.clear()
+        analytics.turan_kubilius(field, n, W, H)
+        sections = {"tk": {"W": W, "H": H}}
+        assert _estimated_cost("tk-check", n, field.q, sections) == sum(marked)
+    # the benchmark's tk-f3 at n = 12, and a window that q^n under-estimated
+    assert _estimated_cost("tk-check", 12, 3, {"tk": {"W": 1, "H": 9}}) == 783_675
+    assert _estimated_cost("tk-check", 14, 2, {"tk": {"W": 1, "H": 12}}) == 25_728
+
+
+def test_tk_budget_refusal_uses_the_exact_estimate():
+    cfg = {"kind": "tk-check", "field": {"p": 2, "r": 1}, "n": {"start": 14, "stop": 14},
+           "tk": {"W": 1, "H": 12}, "budget": {"max_evals_per_n": 20_000}}
+    with pytest.raises(ConfigError) as e:
+        validate_config(cfg)
+    assert any(p.startswith("budget:") and "25728" in p for p in e.value.problems)
+    validate_config({"kind": "tk-check", "field": {"p": 3, "r": 1},
+                     "n": {"start": 9, "stop": 12}, "tk": {"W": 1, "H": 9}})
+
+
+def test_tk_window_must_be_integers():
+    with pytest.raises(ConfigError) as e:
+        validate_config({"kind": "tk-check", "field": {"p": 2}, "n": {"start": 3},
+                         "tk": {"W": 1, "H": "5"}})
+    assert "tk.W, tk.H: required integers" in e.value.problems
+
+
 def test_cli_no_command_prints_help():
     r = run_cli()
     assert r.returncode == 1

@@ -5,7 +5,11 @@ the CSV payload `run_experiment` streams.
 The hashes were recorded before the sieve-built function arrays replaced the
 per-element factor loop, so every evaluation path that reads those arrays
 (decay-table, gowers-decay, ap-decay, katai-check) is held to the payload
-the factor loop produced, byte for byte.
+the factor loop produced, byte for byte.  The tk-check pins over F_3 and F_4
+(with window primes of degree >= n.start) and the distance-growth pin over
+F_4 were recorded before the product kernel became an F_p-linear map on
+base-p digits, so they hold the r > 1 basis images and the prefix counts to
+the payload of the table-lookup kernel.
 """
 
 import hashlib
@@ -97,6 +101,19 @@ PINS = {
         {"kind": "tk-check", "field": {"p": 2, "r": 1}, "n": {"start": 6, "stop": 9},
          "tk": {"W": 1, "H": 5}},
         "2ece1620e04ca81535be982da0dd3d5650810ed190f75c9001773e3bc26b47d4"),
+    "tk-f3-window-above-n": (
+        {"kind": "tk-check", "field": {"p": 3, "r": 1}, "n": {"start": 4, "stop": 7},
+         "tk": {"W": 1, "H": 7}},
+        "68f478a652a42364a7aa81d906c676790330b1b71814928a2ebd6dbe57c9825e"),
+    "tk-f4": (
+        {"kind": "tk-check", "field": {"p": 2, "r": 2}, "n": {"start": 3, "stop": 6},
+         "tk": {"W": 1, "H": 6}},
+        "103c6a29895557d8e3494365e37ee9ff36df2b454a956c004d4fed4ae31fcdaa"),
+    "distance-moebius-f4": (
+        {"kind": "distance-growth", "field": {"p": 2, "r": 2}, "n": {"start": 1, "stop": 8},
+         "function": {"kind": "builtin", "name": "moebius"},
+         "hayes": {"theta": "1/3", "short": {"s": 1, "index": 1}}},
+        "5c0950cd467caa98199d887cff189f57d049c0acb67203f3e9c794c66e5b98c8"),
     "bias-rank-f3": (
         {"kind": "bias-rank-demo", "field": {"p": 3, "r": 1},
          "bias": {"r_values": [1, 2], "slot_dim": 3, "arity": 2}},
