@@ -6,17 +6,21 @@ whose trends the theory predicts.  Conventions shared by all ops:
 
 * G_n is indexed canonically (polynomial <-> base-q index), so a function
   on G_n can be a callable on Poly or a complex array in index order.
+  `_on_gn` alone decides how a function reaches G_n: arrays, phases and
+  MultiplicativeFunctions become one whole array (`function_on_gn` for the
+  latter), a plain callable is called by `per_element` on exactly the
+  indices a statistic reads.  Every statistic reduces arrays from there.
 * Multiplicative inputs use f(0) = 0; the `domain` selector picks between
   all of G_n ("all"), G_n minus 0 ("nonzero"), and the monic top slice of
   degree n-1 ("monic").
-* Correlation means and Katai inner sums are summed with math.fsum
-  (correctly rounded, so independent of order and partition) in the
-  per-element and the array paths alike.  Array products there use
-  separate float64 ufuncs (re = ar*br - ai*bi, im = ar*bi + ai*br), which
-  round exactly as Python's complex product does; numpy's complex `*` may
-  fuse the multiply-add and is not used.  So both paths give the same
-  float, bit for bit.  Gowers and progression averages use numpy's mean
-  and complex products: deterministic, with no scalar twin.
+* Correlation means, Katai inner sums and mean values are summed with
+  math.fsum (correctly rounded, so independent of order and partition).
+  Array products there use separate float64 ufuncs (re = ar*br - ai*bi,
+  im = ar*bi + ai*br), which round exactly as Python's complex product
+  does; numpy's complex `*` may fuse the multiply-add and is not used.  So
+  a sum equals the scalar sum of the same products, bit for bit.  Gowers
+  and progression averages use numpy's mean and complex products:
+  deterministic, with no scalar twin.
 * Gowers norms: the U^k brute-force cube average is computed by iterating
   multiplicative derivatives (an exact regrouping of the sum over
   (x, h_1..h_k)); the independent U^2 route goes through the additive
@@ -35,32 +39,34 @@ from .errors import BudgetError
 from .fields import Field
 from .gn import GnIndex, times_fixed
 from .laurent import LaurentTruncation, linear_form_table
-from .multiplicative import MultiplicativeFunction, function_on_gn
+from .multiplicative import MultiplicativeFunction, from_character, function_on_gn, per_element
 from .phases import PolynomialPhase, derivative_form
-from .polys import Poly, g_n, irreducible_count, irreducibles_of_degree, monic_of_degree, p_k
+from .polys import Poly, irreducible_count, irreducibles_of_degree, p_k
 
 
-def sample_on_gn(field: Field, n: int, f) -> np.ndarray:
-    """Materialize a function on G_n to a complex array in index order.
-
-    A MultiplicativeFunction goes through `function_on_gn` (the sieve, or
-    its per-element fallback); any other callable is evaluated per element.
-    """
+def _on_gn(field: Field, n: int, f, indices: range) -> np.ndarray:
+    """f at `indices` of G_n as a complex array.  An array, a phase (alpha_1
+    of it) or a MultiplicativeFunction (`function_on_gn`) is made whole on
+    G_n and sliced; a plain callable is called on exactly these indices."""
     size = field.q ** n
     if isinstance(f, np.ndarray):
         if f.shape != (size,):
             raise ValueError(f"array has shape {f.shape}, expected ({size},)")
-        return f.astype(np.complex128)
-    if isinstance(f, PolynomialPhase):
+        arr = f.astype(np.complex128)
+    elif isinstance(f, PolynomialPhase):
         if f.n != n:
             raise ValueError(f"phase lives on G_{f.n}, asked to sample on G_{n}")
-        return phase_character_array(f)
-    if isinstance(f, MultiplicativeFunction):
-        return function_on_gn(f, n)
-    out = np.empty(size, dtype=np.complex128)
-    for idx in range(size):
-        out[idx] = f(Poly.from_index(field, idx))
-    return out
+        arr = phase_character_array(f)
+    elif isinstance(f, MultiplicativeFunction):
+        arr = function_on_gn(f, n)
+    else:
+        return per_element(field, f, indices)
+    return arr[indices.start:indices.stop]
+
+
+def sample_on_gn(field: Field, n: int, f) -> np.ndarray:
+    """Materialize a function on G_n to a complex array in index order."""
+    return _on_gn(field, n, f, range(field.q ** n))
 
 
 def phase_character_array(P: PolynomialPhase, s: int = 1) -> np.ndarray:
@@ -70,12 +76,9 @@ def phase_character_array(P: PolynomialPhase, s: int = 1) -> np.ndarray:
 
 
 def hayes_on_gn(H, n: int) -> np.ndarray:
-    """A Hayes character sampled on G_n (value 0 at g = 0)."""
-    field = H.field
-    out = np.zeros(field.q ** n, dtype=np.complex128)
-    for idx in range(1, field.q ** n):
-        out[idx] = H(Poly.from_index(field, idx))
-    return out
+    """A Hayes character on G_n (value 0 at g = 0), as the function array
+    of its completely multiplicative function."""
+    return function_on_gn(from_character(H), n)
 
 
 def periodic_from_residues(field: Field, modulus: Poly, values) -> callable:
@@ -99,15 +102,6 @@ def composite_on_gn(field: Field, n: int, func, phases) -> np.ndarray:
     for idx in range(size):
         out[idx] = func(*(int(v[idx]) for v in value_arrays))
     return out
-
-
-def _fsum_complex(parts) -> complex:
-    re, im = [], []
-    for z in parts:
-        z = complex(z)
-        re.append(z.real)
-        im.append(z.imag)
-    return complex(math.fsum(re), math.fsum(im))
 
 
 def _products(a: np.ndarray, b: np.ndarray, conjugate_b: bool = False):
@@ -154,39 +148,19 @@ def domain_indices(field: Field, n: int, domain: str):
     raise ValueError(f"unknown domain {domain!r}")
 
 
-_SAMPLED = (np.ndarray, PolynomialPhase, MultiplicativeFunction)
-
-
-def _pointwise(field: Field, n: int, f):
-    """(idx, g) -> f(g): an array lookup for arrays and phases, else a call."""
-    if isinstance(f, (np.ndarray, PolynomialPhase)):
-        arr = sample_on_gn(field, n, f)
-        return lambda idx, g: arr[idx]
-    return lambda idx, g: f(g)
-
-
 def correlate(field: Field, nu, t, n: int, domain: str = "all") -> complex:
     """Mean of nu(g) * t(g) over the chosen slice of G_n.
 
     `nu` and `t` are each a callable on Poly, an index-order array on G_n,
     a MultiplicativeFunction or a PolynomialPhase (meaning alpha_1 applied
-    to it).  When neither is a plain callable the products are formed on
-    arrays; either way the result is the same float, bit for bit.
+    to it).  Both are read on the slice through `_on_gn` and multiplied as
+    arrays; a plain callable is called only on the slice.
     """
-    size = field.q ** n
-    if size > field.enumeration_budget:
+    if field.q ** n > field.enumeration_budget:
         raise BudgetError(f"G_{n} over the enumeration budget")
     rng = domain_indices(field, n, domain)
-    if isinstance(nu, _SAMPLED) and isinstance(t, _SAMPLED):
-        re, im = _products(sample_on_gn(field, n, nu)[rng.start:rng.stop],
-                           sample_on_gn(field, n, t)[rng.start:rng.stop])
-        return _fsum_arrays(re, im) / len(rng)
-    nu_of, t_of = _pointwise(field, n, nu), _pointwise(field, n, t)
-    parts = []
-    for idx in rng:
-        g = Poly.from_index(field, idx)
-        parts.append(complex(nu_of(idx, g)) * complex(t_of(idx, g)))
-    return _fsum_complex(parts) / len(rng)
+    re, im = _products(_on_gn(field, n, nu, rng), _on_gn(field, n, t, rng))
+    return _fsum_arrays(re, im) / len(rng)
 
 
 # -- Gowers norms -----------------------------------------------------------------
@@ -300,9 +274,10 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
     nonzero polynomials of degree <= k.
 
     `f` is a MultiplicativeFunction, an index-order array on G_n or any
-    callable on Poly.  The first two read f(a g) from one array through one
-    index map per (deg a, m), batched over the a of that degree; a callable
-    is evaluated on Poly products.  Both give the same float, bit for bit.
+    callable on Poly; it is sampled once on all of G_n (a callable is called
+    q^n times, so q^n must be within the enumeration budget), and f(a g) is
+    read from that array through one index map per (deg a, m), batched over
+    the a of that degree.
     """
     if field.q ** (n - k) > field.enumeration_budget:
         raise BudgetError(f"inner sums over G_{n - k} exceed the enumeration budget")
@@ -314,36 +289,26 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
         raise ValueError("pair_set must be 'P_k' or 'G_{k+1}'")
     if not base:
         raise ValueError("empty pair set")
-    if isinstance(f, (np.ndarray, MultiplicativeFunction)):
-        f_arr = sample_on_gn(field, n, f)
-        by_degree = {}
-        for a in base:
-            by_degree.setdefault(a.degree, []).append(a)
-        at = {}      # (a, m) -> f(a g) for g in G_m, one index map per (deg a, m)
+    f_arr = sample_on_gn(field, n, f)
+    by_degree = {}
+    for a in base:
+        by_degree.setdefault(a.degree, []).append(a)
+    at = {}      # (a, m) -> f(a g) for g in G_m, one index map per (deg a, m)
 
-        def f_times(a: Poly, m: int) -> np.ndarray:
-            if (a.coeffs, m) not in at:
-                same = by_degree[a.degree]
-                values = f_arr[times_fixed(field, [b.coeffs for b in same], m)]
-                at.update(((b.coeffs, m), row) for b, row in zip(same, values))
-            return at[a.coeffs, m]
+    def f_times(a: Poly, m: int) -> np.ndarray:
+        if (a.coeffs, m) not in at:
+            same = by_degree[a.degree]
+            values = f_arr[times_fixed(field, [b.coeffs for b in same], m)]
+            at.update(((b.coeffs, m), row) for b, row in zip(same, values))
+        return at[a.coeffs, m]
 
-        def inner_sum(a: Poly, b: Poly, m: int) -> complex:
-            return _fsum_arrays(*_products(f_times(a, m), f_times(b, m), conjugate_b=True))
-    else:
-        def inner_sum(a: Poly, b: Poly, m: int) -> complex:
-            inner = []
-            for gi in range(field.q ** m):
-                g = Poly.from_index(field, gi)
-                inner.append(complex(f(a * g)) * complex(f(b * g)).conjugate())
-            return _fsum_complex(inner)
     total_parts = []
     for a in base:
         for b in base:
             m = n - int(max(a.degree, b.degree))
             if m < 0:
                 raise ValueError("n too small for the chosen pair degrees")
-            mag = abs(inner_sum(a, b, m))
+            mag = abs(_fsum_arrays(*_products(f_times(a, m), f_times(b, m), conjugate_b=True)))
             total_parts.append(mag / field.q ** m if per_pair else mag)
     total = math.fsum(total_parts)
     if per_pair:
@@ -412,10 +377,10 @@ def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
         diff = scaled[a.coeffs].minus(scaled[b.coeffs])
         counts = diff.exponent_counts()
         parts.append(complex(np.sum(counts * field.roots) / inner_size))
-    mean = _fsum_complex(parts) / len(parts)
+    vals = np.array(parts)
+    mean = _fsum_arrays(vals.real, vals.imag) / len(parts)
     stderr = None
     if mode_used == "sampled":
-        vals = np.array(parts)
         stderr = float(np.abs(vals - vals.mean()).std() / math.sqrt(len(parts)))
     return RBiasResult(mean.real, abs(mean.imag), len(pairs),
                        len(pairs) * inner_size, mode_used, stderr)
@@ -496,18 +461,26 @@ def _at_irreducible(f):
     return lambda p: complex(f(p))
 
 
+def distance_terms(f, g, d: int) -> list:
+    """The summands of D(f, g; N) at the monic irreducibles p of degree d:
+    q^{-d} max(1 - Re f(p) conj g(p), 0), in index order."""
+    field = f.field if isinstance(f, MultiplicativeFunction) else g.field
+    f_at, g_at = _at_irreducible(f), _at_irreducible(g)
+    qd = float(field.q) ** -d
+    return [qd * max(1.0 - (f_at(p) * g_at(p).conjugate()).real, 0.0)
+            for p in irreducibles_of_degree(field, d)]
+
+
+def distance_from_terms(terms) -> float:
+    """sqrt of the correctly rounded sum of distance_terms, clamped at 0."""
+    return math.sqrt(max(math.fsum(terms), 0.0))
+
+
 def pretentious_distance(f, g, N: int, window_low: int = 0) -> float:
     """D(f, g; N): sqrt of sum over irreducibles with window_low <= deg <= N
     of q^{-deg p} (1 - Re f(p) conj g(p)), each summand clamped at >= 0."""
-    field = f.field if isinstance(f, MultiplicativeFunction) else g.field
-    f_at, g_at = _at_irreducible(f), _at_irreducible(g)
-    parts = []
-    for d in range(max(window_low, 1), N + 1):
-        qd = float(field.q) ** -d
-        for p in irreducibles_of_degree(field, d):
-            term = 1.0 - (f_at(p) * g_at(p).conjugate()).real
-            parts.append(qd * max(term, 0.0))
-    return math.sqrt(max(math.fsum(parts), 0.0))
+    return distance_from_terms([t for d in range(max(window_low, 1), N + 1)
+                                for t in distance_terms(f, g, d)])
 
 
 @dataclass
@@ -629,19 +602,14 @@ def halasz_product(f: MultiplicativeFunction, n: int,
 
 
 def mean_value(f, n: int, domain: str = "monic") -> complex:
-    """Exhaustive average of f over degree-n polynomials (monic or all)."""
+    """Exhaustive average of f over degree-n polynomials (monic or all):
+    the index slice [q^n, 2 q^n) or [q^n, q^(n+1)) of G_{n+1}."""
     field = f.field
-    if domain == "monic":
-        it = monic_of_degree(field, n)
-        count = field.q ** n
-    elif domain == "all":
-        it = (g for g in g_n(field, n + 1) if g.degree == n)
-        count = (field.q - 1) * field.q ** n
-    else:
+    if domain not in ("monic", "all"):
         raise ValueError("domain must be 'monic' or 'all'")
-    parts = [complex(f(g)) for g in it]
-    assert len(parts) == count
-    return _fsum_complex(parts) / count
+    top = 2 if domain == "monic" else field.q
+    values = _on_gn(field, n + 1, f, range(field.q ** n, top * field.q ** n))
+    return _fsum_arrays(values.real, values.imag) / len(values)
 
 
 # -- exact linear-phase sums ------------------------------------------------------

@@ -384,27 +384,29 @@ def _rows_decay_table(cfg: ExperimentConfig, field: Field):
 def _rows_distance_growth(cfg: ExperimentConfig, field: Field):
     f = resolve_function(field, cfg.sections["function"], cfg.seed)
     target = from_character(resolve_hayes(field, cfg.sections["hayes"]))
+    # each irreducible's term once; row N sums the terms of degree <= N
+    terms = [t for d in range(1, cfg.n_start) for t in analytics.distance_terms(f, target, d)]
     for N in range(cfg.n_start, cfg.n_stop + 1):
-        yield (N, analytics.pretentious_distance(f, target, N))
+        terms += analytics.distance_terms(f, target, N)
+        yield (N, analytics.distance_from_terms(terms))
 
 
 def _rows_gowers_decay(cfg: ExperimentConfig, field: Field):
-    f = resolve_function(field, cfg.sections["function"], cfg.seed)
+    f = _function_on_prefixes(cfg, field)
     k = cfg.sections.get("gowers", {}).get("k", 2)
     for n in range(cfg.n_start, cfg.n_stop + 1):
         if k == 2:
-            norm = analytics.u2_fourier(field, n, analytics.sample_on_gn(field, n, f))
+            norm = analytics.u2_fourier(field, n, f[:field.q ** n])
         else:
-            norm = analytics.gowers_norm(field, n, f, k, budget=cfg.budget)
+            norm = analytics.gowers_norm(field, n, f[:field.q ** n], k, budget=cfg.budget)
         yield (n, norm)
 
 
 def _rows_ap_decay(cfg: ExperimentConfig, field: Field):
-    f = resolve_function(field, cfg.sections["function"], cfg.seed)
+    f = _function_on_prefixes(cfg, field)
     k = cfg.sections.get("ap", {}).get("k", 3)
     for n in range(cfg.n_start, cfg.n_stop + 1):
-        arr = analytics.sample_on_gn(field, n, f)
-        res = analytics.ap_correlation(field, n, [arr] * k, budget=cfg.budget)
+        res = analytics.ap_correlation(field, n, [f[:field.q ** n]] * k, budget=cfg.budget)
         yield (n, abs(res.mean), res.gowers_bound, res.satisfied)
 
 

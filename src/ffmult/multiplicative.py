@@ -3,10 +3,11 @@
 A function here is determined by its rule on prime powers (irreducible p,
 exponent k), a rule on units (default: constant 1, so built-ins are
 unit-invariant), and the convention f(0) = 0.  A value at one polynomial,
-f(g), comes from factor() and is memoized; that is the only use of the
-field's factor-degree bound.  A whole array on G_n comes from
-`function_on_gn`, a prime-power sieve over index space that needs neither
-factor() nor the memo and gives the same values bit for bit.
+f(g), comes from factor() (whose field-wide memo is the one scalar memo);
+that is the only use of the field's factor-degree bound.  A whole array on
+G_n comes from `function_on_gn`, a prime-power sieve over index space that
+needs no factor() and gives the same values bit for bit.  `per_element` is
+the one loop that calls a function polynomial by polynomial.
 
 Built-ins: moebius (mu(p) = -1, zero on non-squarefree), liouville
 (lambda(p^k) = (-1)^k), one.  Character-derived functions wrap a Hayes
@@ -32,16 +33,13 @@ from .fields import Field
 from .gn import leading_coefficients, times_fixed
 from .polys import Poly, factor, irreducibles_of_degree
 
-_CACHE_CAP_DEFAULT = 1 << 20
-
 
 class MultiplicativeFunction:
     """f with f(gh) = f(g)f(h) on coprime pairs, f(0) = 0, f(1) = 1."""
 
     def __init__(self, field: Field, prime_power_rule, *, name: str,
                  completely_multiplicative: bool = False, unit_rule=None,
-                 eval_override=None, degree_profile=None, descriptor=None,
-                 cache_cap: int = _CACHE_CAP_DEFAULT):
+                 eval_override=None, degree_profile=None, descriptor=None):
         self.field = field
         self.prime_power_rule = prime_power_rule
         self.name = name
@@ -50,8 +48,6 @@ class MultiplicativeFunction:
         self.eval_override = eval_override
         self.degree_profile = degree_profile
         self._descriptor = descriptor or {"kind": "custom", "name": name}
-        self._cache: dict = {}
-        self._cache_cap = cache_cap
 
     @property
     def kind(self) -> str:
@@ -60,21 +56,14 @@ class MultiplicativeFunction:
     def __call__(self, g: Poly) -> complex:
         if g.is_zero():
             return 0j
-        key = g.coeffs
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         if self.eval_override is not None:
-            val = complex(self.eval_override(g))
-        elif g.degree == 0:
-            val = complex(self.unit_rule(g.coeffs[0]))
-        else:
-            unit, parts = factor(g)
-            val = complex(self.unit_rule(unit))
-            for p, k in parts:
-                val *= self.prime_power_rule(p, k)
-        if len(self._cache) < self._cache_cap:
-            self._cache[key] = val
+            return complex(self.eval_override(g))
+        if g.degree == 0:
+            return complex(self.unit_rule(g.coeffs[0]))
+        unit, parts = factor(g)
+        val = complex(self.unit_rule(unit))
+        for p, k in parts:
+            val *= self.prime_power_rule(p, k)
         return val
 
     def on_prime_power(self, p: Poly, k: int) -> complex:
@@ -107,8 +96,8 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
     (degree, index) order, the indices exactly divisible by p^k are
     multiplied by prime_power_rule(p, k).  That is the order factor()
     returns, so each value sees the same roundings as the scalar path.
-    Functions with an eval_override (characters, twists) are evaluated
-    element by element.
+    Functions with an eval_override (characters, twists) go through
+    `per_element`.
     """
     field = f.field
     q = field.q
@@ -116,10 +105,7 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
     if size > field.enumeration_budget:
         raise BudgetError(f"G_{n} over the enumeration budget")
     if f.eval_override is not None:
-        out = np.empty(size, dtype=np.complex128)
-        for idx in range(size):
-            out[idx] = f(Poly.from_index(field, idx))
-        return out
+        return per_element(field, f, range(size))
     units = [0j] + [complex(f.unit_rule(c)) for c in range(1, q)]
     lc = leading_coefficients(q, n)
     re = np.array([u.real for u in units])[lc]
@@ -142,6 +128,20 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
                 mult, k = mult[divisible], k + 1
     out = np.empty(size, dtype=np.complex128)
     out.real, out.imag = re, im        # keeps the signs of zeros
+    return out
+
+
+def per_element(field: Field, f, indices) -> np.ndarray:
+    """[f(g) for g at `indices`] as a complex array, one call per index.
+
+    Refused before the first call when there are more indices than the
+    field's enumeration budget allows.
+    """
+    if len(indices) > field.enumeration_budget:
+        raise BudgetError(f"{len(indices)} evaluations over the enumeration budget")
+    out = np.empty(len(indices), dtype=np.complex128)
+    for i, idx in enumerate(indices):
+        out[i] = f(Poly.from_index(field, idx))
     return out
 
 

@@ -9,17 +9,21 @@ equal the counts built on each G_n.
 characters and twists) must give exactly the bytes of [f(g) for g in G_n],
 and `correlate` / `katai_statistic` must give the same floats whether the
 function arrives as a MultiplicativeFunction, as an array, or wrapped in a
-plain lambda that forces the per-element loop.
+plain callable that is called polynomial by polynomial.  A plain callable is
+called exactly on the indices a statistic reads, and an over-budget one not
+at all; `mean_value` equals the scalar fsum over the degree-n slice.
 """
 
+import math
 import struct
 
 import numpy as np
 import pytest
 
-from ffmult import (LaurentTruncation, Poly, PolynomialPhase, build_field, builtin,
-                    correlate, from_character, katai_statistic, phase_character_array,
-                    random_on_irreducibles, sample_on_gn, twist)
+from ffmult import (BudgetError, HayesCharacter, LaurentTruncation, MultiplicativeFunction,
+                    Poly, PolynomialPhase, UnitCharacter, build_field, builtin, correlate,
+                    from_character, hayes_on_gn, katai_statistic, mean_value,
+                    phase_character_array, random_on_irreducibles, sample_on_gn, twist)
 from ffmult import gn
 from ffmult.analytics import turan_kubilius_from_counts, window_divisor_counts
 from ffmult.experiments import resolve_hayes
@@ -31,7 +35,7 @@ from ffmult.polys import irreducibles_of_degree
 GRID = {(2, 1): 11, (3, 1): 7, (2, 2): 5, (5, 1): 4}
 
 FUNCTIONS = ("moebius", "liouville", "one", "random-pm1", "random-unit",
-             "character", "twist")
+             "character", "twist", "unit-liouville")
 
 
 def make_function(field, name):
@@ -41,6 +45,11 @@ def make_function(field, name):
         return random_on_irreducibles(field, 17, "pm1")
     if name == "random-unit":
         return random_on_irreducibles(field, 23, "unit")
+    if name == "unit-liouville":
+        # a nontrivial unit rule (for q > 2) on the sieve path: f(c g) != f(g)
+        H = HayesCharacter(field, unit=UnitCharacter(field, 1))
+        return MultiplicativeFunction(field, lambda p, k: complex((-1.0) ** k), name=name,
+                                      unit_rule=lambda c: H(Poly.constant(field, c)))
     if name == "character":
         return from_character(resolve_hayes(field, {"short": {"s": 1, "index": 1},
                                                     "theta": "1/5"}))
@@ -57,6 +66,17 @@ def per_element(f, n):
 
 def bits(z: complex) -> bytes:
     return struct.pack("<dd", z.real, z.imag)
+
+
+class Counting:
+    """A plain callable that counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, g):
+        self.calls += 1
+        return self.f(g)
 
 
 @pytest.mark.parametrize("pr", sorted(GRID))
@@ -100,6 +120,33 @@ def test_correlate_bit_equal_across_argument_forms(pr, n, name):
         assert bits(as_mf) == bits(as_array) == bits(as_lambda), domain
 
 
+@pytest.mark.parametrize("pr,n", [((2, 1), 9), ((3, 1), 5), ((2, 2), 4)])
+def test_bare_hayes_character_correlates_off_zero(pr, n):
+    # a HayesCharacter raises at g = 0, so on these domains it must never
+    # be called there
+    field = build_field(*pr)
+    H = resolve_hayes(field, {"short": {"s": 1, "index": 1}, "theta": "1/5"})
+    t = phase_character_array(_phase(field, n, seed=n))
+    for domain in ("nonzero", "monic"):
+        assert bits(correlate(field, H, t, n, domain)) \
+            == bits(correlate(field, hayes_on_gn(H, n), t, n, domain)), domain
+
+
+@pytest.mark.parametrize("pr", sorted(GRID))
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_mean_value_equals_the_scalar_fsum(pr, name):
+    field = build_field(*pr)
+    q = field.q
+    for n in range(GRID[pr]):
+        for domain, stop in (("monic", 2 * q ** n), ("all", q ** (n + 1))):
+            g = make_function(field, name)
+            values = [g(Poly.from_index(field, i)) for i in range(q ** n, stop)]
+            reference = complex(math.fsum(z.real for z in values),
+                                math.fsum(z.imag for z in values)) / len(values)
+            got = mean_value(make_function(field, name), n, domain)
+            assert bits(got) == bits(reference), (n, domain)
+
+
 def test_correlate_keeps_signs_of_zero():
     # Moebius against a real phase over F_2: every product has a zero
     # imaginary part, of either sign; the mean's must match the scalar path
@@ -122,10 +169,22 @@ def test_katai_bit_equal_across_argument_forms(pr, n, k, name, per_pair):
     f = make_function(field, name)
     as_mf = katai_statistic(field, f, n, k, pair_set, per_pair)
     as_array = katai_statistic(field, sample_on_gn(field, n, f), n, k, pair_set, per_pair)
-    g = make_function(field, name)
-    as_lambda = katai_statistic(field, lambda h: g(h), n, k, pair_set, per_pair)
+    g = Counting(make_function(field, name))
+    as_lambda = katai_statistic(field, g, n, k, pair_set, per_pair)
     assert struct.pack("<d", as_mf) == struct.pack("<d", as_array) \
         == struct.pack("<d", as_lambda)
+    assert g.calls == field.q ** n      # once per element of G_n
+
+
+def test_over_budget_callable_is_refused_before_its_first_call():
+    # q^(n-k) = 64 is within the budget, q^n = 512 is not
+    field = build_field(2, 1, enumeration_budget=256)
+    f = Counting(lambda g: 1.0)
+    with pytest.raises(BudgetError):
+        katai_statistic(field, f, 9, 3)
+    with pytest.raises(BudgetError):
+        sample_on_gn(field, 9, f)
+    assert f.calls == 0
 
 
 # q -> ((p, r), largest cofactor width m of the kernel grid)

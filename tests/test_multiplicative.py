@@ -89,8 +89,8 @@ def test_cache_transparency():
     for idx in range(1, 2 ** 8):
         g = Poly.from_index(F2, idx)
         first = f1(g)
-        again = f1(g)          # cached
-        fresh = f2(g)          # uncached instance
+        again = f1(g)          # same instance, second call
+        fresh = f2(g)          # another instance
         assert first == again == fresh
 
 

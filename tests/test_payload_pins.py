@@ -9,7 +9,10 @@ the factor loop produced, byte for byte.  The tk-check pins over F_3 and F_4
 (with window primes of degree >= n.start) and the distance-growth pin over
 F_4 were recorded before the product kernel became an F_p-linear map on
 base-p digits, so they hold the r > 1 basis images and the prefix counts to
-the payload of the table-lookup kernel.
+the payload of the table-lookup kernel.  The gowers-decay pin with a twist
+over F_3 and the ap-decay pin with a Dirichlet character over F_5 were
+recorded while those runners still sampled the function afresh for every n,
+element by element, so they hold the G_{n_stop} prefixes to that payload.
 """
 
 import hashlib
@@ -69,6 +72,18 @@ PINS = {
         {"kind": "gowers-decay", "field": {"p": 3, "r": 1}, "n": {"start": 1, "stop": 2},
          "seed": 5, "function": {"kind": "random", "values": "pm1"}, "gowers": {"k": 3}},
         "9b3c6a0b8c6ec37eaeb0ee99067c9b68a8b7236606eef83d37d2bac14e5f7ed1"),
+    "gowers-u3-twist-f3": (
+        {"kind": "gowers-decay", "field": {"p": 3, "r": 1}, "n": {"start": 1, "stop": 3},
+         "function": {"kind": "twist", "base": {"kind": "builtin", "name": "moebius"},
+                      "hayes": {"theta": "1/4", "short": {"s": 1, "index": 1}}},
+         "gowers": {"k": 3}},
+        "96f666ac696e98e69c312910a4bbfef874e5683c37b625524d9e4ab730a6e979"),
+    "ap-character-f5": (
+        {"kind": "ap-decay", "field": {"p": 5, "r": 1}, "n": {"start": 1, "stop": 3},
+         "function": {"kind": "character",
+                      "hayes": {"dirichlet": {"modulus": [2, 0, 1], "index": 5}}},
+         "ap": {"k": 3}},
+        "4e53b536f570b7e014e36f57f70b0536b2cde4d4721ac54a3aca09f0f24e0156"),
     "ap-moebius-f5": (
         {"kind": "ap-decay", "field": {"p": 5, "r": 1}, "n": {"start": 1, "stop": 2},
          "function": {"kind": "builtin", "name": "moebius"}, "ap": {"k": 3}},
