@@ -35,13 +35,17 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .characters import (DirichletCharacter, HayesCharacter, dirichlet_characters,
+                         short_interval_characters)
 from .errors import BudgetError
 from .fields import Field
 from .gn import GnIndex, times_fixed
 from .laurent import LaurentTruncation, linear_form_table
-from .multiplicative import MultiplicativeFunction, from_character, function_on_gn, per_element
+from .multiplicative import (MultiplicativeFunction, _complex, _products, from_character,
+                             function_on_gn, per_element, prime_values)
 from .phases import PolynomialPhase, derivative_form
-from .polys import Poly, irreducible_count, irreducibles_of_degree, p_k
+from .polys import (Poly, irreducible_count, irreducible_indices, irreducibles_of_degree,
+                    p_k)
 
 
 def _on_gn(field: Field, n: int, f, indices: range) -> np.ndarray:
@@ -102,15 +106,6 @@ def composite_on_gn(field: Field, n: int, func, phases) -> np.ndarray:
     for idx in range(size):
         out[idx] = func(*(int(v[idx]) for v in value_arrays))
     return out
-
-
-def _products(a: np.ndarray, b: np.ndarray, conjugate_b: bool = False):
-    """Real and imaginary parts of a * b (or a * conj b), elementwise,
-    rounded as Python's complex product rounds them: separate float64
-    ufuncs, never numpy's complex `*`, which may fuse the multiply-add."""
-    ar, ai = a.real, a.imag
-    br, bi = b.real, (-b.imag if conjugate_b else b.imag)
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _fsum_arrays(re: np.ndarray, im: np.ndarray) -> complex:
@@ -454,21 +449,25 @@ def turan_kubilius_from_counts(field: Field, counts: np.ndarray, n: int,
 # -- pretentious distance --------------------------------------------------------------
 
 
-def _at_irreducible(f):
-    """Evaluate at a monic irreducible without a factorization round trip."""
+def _at_primes(field: Field, f, d: int) -> np.ndarray:
+    """f at the monic irreducibles of degree d, index order, without a
+    factorization round trip: f(p) for a MultiplicativeFunction is
+    on_prime_power(p, 1) (`prime_values`), a HayesCharacter is read as an
+    array, any other callable is called prime by prime."""
     if isinstance(f, MultiplicativeFunction):
-        return lambda p: complex(f.on_prime_power(p, 1))
-    return lambda p: complex(f(p))
+        return prime_values(f, d)
+    if isinstance(f, HayesCharacter):
+        return f.values_at(irreducible_indices(field, d))
+    return np.array([complex(f(p)) for p in irreducibles_of_degree(field, d)],
+                    dtype=np.complex128)
 
 
 def distance_terms(f, g, d: int) -> list:
     """The summands of D(f, g; N) at the monic irreducibles p of degree d:
     q^{-d} max(1 - Re f(p) conj g(p), 0), in index order."""
     field = f.field if isinstance(f, MultiplicativeFunction) else g.field
-    f_at, g_at = _at_irreducible(f), _at_irreducible(g)
-    qd = float(field.q) ** -d
-    return [qd * max(1.0 - (f_at(p) * g_at(p).conjugate()).real, 0.0)
-            for p in irreducibles_of_degree(field, d)]
+    re, _ = _products(_at_primes(field, f, d), _at_primes(field, g, d), conjugate_b=True)
+    return (float(field.q) ** -d * np.maximum(1.0 - re, 0.0)).tolist()
 
 
 def distance_from_terms(terms) -> float:
@@ -502,18 +501,16 @@ def min_distance_over_hayes(f, N: int, modulus_degree_bound: int,
     (modulus 1, i.e. no twist, included); xi over all characters of length
     <= length_bound; theta over a uniform grid (or an explicit list).
     """
-    from .characters import (DirichletCharacter, dirichlet_characters,
-                             short_interval_characters)
     field = f.field
-    f_at = _at_irreducible(f)
-    primes = []
-    for d in range(1, N + 1):
-        for p in irreducibles_of_degree(field, d):
-            primes.append((d, p, f_at(p)))
     thetas = ([j / theta_grid for j in range(theta_grid)]
               if isinstance(theta_grid, int) else list(theta_grid))
     if not thetas:
         raise ValueError("theta grid must contain at least one point")
+    degrees = range(1, N + 1)
+    primes = {d: irreducible_indices(field, d) for d in degrees}
+    # q^{-d} f(p) per degree, rounded as Python's float * complex rounds it
+    weighted = {d: _products(complex(float(field.q) ** -d), _at_primes(field, f, d))
+                for d in degrees}
     chis = [DirichletCharacter.trivial(field)]
     for deg in range(1, modulus_degree_bound + 1):
         for mi in range(field.q ** deg):
@@ -521,20 +518,34 @@ def min_distance_over_hayes(f, N: int, modulus_degree_bound: int,
             modulus = Poly(field, low + (0,) * (deg - len(low)) + (1,))
             chis.extend(dirichlet_characters(modulus, budget))
     xis = short_interval_characters(field, length_bound, budget)
-    weight_total = math.fsum(float(field.q) ** -d for d, _, _ in primes)
+    weight_total = math.fsum(float(field.q) ** -d for d in degrees for _ in primes[d])
+
+    def values(character, d: int) -> np.ndarray:
+        """character(p) at the primes of degree d, from its exponent table:
+        its root of unity, 0j off the units."""
+        num = character.exponents_at(primes[d])
+        roots = field.unit_roots(character.order)[np.maximum(num, 0)]
+        return _complex(np.where(num < 0, 0.0, roots.real), np.where(num < 0, 0.0, roots.imag))
+
+    chi_at = [{d: values(chi, d) for d in degrees} for chi in chis]
+    xi_at = [{d: values(xi, d) for d in degrees} for xi in xis]
     best = None
     tried = 0
-    for chi in chis:
-        for xi in xis:
-            # group the prime sums by degree so every theta costs O(N)
+    for chi, chi_d in zip(chis, chi_at):
+        for xi, xi_d in zip(xis, xi_at):
+            # group the prime sums by degree so every theta costs O(N); a
+            # degree's sum over the primes with (chi xi)(p) != 0 is added
+            # left to right from 0j (a cumulative sum), as a scalar loop adds
             by_degree = {}
-            extra = 0.0  # chi(p) = 0 contributes a flat weight q^{-d}
-            for d, p, fp in primes:
-                z = chi(p) * xi(p)
-                if z == 0:
-                    extra += float(field.q) ** -d
-                else:
-                    by_degree[d] = by_degree.get(d, 0j) + float(field.q) ** -d * fp * z.conjugate()
+            for d in degrees:
+                zr, zi = _products(chi_d[d], xi_d[d])
+                live = (zr != 0) | (zi != 0)
+                if live.any():
+                    wr, wi = weighted[d]
+                    tr, ti = _products(_complex(wr[live], wi[live]),
+                                       _complex(zr[live], zi[live]), conjugate_b=True)
+                    by_degree[d] = complex(np.cumsum(np.append(0.0, tr))[-1],
+                                           np.cumsum(np.append(0.0, ti))[-1])
             for theta in thetas:
                 s = 0.0
                 for d, zsum in by_degree.items():

@@ -13,20 +13,31 @@
 
 Character values are exact exponents of a root of unity (exposed as
 Fraction "turns" in [0,1)); conversion to complex happens only when sums
-are formed.  Enumeration order is lexicographic over exponent vectors
-against the elementary-divisor generators, so character index 0 is always
-the principal character.
+are formed.  Each component is an int table: a Dirichlet character holds
+an exponent per residue index (-1 off the units), a short-interval
+character one per top-coefficient code (`gn.top_codes`), a unit character
+one per leading coefficient; a degree twist is one exact Fraction per
+degree.  A Hayes product on an index array (`HayesCharacter.values_at`) reads
+those tables through the `gn` kernels and looks its values up in a table
+of the distinct (degree, exponent) pairs, each entry made by the scalar
+expression, so the array equals [H(g)] bit for bit.  Enumeration order is
+lexicographic over exponent vectors against the elementary-divisor
+generators, so character index 0 is always the principal character.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetError
 from .fields import Field
+from .gn import degrees, residues, top_codes
 from .groups import AbelianGroupStructure, decompose_abelian_group
 from .polys import Poly, poly_gcd
 
@@ -43,16 +54,17 @@ def turns_to_complex(t) -> complex:
     return cmath.exp(2j * cmath.pi * float(frac))
 
 
-def _character_table(structure: AbelianGroupStructure, exponents: tuple):
-    """element -> numerator mod L for the character picked by `exponents`."""
+def _character_table(structure: AbelianGroupStructure, exponents: tuple, position, size: int):
+    """(table, L): table[position(element)] is the numerator mod L of the
+    character picked by `exponents`, -1 at positions of no element."""
     orders = structure.orders
     L = orders[0] if orders else 1
-    table = {}
+    table = np.full(size, -1, dtype=np.int64)
     for el, dl in structure.dlog.items():
         num = 0
         for e_i, x_i, d_i in zip(exponents, dl, orders):
             num += e_i * x_i * (L // d_i)
-        table[el] = num % L
+        table[position(el)] = num % L
     return table, L
 
 
@@ -65,9 +77,11 @@ class DirichletCharacter:
         self.structure = structure
         self.exponents = tuple(exponents)
         if structure is None:                      # trivial modulus (deg 0)
-            self.order, self._table = 1, None
+            self.order, self.table = 1, None
         else:
-            self._table, self.order = _character_table(structure, self.exponents)
+            # exponent per residue index, -1 off the units
+            self.table, self.order = _character_table(
+                structure, self.exponents, Poly.to_index, field.q ** int(modulus.degree))
 
     @classmethod
     def trivial(cls, field: Field):
@@ -80,9 +94,16 @@ class DirichletCharacter:
 
     def exponent(self, h: Poly):
         """Numerator of the value's turns (mod self.order); None when value is 0."""
-        if self._table is None:
+        if self.table is None:
             return 0
-        return self._table.get(h % self.modulus)
+        num = int(self.table[(h % self.modulus).to_index()])
+        return None if num < 0 else num
+
+    def exponents_at(self, idx) -> np.ndarray:
+        """exponent() at every index of `idx`, -1 off the units."""
+        if self.table is None:
+            return np.zeros(len(idx), dtype=np.int64)
+        return self.table[residues(self.field, self.modulus.coeffs, idx)]
 
     def turns(self, h: Poly):
         num = self.exponent(h)
@@ -154,6 +175,11 @@ def r_s_group(field: Field, s: int, budget: int = 100_000) -> AbelianGroupStruct
     return decompose_abelian_group(elements, op, budget)
 
 
+def _code(field: Field, a: tuple) -> int:
+    """The top-coefficient code a_1 + a_2 q + ... of `gn.top_codes`."""
+    return sum(c * field.q ** j for j, c in enumerate(a))
+
+
 def top_coefficient_tuple(field: Field, g: Poly, s: int) -> tuple:
     """Normalized top coefficients (g_{d-1}/g_d, ..., g_{d-s}/g_d), zero-padded."""
     if g.is_zero():
@@ -172,7 +198,9 @@ class ShortIntervalCharacter:
         self.s = s
         self.structure = structure
         self.exponents = tuple(exponents)
-        self._table, self.order = _character_table(structure, self.exponents)
+        # exponent per top-coefficient code
+        self.table, self.order = _character_table(
+            structure, self.exponents, lambda a: _code(field, a), field.q ** s)
         self._length = None
 
     @property
@@ -191,7 +219,7 @@ class ShortIntervalCharacter:
             trivial = True
             for tail in itertools.product(range(self.field.q), repeat=self.s - s_eff):
                 el = (0,) * s_eff + tail
-                if self._table[el] != 0:
+                if self.table[_code(self.field, el)] != 0:
                     trivial = False
                     break
             if trivial:
@@ -199,7 +227,11 @@ class ShortIntervalCharacter:
         return self.s
 
     def exponent(self, g: Poly) -> int:
-        return self._table[top_coefficient_tuple(self.field, g, self.s)]
+        return int(self.table[_code(self.field, top_coefficient_tuple(self.field, g, self.s))])
+
+    def exponents_at(self, idx) -> np.ndarray:
+        """exponent() at every nonzero index of `idx`."""
+        return self.table[top_codes(self.field, self.s, idx)]
 
     def turns(self, g: Poly) -> Fraction:
         return Fraction(self.exponent(g), self.order)
@@ -259,6 +291,11 @@ class UnitCharacter:
             self.dlog[x] = t
             x = field.mul(x, gen)
             t += 1
+        # exponent per leading coefficient (entry 0 unused)
+        self.table = np.zeros(field.q, dtype=np.int64)
+        if self.order > 1:
+            for c, e in self.dlog.items():
+                self.table[c] = (self.index * e) % self.order
 
     @staticmethod
     def _least_generator(field: Field) -> int:
@@ -273,13 +310,16 @@ class UnitCharacter:
         raise AssertionError("F_q^* has a generator")
 
     def turns(self, c: int) -> Fraction:
-        if self.order <= 1:
-            return Fraction(0)
-        return Fraction(self.index * self.dlog[c], self.order) % 1
+        return Fraction(int(self.table[c]), self.order)
+
+    def exponents_at(self, idx) -> np.ndarray:
+        """The exponent of turns() at the leading coefficient of every
+        nonzero index of `idx`."""
+        idx = np.asarray(idx, dtype=np.int64)
+        return self.table[idx // self.field.q ** np.maximum(degrees(self.field.q, idx), 0)]
 
     def __call__(self, c: int) -> complex:
-        return complex(self.field.unit_roots(max(self.order, 1))[
-            (self.index * self.dlog[c]) % self.order if self.order > 1 else 0])
+        return complex(self.field.unit_roots(self.order)[self.table[c]])
 
 
 # -- Hayes products -------------------------------------------------------------
@@ -336,6 +376,58 @@ class HayesCharacter:
         if t is None:
             return 0j
         return turns_to_complex(t)
+
+    def exponents_at(self, idx) -> tuple:
+        """(L, k) on the index array `idx`: H at the polynomial of index
+        idx[i] is exp(2 pi i (k[i]/L + twist turns at its degree)), or 0
+        where k[i] = -1 (off the chi-units, and at the index 0).  L is the
+        lcm of the component orders."""
+        idx = np.asarray(idx, dtype=np.int64)
+        parts = [(c.order, c.exponents_at(idx))
+                 for c in (self.dirichlet, self.short, self.unit) if c is not None]
+        L = math.lcm(*(order for order, _ in parts))
+        k = np.zeros(len(idx), dtype=np.int64)
+        for order, e in parts:
+            k += e * (L // order)
+        k %= L
+        k[idx == 0] = -1
+        if self.dirichlet is not None:
+            k[parts[0][1] < 0] = -1         # off the chi-units
+        return L, k
+
+    def values_at(self, idx, op=None) -> np.ndarray:
+        """[op(H(g)) for g at the index array `idx`] as a complex array, bit
+        for bit (op(0j) at the index 0; op defaults to the identity).
+
+        Each (degree, exponent) pair of `exponents_at` that occurs gets one
+        entry, made by the scalar expression: turns_to_complex of the exact
+        total turns, then op (say `**k` or `.conjugate()`), so the lookup
+        equals the scalar value for float theta too (Fraction(float) is
+        exact).  Pairs are found by a bincount per degree, not a sort.
+        """
+        L, k = self.exponents_at(idx)
+        code = k + 1                        # 0 where the value is 0
+        deg = np.maximum(degrees(self.field.q, idx), 0)
+        re, im = np.empty(len(k)), np.empty(len(k))
+        for d in range(int(deg.max()) + 1 if len(k) else 0):
+            at = np.flatnonzero(deg == d)
+            present = np.flatnonzero(np.bincount(code[at], minlength=L + 1))
+            entries = []
+            for c in present.tolist():
+                v = 0j
+                if c > 0:
+                    t = Fraction(c - 1, L)
+                    if self.twist is not None:
+                        t += self.twist.turns(d)
+                    v = turns_to_complex(t % 1)
+                entries.append(v if op is None else op(v))
+            slot = np.zeros(L + 1, dtype=np.int64)
+            slot[present] = np.arange(len(present))
+            re[at] = np.array([v.real for v in entries])[slot[code[at]]]
+            im[at] = np.array([v.imag for v in entries])[slot[code[at]]]
+        out = np.empty(len(k), dtype=np.complex128)
+        out.real, out.imag = re, im
+        return out
 
     def descriptor(self) -> dict:
         theta = None

@@ -14,6 +14,7 @@ resumed by splitting the n-range.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .fields import Field, build_field, is_prime
 from .laurent import LaurentTruncation
 from .multiplicative import builtin, from_character, random_on_irreducibles, twist
 from .phases import MultilinearForm, PolynomialPhase, projective_common_zeros
-from .polys import Poly, necklace_count
+from .polys import Poly, factor, necklace_count
 
 KINDS = ("decay-table", "distance-growth", "gowers-decay", "ap-decay",
          "katai-check", "tk-check", "bias-rank-demo", "zero-count-check")
@@ -136,6 +137,60 @@ def _check_keys(problems, obj, allowed, where):
         if key not in allowed:
             problems.append(f"{where}.{key}: unknown key")
     return True
+
+
+def _unit_count(p: int, r: int, modulus: list) -> int:
+    """|(F_q[x]/g)^*|, the number of Dirichlet characters mod g, from the
+    factorization of g (degree >= 1): prod q^((k-1) deg P) (q^deg P - 1)."""
+    field = build_field(p, r, factor_degree_bound=max(1, (len(modulus) - 1) // 2))
+    q = field.q
+    _, parts = factor(Poly(field, modulus))
+    return math.prod(q ** ((k - 1) * int(P.degree)) * (q ** int(P.degree) - 1)
+                     for P, k in parts)
+
+
+def _check_index(problems, obj, count: int, where: str):
+    index = obj.get("index", 0)
+    if not isinstance(index, int) or not 0 <= index < count:
+        problems.append(f"{where}.index: must be an integer in [0, {count})")
+
+
+def _check_hayes(problems, desc, where: str, p: int, r: int):
+    """The problems of one Hayes descriptor over F_{p^r}: character indices
+    in range, a modulus of degree >= 1, a parsable theta."""
+    if not _check_keys(problems, desc, {"dirichlet", "short", "theta", "unit_index"}, where):
+        return
+    q = p ** r
+    chi = desc.get("dirichlet")
+    if chi is not None and _check_keys(problems, chi, {"modulus", "index"}, f"{where}.dirichlet"):
+        modulus = chi.get("modulus")
+        if not (isinstance(modulus, list)
+                and all(isinstance(c, int) and 0 <= c < q for c in modulus)):
+            problems.append(f"{where}.dirichlet.modulus: required list of coefficients "
+                            f"in [0, {q})")
+        else:
+            while modulus and modulus[-1] == 0:
+                modulus = modulus[:-1]
+            if len(modulus) < 2:
+                problems.append(f"{where}.dirichlet.modulus: degree must be >= 1")
+            else:
+                _check_index(problems, chi, _unit_count(p, r, modulus), f"{where}.dirichlet")
+    xi = desc.get("short")
+    if xi is not None and _check_keys(problems, xi, {"s", "index"}, f"{where}.short"):
+        length = xi.get("s")
+        if not isinstance(length, int) or length < 0:
+            problems.append(f"{where}.short.s: required integer >= 0")
+        else:
+            _check_index(problems, xi, q ** length, f"{where}.short")
+    theta = desc.get("theta")
+    if theta is not None:
+        try:
+            Fraction(theta if isinstance(theta, (str, int, float)) else None)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            problems.append(f"{where}.theta: must be a finite number or a fraction "
+                            f"string such as '1/3'")
+    if desc.get("unit_index") is not None and not isinstance(desc["unit_index"], int):
+        problems.append(f"{where}.unit_index: must be an integer")
 
 
 def _katai_cost(n: int, q: int, k: int, pair_set: str) -> int:
@@ -280,6 +335,19 @@ def validate_config(source) -> ExperimentConfig:
     for req in needs.get(kind, ()):
         if req not in sections:
             problems.append(f"{req}: required for kind {kind}")
+
+    p, r = field_params["p"], field_params["r"]
+    if isinstance(p, int) and is_prime(p) and isinstance(r, int) and r >= 1:
+        if "hayes" in sections:
+            _check_hayes(problems, sections["hayes"], "hayes", p, r)
+        fn, where = sections.get("function"), "function"
+        while isinstance(fn, dict):
+            if fn.get("kind") in ("character", "twist"):
+                if "hayes" in fn:
+                    _check_hayes(problems, fn["hayes"], f"{where}.hayes", p, r)
+                else:
+                    problems.append(f"{where}.hayes: required for kind {fn['kind']}")
+            fn, where = fn.get("base"), f"{where}.base"
 
     tk = sections.get("tk")
     if kind == "tk-check" and tk is not None and not all(

@@ -118,6 +118,7 @@ class Field:
         self._unit_roots: dict[int, np.ndarray] = {p: self.roots}
         # lazy caches owned by polys.py (irreducible tables) — see that module
         self._irreducibles: dict[int, tuple] = {}
+        self._irreducible_indices: dict[int, np.ndarray] = {}
         self._irr_sets: dict[int, frozenset] = {}
         self._factor_memo: dict = {}
 

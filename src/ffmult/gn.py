@@ -7,16 +7,23 @@ nothing builds Poly objects.  The kernels:
 
 * `digit` / `digit_matrix`: base-q digits (= coefficients) of indices;
 * `leading_coefficients`: the leading coefficient of every index of G_n;
+  `degrees`: the degree of every index of an array;
 * `times_fixed`: the indices of p*h for every h in G_m (or given rows of
   it) and every p of a stack of polynomials of one degree, the map behind
   the irreducible sieve, the Turan-Kubilius counts, the prime-power sieve
   of multiplicative functions, the Katai inner sums and `GnIndex.smul`;
+* `residues`: the indices of h mod g for a fixed modulus g (Dirichlet
+  characters);
+* `top_codes`: the normalized top-s coefficients of every index as one
+  code (short-interval characters);
 * `GnIndex`: additive-group arithmetic (g + h, c*g) on index arrays.
 
-`times_fixed` uses the base-p view of an index: field elements are encoded
-by their F_p coordinates, so an index of G_m is a base-p number with r*m
-digits and h -> p*h is F_p-linear on those digits.  Its memory is bounded
-by the module constant CHUNK_ELEMENTS, whatever the size of G_m.
+`times_fixed` and `residues` share one engine, `_linear_map`, built on the
+base-p view of an index: field elements are encoded by their F_p
+coordinates, so an index of G_m is a base-p number with r*m digits, and
+h -> p*h and h -> h mod g are F_p-linear on those digits.  Its memory, and
+that of `top_codes`, is bounded by the module constant CHUNK_ELEMENTS,
+whatever the size of G_m.
 """
 
 from __future__ import annotations
@@ -61,25 +68,78 @@ def times_fixed(field: Field, polys, m: int, cofactors=None) -> np.ndarray:
 
     `polys` is a stack of k polynomials of one degree, as rows of
     coefficients lowest first.  `cofactors` are indices of G_m, default all
-    of G_m in index order.
-
-    Field elements are encoded by their base-p coordinates, so an index of
-    G_m is a base-p number with r*m digits, and h -> p*h is an F_p-linear
-    map on those digits.  The images of the r*m basis vectors u^t x^j come
-    from mul_table.  The digits of a cofactor are cut into a few parts;
-    the images of every value of one part are tabulated by linearity, and
-    the image of h is the sum of its parts' images.  Reduced mod p and
-    dotted with the powers of p, that sum is the index of p*h.  Tables and
-    chunks of cofactors hold at most CHUNK_ELEMENTS floats each, and all of
-    it is exact: digit sums stay far below 2^53.
+    of G_m in index order.  h -> p*h is F_p-linear on the base-p digits of
+    h; the images of the r*m basis vectors u^t x^j come from mul_table.
     """
     p, r = field.p, field.r
     polys = np.asarray(polys, dtype=np.intp)
     k, length = polys.shape
     width = max(m + length - 1, 1)      # coefficients of p*h
-    cols = r * width                    # base-p digits of p*h
     if field.q ** width > 2 ** 53:
         raise BudgetError(f"products of {width} coefficients exceed exact float64 indices")
+    # coeff_images[t, k, i, s]: digit s of (coefficient i of p) * u^t
+    codes = field.mul_table[polys[:, :, None], p ** np.arange(r)]
+    coeff_images = digit(codes[..., None], p, np.arange(r)).transpose(2, 0, 1, 3)
+
+    def basis(g0: int, g1: int) -> np.ndarray:
+        # out[j, t]: the digits of p * u^t x^j for the polynomials g0..g1-1
+        out = np.zeros((m, r, g1 - g0, width, r))
+        for j in range(m):
+            out[j, :, :, j:j + length] = coeff_images[:, g0:g1]
+        return out.reshape(r * m, (g1 - g0) * width * r)
+
+    return _linear_map(field, m, k, width, basis, cofactors)
+
+
+def residues(field: Field, modulus, idx) -> np.ndarray:
+    """int64 index of h mod g for every index h in `idx`, for the fixed
+    modulus g given as coefficients lowest first: an F_p-linear map."""
+    p, r, q = field.p, field.r, field.q
+    idx = np.asarray(idx, dtype=np.int64)
+    g = [int(c) for c in modulus]
+    while g and g[-1] == 0:
+        g.pop()
+    if not g:
+        raise ValueError("reduction modulo the zero polynomial")
+    width = len(g) - 1
+    if width == 0:
+        return np.zeros(len(idx), dtype=np.int64)
+    m, top = 0, int(idx.max()) if idx.size else 0
+    while q ** m <= top:                # digits of the largest index
+        m += 1
+    # rows[j]: coefficients of x^j mod g, from x^(j+1) = x * x^j mod g
+    add, mul, neg = field.add_py, field.mul_py, field.neg_py
+    monic = [mul[c][field.inv_py[g[-1]]] for c in g]
+    rows, row = [], [1] + [0] * (width - 1)
+    for _ in range(m):
+        rows.append(row)
+        top = row[-1]
+        row = [add[a][neg[mul[top][b]]] for a, b in zip([0] + row[:-1], monic)]
+    # images[j, t, i, s]: digit s of (coefficient i of x^j mod g) * u^t
+    codes = field.mul_table[np.array(rows, dtype=np.intp).reshape(m, 1, width),
+                            (p ** np.arange(r))[:, None]]
+    images = digit(codes[..., None], p, np.arange(r)).reshape(r * m, width * r)
+    return _linear_map(field, m, 1, width, lambda g0, g1: images, idx)[0]
+
+
+def _linear_map(field: Field, m: int, k: int, width: int, basis, cofactors) -> np.ndarray:
+    """(k, rows) int64 indices of A_i h for k F_p-linear maps A_i from G_m
+    to G_width and every cofactor h (indices of G_m; default all of G_m, in
+    index order).
+
+    Field elements are encoded by their base-p coordinates, so an index of
+    G_m is a base-p number with r*m digits.  `basis(g0, g1)` gives, for the
+    maps g0..g1-1, the base-p digits of the images of the r*m basis vectors
+    u^t x^j, as an (r*m, (g1-g0)*r*width) float array.  The digits of a
+    cofactor are cut into a few parts; the images of every value of one
+    part are tabulated by linearity, and the image of h is the sum of its
+    parts' images.  Reduced mod p and dotted with the powers of p, that sum
+    is the index of A_i h.  Tables and chunks of cofactors hold at most
+    CHUNK_ELEMENTS floats each, and all of it is exact: digit sums stay far
+    below 2^53.
+    """
+    p, r = field.p, field.r
+    cols = r * width                    # base-p digits of an image
     if cofactors is None:
         cofactors = np.arange(field.q ** m, dtype=np.int64)
     # digits per part: about half of them, as far as a part's table fits
@@ -88,19 +148,12 @@ def times_fixed(field: Field, polys, m: int, cofactors=None) -> np.ndarray:
         per += 1
     split = p ** per
     powers = float(p) ** np.arange(cols)
-    # coeff_images[t, k, i, s]: digit s of (coefficient i of p) * u^t
-    codes = field.mul_table[polys[:, :, None], p ** np.arange(r)]
-    coeff_images = digit(codes[..., None], p, np.arange(r)).transpose(2, 0, 1, 3)
     out = np.empty((k, len(cofactors)), dtype=np.int64)
     group = max(1, CHUNK_ELEMENTS // (split * cols))
     for g0 in range(0, k, group):
         kg = min(group, k - g0)
-        # basis[j, t]: the digits of p * u^t x^j for the polynomials of the group
-        basis = np.zeros((m, r, kg, width, r))
-        for j in range(m):
-            basis[j, :, :, j:j + length] = coeff_images[:, g0:g0 + kg]
-        basis = basis.reshape(r * m, kg * cols)
-        tables = [_images(basis[i:i + per], p) for i in range(0, max(r * m, 1), per)]
+        images_of = basis(g0, g0 + kg)
+        tables = [_images(images_of[i:i + per], p) for i in range(0, max(r * m, 1), per)]
         step = max(1, CHUNK_ELEMENTS // (kg * cols))
         for c0 in range(0, len(cofactors), step):
             rest, part = np.divmod(cofactors[c0:c0 + step], split)
@@ -113,6 +166,36 @@ def times_fixed(field: Field, polys, m: int, cofactors=None) -> np.ndarray:
             carry *= p
             images -= carry                     # digit sums mod p
             out[g0:g0 + kg, c0:c0 + step] = (images.reshape(-1, kg, cols) @ powers).T
+    return out
+
+
+def degrees(q: int, idx) -> np.ndarray:
+    """int64 degree of every index in `idx` (-1 at the index 0)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    top = int(idx.max()) if idx.size else 0
+    bounds = [1]
+    while bounds[-1] <= top:
+        bounds.append(bounds[-1] * q)
+    return np.searchsorted(np.array(bounds, dtype=np.int64), idx, side="right") - 1
+
+
+def top_codes(field: Field, s: int, idx) -> np.ndarray:
+    """int64 code a_1 + a_2 q + ... + a_s q^(s-1) of the normalized top
+    coefficients (a_1, ..., a_s) = (g_{d-1}/g_d, ..., g_{d-s}/g_d),
+    zero-padded below x^0, of every nonzero index g in `idx`; 0 at the
+    index 0.  Chunks of at most CHUNK_ELEMENTS indices at a time."""
+    q = field.q
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.zeros(len(idx), dtype=np.int64)
+    for c0 in range(0, len(idx), CHUNK_ELEMENTS):
+        h = idx[c0:c0 + CHUNK_ELEMENTS]
+        deg = degrees(q, h)
+        place = q ** np.maximum(deg, 0)
+        inv = field.inv_table[h // place]
+        code = out[c0:c0 + CHUNK_ELEMENTS]
+        for j in range(1, s + 1):
+            coeff = np.where(deg >= j, (h // np.maximum(place // q ** j, 1)) % q, 0)
+            code += field.mul_table[coeff, inv].astype(np.int64) * q ** (j - 1)
     return out
 
 

@@ -5,9 +5,13 @@ exponent k), a rule on units (default: constant 1, so built-ins are
 unit-invariant), and the convention f(0) = 0.  A value at one polynomial,
 f(g), comes from factor() (whose field-wide memo is the one scalar memo);
 that is the only use of the field's factor-degree bound.  A whole array on
-G_n comes from `function_on_gn`, a prime-power sieve over index space that
-needs no factor() and gives the same values bit for bit.  `per_element` is
-the one loop that calls a function polynomial by polynomial.
+G_n comes from `function_on_gn`, and the values at the irreducibles of one
+degree from `prime_values`, both bit for bit equal to the scalar path: a
+prime-power sieve over index space that needs no factor(), and for
+characters and twists the Hayes arrays of `HayesCharacter.values_at` (times
+the base function's array).  `per_element` is the one loop that calls a
+function polynomial by polynomial; only plain callables (and an
+`eval_override` that is one) reach it.
 
 Built-ins: moebius (mu(p) = -1, zero on non-squarefree), liouville
 (lambda(p^k) = (-1)^k), one.  Character-derived functions wrap a Hayes
@@ -31,11 +35,15 @@ from .characters import HayesCharacter
 from .errors import BudgetError
 from .fields import Field
 from .gn import leading_coefficients, times_fixed
-from .polys import Poly, factor, irreducibles_of_degree
+from .polys import Poly, factor, irreducible_indices, irreducibles_of_degree
 
 
 class MultiplicativeFunction:
     """f with f(gh) = f(g)f(h) on coprime pairs, f(0) = 0, f(1) = 1."""
+
+    # (base, H, conjugate) for from_character(H) (base None) and
+    # twist(base, H, conjugate): the array paths read H as Hayes arrays
+    _character = None
 
     def __init__(self, field: Field, prime_power_rule, *, name: str,
                  completely_multiplicative: bool = False, unit_rule=None,
@@ -76,6 +84,21 @@ class MultiplicativeFunction:
         return f"MultiplicativeFunction({self.name} over {self.field!r})"
 
 
+def _products(a, b, conjugate_b: bool = False):
+    """Real and imaginary parts of a * b (or a * conj b), elementwise,
+    rounded as Python's complex product rounds them: separate float64
+    ufuncs, never numpy's complex `*`, which may fuse the multiply-add."""
+    ar, ai = a.real, a.imag
+    br, bi = b.real, (-b.imag if conjugate_b else b.imag)
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(len(re), dtype=np.complex128)
+    out.real, out.imag = re, im        # keeps the signs of zeros
+    return out
+
+
 def _scale(re: np.ndarray, im: np.ndarray, idx: np.ndarray, c: complex):
     """(re + i im)[idx] *= c, rounded as Python's complex product rounds it.
 
@@ -96,14 +119,23 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
     (degree, index) order, the indices exactly divisible by p^k are
     multiplied by prime_power_rule(p, k).  That is the order factor()
     returns, so each value sees the same roundings as the scalar path.
-    Functions with an eval_override (characters, twists) go through
-    `per_element`.
+    A character is its Hayes array; a twist is its base's array times the
+    Hayes array (or its conjugate), by the separate float64 products of
+    `_products`.  Any other eval_override is a plain callable and goes
+    through `per_element`.
     """
     field = f.field
     q = field.q
     size = q ** n
     if size > field.enumeration_budget:
         raise BudgetError(f"G_{n} over the enumeration budget")
+    if f._character is not None:
+        base, H, conjugate = f._character
+        values = H.values_at(np.arange(size, dtype=np.int64))
+        if base is None:
+            return values
+        # at the index 0 both factors are +0, and so is the product
+        return _complex(*_products(function_on_gn(base, n), values, conjugate))
     if f.eval_override is not None:
         return per_element(field, f, range(size))
     units = [0j] + [complex(f.unit_rule(c)) for c in range(1, q)]
@@ -126,9 +158,23 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
                 if rest < 1:
                     break
                 mult, k = mult[divisible], k + 1
-    out = np.empty(size, dtype=np.complex128)
-    out.real, out.imag = re, im        # keeps the signs of zeros
-    return out
+    return _complex(re, im)
+
+
+def prime_values(f: MultiplicativeFunction, d: int) -> np.ndarray:
+    """[f.on_prime_power(p, 1) for p in irreducibles_of_degree(field, d)]
+    as a complex array, bit for bit.  A character or twist reads H at the
+    sieve's index array, with the `** 1` of its prime-power rule applied to
+    each table entry; any other function is called prime by prime."""
+    field = f.field
+    if f._character is None:
+        primes = irreducibles_of_degree(field, d)
+        return np.fromiter((f.on_prime_power(p, 1) for p in primes), np.complex128, len(primes))
+    base, H, conjugate = f._character
+    values = H.values_at(irreducible_indices(field, d), lambda v: v ** 1)
+    if base is None:
+        return values
+    return _complex(*_products(prime_values(base, d), values, conjugate))
 
 
 def per_element(field: Field, f, indices) -> np.ndarray:
@@ -176,12 +222,14 @@ def from_character(H: HayesCharacter) -> MultiplicativeFunction:
         def profile(d, k, _theta=theta):
             return cmath.exp(2j * cmath.pi * float(_theta) * d * k)
 
-    return MultiplicativeFunction(
+    f = MultiplicativeFunction(
         H.field, lambda p, k: H(p) ** k, name="hayes",
         completely_multiplicative=True, eval_override=H,
         unit_rule=lambda c: H(Poly.constant(H.field, c)),
         degree_profile=profile,
         descriptor={"kind": "character", "hayes": H.descriptor()})
+    f._character = (None, H, False)
+    return f
 
 
 def random_on_irreducibles(field: Field, seed: int,
@@ -227,7 +275,7 @@ def twist(f: MultiplicativeFunction, H: HayesCharacter,
         return f(g) * (h.conjugate() if conjugate else h)
 
     sign = "conj " if conjugate else ""
-    return MultiplicativeFunction(
+    out = MultiplicativeFunction(
         f.field,
         lambda p, k: f.prime_power_rule(p, k) * ((H(p) ** k).conjugate()
                                                  if conjugate else H(p) ** k),
@@ -238,3 +286,5 @@ def twist(f: MultiplicativeFunction, H: HayesCharacter,
                                               if conjugate else H(Poly.constant(f.field, c))),
         descriptor={"kind": "twist", "base": f.descriptor(),
                     "hayes": H.descriptor(), "conjugate": conjugate})
+    out._character = (f, H, conjugate)
+    return out

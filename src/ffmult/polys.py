@@ -342,9 +342,9 @@ def irreducibles_of_degree(field: Field, d: int) -> tuple:
     q = field.q
     _budget_check(field, q ** d, f"irreducible sieve at degree {d}")
     if d == 1:
-        out = tuple(Poly(field, (c, 1)) for c in range(q))
-        cache[1] = out
-        return out
+        field._irreducible_indices[1] = np.arange(q, 2 * q, dtype=np.int64)
+        cache[1] = tuple(Poly(field, (c, 1)) for c in range(q))
+        return cache[1]
     composite = np.zeros(q ** d, dtype=bool)
     for e in range(1, d // 2 + 1):
         # monic cofactors of degree d - e: the indices [q^(d-e), 2 q^(d-e)),
@@ -357,7 +357,16 @@ def irreducibles_of_degree(field: Field, d: int) -> tuple:
     survivors = np.nonzero(~composite)[0]
     cache[d] = tuple(Poly._trusted(field, tuple(low) + (1,))
                      for low in digit_matrix(q, d, survivors).tolist())
+    survivors += q ** d
+    field._irreducible_indices[d] = survivors
     return cache[d]
+
+
+def irreducible_indices(field: Field, d: int) -> np.ndarray:
+    """Sorted int64 indices of the monic irreducibles of degree d: the
+    sieve's survivors, cached beside the Poly tuple."""
+    irreducibles_of_degree(field, d)
+    return field._irreducible_indices[d]
 
 
 def is_irreducible(g: Poly) -> bool:

@@ -5,37 +5,59 @@ of the Poly products p*h for stacks of polynomials, explicit cofactor rows
 and any chunking; the Turan-Kubilius counts built once on G_{n_stop} must
 equal the counts built on each G_n.
 
-`function_on_gn` (the prime-power sieve, or its per-element fallback for
+The residue and top-coefficient kernels must equal `Poly.__mod__` and
+`top_coefficient_tuple`; a Hayes product read as an array
+(`HayesCharacter.values_at`) must give the bytes of [H(g)], and of [H(g) ** 1]
+where the prime-power rule applies it.
+
+`function_on_gn` (the prime-power sieve, or the Hayes arrays for
 characters and twists) must give exactly the bytes of [f(g) for g in G_n],
-and `correlate` / `katai_statistic` must give the same floats whether the
-function arrives as a MultiplicativeFunction, as an array, or wrapped in a
-plain callable that is called polynomial by polynomial.  A plain callable is
-called exactly on the indices a statistic reads, and an over-budget one not
-at all; `mean_value` equals the scalar fsum over the degree-n slice.
+`prime_values` those of [f.on_prime_power(p, 1)], and `correlate` /
+`katai_statistic` must give the same floats whether the function arrives
+as a MultiplicativeFunction, as an array, or wrapped in a plain callable
+that is called polynomial by polynomial.  A plain callable is called
+exactly on the indices a statistic reads, and an over-budget one not at
+all; `mean_value` equals the scalar fsum over the degree-n slice;
+`distance_terms` and `min_distance_over_hayes` equal their scalar loops.
 """
 
+import cmath
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ffmult import (BudgetError, HayesCharacter, LaurentTruncation, MultiplicativeFunction,
-                    Poly, PolynomialPhase, UnitCharacter, build_field, builtin, correlate,
-                    from_character, hayes_on_gn, katai_statistic, mean_value,
-                    phase_character_array, random_on_irreducibles, sample_on_gn, twist)
+from ffmult import (BudgetError, DegreeTwist, HayesCharacter, LaurentTruncation,
+                    MultiplicativeFunction, Poly, PolynomialPhase, UnitCharacter, build_field,
+                    builtin, correlate, dirichlet_characters, from_character, hayes_on_gn,
+                    katai_statistic, mean_value, phase_character_array, random_on_irreducibles,
+                    sample_on_gn, short_interval_characters, twist)
 from ffmult import gn
-from ffmult.analytics import turan_kubilius_from_counts, window_divisor_counts
+from ffmult.analytics import (distance_terms, min_distance_over_hayes,
+                              turan_kubilius_from_counts, window_divisor_counts)
+from ffmult.characters import DirichletCharacter, top_coefficient_tuple
 from ffmult.experiments import resolve_hayes
 from ffmult.gn import GnIndex, times_fixed
-from ffmult.multiplicative import function_on_gn
+from ffmult.multiplicative import function_on_gn, prime_values
 from ffmult.polys import irreducibles_of_degree
 
 # (p, r) -> largest n of the grid
 GRID = {(2, 1): 11, (3, 1): 7, (2, 2): 5, (5, 1): 4}
 
 FUNCTIONS = ("moebius", "liouville", "one", "random-pm1", "random-unit",
-             "character", "twist", "unit-liouville")
+             "character", "twist", "unit-liouville", "dirichlet-unit", "float-theta",
+             "twist-random-unit")
+
+
+def _quartic_dirichlet(field):
+    """A Dirichlet character that takes the value -i, where `** 1` flips the
+    sign of a zero real part: mod x^3 in characteristic 2 (units 1 + x
+    of order 4), mod x^2 + 1 otherwise."""
+    modulus = (0, 0, 0, 1) if field.p == 2 else (1, 0, 1)
+    return next(c for c in dirichlet_characters(Poly(field, modulus))
+                if any(4 * e == 3 * c.order for e in c.table.tolist()))
 
 
 def make_function(field, name):
@@ -53,6 +75,16 @@ def make_function(field, name):
     if name == "character":
         return from_character(resolve_hayes(field, {"short": {"s": 1, "index": 1},
                                                     "theta": "1/5"}))
+    if name == "dirichlet-unit":
+        return from_character(HayesCharacter(field, _quartic_dirichlet(field),
+                                             unit=UnitCharacter(field, 1)))
+    if name == "float-theta":
+        return from_character(resolve_hayes(field, {"theta": 0.3, "short": {"s": 1, "index": 1}}))
+    if name == "twist-random-unit":
+        return twist(random_on_irreducibles(field, 29, "unit"),
+                     HayesCharacter(field, _quartic_dirichlet(field),
+                                    twist=DegreeTwist(Fraction(1, 4))),
+                     conjugate=True)
     return twist(builtin(field, "liouville"),
                  resolve_hayes(field, {"theta": "1/3", "short": {"s": 2, "index": 1}}),
                  conjugate=True)
@@ -254,3 +286,153 @@ def test_tk_counts_on_g_n_stop_have_the_per_n_counts_as_prefixes(pr, n_stop, W, 
         assert struct.pack("<3d", a.A, a.lhs, a.ratio) == struct.pack("<3d", b.A, b.lhs, b.ratio)
     primes = sum(len(irreducibles_of_degree(field, d)) for d in range(max(W + 1, 1), H))
     assert full[0] == primes
+
+
+def kernel_moduli(field):
+    """Moduli of degree 0 to 3: constants, x, a non-monic one, x^2 (not
+    squarefree) and x^2 + 1 and a degree-3 polynomial."""
+    q = field.q
+    picks = {1, q - 1, q, 2 * q - 1, q * q, q * q + 1, (q - 1) * q * q + 1, q ** 3 + q - 1}
+    return [Poly.from_index(field, i) for i in sorted(picks)]
+
+
+@pytest.mark.parametrize("q", sorted(KERNEL_GRID))
+@pytest.mark.parametrize("chunk", [None, 7, 40])
+def test_residues_equal_poly_mod(q, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    (p, r), m_max = KERNEL_GRID[q]
+    field = build_field(p, r)
+    for g in kernel_moduli(field):
+        for m in range(m_max + 1):
+            expected = [(Poly.from_index(field, h) % g).to_index() for h in range(q ** m)]
+            out = gn.residues(field, g.coeffs, np.arange(q ** m))
+            assert out.dtype == np.int64 and np.array_equal(out, expected), (g, m)
+        rows = np.arange(q ** m_max - 1, 0, -3, dtype=np.int64)
+        expected = [(Poly.from_index(field, int(h)) % g).to_index() for h in rows]
+        assert np.array_equal(gn.residues(field, g.coeffs, rows), expected), g
+
+
+@pytest.mark.parametrize("q", sorted(KERNEL_GRID))
+@pytest.mark.parametrize("chunk", [None, 7, 40])
+def test_top_codes_equal_top_coefficient_tuples(q, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    (p, r), m_max = KERNEL_GRID[q]
+    field = build_field(p, r)
+    idx = np.arange(q ** (m_max + 1), dtype=np.int64)
+    for s in range(4):
+        expected = [0] + [sum(a * q ** j for j, a in enumerate(
+            top_coefficient_tuple(field, Poly.from_index(field, h), s)))
+            for h in range(1, len(idx))]
+        assert np.array_equal(gn.top_codes(field, s, idx), expected), s
+
+
+def hayes_grid(field):
+    """Hayes products over every combination of a Dirichlet modulus
+    (squarefree, not squarefree, non-monic input, or none), s in 0..3, a
+    Fraction or float theta and a unit character or none."""
+    q = field.q
+    moduli = [Poly(field, (1, 1, 1)), Poly(field, (0, 0, 1)),
+              Poly(field, (1, 0, q - 1)), None]
+    for modulus in moduli:
+        chis = [None] if modulus is None else dirichlet_characters(modulus)[1::3][:2]
+        for chi in chis:
+            for s in range(4):
+                xi = short_interval_characters(field, s)[-1]
+                for theta in (Fraction(3, 4), 0.3):
+                    for unit in (None, UnitCharacter(field, 1)):
+                        yield HayesCharacter(field, chi, xi, DegreeTwist(theta), unit)
+
+
+@pytest.mark.parametrize("pr,n", [((2, 1), 7), ((3, 1), 4), ((2, 2), 3), ((5, 1), 3)])
+def test_hayes_values_equal_the_scalar_character(pr, n):
+    field = build_field(*pr)
+    idx = np.arange(1, field.q ** n, dtype=np.int64)
+    polys = [Poly.from_index(field, int(i)) for i in idx]
+    for H in hayes_grid(field):
+        assert H.values_at(idx).tobytes() == np.array([H(g) for g in polys]).tobytes(), H
+        powered = np.array([H(g) ** 1 for g in polys])
+        assert H.values_at(idx, lambda v: v ** 1).tobytes() == powered.tobytes(), H
+    assert HayesCharacter(field).values_at(np.arange(1)).tobytes() == np.zeros(1, complex).tobytes()
+
+
+@pytest.mark.parametrize("pr", sorted(GRID))
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_prime_values_equal_on_prime_power(pr, name):
+    field = build_field(*pr)
+    f = make_function(field, name)
+    for d in range(1, GRID[pr] + 1):
+        g = make_function(field, name)
+        expected = np.array([g.on_prime_power(p, 1) for p in irreducibles_of_degree(field, d)])
+        assert prime_values(f, d).tobytes() == expected.tobytes(), d
+
+
+def scalar_distance_terms(f, g, d):
+    """distance_terms as a loop over Poly irreducibles."""
+    field = f.field
+
+    def at(h, p):
+        return h.on_prime_power(p, 1) if isinstance(h, MultiplicativeFunction) else h(p)
+
+    qd = float(field.q) ** -d
+    return [qd * max(1.0 - (at(f, p) * at(g, p).conjugate()).real, 0.0)
+            for p in irreducibles_of_degree(field, d)]
+
+
+@pytest.mark.parametrize("pr", sorted(GRID))
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_distance_terms_equal_the_scalar_loop(pr, name):
+    field = build_field(*pr)
+    target = HayesCharacter(field, _quartic_dirichlet(field), twist=DegreeTwist(Fraction(1, 4)),
+                            unit=UnitCharacter(field, 1))
+    for g in (from_character(target), target, make_function(field, "twist-random-unit")):
+        for d in range(1, GRID[pr] + 1):
+            got = distance_terms(make_function(field, name), g, d)
+            expected = scalar_distance_terms(make_function(field, name), g, d)
+            assert struct.pack(f"<{len(got)}d", *got) \
+                == struct.pack(f"<{len(expected)}d", *expected), (g, d)
+
+
+def scalar_min_distance(f, N, modulus_degree_bound, length_bound, thetas):
+    """min_distance_over_hayes as a loop over Poly irreducibles, calling
+    chi(p) and xi(p) once per prime and pair: (min distance, argmin)."""
+    field = f.field
+    primes = [(d, p, f.on_prime_power(p, 1))
+              for d in range(1, N + 1) for p in irreducibles_of_degree(field, d)]
+    chis = [DirichletCharacter.trivial(field)]
+    for deg in range(1, modulus_degree_bound + 1):
+        for mi in range(field.q ** deg):
+            low = Poly.from_index(field, mi).coeffs
+            chis.extend(dirichlet_characters(Poly(field, low + (0,) * (deg - len(low)) + (1,))))
+    weight_total = math.fsum(float(field.q) ** -d for d, _, _ in primes)
+    best = None
+    for chi in chis:
+        for xi in short_interval_characters(field, length_bound):
+            by_degree = {}
+            for d, p, fp in primes:
+                z = chi(p) * xi(p)
+                if z != 0:
+                    by_degree[d] = by_degree.get(d, 0j) + float(field.q) ** -d * fp * z.conjugate()
+            for theta in thetas:
+                s = 0.0
+                for d, zsum in by_degree.items():
+                    s += (zsum * cmath.exp(-2j * cmath.pi * theta * d)).real
+                dist = math.sqrt(max(weight_total - s, 0.0))
+                if best is None or dist < best[0]:
+                    best = (dist, chi.exponents, xi.exponents, theta)
+    return best[0], best[1:]
+
+
+@pytest.mark.parametrize("pr,N,bound", [((2, 1), 7, 2), ((3, 1), 4, 1), ((2, 2), 3, 1)])
+@pytest.mark.parametrize("name", ["moebius", "random-unit", "dirichlet-unit",
+                                  "twist-random-unit"])
+def test_min_distance_equals_the_scalar_loop(pr, N, bound, name):
+    field = build_field(*pr)
+    thetas = [j / 8 for j in range(8)]
+    res = min_distance_over_hayes(make_function(field, name), N, bound, 2, thetas)
+    dist, (chi, xi, theta) = scalar_min_distance(make_function(field, name), N, bound, 2,
+                                                 thetas)
+    assert struct.pack("<2d", res.min_distance, res.M) == struct.pack("<2d", dist, 1.0 + dist)
+    assert tuple(res.argmin["short"]["index"]) == xi and res.argmin["theta"] == theta
+    assert tuple(res.argmin["dirichlet"]["index"] if res.argmin["dirichlet"] else ()) == chi

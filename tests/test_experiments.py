@@ -321,3 +321,61 @@ def test_tk_window_must_be_integers():
 def test_cli_no_command_prints_help():
     r = run_cli()
     assert r.returncode == 1
+
+
+def distance_config(hayes, function=None):
+    return {"kind": "distance-growth", "field": {"p": 3, "r": 1}, "n": {"start": 1, "stop": 3},
+            "function": function or {"kind": "builtin", "name": "moebius"}, "hayes": hayes}
+
+
+@pytest.mark.parametrize("hayes,problem", [
+    ({"dirichlet": {"modulus": [1, 0, 1], "index": 99}}, "hayes.dirichlet.index"),
+    ({"dirichlet": {"modulus": [1, 0, 1], "index": 8}}, "hayes.dirichlet.index"),
+    ({"short": {"s": 1, "index": 3}}, "hayes.short.index"),
+    ({"dirichlet": {"modulus": [1, 0, 1], "index": -1}}, "hayes.dirichlet.index"),
+    ({"short": {"s": 2, "index": -1}}, "hayes.short.index"),
+    ({"theta": "one third"}, "hayes.theta"),
+    ({"theta": "1/0"}, "hayes.theta"),
+    ({"dirichlet": {"modulus": [2], "index": 0}}, "hayes.dirichlet.modulus"),
+    ({"dirichlet": {"modulus": [0, 0], "index": 0}}, "hayes.dirichlet.modulus"),
+    ({"dirichlet": {"modulus": [1, 3], "index": 0}}, "hayes.dirichlet.modulus"),
+    ({"unit_index": "1"}, "hayes.unit_index"),
+])
+def test_hayes_section_is_validated(hayes, problem):
+    # each of these used to fail at run time (IndexError, ValueError) or,
+    # for a negative index, silently pick the last character
+    with pytest.raises(ConfigError) as e:
+        validate_config(distance_config(hayes))
+    assert [p for p in e.value.problems if p.startswith(problem)], e.value.problems
+
+
+def test_function_hayes_sections_are_validated():
+    # the character of a function and of a twist's base are checked too
+    bad = {"dirichlet": {"modulus": [1, 0, 1], "index": 8}}
+    inner = {"kind": "twist", "base": {"kind": "character", "hayes": bad},
+             "hayes": {"theta": "x"}}
+    with pytest.raises(ConfigError) as e:
+        validate_config(distance_config({"theta": "1/3"}, inner))
+    assert any(p.startswith("function.hayes.theta") for p in e.value.problems)
+    assert any(p.startswith("function.base.hayes.dirichlet.index") for p in e.value.problems)
+    with pytest.raises(ConfigError) as e:
+        validate_config(distance_config({"theta": "1/3"}, {"kind": "character"}))
+    assert "function.hayes: required for kind character" in e.value.problems
+
+
+def test_hayes_indices_up_to_the_character_count_are_valid():
+    # (F_3[x]/(x^2+1))^* has 8 elements, (F_3[x]/x^2)^* 6, R_2 has 9
+    for hayes in ({"dirichlet": {"modulus": [1, 0, 1], "index": 7}, "unit_index": 1},
+                  {"dirichlet": {"modulus": [0, 0, 2], "index": 5}, "theta": 0.25},
+                  {"short": {"s": 2, "index": 8}, "theta": "2/7"}):
+        cfg = distance_config(hayes)
+        validate_config(cfg)
+        assert len(run_experiment(cfg).rows) == 3
+
+
+def test_cli_hayes_index_out_of_range_is_a_validation_error(tmp_path):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(distance_config(
+        {"dirichlet": {"modulus": [1, 0, 1], "index": 99}})))
+    r = run_cli("run", str(cfg_path))
+    assert r.returncode == 1 and "hayes.dirichlet.index" in r.stderr

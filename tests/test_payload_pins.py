@@ -13,6 +13,12 @@ the payload of the table-lookup kernel.  The gowers-decay pin with a twist
 over F_3 and the ap-decay pin with a Dirichlet character over F_5 were
 recorded while those runners still sampled the function afresh for every n,
 element by element, so they hold the G_{n_stop} prefixes to that payload.
+The two distance-growth pins with a Dirichlet target (one with a unit
+character and a random unit-circle function over F_3, one with a conjugate
+twist and float theta over F_2) and the decay-table pin with a unit
+character over F_5 were recorded while every Hayes value was still made
+polynomial by polynomial with Fraction turns, so they hold the Hayes
+arrays read from exponent tables to that payload.
 """
 
 import hashlib
@@ -27,6 +33,7 @@ _PHASE2 = {"terms": [{"coef": 1, "factors": [[1, 0, 1, 1, 0, 0, 1, 1, 1, 0],
 _PHASE3 = {"terms": [{"coef": 2, "factors": [[1, 2, 0, 1, 1, 2, 0]]}],
            "monomials": [{"coef": 1, "powers": [[0, 2], [1, 1]]}]}
 _PHASE4 = {"terms": [{"coef": 3, "factors": [[1, 2, 3, 0, 1], [2, 0, 1, 3, 1]]}]}
+_PHASE5 = {"terms": [{"coef": 1, "factors": [[1, 3, 0, 4, 2], [2, 0, 4, 1, 3]]}]}
 
 PINS = {
     "decay-moebius-f2": (
@@ -124,6 +131,25 @@ PINS = {
         {"kind": "tk-check", "field": {"p": 2, "r": 2}, "n": {"start": 3, "stop": 6},
          "tk": {"W": 1, "H": 6}},
         "103c6a29895557d8e3494365e37ee9ff36df2b454a956c004d4fed4ae31fcdaa"),
+    "distance-random-unit-dirichlet-unit-f3": (
+        {"kind": "distance-growth", "field": {"p": 3, "r": 1}, "n": {"start": 1, "stop": 7},
+         "seed": 4, "function": {"kind": "random", "values": "unit"},
+         "hayes": {"dirichlet": {"modulus": [1, 0, 1], "index": 5}, "unit_index": 1}},
+        "afa1c2b45611612c72b4bb02c3ce9949dfeb5291c5bbaef0d052590dbe905167"),
+    "distance-conjugate-twist-f2": (
+        {"kind": "distance-growth", "field": {"p": 2, "r": 1}, "n": {"start": 2, "stop": 10},
+         "function": {"kind": "twist", "base": {"kind": "builtin", "name": "moebius"},
+                      "hayes": {"theta": 0.3, "short": {"s": 2, "index": 3}},
+                      "conjugate": True},
+         "hayes": {"theta": 0.7, "dirichlet": {"modulus": [1, 1, 1], "index": 2}}},
+        "fc1c7d3a722803fa278a5cefd38a49d4cd24f40d4247e3dbcb82344458a923ac"),
+    "decay-unit-character-f5": (
+        {"kind": "decay-table", "field": {"p": 5, "r": 1}, "n": {"start": 1, "stop": 4},
+         "function": {"kind": "character",
+                      "hayes": {"unit_index": 1, "short": {"s": 1, "index": 2},
+                                "theta": "1/4"}},
+         "phase": _PHASE5},
+        "344bb1bb8d17d59a3f9fb1b85e72ab7ef0a716192c9cbaf06881b40a873b4278"),
     "distance-moebius-f4": (
         {"kind": "distance-growth", "field": {"p": 2, "r": 2}, "n": {"start": 1, "stop": 8},
          "function": {"kind": "builtin", "name": "moebius"},
