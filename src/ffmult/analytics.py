@@ -39,7 +39,7 @@ from .characters import (DirichletCharacter, HayesCharacter, dirichlet_character
                          short_interval_characters)
 from .errors import BudgetError
 from .fields import Field
-from .gn import GnIndex, times_fixed
+from .gn import GnIndex, digit_matrix, times_fixed
 from .laurent import LaurentTruncation, linear_form_table
 from .multiplicative import (MultiplicativeFunction, _complex, _products, from_character,
                              function_on_gn, per_element, prime_values)
@@ -165,15 +165,15 @@ def gowers_norm(field: Field, n: int, f, k: int, budget: int = 10 ** 8) -> float
     """U^k norm by the 2^k-corner cube average over (x, h_1, ..., h_k).
 
     The sum is evaluated by iterating multiplicative derivatives
-    f -> f(.+h) conj f(.), which regroups the corner sum exactly; cost is
-    |G|^k vector operations, and the budget guards |G|^{k+1} corner tuples.
+    f -> f(.+h) conj f(.), which regroups the corner sum exactly: |G|^(k-1)
+    means of length |G|, so the budget guards those |G|^k element operations.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     size = field.q ** n
-    if size ** (k + 1) > budget:
-        raise BudgetError(f"U^{k} brute force needs {size ** (k + 1)} corner "
-                          f"evaluations, over budget {budget}")
+    if size ** k > budget:
+        raise BudgetError(f"U^{k} brute force needs {size ** k} element "
+                          f"operations, over budget {budget}")
     arr = sample_on_gn(field, n, f)
     G = GnIndex(field, n)
     shift = G.table
@@ -409,8 +409,8 @@ def window_divisor_counts(field: Field, n: int, W: int, H: int) -> np.ndarray:
     for d in degrees:
         # multiples of p in G_n are p*h, h in G_{n-d}; a prime of degree
         # >= n divides only g = 0
-        multiples = times_fixed(field, [p.coeffs for p in irreducibles_of_degree(field, d)],
-                                max(n - d, 0))
+        primes = digit_matrix(field.q, d + 1, irreducible_indices(field, d))
+        multiples = times_fixed(field, primes, max(n - d, 0))
         for row in multiples:       # one prime at a time: h -> p*h is injective
             counts[row] += 1
     return counts
@@ -439,7 +439,7 @@ def turan_kubilius_from_counts(field: Field, counts: np.ndarray, n: int,
     """turan_kubilius on G_n from its window counts, e.g. the prefix of
     window_divisor_counts on a larger G_N."""
     A = math.fsum(field.q ** -d for d in _tk_degrees(W, H)
-                  for _ in irreducibles_of_degree(field, d))
+                  for _ in range(irreducible_count(field, d)))
     size = field.q ** n
     dev = counts[:size].astype(np.float64) - A
     lhs = float(np.sum(dev * dev))

@@ -226,7 +226,7 @@ def _estimated_cost(kind: str, n: int, q: int, sections: dict) -> int:
         k = sections.get("gowers", {}).get("k", 2)
         if k == 2:
             return q ** n          # u2_fourier: one transform of size q^n
-        return q ** (n * (k + 1))
+        return q ** (n * k)        # gowers_norm: the cube recursion's element operations
     if kind == "ap-decay":
         return q ** (2 * n)
     if kind == "tk-check":

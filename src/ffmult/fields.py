@@ -119,7 +119,6 @@ class Field:
         # lazy caches owned by polys.py (irreducible tables) — see that module
         self._irreducibles: dict[int, tuple] = {}
         self._irreducible_indices: dict[int, np.ndarray] = {}
-        self._irr_sets: dict[int, frozenset] = {}
         self._factor_memo: dict = {}
 
     # -- construction ------------------------------------------------------

@@ -21,9 +21,14 @@ nothing builds Poly objects.  The kernels:
 `times_fixed` and `residues` share one engine, `_linear_map`, built on the
 base-p view of an index: field elements are encoded by their F_p
 coordinates, so an index of G_m is a base-p number with r*m digits, and
-h -> p*h and h -> h mod g are F_p-linear on those digits.  Its memory, and
-that of `top_codes`, is bounded by the module constant CHUNK_ELEMENTS,
-whatever the size of G_m.
+h -> p*h and h -> h mod g are F_p-linear on those digits.  In
+characteristic 2 (any r) those digits are the bits of the index and adding
+two indices is `^`, so the engine tabulates int64 image indices and
+combines them with XOR.  For odd p the sum of two indices carries between
+digits, with no integer form as cheap, so the engine keeps the base-p
+digits of the images as floats, sums them and reduces the sums mod p.  Its
+memory, and that of `top_codes`, is bounded by the module constant
+CHUNK_ELEMENTS, whatever the size of G_m.
 """
 
 from __future__ import annotations
@@ -58,8 +63,9 @@ def leading_coefficients(q: int, n: int) -> np.ndarray:
     return out
 
 
-# the largest float64 block `times_fixed` holds at once (one table of digit
-# images, one chunk of cofactor images): the kernel's memory bound for any G_m
+# the largest block the linear maps hold at once (one table of images, one
+# chunk of cofactor images; int64 images in characteristic 2, float64 digits
+# otherwise): the kernel's memory bound for any G_m
 CHUNK_ELEMENTS = 1 << 14
 
 
@@ -69,26 +75,19 @@ def times_fixed(field: Field, polys, m: int, cofactors=None) -> np.ndarray:
     `polys` is a stack of k polynomials of one degree, as rows of
     coefficients lowest first.  `cofactors` are indices of G_m, default all
     of G_m in index order.  h -> p*h is F_p-linear on the base-p digits of
-    h; the images of the r*m basis vectors u^t x^j come from mul_table.
+    h; the image of the basis vector u^t x^j is the index of p*u^t times q^j.
     """
-    p, r = field.p, field.r
+    p, r, q = field.p, field.r, field.q
     polys = np.asarray(polys, dtype=np.intp)
     k, length = polys.shape
     width = max(m + length - 1, 1)      # coefficients of p*h
-    if field.q ** width > 2 ** 53:
+    if q ** width > 2 ** 53:
         raise BudgetError(f"products of {width} coefficients exceed exact float64 indices")
-    # coeff_images[t, k, i, s]: digit s of (coefficient i of p) * u^t
-    codes = field.mul_table[polys[:, :, None], p ** np.arange(r)]
-    coeff_images = digit(codes[..., None], p, np.arange(r)).transpose(2, 0, 1, 3)
-
-    def basis(g0: int, g1: int) -> np.ndarray:
-        # out[j, t]: the digits of p * u^t x^j for the polynomials g0..g1-1
-        out = np.zeros((m, r, g1 - g0, width, r))
-        for j in range(m):
-            out[j, :, :, j:j + length] = coeff_images[:, g0:g1]
-        return out.reshape(r * m, (g1 - g0) * width * r)
-
-    return _linear_map(field, m, k, width, basis, cofactors)
+    # lows[i, t]: the index of (polynomial i) * u^t
+    codes = field.mul_table[polys[:, :, None], p ** np.arange(r)].astype(np.int64)
+    lows = np.einsum("ijt,j->it", codes, q ** np.arange(length, dtype=np.int64))
+    images = q ** np.arange(m, dtype=np.int64)[:, None, None] * lows.T
+    return _linear_map(field, images.reshape(r * m, k), width, cofactors)
 
 
 def residues(field: Field, modulus, idx) -> np.ndarray:
@@ -115,57 +114,72 @@ def residues(field: Field, modulus, idx) -> np.ndarray:
         rows.append(row)
         top = row[-1]
         row = [add[a][neg[mul[top][b]]] for a, b in zip([0] + row[:-1], monic)]
-    # images[j, t, i, s]: digit s of (coefficient i of x^j mod g) * u^t
+    # images[j, t]: the index of u^t * (x^j mod g)
     codes = field.mul_table[np.array(rows, dtype=np.intp).reshape(m, 1, width),
-                            (p ** np.arange(r))[:, None]]
-    images = digit(codes[..., None], p, np.arange(r)).reshape(r * m, width * r)
-    return _linear_map(field, m, 1, width, lambda g0, g1: images, idx)[0]
+                            (p ** np.arange(r))[:, None]].astype(np.int64)
+    images = codes @ q ** np.arange(width, dtype=np.int64)
+    return _linear_map(field, images.reshape(r * m, 1), width, idx)[0]
 
 
-def _linear_map(field: Field, m: int, k: int, width: int, basis, cofactors) -> np.ndarray:
+def _linear_map(field: Field, images: np.ndarray, width: int, cofactors=None) -> np.ndarray:
     """(k, rows) int64 indices of A_i h for k F_p-linear maps A_i from G_m
     to G_width and every cofactor h (indices of G_m; default all of G_m, in
     index order).
 
     Field elements are encoded by their base-p coordinates, so an index of
-    G_m is a base-p number with r*m digits.  `basis(g0, g1)` gives, for the
-    maps g0..g1-1, the base-p digits of the images of the r*m basis vectors
-    u^t x^j, as an (r*m, (g1-g0)*r*width) float array.  The digits of a
-    cofactor are cut into a few parts; the images of every value of one
-    part are tabulated by linearity, and the image of h is the sum of its
-    parts' images.  Reduced mod p and dotted with the powers of p, that sum
-    is the index of A_i h.  Tables and chunks of cofactors hold at most
-    CHUNK_ELEMENTS floats each, and all of it is exact: digit sums stay far
-    below 2^53.
+    G_m is a base-p number with r*m digits.  `images` is the (r*m, k) int64
+    array of the indices of A_i u^t x^j, row j*r + t, the images of those
+    digits' basis vectors.  The digits of a cofactor are cut into a few
+    parts; the images of every value of one part are tabulated by
+    linearity, and the image of h is the sum of its parts' images.
+
+    In characteristic 2 that sum is the XOR of int64 indices: a part is
+    cut by shift and mask, and its table is built by doubling with ^.
+    For odd p there is no such integer form, so a table holds the r*width
+    base-p digits of each image as floats; the parts' digit sums are
+    reduced mod p and dotted with the powers of p.  Either way tables and
+    chunks of cofactors hold at most CHUNK_ELEMENTS numbers each, and all
+    of it is exact: float digit sums stay far below 2^53.
     """
-    p, r = field.p, field.r
-    cols = r * width                    # base-p digits of an image
+    p = field.p
+    bits, k = images.shape
     if cofactors is None:
-        cofactors = np.arange(field.q ** m, dtype=np.int64)
+        cofactors = np.arange(p ** bits, dtype=np.int64)
+    cols = 1 if p == 2 else field.r * width     # numbers per image
     # digits per part: about half of them, as far as a part's table fits
     per = 1
-    while per < (r * m + 1) // 2 and p ** (per + 1) * cols <= CHUNK_ELEMENTS:
+    while per < (bits + 1) // 2 and p ** (per + 1) * cols <= CHUNK_ELEMENTS:
         per += 1
     split = p ** per
-    powers = float(p) ** np.arange(cols)
     out = np.empty((k, len(cofactors)), dtype=np.int64)
     group = max(1, CHUNK_ELEMENTS // (split * cols))
     for g0 in range(0, k, group):
         kg = min(group, k - g0)
-        images_of = basis(g0, g0 + kg)
-        tables = [_images(images_of[i:i + per], p) for i in range(0, max(r * m, 1), per)]
         step = max(1, CHUNK_ELEMENTS // (kg * cols))
-        for c0 in range(0, len(cofactors), step):
-            rest, part = np.divmod(cofactors[c0:c0 + step], split)
-            images = tables[0][part]
-            for table in tables[1:]:
-                rest, part = np.divmod(rest, split)
-                images += table[part]
-            carry = images / p
-            np.floor(carry, out=carry)
-            carry *= p
-            images -= carry                     # digit sums mod p
-            out[g0:g0 + kg, c0:c0 + step] = (images.reshape(-1, kg, cols) @ powers).T
+        block = images[:, g0:g0 + kg]
+        if p == 2:
+            tables = [_xor_table(block[i:i + per]) for i in range(0, max(bits, 1), per)]
+            for c0 in range(0, len(cofactors), step):
+                chunk = cofactors[c0:c0 + step]
+                acc = out[g0:g0 + kg, c0:c0 + step]
+                np.take(tables[0], chunk & (split - 1), axis=1, out=acc)
+                for i, table in enumerate(tables[1:], 1):
+                    acc ^= np.take(table, (chunk >> (i * per)) & (split - 1), axis=1)
+        else:
+            digits = digit(block[..., None], p, np.arange(cols)).reshape(bits, kg * cols)
+            tables = [_images(digits[i:i + per], p) for i in range(0, max(bits, 1), per)]
+            powers = float(p) ** np.arange(cols)
+            for c0 in range(0, len(cofactors), step):
+                rest, part = np.divmod(cofactors[c0:c0 + step], split)
+                sums = tables[0][part]
+                for table in tables[1:]:
+                    rest, part = np.divmod(rest, split)
+                    sums += table[part]
+                carry = sums / p
+                np.floor(carry, out=carry)
+                carry *= p
+                sums -= carry                   # digit sums mod p
+                out[g0:g0 + kg, c0:c0 + step] = (sums.reshape(-1, kg, cols) @ powers).T
     return out
 
 
@@ -207,6 +221,17 @@ def _images(basis: np.ndarray, p: int) -> np.ndarray:
         # index d*p^j + i, i < p^j, maps to d*row + images[i]
         images = (np.arange(p)[:, None, None] * row + images).reshape(-1, len(row))
     return images
+
+
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """(k, 2^len(rows)) images of every index in [0, 2^len(rows)), index
+    order, from the (len(rows), k) int64 images of its bits, by doubling
+    with ^."""
+    table = np.zeros((rows.shape[1], 1), dtype=np.int64)
+    for row in rows:
+        # index 2^j + i, i < 2^j, maps to row ^ table[:, i]
+        table = np.concatenate([table, table ^ row[:, None]], axis=1)
+    return table
 
 
 class GnIndex:

@@ -20,8 +20,13 @@ seeded i.i.d. values to each irreducible and extend completely
 multiplicatively; the same seed always reproduces the same function.
 
 Functions whose prime-power values depend only on (deg p, k) carry a
-degree profile; the Euler-product statistics use it to group local factors
-by degree instead of enumerating irreducibles.
+degree profile, and f(p^k) = degree_profile(deg p, k) is then part of the
+function's contract.  A built-in is defined by its profile alone: its
+prime-power rule reads the profile, so there is one definition.  The array
+paths (`function_on_gn`, `prime_values`) read a profile once per
+(degree, k) on the sieve's index arrays, which gives the scalar values by
+construction and builds no Poly; the Euler-product statistics use it to
+group local factors by degree instead of enumerating irreducibles.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 from .characters import HayesCharacter
 from .errors import BudgetError
 from .fields import Field
-from .gn import leading_coefficients, times_fixed
+from .gn import digit_matrix, leading_coefficients, times_fixed
 from .polys import Poly, factor, irreducible_indices, irreducibles_of_degree
 
 
@@ -117,8 +122,9 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
     Functions without an eval_override are sieved over index space: every
     nonzero index starts at unit_rule(lc), and for each irreducible p, in
     (degree, index) order, the indices exactly divisible by p^k are
-    multiplied by prime_power_rule(p, k).  That is the order factor()
-    returns, so each value sees the same roundings as the scalar path.
+    multiplied by f(p^k) (`_prime_power_values`).  That is the order
+    factor() returns, so each value sees the same roundings as the scalar
+    path.
     A character is its Hayes array; a twist is its base's array times the
     Hayes array (or its conjugate), by the separate float64 products of
     `_products`.  Any other eval_override is a plain callable and goes
@@ -143,9 +149,10 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
     re = np.array([u.real for u in units])[lc]
     im = np.array([u.imag for u in units])[lc]
     for d in range(1, n):
-        primes = irreducibles_of_degree(field, d)
-        steps = times_fixed(field, [p.coeffs for p in primes], n - d)
-        for p, step in zip(primes, steps):
+        primes = irreducible_indices(field, d)
+        value = _prime_power_values(f, d, (n - 1) // d)
+        steps = times_fixed(field, digit_matrix(q, d + 1, primes), n - d)
+        for i, step in enumerate(steps):
             # mult[h] = index of p^k h, h in G_{n-kd}; those h divisible by
             # p are step[:q^(n-(k+1)d)], and h = 0 always is
             mult, k = step, 1
@@ -154,20 +161,34 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
                 divisible = step[:q ** max(rest, 0)]
                 exact = np.ones(mult.size, dtype=bool)
                 exact[divisible] = False
-                _scale(re, im, mult[exact], complex(f.prime_power_rule(p, k)))
+                _scale(re, im, mult[exact], value(i, k))
                 if rest < 1:
                     break
                 mult, k = mult[divisible], k + 1
     return _complex(re, im)
 
 
+def _prime_power_values(f: MultiplicativeFunction, d: int, top: int):
+    """value(i, k) = f.on_prime_power(p, k) at the i-th irreducible p of
+    degree d, for k <= top: one profile value per k when f has a degree
+    profile (no Poly is built), else the prime-power rule at the boxed prime."""
+    if f.degree_profile is None:
+        primes = irreducibles_of_degree(f.field, d)
+        return lambda i, k: complex(f.prime_power_rule(primes[i], k))
+    by_k = [complex(f.degree_profile(d, k)) for k in range(1, top + 1)]
+    return lambda i, k: by_k[k - 1]
+
+
 def prime_values(f: MultiplicativeFunction, d: int) -> np.ndarray:
     """[f.on_prime_power(p, 1) for p in irreducibles_of_degree(field, d)]
-    as a complex array, bit for bit.  A character or twist reads H at the
+    as a complex array, bit for bit.  A function with a degree profile
+    takes its one value at degree d; a character or twist reads H at the
     sieve's index array, with the `** 1` of its prime-power rule applied to
     each table entry; any other function is called prime by prime."""
     field = f.field
     if f._character is None:
+        if f.degree_profile is not None:
+            return np.full(len(irreducible_indices(field, d)), complex(f.degree_profile(d, 1)))
         primes = irreducibles_of_degree(field, d)
         return np.fromiter((f.on_prime_power(p, 1) for p in primes), np.complex128, len(primes))
     base, H, conjugate = f._character
@@ -191,26 +212,26 @@ def per_element(field: Field, f, indices) -> np.ndarray:
     return out
 
 
+# each built-in is its degree profile: f(p^k) from deg p and k alone, and
+# whether it is completely multiplicative
+_BUILTINS = {
+    "moebius": (lambda d, k: (-1.0 + 0j) if k == 1 else 0j, False),
+    "liouville": (lambda d, k: complex((-1.0) ** k), True),
+    "one": (lambda d, k: 1.0 + 0j, True),
+}
+
+
 def builtin(field: Field, name: str) -> MultiplicativeFunction:
-    """moebius | liouville | one."""
-    if name == "one":
-        return MultiplicativeFunction(
-            field, lambda p, k: 1.0 + 0j, name="one",
-            completely_multiplicative=True,
-            degree_profile=lambda d, k: 1.0 + 0j,
-            descriptor={"kind": "builtin", "name": "one"})
-    if name == "moebius":
-        return MultiplicativeFunction(
-            field, lambda p, k: (-1.0 + 0j) if k == 1 else 0j, name="moebius",
-            degree_profile=lambda d, k: (-1.0 + 0j) if k == 1 else 0j,
-            descriptor={"kind": "builtin", "name": "moebius"})
-    if name == "liouville":
-        return MultiplicativeFunction(
-            field, lambda p, k: complex((-1.0) ** k), name="liouville",
-            completely_multiplicative=True,
-            degree_profile=lambda d, k: complex((-1.0) ** k),
-            descriptor={"kind": "builtin", "name": "liouville"})
-    raise ValueError(f"unknown builtin {name!r}; have moebius, liouville, one")
+    """moebius | liouville | one.  The prime-power rule reads the degree
+    profile, so the array paths, which read the profile once per degree,
+    give the scalar path's values by construction."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin {name!r}; have moebius, liouville, one")
+    profile, completely = _BUILTINS[name]
+    return MultiplicativeFunction(
+        field, lambda p, k: profile(p.degree, k), name=name,
+        completely_multiplicative=completely, degree_profile=profile,
+        descriptor={"kind": "builtin", "name": name})
 
 
 def from_character(H: HayesCharacter) -> MultiplicativeFunction:

@@ -11,11 +11,15 @@ the additive group of polynomials of degree at most n-1 (size q^n, contains
 
 Irreducibles are enumerated by a product sieve: every monic polynomial of
 degree d that is a product of two smaller monic polynomials gets marked,
-survivors are irreducible.  The sieve is vectorized over the cofactor, so
-desk-scale tables (q^d up to ~10^6) build in seconds.  Factorization is
-trial division against that table; a polynomial of degree D is fully
-factorable as long as D//2 stays within the table bound, since a composite
-always has a factor of at most half its degree.
+survivors are irreducible.  The sieve works on index space only: its
+product is a sorted int64 index array per degree (`irreducible_indices`),
+vectorized over the cofactor and batched over the primes of a degree, so
+desk-scale tables (q^d up to ~10^6) build in well under a second.  Poly
+tuples of the irreducibles are made on demand, on the first call of
+`irreducibles_of_degree`, for the scalar API.  Factorization is trial
+division against that table; a polynomial of degree D is fully factorable
+as long as D//2 stays within the table bound, since a composite always has
+a factor of at most half its degree.
 """
 
 from __future__ import annotations
@@ -332,41 +336,43 @@ def necklace_count(q: int, d: int) -> int:
     return total // d
 
 
-def irreducibles_of_degree(field: Field, d: int) -> tuple:
-    """Monic irreducibles of degree d, cached on the field, index order."""
+def irreducible_indices(field: Field, d: int) -> np.ndarray:
+    """Sorted int64 indices of the monic irreducibles of degree d, cached
+    on the field: the sieve's survivors.
+
+    Every monic of degree d that is a product p*h with p irreducible of
+    degree e <= d/2 and h monic of degree d - e is marked; the products
+    come from `times_fixed` on the coefficient rows of the degree-e
+    indices, so no Poly is built.
+    """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    cache = field._irreducibles
+    cache = field._irreducible_indices
     if d in cache:
         return cache[d]
     q = field.q
     _budget_check(field, q ** d, f"irreducible sieve at degree {d}")
-    if d == 1:
-        field._irreducible_indices[1] = np.arange(q, 2 * q, dtype=np.int64)
-        cache[1] = tuple(Poly(field, (c, 1)) for c in range(q))
-        return cache[1]
     composite = np.zeros(q ** d, dtype=bool)
     for e in range(1, d // 2 + 1):
         # monic cofactors of degree d - e: the indices [q^(d-e), 2 q^(d-e)),
         # whose products are the monic indices [q^d, 2 q^d) of G_{d+1}
         m = d - e
-        idx = times_fixed(field, [p.coeffs for p in irreducibles_of_degree(field, e)],
+        idx = times_fixed(field, digit_matrix(q, e + 1, irreducible_indices(field, e)),
                           m + 1, np.arange(q ** m, 2 * q ** m, dtype=np.int64))
         idx -= q ** d
         composite[idx] = True
-    survivors = np.nonzero(~composite)[0]
-    cache[d] = tuple(Poly._trusted(field, tuple(low) + (1,))
-                     for low in digit_matrix(q, d, survivors).tolist())
-    survivors += q ** d
-    field._irreducible_indices[d] = survivors
+    cache[d] = np.flatnonzero(~composite) + q ** d
     return cache[d]
 
 
-def irreducible_indices(field: Field, d: int) -> np.ndarray:
-    """Sorted int64 indices of the monic irreducibles of degree d: the
-    sieve's survivors, cached beside the Poly tuple."""
-    irreducibles_of_degree(field, d)
-    return field._irreducible_indices[d]
+def irreducibles_of_degree(field: Field, d: int) -> tuple:
+    """Monic irreducibles of degree d as Poly, index order: boxed from
+    `irreducible_indices` on the first call and cached on the field."""
+    cache = field._irreducibles
+    if d not in cache:
+        rows = digit_matrix(field.q, d + 1, irreducible_indices(field, d)).tolist()
+        cache[d] = tuple(Poly._trusted(field, tuple(row)) for row in rows)
+    return cache[d]
 
 
 def is_irreducible(g: Poly) -> bool:
@@ -376,11 +382,11 @@ def is_irreducible(g: Poly) -> bool:
     d = int(g.degree)
     m = g.monic()
     if field.q ** d <= field.enumeration_budget:
-        sets = field._irr_sets
-        if d not in sets:
-            sets[d] = frozenset(irreducibles_of_degree(field, d))
-        return m in sets[d]
-    # degree too large to cache at full width: trial-divide up to d//2
+        idx = irreducible_indices(field, d)
+        key = m.to_index()
+        at = int(np.searchsorted(idx, key))
+        return at < len(idx) and int(idx[at]) == key
+    # degree too large to sieve at full width: trial-divide up to d//2
     for e in range(1, d // 2 + 1):
         for p in irreducibles_of_degree(field, e):
             if (m % p).is_zero():

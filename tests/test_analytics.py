@@ -138,6 +138,14 @@ def test_gowers_budget():
         gowers_norm(F2, 8, np.ones(256, dtype=complex), 3, budget=10 ** 6)
 
 
+def test_gowers_budget_charges_the_cube_operations():
+    # U^3 on G_6 over F_2: 2^12 means of length 2^6, 2^18 element operations
+    ones = np.ones(64, dtype=complex)
+    assert gowers_norm(F2, 6, ones, 3, budget=2 ** 18) == 1.0
+    with pytest.raises(BudgetError, match="262144"):
+        gowers_norm(F2, 6, ones, 3, budget=2 ** 18 - 1)
+
+
 def test_u2_equals_brute_force():
     rng = np.random.default_rng(7)
     for F, n in ((F2, 6), (F3, 3)):
@@ -330,6 +338,7 @@ def test_tk_over_budget_refused_before_sieving():
     with pytest.raises(BudgetError):
         window_divisor_counts(field, 11, 1, 7)
     assert not set(field._irreducibles) & set(range(2, 7))
+    assert not set(field._irreducible_indices) & set(range(2, 7))
 
 
 def test_tk_empty_window_rejected():

@@ -19,6 +19,11 @@ that is called polynomial by polynomial.  A plain callable is called
 exactly on the indices a statistic reads, and an over-budget one not at
 all; `mean_value` equals the scalar fsum over the degree-n slice;
 `distance_terms` and `min_distance_over_hayes` equal their scalar loops.
+
+A built-in read once per degree from its profile must give the bytes of
+its per-prime rule, and the array paths of the built-ins (the sieve, the
+Turan-Kubilius counts, function and prime arrays, distance terms against
+a Hayes character) must build no Poly.
 """
 
 import cmath
@@ -41,7 +46,7 @@ from ffmult.characters import DirichletCharacter, top_coefficient_tuple
 from ffmult.experiments import resolve_hayes
 from ffmult.gn import GnIndex, times_fixed
 from ffmult.multiplicative import function_on_gn, prime_values
-from ffmult.polys import irreducibles_of_degree
+from ffmult.polys import irreducible_count, irreducible_indices, irreducibles_of_degree
 
 # (p, r) -> largest n of the grid
 GRID = {(2, 1): 11, (3, 1): 7, (2, 2): 5, (5, 1): 4}
@@ -221,7 +226,7 @@ def test_over_budget_callable_is_refused_before_its_first_call():
 
 # q -> ((p, r), largest cofactor width m of the kernel grid)
 KERNEL_GRID = {2: ((2, 1), 7), 3: ((3, 1), 4), 4: ((2, 2), 3), 5: ((5, 1), 3),
-               9: ((3, 2), 2)}
+               8: ((2, 3), 3), 9: ((3, 2), 2)}
 
 
 def poly_products(field, stack, cofactors):
@@ -366,6 +371,61 @@ def test_prime_values_equal_on_prime_power(pr, name):
         g = make_function(field, name)
         expected = np.array([g.on_prime_power(p, 1) for p in irreducibles_of_degree(field, d)])
         assert prime_values(f, d).tobytes() == expected.tobytes(), d
+
+
+@pytest.mark.parametrize("pr", sorted(GRID))
+@pytest.mark.parametrize("name", ("moebius", "liouville", "one"))
+def test_builtin_profile_paths_equal_the_per_prime_rule(pr, name):
+    # without its degree profile a built-in takes the per-prime loop: its
+    # prime-power rule called at every boxed irreducible
+    field = build_field(*pr)
+    by_degree, per_prime = builtin(field, name), builtin(field, name)
+    per_prime.degree_profile = None
+    for n in range(1, GRID[pr] + 1):
+        assert function_on_gn(by_degree, n).tobytes() == function_on_gn(per_prime, n).tobytes(), n
+        assert prime_values(by_degree, n).tobytes() == prime_values(per_prime, n).tobytes(), n
+
+
+@pytest.fixture
+def poly_constructions(monkeypatch):
+    """The list of Poly constructions (by __init__ or _trusted) from now on."""
+    made = []
+    init, trusted = Poly.__init__, Poly._trusted.__func__
+
+    def counted_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    def counted_trusted(cls, *args):
+        made.append(args)
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    monkeypatch.setattr(Poly, "_trusted", classmethod(counted_trusted))
+    return made
+
+
+@pytest.mark.parametrize("pr", sorted(GRID))
+def test_array_paths_build_no_poly(pr, poly_constructions):
+    n = GRID[pr]
+    field = build_field(*pr)            # fresh: no irreducible cached
+    functions = [builtin(field, name) for name in ("moebius", "liouville", "one")]
+    target = from_character(resolve_hayes(field, {
+        "theta": "1/3", "short": {"s": 1, "index": 1},
+        "dirichlet": {"modulus": [1, 1, 1], "index": 1}}))
+    poly_constructions.clear()
+    for d in range(1, n + 1):
+        assert len(irreducible_indices(field, d)) == irreducible_count(field, d)
+    turan_kubilius_from_counts(field, window_divisor_counts(field, n, 1, n + 2), n, 1, n + 2)
+    for f in functions:
+        function_on_gn(f, n)
+        for d in range(1, n + 1):
+            prime_values(f, d)
+            distance_terms(f, target, d)
+    assert poly_constructions == []
+    # the Poly API still boxes on demand
+    assert len(irreducibles_of_degree(field, 2)) == irreducible_count(field, 2)
+    assert poly_constructions
 
 
 def scalar_distance_terms(f, g, d):

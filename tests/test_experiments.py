@@ -218,6 +218,23 @@ def test_cli_budget_exit_code(tmp_path):
     assert r.returncode == 2
 
 
+GOWERS_U3_MOEBIUS = ("gowers-decay", "--p", "2", "--n-start", "4", "--seed", "1",
+                     "--set", "function.kind=builtin", "--set", "function.name=moebius",
+                     "--set", "gowers.k=3")
+
+
+def test_cli_gowers_u3_charged_its_cube_operations():
+    # the cube recursion does q^(kn) element operations: 2^18 at n = 6 is
+    # within the default budget of 2,000,000, 2^21 at n = 7 is not
+    r = run_cli(*GOWERS_U3_MOEBIUS, "--n-stop", "6")
+    assert r.returncode == 0, r.stderr
+    rows = [line.split(",")[0] for line in r.stdout.splitlines() if not line.startswith("#")]
+    assert rows == ["4", "5", "6"]
+    r = run_cli(*GOWERS_U3_MOEBIUS, "--n-stop", "7")
+    assert r.returncode == 2
+    assert "n=7" in r.stderr and "2097152" in r.stderr
+
+
 def test_cli_subcommand_with_flag_overrides():
     r = run_cli("tk-check", "--p", "2", "--n-start", "5", "--n-stop", "6",
                 "--set", "tk.W=1", "--set", "tk.H=4")

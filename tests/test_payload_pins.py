@@ -19,6 +19,11 @@ twist and float theta over F_2) and the decay-table pin with a unit
 character over F_5 were recorded while every Hayes value was still made
 polynomial by polynomial with Fraction turns, so they hold the Hayes
 arrays read from exponent tables to that payload.
+The three pins over F_8 (distance-growth and decay-table with Moebius, and
+tk-check) were recorded while the product and residue maps still summed
+float digit images in characteristic 2 and the sieve boxed every
+irreducible, so they hold the XOR form of those maps with r > 1, and the
+built-ins read one value per degree, to that payload.
 """
 
 import hashlib
@@ -155,6 +160,21 @@ PINS = {
          "function": {"kind": "builtin", "name": "moebius"},
          "hayes": {"theta": "1/3", "short": {"s": 1, "index": 1}}},
         "5c0950cd467caa98199d887cff189f57d049c0acb67203f3e9c794c66e5b98c8"),
+    "distance-moebius-f8": (
+        {"kind": "distance-growth", "field": {"p": 2, "r": 3}, "n": {"start": 1, "stop": 6},
+         "function": {"kind": "builtin", "name": "moebius"},
+         "hayes": {"theta": "1/3", "dirichlet": {"modulus": [3, 0, 1], "index": 5},
+                   "short": {"s": 1, "index": 2}}},
+        "253cf2492aec82944703c3e6f08aa521922c262f73d9cb940795a146ff295f80"),
+    "tk-f8": (
+        {"kind": "tk-check", "field": {"p": 2, "r": 3}, "n": {"start": 3, "stop": 5},
+         "tk": {"W": 1, "H": 4}},
+        "2c5fbd3024ad080d9526ed692c4920fe0655fd10c177b99c2fd196ec2490893b"),
+    "decay-moebius-f8": (
+        {"kind": "decay-table", "field": {"p": 2, "r": 3}, "n": {"start": 1, "stop": 5},
+         "function": {"kind": "builtin", "name": "moebius"},
+         "phase": {"terms": [{"coef": 5, "factors": [[1, 2, 7, 0, 3], [6, 0, 1, 3, 4]]}]}},
+        "a2bd00b7ab6ff1ebcdb5aab663a8384c05693c54c732d673ca12fcb25c77b987"),
     "bias-rank-f3": (
         {"kind": "bias-rank-demo", "field": {"p": 3, "r": 1},
          "bias": {"r_values": [1, 2], "slot_dim": 3, "arity": 2}},

@@ -139,6 +139,20 @@ def test_known_irreducibles_degree_3_over_f2():
     assert set(cubes) == {P(F2, 1, 1, 0, 1), P(F2, 1, 0, 1, 1)}
 
 
+def test_is_irreducible_matches_factorization():
+    # the index lookup below the budget, for monic and non-monic input
+    for F, dmax in ((F2, 6), (F3, 4), (F4, 3)):
+        for d in range(1, dmax + 1):
+            for g in monic_of_degree(F, d):
+                expected = factor(g)[1] == ((g, 1),)
+                assert is_irreducible(g) == expected, g
+                assert is_irreducible(g.scalar_mul(F.q - 1)) == expected, g
+    # trial division above it
+    small = build_field(2, 1, enumeration_budget=2 ** 4)
+    assert is_irreducible(P(small, 1, 0, 1, 0, 0, 1))          # x^5 + x^2 + 1
+    assert not is_irreducible(P(small, 1, 1, 0, 0, 0, 1))      # (x^2+x+1)(x^3+x^2+1)
+
+
 def test_factor_examples():
     unit, parts = factor(P(F2, 1, 0, 1))          # x^2+1 = (x+1)^2
     assert unit == 1 and parts == ((P(F2, 1, 1), 2),)
