@@ -403,13 +403,13 @@ class HayesCharacter:
         entry, made by the scalar expression: turns_to_complex of the exact
         total turns, then op (say `**k` or `.conjugate()`), so the lookup
         equals the scalar value for float theta too (Fraction(float) is
-        exact).  Pairs are found by a bincount per degree, not a sort.
+        exact).  Pairs are found by a bincount per degree present, not a sort.
         """
         L, k = self.exponents_at(idx)
         code = k + 1                        # 0 where the value is 0
         deg = np.maximum(degrees(self.field.q, idx), 0)
         re, im = np.empty(len(k)), np.empty(len(k))
-        for d in range(int(deg.max()) + 1 if len(k) else 0):
+        for d in np.flatnonzero(np.bincount(deg)).tolist():     # the degrees present
             at = np.flatnonzero(deg == d)
             present = np.flatnonzero(np.bincount(code[at], minlength=L + 1))
             entries = []

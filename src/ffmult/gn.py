@@ -21,14 +21,15 @@ nothing builds Poly objects.  The kernels:
 `times_fixed` and `residues` share one engine, `_linear_map`, built on the
 base-p view of an index: field elements are encoded by their F_p
 coordinates, so an index of G_m is a base-p number with r*m digits, and
-h -> p*h and h -> h mod g are F_p-linear on those digits.  In
-characteristic 2 (any r) those digits are the bits of the index and adding
-two indices is `^`, so the engine tabulates int64 image indices and
-combines them with XOR.  For odd p the sum of two indices carries between
-digits, with no integer form as cheap, so the engine keeps the base-p
-digits of the images as floats, sums them and reduces the sums mod p.  Its
-memory, and that of `top_codes`, is bounded by the module constant
-CHUNK_ELEMENTS, whatever the size of G_m.
+h -> p*h and h -> h mod g are F_p-linear on those digits.  The engine holds
+an image with each base-p digit in its own b-bit lane of an int64, sums
+tabulated images of a cofactor's digit parts as plain integers (b wide
+enough that no lane overflows) and decodes the sums to indices through
+small lookup tables that reduce each lane mod p.  In characteristic 2 (any
+r) the lanes are the index's own bits, the sum is XOR and nothing needs
+decoding.  All of it is int64 arithmetic, exact for every index int64
+holds.  Its memory, and that of `top_codes`, is bounded by the module
+constant CHUNK_ELEMENTS, whatever the size of G_m.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ def leading_coefficients(q: int, n: int) -> np.ndarray:
     return out
 
 
-# the largest block the linear maps hold at once (one table of images, one
-# chunk of cofactor images; int64 images in characteristic 2, float64 digits
-# otherwise): the kernel's memory bound for any G_m
+# the largest block the linear maps hold at once (one table of packed
+# images, one decode table, one chunk of cofactor images): the kernel's
+# memory bound for any G_m
 CHUNK_ELEMENTS = 1 << 14
 
 
@@ -81,8 +82,8 @@ def times_fixed(field: Field, polys, m: int, cofactors=None) -> np.ndarray:
     polys = np.asarray(polys, dtype=np.intp)
     k, length = polys.shape
     width = max(m + length - 1, 1)      # coefficients of p*h
-    if q ** width > 2 ** 53:
-        raise BudgetError(f"products of {width} coefficients exceed exact float64 indices")
+    if q ** width > 2 ** 63:
+        raise BudgetError(f"products of {width} coefficients exceed int64 indices")
     # lows[i, t]: the index of (polynomial i) * u^t
     codes = field.mul_table[polys[:, :, None], p ** np.arange(r)].astype(np.int64)
     lows = np.einsum("ijt,j->it", codes, q ** np.arange(length, dtype=np.int64))
@@ -133,53 +134,52 @@ def _linear_map(field: Field, images: np.ndarray, width: int, cofactors=None) ->
     parts; the images of every value of one part are tabulated by
     linearity, and the image of h is the sum of its parts' images.
 
-    In characteristic 2 that sum is the XOR of int64 indices: a part is
-    cut by shift and mask, and its table is built by doubling with ^.
-    For odd p there is no such integer form, so a table holds the r*width
-    base-p digits of each image as floats; the parts' digit sums are
-    reduced mod p and dotted with the powers of p.  Either way tables and
-    chunks of cofactors hold at most CHUNK_ELEMENTS numbers each, and all
-    of it is exact: float digit sums stay far below 2^53.
+    An image is held packed: each of its r*width base-p digits sits in its
+    own b-bit lane of an int64, reduced mod p in the tables.  The parts'
+    entries are added as plain integers, with b wide enough that no lane
+    overflows, and the sum is decoded back to a base-p index by lookup
+    tables, each of which reduces a few lanes mod p and weights them by
+    their powers of p.  In characteristic 2 the lanes are the bits of the
+    index itself (b = 1), the sum is XOR and there is nothing to decode.
+    An image wider than one int64 of lanes is mapped in slices of its
+    digits that each fit, added back with their powers of p.  Tables,
+    decode tables and chunks of cofactors hold at most CHUNK_ELEMENTS
+    int64 each (a table of one digit, p entries, or a decode table of one
+    lane, 2^b entries, where that alone is more).
     """
     p = field.p
     bits, k = images.shape
     if cofactors is None:
         cofactors = np.arange(p ** bits, dtype=np.int64)
-    cols = 1 if p == 2 else field.r * width     # numbers per image
     # digits per part: about half of them, as far as a part's table fits
     per = 1
-    while per < (bits + 1) // 2 and p ** (per + 1) * cols <= CHUNK_ELEMENTS:
+    while per < (bits + 1) // 2 and p ** (per + 1) <= CHUNK_ELEMENTS:
         per += 1
-    split = p ** per
+    split, parts = p ** per, -(-max(bits, 1) // per)
+    # lane width: a lane holds the sum of `parts` digits (of two in _table)
+    b = 1 if p == 2 else (max(parts, 2) * (p - 1)).bit_length()
+    digits, lanes = field.r * width, 63 // b
+    combine = np.bitwise_xor if p == 2 else np.add
     out = np.empty((k, len(cofactors)), dtype=np.int64)
-    group = max(1, CHUNK_ELEMENTS // (split * cols))
-    for g0 in range(0, k, group):
-        kg = min(group, k - g0)
-        step = max(1, CHUNK_ELEMENTS // (kg * cols))
-        block = images[:, g0:g0 + kg]
-        if p == 2:
-            tables = [_xor_table(block[i:i + per]) for i in range(0, max(bits, 1), per)]
+    group = max(1, CHUNK_ELEMENTS // split)
+    for lo in range(0, digits, lanes):
+        count = min(lanes, digits - lo)
+        packed = _pack(images, p, b, lo, count)
+        decode = _decoders(p, b, lo, count)
+        for g0 in range(0, k, group):
+            kg = min(group, k - g0)
+            step = max(1, CHUNK_ELEMENTS // kg)
+            tables = [_table(packed[i:i + per, g0:g0 + kg], p, b)
+                      for i in range(0, max(bits, 1), per)]
             for c0 in range(0, len(cofactors), step):
-                chunk = cofactors[c0:c0 + step]
-                acc = out[g0:g0 + kg, c0:c0 + step]
-                np.take(tables[0], chunk & (split - 1), axis=1, out=acc)
-                for i, table in enumerate(tables[1:], 1):
-                    acc ^= np.take(table, (chunk >> (i * per)) & (split - 1), axis=1)
-        else:
-            digits = digit(block[..., None], p, np.arange(cols)).reshape(bits, kg * cols)
-            tables = [_images(digits[i:i + per], p) for i in range(0, max(bits, 1), per)]
-            powers = float(p) ** np.arange(cols)
-            for c0 in range(0, len(cofactors), step):
-                rest, part = np.divmod(cofactors[c0:c0 + step], split)
-                sums = tables[0][part]
-                for table in tables[1:]:
-                    rest, part = np.divmod(rest, split)
-                    sums += table[part]
-                carry = sums / p
-                np.floor(carry, out=carry)
-                carry *= p
-                sums -= carry                   # digit sums mod p
-                out[g0:g0 + kg, c0:c0 + step] = (sums.reshape(-1, kg, cols) @ powers).T
+                cut = _cut(cofactors[c0:c0 + step], p, per, len(tables))
+                acc = np.take(tables[0], cut[0], axis=1)
+                for table, part in zip(tables[1:], cut[1:]):
+                    combine(acc, np.take(table, part, axis=1), out=acc)
+                if lo:
+                    out[g0:g0 + kg, c0:c0 + step] += _decode(acc, decode)
+                else:
+                    out[g0:g0 + kg, c0:c0 + step] = _decode(acc, decode)
     return out
 
 
@@ -213,25 +213,89 @@ def top_codes(field: Field, s: int, idx) -> np.ndarray:
     return out
 
 
-def _images(basis: np.ndarray, p: int) -> np.ndarray:
-    """Digit sums of the images of every index in [0, p^len(basis)), index
-    order, from the images `basis` of its digit vectors, by linearity."""
-    images = np.zeros((1, basis.shape[1]))
-    for row in basis:
-        # index d*p^j + i, i < p^j, maps to d*row + images[i]
-        images = (np.arange(p)[:, None, None] * row + images).reshape(-1, len(row))
-    return images
+def _cut(rest: np.ndarray, p: int, per: int, count: int) -> list:
+    """The `count` parts of `per` base-p digits each of the int64 indices
+    `rest` (all of whose digits they cover), lowest first: by shift and
+    mask in characteristic 2, else by floor division alone (in numpy much
+    cheaper than %)."""
+    parts = []
+    for _ in range(count - 1):
+        if p == 2:
+            parts.append(rest & ((1 << per) - 1))
+            rest = rest >> per
+        else:
+            high = rest // p ** per
+            parts.append(rest - high * p ** per)
+            rest = high
+    return parts + [rest]
 
 
-def _xor_table(rows: np.ndarray) -> np.ndarray:
-    """(k, 2^len(rows)) images of every index in [0, 2^len(rows)), index
-    order, from the (len(rows), k) int64 images of its bits, by doubling
-    with ^."""
+def _pack(images: np.ndarray, p: int, b: int, lo: int, count: int) -> np.ndarray:
+    """The base-p digits lo .. lo+count-1 of the indices `images`, digit
+    lo + l in the b-bit lane l of an int64."""
+    if b == 1:                          # p = 2: the digits are the bits
+        return (images >> lo) & ((1 << count) - 1)
+    packed, rest = np.zeros_like(images), images // p ** lo
+    for lane in range(count):
+        high = rest // p
+        packed |= (rest - high * p) << (b * lane)
+        rest = high
+    return packed
+
+
+def _table(rows: np.ndarray, p: int, b: int) -> np.ndarray:
+    """(k, p^len(rows)) packed images of every index in [0, p^len(rows)),
+    index order, from the (len(rows), k) packed images of its digits'
+    basis vectors, by linearity."""
+    ones = ((1 << (b * (63 // b))) - 1) // ((1 << b) - 1)     # 1 in every lane
+    bias = ((1 << (b - 1)) - p) * ones
     table = np.zeros((rows.shape[1], 1), dtype=np.int64)
     for row in rows:
-        # index 2^j + i, i < 2^j, maps to row ^ table[:, i]
-        table = np.concatenate([table, table ^ row[:, None]], axis=1)
+        # index d*p^j + i, i < p^j, maps to d*row + table[:, i], added digit
+        # by digit mod p: by XOR in characteristic 2; else a lane holds
+        # s <= 2p - 2 < 2^b, and s + 2^(b-1) - p (< 2^b) has the lane's top
+        # bit set exactly where s >= p
+        blocks = [table]
+        for _ in range(1, p):
+            if p == 2:
+                blocks.append(table ^ row[:, None])
+                continue
+            s = blocks[-1] + row[:, None]
+            s -= ((s + bias) >> (b - 1) & ones) * p
+            blocks.append(s)
+        table = np.concatenate(blocks, axis=1)
     return table
+
+
+def _decoders(p: int, b: int, lo: int, count: int) -> list:
+    """(shift, table) pairs that turn a sum S of packed images, its lanes
+    the digits lo .. lo+count-1, into their index: the sum over the pairs
+    of table[(S >> shift) & (len(table) - 1)].  A table covers as many
+    lanes as fit in CHUNK_ELEMENTS entries, reduces each lane mod p and
+    weights it by its power of p.  No tables in characteristic 2, where S
+    is the index."""
+    if p == 2:
+        return []
+    per = min(count, max(1, (CHUNK_ELEMENTS.bit_length() - 1) // b))     # lanes per table
+    digit = np.arange(1 << b, dtype=np.int64) % p       # a lane's value mod p
+    base = np.zeros(1, dtype=np.int64)  # the index of `per` lanes, by lanes
+    for lane in range(per):
+        # lane value v followed by lower lanes i: v mod p times p^lane + base[i]
+        base = (digit[:, None] * p ** lane + base).ravel()
+    # a table of fewer lanes is a prefix of the base
+    return [(b * first, base[:1 << (b * min(per, count - first))] * p ** (lo + first))
+            for first in range(0, count, per)]
+
+
+def _decode(packed: np.ndarray, decode: list) -> np.ndarray:
+    """The indices of the packed sums `packed` by the `_decoders` tables
+    `decode` (the sums themselves when there are none)."""
+    if not decode:
+        return packed
+    index = np.take(decode[0][1], packed & (len(decode[0][1]) - 1))
+    for shift, table in decode[1:]:
+        index += np.take(table, (packed >> shift) & (len(table) - 1))
+    return index
 
 
 class GnIndex:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Field
-from .gn import digit
+from .gn import _linear_map
 from .polys import Poly
 
 
@@ -126,17 +126,14 @@ def linear_form(beta: LaurentTruncation, g: Poly) -> int:
 
 
 def linear_form_table(beta: LaurentTruncation, n: int) -> np.ndarray:
-    """Values of the linear form over all of G_n, in index order (int16)."""
+    """Values of the linear form over all of G_n, in index order (int16).
+
+    g -> (beta*g)_{-1} is F_p-linear from G_n to G_1: the image of the
+    basis vector u^t x^j is u^t * beta_{-(j+1)}, so the table is one map
+    of the `gn` linear-map engine."""
     F = beta.field
     if beta.depth < n:
         raise ValueError(f"depth {beta.depth} too shallow for G_{n}")
-    q = F.q
-    size = q ** n
-    idx = np.arange(size, dtype=np.int64)
-    vals = np.zeros(size, dtype=np.int16)
-    add_t, mul_t = F.add_table, F.mul_table
-    for j in range(n):
-        c = beta.coeffs[j]
-        if c:
-            vals = add_t[vals, mul_t[c][digit(idx, q, j)]]
-    return vals
+    images = F.mul_table[np.array(beta.coeffs[:n], dtype=np.intp)[:, None],
+                         F.p ** np.arange(F.r)].astype(np.int64)
+    return _linear_map(F, images.reshape(F.r * n, 1), 1)[0].astype(np.int16)

@@ -45,6 +45,7 @@ from ffmult.analytics import (distance_terms, min_distance_over_hayes,
 from ffmult.characters import DirichletCharacter, top_coefficient_tuple
 from ffmult.experiments import resolve_hayes
 from ffmult.gn import GnIndex, times_fixed
+from ffmult.laurent import linear_form, linear_form_table
 from ffmult.multiplicative import function_on_gn, prime_values
 from ffmult.polys import irreducible_count, irreducible_indices, irreducibles_of_degree
 
@@ -224,9 +225,11 @@ def test_over_budget_callable_is_refused_before_its_first_call():
     assert f.calls == 0
 
 
-# q -> ((p, r), largest cofactor width m of the kernel grid)
+# q -> ((p, r), largest cofactor width m of the kernel grid); for p = 3, 5
+# and 17, 2(p - 1) is a power of two, so a lane one bit too narrow for the
+# sum of two digits overflows
 KERNEL_GRID = {2: ((2, 1), 7), 3: ((3, 1), 4), 4: ((2, 2), 3), 5: ((5, 1), 3),
-               8: ((2, 3), 3), 9: ((3, 2), 2)}
+               8: ((2, 3), 3), 9: ((3, 2), 2), 17: ((17, 1), 2), 27: ((3, 3), 1)}
 
 
 def poly_products(field, stack, cofactors):
@@ -263,6 +266,66 @@ def test_times_fixed_equals_poly_products(q, chunk, monkeypatch):
             monic = np.arange(q ** m, 2 * q ** m, dtype=np.int64)
             assert np.array_equal(times_fixed(field, stack, m + 1, monic),
                                   poly_products(field, stack, monic)), (stack, m)
+
+
+@pytest.mark.parametrize("pr,m", [((3, 1), 25), ((3, 2), 12), ((17, 1), 10)])
+@pytest.mark.parametrize("chunk", [None, 7, 40])
+def test_times_fixed_maps_wide_images_in_slices(pr, m, chunk, monkeypatch):
+    # the images' base-p digits need more lanes than one int64 holds
+    if chunk is not None:
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    field = build_field(*pr)
+    q = field.q
+    stack = [(1, q - 1, 2), (q - 1, 0, 1)]
+    rng = np.random.default_rng(m)
+    cofactors = np.array([0, 1, q ** m - 1, q ** m // 3]
+                         + [int(h) for h in rng.integers(0, q ** m, 4)], dtype=np.int64)
+    assert np.array_equal(times_fixed(field, stack, m, cofactors),
+                          poly_products(field, stack, cofactors))
+
+
+@pytest.mark.parametrize("pr,widest", [((2, 1), 63), ((2, 3), 21), ((3, 1), 39),
+                                       ((17, 1), 15)])
+def test_times_fixed_refuses_products_past_int64_indices(pr, widest):
+    # q^widest <= 2^63 < q^(widest + 1): products of `widest` coefficients
+    # are the widest whose indices int64 holds
+    field = build_field(*pr)
+    q = field.q
+    assert q ** widest <= 2 ** 63 < q ** (widest + 1)
+    stack = [(1, q - 1)]
+    cofactors = np.array([0, 1, q ** (widest - 1) - 1, q ** (widest - 1) // 3], dtype=np.int64)
+    assert np.array_equal(times_fixed(field, stack, widest - 1, cofactors),
+                          poly_products(field, stack, cofactors))
+    with pytest.raises(BudgetError, match="exceed int64 indices"):
+        times_fixed(field, stack, widest, cofactors)
+
+
+def test_linear_map_blocks_hold_at_most_chunk_elements(monkeypatch):
+    # every table of packed images, decode table and chunk of cofactor
+    # images, whatever the size of G_m
+    sizes = []
+
+    def spy(name, size):
+        inner = getattr(gn, name)
+
+        def wrapped(*args):
+            out = inner(*args)
+            sizes.append((name, size(out, *args)))
+            return out
+        monkeypatch.setattr(gn, name, wrapped)
+
+    spy("_table", lambda out, *args: out.size)
+    spy("_decoders", lambda out, *args: max([len(t) for _, t in out], default=0))
+    spy("_decode", lambda out, packed, decode: packed.size)
+    # (p, r), m of all of G_m, a wide m of a few cofactors
+    for pr, m, wide in [((2, 1), 14, 40), ((2, 3), 5, 12), ((3, 1), 9, 25), ((17, 1), 4, 12),
+                        ((3, 3), 3, 8)]:
+        field = build_field(*pr)
+        times_fixed(field, [prime.coeffs for prime in irreducibles_of_degree(field, 1)], m)
+        times_fixed(field, [(1, 1, 1)], wide, np.arange(5, dtype=np.int64))
+        gn.residues(field, (1, 0, 0, 0, 0, 0, 1), np.arange(field.q ** m, dtype=np.int64))
+    assert {name for name, _ in sizes} == {"_table", "_decoders", "_decode"}
+    assert max(size for _, size in sizes) <= gn.CHUNK_ELEMENTS
 
 
 @pytest.mark.parametrize("q", sorted(KERNEL_GRID))
@@ -331,6 +394,21 @@ def test_top_codes_equal_top_coefficient_tuples(q, chunk, monkeypatch):
             top_coefficient_tuple(field, Poly.from_index(field, h), s)))
             for h in range(1, len(idx))]
         assert np.array_equal(gn.top_codes(field, s, idx), expected), s
+
+
+@pytest.mark.parametrize("q", sorted(KERNEL_GRID))
+@pytest.mark.parametrize("chunk", [None, 7, 40])
+def test_linear_form_table_equals_the_scalar_form(q, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    (p, r), m_max = KERNEL_GRID[q]
+    field = build_field(p, r)
+    rng = np.random.default_rng(q)
+    for n in range(m_max + 2):
+        beta = LaurentTruncation(field, [int(c) for c in rng.integers(0, q, n + 1)])
+        table = linear_form_table(beta, n)
+        expected = [linear_form(beta, Poly.from_index(field, h)) for h in range(q ** n)]
+        assert table.dtype == np.int16 and table.tolist() == expected, (beta, n)
 
 
 def hayes_grid(field):

@@ -24,6 +24,10 @@ tk-check) were recorded while the product and residue maps still summed
 float digit images in characteristic 2 and the sieve boxed every
 irreducible, so they hold the XOR form of those maps with r > 1, and the
 built-ins read one value per degree, to that payload.
+The tk-check and distance-growth pins over F_9 and the decay-table pin over
+F_7 were recorded while the product, residue and linear-form maps of odd
+characteristic still summed float digit images, so they hold the packed
+integer lanes of those maps, with r > 1 and p > 5, to that payload.
 """
 
 import hashlib
@@ -175,6 +179,21 @@ PINS = {
          "function": {"kind": "builtin", "name": "moebius"},
          "phase": {"terms": [{"coef": 5, "factors": [[1, 2, 7, 0, 3], [6, 0, 1, 3, 4]]}]}},
         "a2bd00b7ab6ff1ebcdb5aab663a8384c05693c54c732d673ca12fcb25c77b987"),
+    "tk-f9": (
+        {"kind": "tk-check", "field": {"p": 3, "r": 2}, "n": {"start": 2, "stop": 4},
+         "tk": {"W": 1, "H": 4}},
+        "8dee2537de708c10975e2c59fc3b1967d1eb53226992ad4395ba1f12b5fab31f"),
+    "distance-moebius-f9": (
+        {"kind": "distance-growth", "field": {"p": 3, "r": 2}, "n": {"start": 1, "stop": 4},
+         "function": {"kind": "builtin", "name": "moebius"},
+         "hayes": {"theta": "1/3", "dirichlet": {"modulus": [4, 0, 1], "index": 5},
+                   "short": {"s": 1, "index": 2}}},
+        "7af828e6635e1071215fa1a815039cc852d7cd45d9e19c80428e521edb616c15"),
+    "decay-liouville-f7": (
+        {"kind": "decay-table", "field": {"p": 7, "r": 1}, "n": {"start": 1, "stop": 5},
+         "function": {"kind": "builtin", "name": "liouville"},
+         "phase": {"terms": [{"coef": 3, "factors": [[1, 6, 2, 0, 5], [4, 0, 3, 6, 1]]}]}},
+        "837a5ff01f82a0570d829d583065ef1186bf8d6f293abb94944ff147fd354782"),
     "bias-rank-f3": (
         {"kind": "bias-rank-demo", "field": {"p": 3, "r": 1},
          "bias": {"r_values": [1, 2], "slot_dim": 3, "arity": 2}},
