@@ -277,11 +277,11 @@ def _decoders(p: int, b: int, lo: int, count: int) -> list:
     if p == 2:
         return []
     per = min(count, max(1, (CHUNK_ELEMENTS.bit_length() - 1) // b))     # lanes per table
-    digit = np.arange(1 << b, dtype=np.int64) % p       # a lane's value mod p
+    lane_mod = np.arange(1 << b, dtype=np.int64) % p    # a lane's value mod p
     base = np.zeros(1, dtype=np.int64)  # the index of `per` lanes, by lanes
     for lane in range(per):
         # lane value v followed by lower lanes i: v mod p times p^lane + base[i]
-        base = (digit[:, None] * p ** lane + base).ravel()
+        base = (lane_mod[:, None] * p ** lane + base).ravel()
     # a table of fewer lanes is a prefix of the base
     return [(b * first, base[:1 << (b * min(per, count - first))] * p ** (lo + first))
             for first in range(0, count, per)]
