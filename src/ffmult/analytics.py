@@ -431,15 +431,21 @@ def turan_kubilius(field: Field, n: int, W: int, H: int) -> TKResult:
     Every p divides g = 0, so the count at g = 0 is the number of primes in
     the window.
     """
-    return turan_kubilius_from_counts(field, window_divisor_counts(field, n, W, H), n, W, H)
+    return turan_kubilius_from_counts(field, window_divisor_counts(field, n, W, H), n,
+                                      window_mass(field, W, H), W, H)
 
 
-def turan_kubilius_from_counts(field: Field, counts: np.ndarray, n: int,
+def window_mass(field: Field, W: int, H: int) -> float:
+    """A = sum over the monic irreducibles with W < deg p < H of q^{-deg p},
+    one correctly rounded fsum with a term per prime."""
+    return math.fsum(field.q ** -d for d in _tk_degrees(W, H)
+                     for _ in range(irreducible_count(field, d)))
+
+
+def turan_kubilius_from_counts(field: Field, counts: np.ndarray, n: int, A: float,
                                W: int, H: int) -> TKResult:
     """turan_kubilius on G_n from its window counts, e.g. the prefix of
-    window_divisor_counts on a larger G_N."""
-    A = math.fsum(field.q ** -d for d in _tk_degrees(W, H)
-                  for _ in range(irreducible_count(field, d)))
+    window_divisor_counts on a larger G_N, and the window's `window_mass` A."""
     size = field.q ** n
     dev = counts[:size].astype(np.float64) - A
     lhs = float(np.sum(dev * dev))

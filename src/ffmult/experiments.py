@@ -493,8 +493,9 @@ def _rows_tk(cfg: ExperimentConfig, field: Field):
     W, H = cfg.sections["tk"]["W"], cfg.sections["tk"]["H"]
     # a divisor count does not depend on n: G_n reads the prefix of G_{n_stop}
     counts = analytics.window_divisor_counts(field, cfg.n_stop, W, H)
+    A = analytics.window_mass(field, W, H)
     for n in range(cfg.n_start, cfg.n_stop + 1):
-        res = analytics.turan_kubilius_from_counts(field, counts, n, W, H)
+        res = analytics.turan_kubilius_from_counts(field, counts, n, A, W, H)
         yield (n, res.A, res.lhs, res.ratio)
 
 

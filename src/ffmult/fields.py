@@ -116,7 +116,8 @@ class Field:
         # exp(2*pi*i*k/p) for exponent->complex conversion at sum time
         self.roots = _exact_roots(p)
         self._unit_roots: dict[int, np.ndarray] = {p: self.roots}
-        # lazy caches owned by polys.py (irreducible tables) — see that module
+        # lazy caches owned by polys.py (irreducible tables) — see that module;
+        # multiplicative.function_on_gn fills the index arrays from its own pass
         self._irreducibles: dict[int, tuple] = {}
         self._irreducible_indices: dict[int, np.ndarray] = {}
         self._factor_memo: dict = {}

@@ -6,18 +6,23 @@ unit-invariant), and the convention f(0) = 0.  A value at one polynomial,
 f(g), comes from factor() (whose field-wide memo is the one scalar memo);
 that is the only use of the field's factor-degree bound.  A whole array on
 G_n comes from `function_on_gn`, and the values at the irreducibles of one
-degree from `prime_values`, both bit for bit equal to the scalar path: a
-prime-power sieve over index space that needs no factor(), and for
-characters and twists the Hayes arrays of `HayesCharacter.values_at` (times
-the base function's array).  `per_element` is the one loop that calls a
-function polynomial by polynomial; only plain callables (and an
+degree from `prime_values`, both bit for bit equal to the scalar path.
+`function_on_gn` is one Eratosthenes pass over index space that needs no
+factor(): per degree d it multiplies each g by f(p^k) for its primes p of
+degree d in rounds, one vectorized scatter per round (the r-th prime of
+every g), and a single scatter when 2d >= n, where no g has two such
+primes; the irreducibles it needs are read from its own composite marks.
+Characters and twists are the Hayes arrays of `HayesCharacter.values_at`
+(times the base function's array).  `per_element` is the one loop that
+calls a function polynomial by polynomial; only plain callables (and an
 `eval_override` that is one) reach it.
 
 Built-ins: moebius (mu(p) = -1, zero on non-squarefree), liouville
 (lambda(p^k) = (-1)^k), one.  Character-derived functions wrap a Hayes
 product directly (completely multiplicative).  Random candidates assign
-seeded i.i.d. values to each irreducible and extend completely
-multiplicatively; the same seed always reproduces the same function.
+seeded i.i.d. values to each irreducible, drawn per degree into an array
+in index order, and extend completely multiplicatively; the same seed
+always reproduces the same function.
 
 Functions whose prime-power values depend only on (deg p, k) carry a
 degree profile, and f(p^k) = degree_profile(deg p, k) is then part of the
@@ -49,6 +54,9 @@ class MultiplicativeFunction:
     # (base, H, conjugate) for from_character(H) (base None) and
     # twist(base, H, conjugate): the array paths read H as Hayes arrays
     _character = None
+    # d -> f(p) at irreducible_indices(field, d) for a random function,
+    # whose prime-power rule is f(p) ** k: the array paths read these
+    _drawn = None
 
     def __init__(self, field: Field, prime_power_rule, *, name: str,
                  completely_multiplicative: bool = False, unit_rule=None,
@@ -104,27 +112,33 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scale(re: np.ndarray, im: np.ndarray, idx: np.ndarray, c: complex):
-    """(re + i im)[idx] *= c, rounded as Python's complex product rounds it.
-
-    Separate float64 ufuncs, never numpy's complex `*`, which may fuse the
-    multiply-add and then differs in the last bit.
-    """
-    ar, ai = re[idx], im[idx]
-    re[idx] = ar * c.real - ai * c.imag
-    im[idx] = ar * c.imag + ai * c.real
+def _scatter(out: np.ndarray, targets: np.ndarray, values: np.ndarray):
+    """out[targets] *= values (targets distinct), each product rounded as
+    Python's complex product rounds it (`_products`)."""
+    part = out[targets]
+    part.real, part.imag = _products(part, values)      # keeps the signs of zeros
+    out[targets] = part
 
 
 def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
     """f on all of G_n as a complex array in index order, bit-identical to
     [f(g) for g in G_n].
 
-    Functions without an eval_override are sieved over index space: every
-    nonzero index starts at unit_rule(lc), and for each irreducible p, in
-    (degree, index) order, the indices exactly divisible by p^k are
-    multiplied by f(p^k) (`_prime_power_values`).  That is the order
-    factor() returns, so each value sees the same roundings as the scalar
-    path.
+    Functions without an eval_override are sieved over index space in one
+    Eratosthenes pass: every nonzero index starts at unit_rule(lc), and each
+    degree d < n multiplies every g by f(p^k) for the primes p of degree d
+    with p^k || g, p in index order, which is the order factor() returns, so
+    each value sees the same roundings as the scalar path.  A degree is
+    applied in rounds, one vectorized `_scatter` per round: the (g, p, k)
+    of the degree are sorted by (g, p) and round r takes the r-th prime of
+    every g, so at most floor((n-1)/d) rounds.  When 2d >= n no g has two
+    primes of degree d (nor p^2 | g), and the degree is one scatter of its
+    products p*h, h != 0, with no sort.
+    The irreducibles of each degree are read from the pass's own marks:
+    the multiples p*h with deg h >= 1 of the primes of degree d < n/2 mark
+    every composite of G_n, so the unmarked monic indices of degree d are
+    its primes.  They fill the field's irreducible cache where it has no
+    entry yet (the standalone `irreducible_indices` gives the same arrays).
     A character is its Hayes array; a twist is its base's array times the
     Hayes array (or its conjugate), by the separate float64 products of
     `_products`.  Any other eval_override is a plain callable and goes
@@ -144,55 +158,84 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
         return _complex(*_products(function_on_gn(base, n), values, conjugate))
     if f.eval_override is not None:
         return per_element(field, f, range(size))
-    units = [0j] + [complex(f.unit_rule(c)) for c in range(1, q)]
-    lc = leading_coefficients(q, n)
-    re = np.array([u.real for u in units])[lc]
-    im = np.array([u.imag for u in units])[lc]
+    units = np.array([0j] + [complex(f.unit_rule(c)) for c in range(1, q)])
+    out = units[leading_coefficients(q, n)]
+    cache = field._irreducible_indices
+    composite = np.zeros(size, dtype=bool)
     for d in range(1, n):
-        primes = irreducible_indices(field, d)
-        value = _prime_power_values(f, d, (n - 1) // d)
+        if d not in cache:
+            cache[d] = np.flatnonzero(~composite[q ** d:2 * q ** d]) + q ** d
+        primes = cache[d]
         steps = times_fixed(field, digit_matrix(q, d + 1, primes), n - d)
-        for i, step in enumerate(steps):
-            # mult[h] = index of p^k h, h in G_{n-kd}; those h divisible by
-            # p are step[:q^(n-(k+1)d)], and h = 0 always is
-            mult, k = step, 1
-            while True:
-                rest = n - (k + 1) * d
-                divisible = step[:q ** max(rest, 0)]
-                exact = np.ones(mult.size, dtype=bool)
-                exact[divisible] = False
-                _scale(re, im, mult[exact], value(i, k))
-                if rest < 1:
-                    break
-                mult, k = mult[divisible], k + 1
-    return _complex(re, im)
+        values = _prime_power_values(f, d, (n - 1) // d)
+        if 2 * d >= n:
+            _scatter(out, steps[:, 1:], values[0][:, None])
+            continue
+        composite[steps[:, q:]] = True
+        g, slot = _exact_powers(steps, q, n, d, len(values))
+        del steps                       # the rounds below hold the peak memory
+        flat = values.T.ravel()
+        # round r takes the r-th prime (in index order) of every g
+        at = np.flatnonzero(np.diff(g, prepend=-1))
+        while len(at):
+            _scatter(out, g[at], flat[slot[at]])
+            at = at[at + 1 < len(g)] + 1
+            at = at[g[at] == g[at - 1]]
+    return out
 
 
-def _prime_power_values(f: MultiplicativeFunction, d: int, top: int):
-    """value(i, k) = f.on_prime_power(p, k) at the i-th irreducible p of
-    degree d, for k <= top: one profile value per k when f has a degree
-    profile (no Poly is built), else the prime-power rule at the boxed prime."""
-    if f.degree_profile is None:
-        primes = irreducibles_of_degree(f.field, d)
-        return lambda i, k: complex(f.prime_power_rule(primes[i], k))
-    by_k = [complex(f.degree_profile(d, k)) for k in range(1, top + 1)]
-    return lambda i, k: by_k[k - 1]
+def _exact_powers(steps: np.ndarray, q: int, n: int, d: int, top: int):
+    """(g, slot) for every g of G_n and prime p_i of degree d with p_i^k || g,
+    k <= top, sorted by (g, i), with slot = i * top + k - 1.
+
+    `steps` are the `times_fixed` rows p_i * h, h in G_{n-d}.  On the k-th
+    rung of the ladder mult[i, h] is the index of p_i^k h, h in G_{n-kd};
+    the h divisible by p_i are the columns steps[i, :q^(n-(k+1)d)] (h = 0
+    always is), and taking those columns gives the next rung.
+    """
+    span = len(steps) * top
+    mult, keys = steps, []
+    for k in range(1, top + 1):
+        divisible = steps[:, :q ** max(n - (k + 1) * d, 0)]
+        exact = np.ones(mult.shape, dtype=bool)
+        np.put_along_axis(exact, divisible, False, axis=1)
+        keys.append(mult[exact] * span + np.nonzero(exact)[0] * top + (k - 1))
+        mult = np.take_along_axis(mult, divisible, axis=1)
+    keys = np.concatenate(keys)
+    keys.sort()
+    g = keys // span
+    keys -= g * span
+    return g, keys
+
+
+def _prime_power_values(f: MultiplicativeFunction, d: int, top: int) -> np.ndarray:
+    """(top, primes) complex array of f.on_prime_power(p, k), k = 1..top, at
+    the irreducibles p of degree d in index order, bit for bit.  A degree
+    profile gives one value per k and a random function its drawn values
+    raised by its rule's own `** k`, neither building a Poly; any other
+    function calls its prime-power rule at the boxed primes."""
+    ks = range(1, top + 1)
+    if f.degree_profile is not None:
+        by_k = np.array([complex(f.degree_profile(d, k)) for k in ks])
+        return np.repeat(by_k[:, None], len(irreducible_indices(f.field, d)), axis=1)
+    if f._drawn is not None:
+        drawn = f._drawn(d).tolist()
+        return np.array([[v ** k for v in drawn] for k in ks], dtype=np.complex128)
+    primes = irreducibles_of_degree(f.field, d)
+    return np.array([[f.on_prime_power(p, k) for p in primes] for k in ks],
+                    dtype=np.complex128)
 
 
 def prime_values(f: MultiplicativeFunction, d: int) -> np.ndarray:
     """[f.on_prime_power(p, 1) for p in irreducibles_of_degree(field, d)]
-    as a complex array, bit for bit.  A function with a degree profile
-    takes its one value at degree d; a character or twist reads H at the
+    as a complex array, bit for bit.  A character or twist reads H at the
     sieve's index array, with the `** 1` of its prime-power rule applied to
-    each table entry; any other function is called prime by prime."""
-    field = f.field
+    each table entry; any other function takes the k = 1 row of
+    `_prime_power_values`."""
     if f._character is None:
-        if f.degree_profile is not None:
-            return np.full(len(irreducible_indices(field, d)), complex(f.degree_profile(d, 1)))
-        primes = irreducibles_of_degree(field, d)
-        return np.fromiter((f.on_prime_power(p, 1) for p in primes), np.complex128, len(primes))
+        return _prime_power_values(f, d, 1)[0]
     base, H, conjugate = f._character
-    values = H.values_at(irreducible_indices(field, d), lambda v: v ** 1)
+    values = H.values_at(irreducible_indices(f.field, d), lambda v: v ** 1)
     if base is None:
         return values
     return _complex(*_products(prime_values(base, d), values, conjugate))
@@ -258,33 +301,41 @@ def random_on_irreducibles(field: Field, seed: int,
     """Seeded i.i.d. values on irreducibles, extended completely multiplicatively.
 
     value_set: "pm1" for uniform {+1, -1}, "unit" for uniform on the circle.
-    Values are drawn per degree block in enumeration order, so they do not
-    depend on evaluation order.
+    Values are drawn per degree block in index order into an array, so they
+    do not depend on evaluation order; the prime-power rule finds a prime's
+    value by its index, and the array paths read the blocks directly.
     """
     if value_set not in ("pm1", "unit"):
         raise ValueError("value_set must be 'pm1' or 'unit'")
-    tables: dict[int, dict] = {}
+    blocks: dict[int, np.ndarray] = {}
 
-    def value_of(p: Poly) -> complex:
-        d = int(p.degree)
-        if d not in tables:
+    def drawn(d: int) -> np.ndarray:
+        if d not in blocks:
             # arithmetic mixing, not tuple hashing: str hashes are salted
             # per process and would break cross-run reproducibility
             key = ((seed * 1_000_003 + field.q) * 1_000_003 + d) * 2
             rng = random.Random(key + (1 if value_set == "unit" else 0))
-            block = {}
-            for irr in irreducibles_of_degree(field, d):
-                if value_set == "pm1":
-                    block[irr] = complex(rng.choice((1.0, -1.0)))
-                else:
-                    block[irr] = cmath.exp(2j * cmath.pi * rng.random())
-            tables[d] = block
-        return tables[d][p]
+            count = len(irreducible_indices(field, d))
+            if value_set == "pm1":
+                block = [rng.choice((1.0, -1.0)) for _ in range(count)]
+            else:
+                block = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(count)]
+            blocks[d] = np.array(block, dtype=np.complex128)
+        return blocks[d]
 
-    return MultiplicativeFunction(
+    def value_of(p: Poly) -> complex:
+        primes, key = irreducible_indices(field, p.degree), p.to_index()
+        at = int(np.searchsorted(primes, key))
+        if at == len(primes) or primes[at] != key:
+            raise KeyError(p)
+        return complex(drawn(p.degree)[at])
+
+    f = MultiplicativeFunction(
         field, lambda p, k: value_of(p) ** k, name=f"random[{seed},{value_set}]",
         completely_multiplicative=True,
         descriptor={"kind": "random", "seed": seed, "values": value_set})
+    f._drawn = drawn
+    return f
 
 
 def twist(f: MultiplicativeFunction, H: HayesCharacter,

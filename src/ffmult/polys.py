@@ -343,7 +343,8 @@ def irreducible_indices(field: Field, d: int) -> np.ndarray:
     Every monic of degree d that is a product p*h with p irreducible of
     degree e <= d/2 and h monic of degree d - e is marked; the products
     come from `times_fixed` on the coefficient rows of the degree-e
-    indices, so no Poly is built.
+    indices, so no Poly is built.  `multiplicative.function_on_gn` fills
+    the same cache, with the same arrays, from the marks of its own pass.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")

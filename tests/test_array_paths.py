@@ -12,6 +12,9 @@ where the prime-power rule applies it.
 
 `function_on_gn` (the prime-power sieve, or the Hayes arrays for
 characters and twists) must give exactly the bytes of [f(g) for g in G_n],
+and, at sizes where that scalar path is too slow, of a per-prime reference
+loop; the sieve scatters once per round within a memory bound and leaves
+in the field the irreducibles the standalone sieve gives;
 `prime_values` those of [f.on_prime_power(p, 1)], and `correlate` /
 `katai_statistic` must give the same floats whether the function arrives
 as a MultiplicativeFunction, as an array, or wrapped in a plain callable
@@ -21,14 +24,15 @@ all; `mean_value` equals the scalar fsum over the degree-n slice;
 `distance_terms` and `min_distance_over_hayes` equal their scalar loops.
 
 A built-in read once per degree from its profile must give the bytes of
-its per-prime rule, and the array paths of the built-ins (the sieve, the
-Turan-Kubilius counts, function and prime arrays, distance terms against
-a Hayes character) must build no Poly.
+its per-prime rule, and the array paths of the built-ins and random
+functions (the sieve, the Turan-Kubilius counts, function and prime
+arrays, distance terms against a Hayes character) must build no Poly.
 """
 
 import cmath
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +45,8 @@ from ffmult import (BudgetError, DegreeTwist, HayesCharacter, LaurentTruncation,
                     sample_on_gn, short_interval_characters, twist)
 from ffmult import gn
 from ffmult.analytics import (distance_terms, min_distance_over_hayes,
-                              turan_kubilius_from_counts, window_divisor_counts)
+                              turan_kubilius_from_counts, window_divisor_counts,
+                              window_mass)
 from ffmult.characters import DirichletCharacter, top_coefficient_tuple
 from ffmult.experiments import resolve_hayes
 from ffmult.gn import GnIndex, times_fixed
@@ -135,6 +140,91 @@ def test_sieve_ignores_the_factor_degree_bound():
         mu(Poly.from_index(field, 2 ** 8 + 3))
     wide = build_field(2, 1)
     assert arr.tobytes() == per_element(builtin(wide, "moebius"), 9).tobytes()
+
+
+def per_prime_sieve(f, n):
+    """function_on_gn as the prime-power sieve was first written: one scale
+    of the exact multiples of p^k per prime p and k, primes boxed from the
+    standalone sieve, in (degree, index) order."""
+    field = f.field
+    q = field.q
+    units = [0j] + [complex(f.unit_rule(c)) for c in range(1, q)]
+    lc = gn.leading_coefficients(q, n)
+    re = np.array([u.real for u in units])[lc]
+    im = np.array([u.imag for u in units])[lc]
+    for d in range(1, n):
+        primes = irreducibles_of_degree(field, d)
+        for p, step in zip(primes, times_fixed(field, [p.coeffs for p in primes], n - d)):
+            mult, k = step, 1
+            while True:
+                rest = n - (k + 1) * d
+                divisible = step[:q ** max(rest, 0)]
+                exact = np.ones(mult.size, dtype=bool)
+                exact[divisible] = False
+                c, at = f.on_prime_power(p, k), mult[exact]
+                ar, ai = re[at], im[at]
+                re[at] = ar * c.real - ai * c.imag
+                im[at] = ar * c.imag + ai * c.real
+                if rest < 1:
+                    break
+                mult, k = mult[divisible], k + 1
+    out = np.empty(q ** n, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def prime_rule(field):
+    """No degree profile, and a distinct value at every prime power, so the
+    order in which a g's factors are multiplied shows in the last bits."""
+    return MultiplicativeFunction(
+        field, lambda p, k: cmath.exp(1j * (0.1 + p.to_index() * 0.7 + k * 0.3)) * (1 + k / 7),
+        name="prime-rule")
+
+
+@pytest.mark.parametrize("pr,n", [((2, 1), 14), ((3, 1), 9), ((2, 2), 6), ((5, 1), 6),
+                                  ((3, 2), 4)])
+@pytest.mark.parametrize("name", ("random-unit", "unit-liouville", "prime-rule"))
+def test_function_on_gn_equals_the_per_prime_sieve(pr, n, name):
+    # n where rounds (several primes of one degree) and k >= 2 meet; the
+    # scalar path is too slow here, so the per-prime loop is the reference
+    def make(field):
+        return prime_rule(field) if name == "prime-rule" else make_function(field, name)
+
+    field, reference = build_field(*pr), build_field(*pr)
+    got = function_on_gn(make(field), n)
+    assert got.tobytes() == per_prime_sieve(make(reference), n).tobytes()
+    # the irreducibles read from the pass's marks, against a fresh field's sieve
+    fresh = build_field(*pr)
+    assert sorted(field._irreducible_indices) == list(range(1, n))
+    for d in range(1, n):
+        cached = field._irreducible_indices[d]
+        assert cached.dtype == np.int64
+        assert np.array_equal(cached, irreducible_indices(fresh, d)), d
+
+
+def test_function_on_gn_scatters_once_per_round_within_a_memory_bound(monkeypatch):
+    from ffmult import multiplicative
+
+    scatter, calls = multiplicative._scatter, []
+
+    def counted(*args):
+        calls.append(args)
+        scatter(*args)
+
+    monkeypatch.setattr(multiplicative, "_scatter", counted)
+    mu = builtin(build_field(2, 1), "moebius")
+    function_on_gn(mu, 13)
+    # one scatter per round, at most floor(12 / d) rounds at degree d
+    assert len(calls) <= sum(12 // d for d in range(1, 13)) == 35
+    monkeypatch.undo()
+    mu = builtin(build_field(2, 1), "moebius")
+    tracemalloc.start()
+    try:
+        out = function_on_gn(mu, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * out.nbytes
 
 
 def _phase(field, n, seed):
@@ -346,11 +436,12 @@ def test_tk_counts_on_g_n_stop_have_the_per_n_counts_as_prefixes(pr, n_stop, W, 
     # divide only g = 0
     field = build_field(*pr)
     full = window_divisor_counts(field, n_stop, W, H)
+    A = window_mass(field, W, H)
     for n in range(1, n_stop + 1):
         per_n = window_divisor_counts(field, n, W, H)
         assert np.array_equal(full[:field.q ** n], per_n), n
-        a = turan_kubilius_from_counts(field, full, n, W, H)
-        b = turan_kubilius_from_counts(field, per_n, n, W, H)
+        a = turan_kubilius_from_counts(field, full, n, A, W, H)
+        b = turan_kubilius_from_counts(field, per_n, n, A, W, H)
         assert struct.pack("<3d", a.A, a.lhs, a.ratio) == struct.pack("<3d", b.A, b.lhs, b.ratio)
     primes = sum(len(irreducibles_of_degree(field, d)) for d in range(max(W + 1, 1), H))
     assert full[0] == primes
@@ -487,14 +578,16 @@ def poly_constructions(monkeypatch):
 def test_array_paths_build_no_poly(pr, poly_constructions):
     n = GRID[pr]
     field = build_field(*pr)            # fresh: no irreducible cached
-    functions = [builtin(field, name) for name in ("moebius", "liouville", "one")]
+    functions = [make_function(field, name)
+                 for name in ("moebius", "liouville", "one", "random-pm1", "random-unit")]
     target = from_character(resolve_hayes(field, {
         "theta": "1/3", "short": {"s": 1, "index": 1},
         "dirichlet": {"modulus": [1, 1, 1], "index": 1}}))
     poly_constructions.clear()
     for d in range(1, n + 1):
         assert len(irreducible_indices(field, d)) == irreducible_count(field, d)
-    turan_kubilius_from_counts(field, window_divisor_counts(field, n, 1, n + 2), n, 1, n + 2)
+    turan_kubilius_from_counts(field, window_divisor_counts(field, n, 1, n + 2), n,
+                               window_mass(field, 1, n + 2), 1, n + 2)
     for f in functions:
         function_on_gn(f, n)
         for d in range(1, n + 1):
