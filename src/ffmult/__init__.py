@@ -41,10 +41,10 @@ from .phases import (BiasResult, MultilinearForm, PolynomialPhase, RankBounds,
                      ZeroCountResult, delta, derivative_form, diagonal,
                      eval_phase, iterated_difference, projective_common_zeros,
                      rank_upper_bounds, verify_degree)
-from .analytics import (ApResult, CorrelationSeries, GnIndex, MinDistanceResult,
-                        RBiasResult, TKResult, ap_correlation, composite_on_gn,
-                        correlate, fourier_coefficients, gowers_norm,
-                        halasz_product, hayes_on_gn, katai_statistic,
+from .analytics import (ApResult, GnIndex, MinDistanceResult, RBiasResult, TKResult,
+                        ap_correlation, composite_on_gn, correlate,
+                        fourier_coefficients, gowers_norm, halasz_product,
+                        hayes_on_gn, katai_statistic,
                         linear_phase_sum, mean_value, min_distance_over_hayes,
                         pretentious_distance, periodic_from_residues,
                         phase_character_array, r_bias_statistic,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,11 +41,11 @@ from .errors import BudgetError
 from .fields import Field
 from .gn import GnIndex, digit_matrix, times_fixed
 from .laurent import LaurentTruncation, linear_form_table
-from .multiplicative import (MultiplicativeFunction, _complex, _products, from_character,
-                             function_on_gn, per_element, prime_values)
+from .multiplicative import (MultiplicativeFunction, _complex, _prime_power_values, _products,
+                             from_character, function_on_gn, per_element, prime_values)
 from .phases import PolynomialPhase, derivative_form
 from .polys import (Poly, irreducible_count, irreducible_indices, irreducibles_of_degree,
-                    p_k)
+                    monic_of_degree, necklace_count)
 
 
 def _on_gn(field: Field, n: int, f, indices: range) -> np.ndarray:
@@ -113,21 +113,6 @@ def _fsum_arrays(re: np.ndarray, im: np.ndarray) -> complex:
 
 
 # -- correlation ----------------------------------------------------------------
-
-
-@dataclass
-class CorrelationSeries:
-    """Rows of (n, mean, count) with enough metadata to re-derive them."""
-
-    domain: str
-    rows: list = dc_field(default_factory=list)
-    metadata: dict = dc_field(default_factory=dict)
-
-    def append(self, n: int, mean: complex, count: int):
-        self.rows.append((n, mean, count))
-
-    def abs_means(self):
-        return [abs(m) for _, m, _ in self.rows]
 
 
 def domain_indices(field: Field, n: int, domain: str):
@@ -255,6 +240,25 @@ def ap_correlation(field: Field, n: int, fs, budget: int = 10 ** 8,
 # -- Katai statistic -------------------------------------------------------------
 
 
+# a pair set by name: (its degrees for k, its number of members of degree d
+# over F_q, its members of degree d as sorted int64 indices)
+_PAIR_SETS = {
+    "P_k": (lambda k: (k, k + 1), necklace_count, irreducible_indices),
+    "G_{k+1}": (lambda k: range(k + 1), lambda q, d: (q - 1) * q ** d,
+                lambda field, d: np.arange(field.q ** d, field.q ** (d + 1), dtype=np.int64)),
+}
+
+
+def _pair_set(field: Field, k: int, name: str) -> dict:
+    """{d: members of degree d}, degrees ascending: "P_k" is the monic
+    irreducibles of degree k and k+1, "G_{k+1}" every nonzero polynomial of
+    degree <= k."""
+    if name not in _PAIR_SETS or k < 1:
+        raise ValueError(f"need a pair set in {', '.join(_PAIR_SETS)} and k >= 1")
+    degrees, _, members = _PAIR_SETS[name]
+    return {d: members(field, d) for d in degrees(k)}
+
+
 def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
                     per_pair: bool = False) -> float:
     """Normalized double sum over irreducible pairs certifying orthogonality.
@@ -266,49 +270,36 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
     studies, and the mode whose diagonal share is exactly 1/|pairs|).
 
     pair_set "P_k" uses irreducibles of degree k and k+1; "G_{k+1}" uses all
-    nonzero polynomials of degree <= k.
+    nonzero polynomials of degree <= k; both are index arrays (`_pair_set`).
 
     `f` is a MultiplicativeFunction, an index-order array on G_n or any
     callable on Poly; it is sampled once on all of G_n (a callable is called
-    q^n times, so q^n must be within the enumeration budget), and f(a g) is
-    read from that array through one index map per (deg a, m), batched over
-    the a of that degree.
+    q^n times, so q^n must be within the enumeration budget).  The pairs
+    whose larger degree is D share m = n - D, and f(a g) for the a of one
+    degree is read from that array through one `times_fixed` block per
+    (deg a, m).  Every inner sum and the total are fsums, so the order of
+    the pairs does not change the result.
     """
-    if field.q ** (n - k) > field.enumeration_budget:
-        raise BudgetError(f"inner sums over G_{n - k} exceed the enumeration budget")
-    if pair_set == "P_k":
-        base = list(p_k(field, k))
-    elif pair_set == "G_{k+1}":
-        base = [Poly.from_index(field, i) for i in range(1, field.q ** (k + 1))]
-    else:
-        raise ValueError("pair_set must be 'P_k' or 'G_{k+1}'")
-    if not base:
-        raise ValueError("empty pair set")
+    q = field.q
+    pairs = _pair_set(field, k, pair_set)
+    if n < max(pairs):
+        raise ValueError("n too small for the chosen pair degrees")
     f_arr = sample_on_gn(field, n, f)
-    by_degree = {}
-    for a in base:
-        by_degree.setdefault(a.degree, []).append(a)
-    at = {}      # (a, m) -> f(a g) for g in G_m, one index map per (deg a, m)
-
-    def f_times(a: Poly, m: int) -> np.ndarray:
-        if (a.coeffs, m) not in at:
-            same = by_degree[a.degree]
-            values = f_arr[times_fixed(field, [b.coeffs for b in same], m)]
-            at.update(((b.coeffs, m), row) for b, row in zip(same, values))
-        return at[a.coeffs, m]
-
-    total_parts = []
-    for a in base:
-        for b in base:
-            m = n - int(max(a.degree, b.degree))
-            if m < 0:
-                raise ValueError("n too small for the chosen pair degrees")
-            mag = abs(_fsum_arrays(*_products(f_times(a, m), f_times(b, m), conjugate_b=True)))
-            total_parts.append(mag / field.q ** m if per_pair else mag)
-    total = math.fsum(total_parts)
+    parts = []
+    for top, members in pairs.items():
+        m, scale = n - top, q ** (n - top) if per_pair else 1
+        rows = np.concatenate([f_arr[times_fixed(field, digit_matrix(q, d + 1, idx), m)]
+                               for d, idx in pairs.items() if d <= top])
+        below = len(rows) - len(members)      # rows of degree < top pair with degree top only
+        for a, row in enumerate(rows):
+            re, im = _products(row, rows[below:] if a < below else rows, conjugate_b=True)
+            parts += [abs(complex(math.fsum(x), math.fsum(y))) / scale
+                      for x, y in zip(re.tolist(), im.tolist())]
+    size = sum(len(idx) for idx in pairs.values())
+    total = math.fsum(parts)
     if per_pair:
-        return total / len(base) ** 2
-    return total / (len(base) ** 2 * field.q ** (n - k))
+        return total / size ** 2
+    return total / (size ** 2 * q ** (n - k))
 
 
 # -- derivative bias statistic ------------------------------------------------------
@@ -343,12 +334,8 @@ def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
     if m < 1:
         raise ValueError("phase must have degree >= 1")
     dQ = derivative_form(P, m, verify=False)
-    if base_set == "G_{k+1}":
-        base = [Poly.from_index(field, i) for i in range(1, field.q ** (k + 1))]
-    elif base_set == "P_k":
-        base = list(p_k(field, k))
-    else:
-        raise ValueError("base_set must be 'G_{k+1}' or 'P_k'")
+    base = [Poly.from_index(field, i)
+            for members in _pair_set(field, k, base_set).values() for i in members.tolist()]
     inner_dim = n - k
     if inner_dim < 1:
         raise ValueError("n - k must be >= 1")
@@ -519,9 +506,7 @@ def min_distance_over_hayes(f, N: int, modulus_degree_bound: int,
                 for d in degrees}
     chis = [DirichletCharacter.trivial(field)]
     for deg in range(1, modulus_degree_bound + 1):
-        for mi in range(field.q ** deg):
-            low = Poly.from_index(field, mi).coeffs
-            modulus = Poly(field, low + (0,) * (deg - len(low)) + (1,))
+        for modulus in monic_of_degree(field, deg):
             chis.extend(dirichlet_characters(modulus, budget))
     xis = short_interval_characters(field, length_bound, budget)
     weight_total = math.fsum(float(field.q) ** -d for d in degrees for _ in primes[d])
@@ -580,8 +565,10 @@ def halasz_product(f: MultiplicativeFunction, n: int,
     Degree-determined functions (constant one, moebius, liouville, pure
     degree twists) take the grouped path: one local factor per degree,
     raised to the irreducible count, accumulated in log space with the
-    deviation from 1 computed cancellation-free.  Other functions enumerate
-    the cached irreducibles directly.
+    deviation from 1 computed cancellation-free.  Other functions read
+    f(p^k), k = 1..top (the tail terms kept), at the irreducibles of each
+    degree as one table (`_prime_power_values`) and multiply the local
+    factors in the scalar order, prime by prime in index order.
     """
     field = f.field
     if f.degree_profile is not None:
@@ -606,14 +593,15 @@ def halasz_product(f: MultiplicativeFunction, n: int,
     acc = 1.0 + 0j
     for d in range(1, n + 1):
         u = float(field.q) ** -d
-        for p in irreducibles_of_degree(field, d):
+        powers, uk = [], u               # u^k of the tail terms kept
+        while uk >= tail_eps * u:
+            powers.append(uk)
+            uk *= u
+        values = _prime_power_values(f, d, len(powers)).tolist()    # [k - 1][prime]
+        for i in range(irreducible_count(field, d)):
             local = 1.0 + 0j
-            uk = u
-            k = 1
-            while uk >= tail_eps * u:
-                local += complex(f.on_prime_power(p, k)) * uk
-                uk *= u
-                k += 1
+            for by_k, uk in zip(values, powers):
+                local += by_k[i] * uk
             acc *= (1.0 - u) * local
     return acc
 

@@ -345,14 +345,6 @@ class HayesCharacter:
     def trivial(cls, field: Field):
         return cls(field)
 
-    @property
-    def is_trivial(self) -> bool:
-        return ((self.dirichlet is None or self.dirichlet.is_principal
-                 and self.dirichlet.modulus.degree == 0)
-                and (self.short is None or self.short.is_principal)
-                and (self.twist is None or Fraction(self.twist.theta) == 0)
-                and (self.unit is None or self.unit.index == 0))
-
     def turns(self, g: Poly):
         """Total turns in [0,1), or None when the value is zero."""
         if g.is_zero():

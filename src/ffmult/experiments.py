@@ -24,10 +24,10 @@ import numpy as np
 from . import analytics
 from .characters import (DegreeTwist, HayesCharacter, UnitCharacter,
                          dirichlet_characters, short_interval_characters)
-from .errors import BudgetError, ConfigError
+from .errors import ConfigError
 from .fields import Field, build_field, is_prime
 from .laurent import LaurentTruncation
-from .multiplicative import builtin, from_character, random_on_irreducibles, twist
+from .multiplicative import _BUILTINS, builtin, from_character, random_on_irreducibles, twist
 from .phases import MultilinearForm, PolynomialPhase, projective_common_zeros
 from .polys import Poly, factor, necklace_count
 
@@ -193,20 +193,145 @@ def _check_hayes(problems, desc, where: str, p: int, r: int):
         problems.append(f"{where}.unit_index: must be an integer")
 
 
+def _check_function(problems, desc, where: str, field_pr, seeded: bool):
+    """The problems of a function descriptor and of a twist's base: a known
+    kind, a builtin name, a random value set and seed (its own, or the
+    config's when `seeded`), and the Hayes descriptors over F_{p^r} when
+    field_pr = (p, r) (None when the field is invalid)."""
+    kind = desc.get("kind")
+    if kind == "builtin":
+        if not isinstance(desc.get("name"), str) or desc["name"] not in _BUILTINS:
+            problems.append(f"{where}.name: required, one of {', '.join(_BUILTINS)}")
+    elif kind == "random":
+        if desc.get("values", "pm1") not in ("pm1", "unit"):
+            problems.append(f"{where}.values: must be pm1 or unit")
+        if "seed" in desc and not isinstance(desc["seed"], int):
+            problems.append(f"{where}.seed: must be an integer")
+        elif "seed" not in desc and not seeded:
+            problems.append("seed: required because a randomized object is referenced")
+    elif kind in ("character", "twist"):
+        if "hayes" not in desc:
+            problems.append(f"{where}.hayes: required for kind {kind}")
+        elif field_pr is not None:
+            _check_hayes(problems, desc["hayes"], f"{where}.hayes", *field_pr)
+        if kind == "twist":
+            if not isinstance(desc.get("base"), dict):
+                problems.append(f"{where}.base: required object for kind twist")
+            else:
+                _check_function(problems, desc["base"], f"{where}.base", field_pr, seeded)
+    else:
+        problems.append(f"{where}.kind: must be one of builtin, random, character, twist")
+
+
+def _is_coefficient(c, q: int) -> bool:
+    return isinstance(c, int) and 0 <= c < q
+
+
+def _phase_entries(problems, desc, name: str, parts: str, q: int):
+    """(where, list) for each well-formed entry of phase.<name>: an object
+    with an integer coef in [0, q) and a list under `parts`."""
+    entries = desc.get(name, [])
+    if not isinstance(entries, list):
+        problems.append(f"phase.{name}: must be a list")
+        return
+    for i, entry in enumerate(entries):
+        where = f"phase.{name}[{i}]"
+        if not _check_keys(problems, entry, {"coef", parts}, where):
+            continue
+        if not _is_coefficient(entry.get("coef"), q):
+            problems.append(f"{where}.coef: required integer in [0, {q})")
+        if isinstance(entry.get(parts), list):
+            yield where, entry[parts]
+        else:
+            problems.append(f"{where}.{parts}: required list")
+
+
+def _check_phase(problems, desc, q: int, n_start: int, n_stop: int):
+    """The problems of a decay-table phase over F_q: coefficients and tail
+    entries in [0, q), factor tails at least max(phase.n, n.stop) deep, and
+    monomials in distinct coordinates below n.start with exponents >= 1 (so
+    the phase on G_n is the prefix of the phase on G_{n.stop})."""
+    depth = desc.get("n", n_stop)
+    if not isinstance(depth, int):
+        problems.append("phase.n: must be an integer")
+        depth = n_stop
+    depth = max(depth, n_stop)
+    for where, factors in _phase_entries(problems, desc, "terms", "factors", q):
+        for j, tail in enumerate(factors):
+            if not (isinstance(tail, list) and all(_is_coefficient(c, q) for c in tail)):
+                problems.append(f"{where}.factors[{j}]: must be a list of coefficients "
+                                f"in [0, {q})")
+            elif len(tail) < depth:
+                problems.append(f"{where}.factors[{j}]: factor depth {len(tail)} too "
+                                f"shallow for G_{depth}")
+    for where, powers in _phase_entries(problems, desc, "monomials", "powers", q):
+        seen = set()
+        for power in powers:
+            if not (isinstance(power, list) and len(power) == 2
+                    and all(isinstance(v, int) for v in power)):
+                problems.append(f"{where}.powers: each entry must be a pair [j, e] of integers")
+                continue
+            j, e = power
+            if not 0 <= j < n_start:
+                problems.append(f"{where}.powers: coordinate {j} outside G_{n_start}")
+            if e < 1:
+                problems.append(f"{where}.powers: exponent {e} below 1")
+            if j in seen:
+                problems.append(f"{where}.powers: repeated coordinate {j}")
+            seen.add(j)
+
+
+def _check_values(problems, kind: str, sections: dict, p, n_start: int):
+    """The problems of the section values `kind` reads, defaults included:
+    katai k, pair set and pair degrees against n.start, gowers k, ap k
+    against the characteristic p (None when the field is invalid), the TK
+    window, and the bias r_values against slot_dim."""
+    if kind == "katai-check":
+        sec = sections.get("katai", {})
+        k, pair_set, sets = sec.get("k", 2), sec.get("pair_set", "P_k"), analytics._PAIR_SETS
+        known = isinstance(pair_set, str) and pair_set in sets
+        if not known:
+            problems.append(f"katai.pair_set: must be one of {', '.join(sets)}")
+        if not isinstance(k, int) or k < 1:
+            problems.append("katai.k: must be an integer >= 1")
+        elif known and n_start < max(sets[pair_set][0](k)):
+            problems.append("n.start: n too small for the chosen pair degrees")
+    elif kind == "gowers-decay":
+        k = sections.get("gowers", {}).get("k", 2)
+        if not isinstance(k, int) or k < 1:
+            problems.append("gowers.k: must be an integer >= 1")
+    elif kind == "ap-decay":
+        k = sections.get("ap", {}).get("k", 3)
+        if p is not None and not (isinstance(k, int) and 2 <= k < p):
+            problems.append(f"ap.k: must be an integer with 2 <= k < p = {p} (default 3)")
+    elif kind == "tk-check" and "tk" in sections:
+        W, H = sections["tk"].get("W"), sections["tk"].get("H")
+        if not (isinstance(W, int) and isinstance(H, int)):
+            problems.append("tk.W, tk.H: required integers")
+        elif max(W + 1, 1) >= H:
+            problems.append(f"tk.H: the window W < deg p < H holds no degree >= 1 "
+                            f"(W={W}, H={H})")
+    elif kind == "bias-rank-demo":
+        sec = sections.get("bias", {})
+        dim, r_values = sec.get("slot_dim", 3), sec.get("r_values", [1, 2, 3])
+        if isinstance(dim, int) and isinstance(r_values, list):
+            for r in r_values:
+                if isinstance(r, int) and r > dim:
+                    problems.append(f"bias.r_values: r={r} above slot_dim={dim}")
+
+
 def _katai_cost(n: int, q: int, k: int, pair_set: str) -> int:
     """Inner-sum terms of katai_statistic: sum over pairs (a, b) of
     q^(n - max(deg a, deg b)), from the per-degree sizes of the pair set."""
-    if pair_set == "G_{k+1}":
-        sizes = {d: (q - 1) * q ** d for d in range(k + 1)}
-    else:
-        sizes = {d: necklace_count(q, d) for d in (k, k + 1)}
+    degrees, count, _ = analytics._PAIR_SETS[pair_set]
     cost, below = 0, 0
-    for d in sorted(sizes):
+    for d in degrees(k):
         # pairs whose larger degree is d
-        pairs = (below + sizes[d]) ** 2 - below ** 2
+        size = count(q, d)
+        pairs = (below + size) ** 2 - below ** 2
         if d <= n:
             cost += pairs * q ** (n - d)
-        below += sizes[d]
+        below += size
     return cost
 
 
@@ -230,10 +355,7 @@ def _estimated_cost(kind: str, n: int, q: int, sections: dict) -> int:
     if kind == "ap-decay":
         return q ** (2 * n)
     if kind == "tk-check":
-        sec = sections.get("tk", {})
-        W, H = sec.get("W"), sec.get("H")
-        # a window that is not two integers is reported as its own problem
-        return _tk_cost(n, q, W, H) if isinstance(W, int) and isinstance(H, int) else 0
+        return _tk_cost(n, q, sections["tk"]["W"], sections["tk"]["H"])
     if kind == "bias-rank-demo":
         dim = sections.get("bias", {}).get("slot_dim", 3)
         arity = sections.get("bias", {}).get("arity", 2)
@@ -337,27 +459,18 @@ def validate_config(source) -> ExperimentConfig:
             problems.append(f"{req}: required for kind {kind}")
 
     p, r = field_params["p"], field_params["r"]
-    if isinstance(p, int) and is_prime(p) and isinstance(r, int) and r >= 1:
-        if "hayes" in sections:
-            _check_hayes(problems, sections["hayes"], "hayes", p, r)
-        fn, where = sections.get("function"), "function"
-        while isinstance(fn, dict):
-            if fn.get("kind") in ("character", "twist"):
-                if "hayes" in fn:
-                    _check_hayes(problems, fn["hayes"], f"{where}.hayes", p, r)
-                else:
-                    problems.append(f"{where}.hayes: required for kind {fn['kind']}")
-            fn, where = fn.get("base"), f"{where}.base"
-
-    tk = sections.get("tk")
-    if kind == "tk-check" and tk is not None and not all(
-            isinstance(tk.get(key), int) for key in ("W", "H")):
-        problems.append("tk.W, tk.H: required integers")
-
+    field_ok = isinstance(p, int) and is_prime(p) and isinstance(r, int) and r >= 1
+    if field_ok and "hayes" in sections:
+        _check_hayes(problems, sections["hayes"], "hayes", p, r)
     seed = raw.get("seed")
-    randomized = (kind == "zero-count-check"
-                  or sections.get("function", {}).get("kind") == "random")
-    if randomized and seed is None and sections.get("function", {}).get("seed") is None:
+    if "function" in sections:
+        _check_function(problems, sections["function"], "function",
+                        (p, r) if field_ok else None, seed is not None)
+    if field_ok and kind == "decay-table" and "phase" in sections:
+        _check_phase(problems, sections["phase"], p ** r, n_start, n_stop)
+    _check_values(problems, kind, sections, p if field_ok else None, n_start)
+
+    if kind == "zero-count-check" and seed is None:
         problems.append("seed: required because a randomized object is referenced")
     if seed is not None and not isinstance(seed, int):
         problems.append("seed: must be an integer")
@@ -368,8 +481,9 @@ def validate_config(source) -> ExperimentConfig:
     if output_format not in ("csv", "json"):
         problems.append("output.format: must be csv or json")
 
-    if kind in KINDS and isinstance(fsec.get("p"), int):
-        q = field_params["p"] ** field_params["r"]
+    # the cost is estimated for an otherwise valid config only
+    if kind in KINDS and field_ok and not problems:
+        q = p ** r
         lo = n_start if kind not in ("bias-rank-demo", "zero-count-check") else 1
         hi = n_stop if kind not in ("bias-rank-demo", "zero-count-check") else 1
         for n in range(lo, hi + 1):
@@ -403,13 +517,16 @@ class ExperimentResult:
     rows: list
     metadata: dict
 
-    def csv_lines(self):
+    def header_lines(self):
         yield f"# ffmult-experiment schema={self.kind}/{SCHEMA_VERSION}"
         for key in sorted(self.metadata):
             yield f"# {key}={self.metadata[key]}"
         yield f"# columns={','.join(self.columns)}"
+
+    def csv_lines(self):
+        yield from self.header_lines()
         for row in self.rows:
-            yield ",".join(_cell(v) for v in row)
+            yield _csv_row(row)
 
     def to_json(self) -> str:
         return json.dumps({"schema": f"{self.kind}/{SCHEMA_VERSION}",
@@ -417,6 +534,10 @@ class ExperimentResult:
                            "columns": list(self.columns),
                            "rows": [[_jsonable(v) for v in row] for row in self.rows]},
                           indent=2, sort_keys=True)
+
+
+def _csv_row(row) -> str:
+    return ",".join(_cell(v) for v in row)
 
 
 def _cell(v) -> str:
@@ -442,11 +563,14 @@ def _function_on_prefixes(cfg: ExperimentConfig, field: Field):
 def _rows_decay_table(cfg: ExperimentConfig, field: Field):
     nu = _function_on_prefixes(cfg, field)
     P = resolve_phase(field, cfg.sections["phase"], cfg.n_stop)
+    # alpha_1 of the phase once on G_{n_stop}, not on G_{phase.n}; G_n reads
+    # the prefix (validation keeps monomial coordinates below n.start)
+    t = analytics.phase_character_array(
+        PolynomialPhase(field, cfg.n_stop, P.product_terms, P.monomial_terms))
     for n in range(cfg.n_start, cfg.n_stop + 1):
-        Pn = PolynomialPhase(field, n, P.product_terms, P.monomial_terms)
-        mean = analytics.correlate(field, nu[:field.q ** n],
-                                   analytics.phase_character_array(Pn), n, cfg.domain)
-        yield (n, abs(mean), mean.real, mean.imag, field.q ** n)
+        size = field.q ** n
+        mean = analytics.correlate(field, nu[:size], t[:size], n, cfg.domain)
+        yield (n, abs(mean), mean.real, mean.imag, size)
 
 
 def _rows_distance_growth(cfg: ExperimentConfig, field: Field):
@@ -464,7 +588,7 @@ def _rows_gowers_decay(cfg: ExperimentConfig, field: Field):
     k = cfg.sections.get("gowers", {}).get("k", 2)
     for n in range(cfg.n_start, cfg.n_stop + 1):
         if k == 2:
-            norm = analytics.u2_fourier(field, n, f[:field.q ** n])
+            norm = analytics.u2_fourier(field, n, f[:field.q ** n], budget=cfg.budget)
         else:
             norm = analytics.gowers_norm(field, n, f[:field.q ** n], k, budget=cfg.budget)
         yield (n, norm)
@@ -505,8 +629,6 @@ def _rows_bias_rank(cfg: ExperimentConfig, field: Field):
     arity = sec.get("arity", 2)
     coords = [LaurentTruncation.coordinate(field, j, dim) for j in range(dim)]
     for r in sec.get("r_values", [1, 2, 3]):
-        if r > dim:
-            raise BudgetError(f"r={r} needs slot_dim >= r")
         terms = [(1, tuple(coords[i] for _ in range(arity))) for i in range(r)]
         Q = MultilinearForm(field, (dim,) * arity, terms, block_count=r)
         res = Q.bias(budget=cfg.budget)
@@ -573,18 +695,14 @@ def run_experiment(config, stream=None) -> ExperimentResult:
         "budget": cfg.budget,
         "config": json.dumps(cfg.raw, sort_keys=True),
     }
-    columns = COLUMNS[cfg.kind]
-    result = ExperimentResult(cfg.kind, columns, [], metadata)
+    result = ExperimentResult(cfg.kind, COLUMNS[cfg.kind], [], metadata)
     if stream is not None:
-        stream.write(f"# ffmult-experiment schema={cfg.kind}/{SCHEMA_VERSION}\n")
-        for key in sorted(metadata):
-            stream.write(f"# {key}={metadata[key]}\n")
-        stream.write(f"# columns={','.join(columns)}\n")
+        stream.writelines(line + "\n" for line in result.header_lines())
         stream.flush()
     for row in _RUNNERS[cfg.kind](cfg, field):
         result.rows.append(row)
         if stream is not None:
-            stream.write(",".join(_cell(v) for v in row) + "\n")
+            stream.write(_csv_row(row) + "\n")
             stream.flush()
     return result
 

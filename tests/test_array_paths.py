@@ -26,11 +26,17 @@ all; `mean_value` equals the scalar fsum over the degree-n slice;
 A built-in read once per degree from its profile must give the bytes of
 its per-prime rule, and the array paths of the built-ins and random
 functions (the sieve, the Turan-Kubilius counts, function and prime
-arrays, distance terms against a Hayes character) must build no Poly.
+arrays, distance terms against a Hayes character, the Katai statistic on
+either pair set, the Euler product, a decay-table run) must build no Poly.
+The Katai and r-bias pair sets read as index arrays must be `p_k` and the
+nonzero G_{k+1} in order, `halasz_product` must give the bits of its
+per-prime loop, and a phase on G_{n_stop} must have the phase on each G_n
+as its prefix.
 """
 
 import cmath
 import math
+import random
 import struct
 import tracemalloc
 from fractions import Fraction
@@ -40,10 +46,11 @@ import pytest
 
 from ffmult import (BudgetError, DegreeTwist, HayesCharacter, LaurentTruncation,
                     MultiplicativeFunction, Poly, PolynomialPhase, UnitCharacter, build_field,
-                    builtin, correlate, dirichlet_characters, from_character, hayes_on_gn,
-                    katai_statistic, mean_value, phase_character_array, random_on_irreducibles,
-                    sample_on_gn, short_interval_characters, twist)
-from ffmult import gn
+                    builtin, correlate, dirichlet_characters, from_character, halasz_product,
+                    hayes_on_gn, katai_statistic, mean_value, p_k, phase_character_array,
+                    r_bias_statistic, random_on_irreducibles, run_experiment, sample_on_gn,
+                    short_interval_characters, twist)
+from ffmult import analytics, gn
 from ffmult.analytics import (distance_terms, min_distance_over_hayes,
                               turan_kubilius_from_counts, window_divisor_counts,
                               window_mass)
@@ -593,6 +600,17 @@ def test_array_paths_build_no_poly(pr, poly_constructions):
         for d in range(1, n + 1):
             prime_values(f, d)
             distance_terms(f, target, d)
+    random_pm1, random_unit = functions[3:]
+    halasz_product(random_pm1, n)
+    halasz_product(random_unit, n)
+    katai_statistic(field, random_pm1, n, 2, "P_k")
+    katai_statistic(field, random_unit, n, 1, "G_{k+1}", per_pair=True)
+    run_experiment({"kind": "decay-table", "field": {"p": pr[0], "r": pr[1]}, "seed": 3,
+                    "n": {"start": 2, "stop": n},
+                    "function": {"kind": "random", "values": "unit"},
+                    "phase": {"n": n + 1,
+                              "terms": [{"coef": 1, "factors": [[1] * (n + 1), [0, 1] * n]}],
+                              "monomials": [{"coef": 1, "powers": [[0, 2], [1, 1]]}]}})
     assert poly_constructions == []
     # the Poly API still boxes on demand
     assert len(irreducibles_of_degree(field, 2)) == irreducible_count(field, 2)
@@ -667,3 +685,79 @@ def test_min_distance_equals_the_scalar_loop(pr, N, bound, name):
     assert struct.pack("<2d", res.min_distance, res.M) == struct.pack("<2d", dist, 1.0 + dist)
     assert tuple(res.argmin["short"]["index"]) == xi and res.argmin["theta"] == theta
     assert tuple(res.argmin["dirichlet"]["index"] if res.argmin["dirichlet"] else ()) == chi
+
+
+@pytest.mark.parametrize("pr,n_stop", [((2, 1), 10), ((3, 1), 6), ((2, 2), 5), ((5, 1), 4)])
+def test_phase_on_g_n_stop_has_the_per_n_phases_as_prefixes(pr, n_stop):
+    # decay-table reads G_n as the prefix of the phase on G_{n_stop}; the
+    # tails are deeper than n_stop and the monomials sit below n = 2
+    field = build_field(*pr)
+    rng = random.Random(n_stop)
+    tails = [LaurentTruncation.random(field, n_stop + 2, rng) for _ in range(3)]
+    terms = [(1, (tails[0], tails[1])), (field.q - 1, (tails[2],))]
+    monomials = [(1, ((0, 2), (1, 1))), (field.q - 1, ((1, 3),))]
+    full = phase_character_array(PolynomialPhase(field, n_stop, terms, monomials))
+    for n in range(2, n_stop + 1):
+        per_n = phase_character_array(PolynomialPhase(field, n, terms, monomials))
+        assert full[:field.q ** n].tobytes() == per_n.tobytes(), n
+
+
+def per_prime_halasz(f, n, tail_eps):
+    """halasz_product for a function without a degree profile as it was first
+    written: on_prime_power at every boxed irreducible and every k."""
+    field = f.field
+    acc = 1.0 + 0j
+    for d in range(1, n + 1):
+        u = float(field.q) ** -d
+        for p in irreducibles_of_degree(field, d):
+            local = 1.0 + 0j
+            uk = u
+            k = 1
+            while uk >= tail_eps * u:
+                local += complex(f.on_prime_power(p, k)) * uk
+                uk *= u
+                k += 1
+            acc *= (1.0 - u) * local
+    return acc
+
+
+@pytest.mark.parametrize("pr", sorted(GRID))
+@pytest.mark.parametrize("name", FUNCTIONS)
+@pytest.mark.parametrize("tail_eps", [1e-15, 1e-4])
+def test_halasz_product_equals_the_per_prime_loop(pr, name, tail_eps):
+    field = build_field(*pr)
+    f = make_function(field, name)
+    if f.degree_profile is not None:
+        # a built-in takes the grouped path; its rule without the profile
+        # takes the prime-power tables
+        f = MultiplicativeFunction(field, f.prime_power_rule, name=name)
+    n = GRID[pr]
+    assert bits(halasz_product(f, n, tail_eps)) == bits(per_prime_halasz(f, n, tail_eps))
+
+
+@pytest.mark.parametrize("pr", sorted(GRID))
+def test_katai_and_r_bias_read_the_pair_sets_in_order(pr, monkeypatch):
+    field = build_field(*pr)
+    q = field.q
+    read = []
+
+    def spy(*args):
+        read.append(real(*args))
+        return read[-1]
+
+    real = analytics._pair_set
+    monkeypatch.setattr(analytics, "_pair_set", spy)
+    phase = PolynomialPhase.from_linear(LaurentTruncation.random(field, 4, random.Random(1)), 4)
+    for k in (1, 2):
+        expected = {"P_k": list(p_k(field, k)),
+                    "G_{k+1}": [Poly.from_index(field, i) for i in range(1, q ** (k + 1))]}
+        for pair_set, polys in expected.items():
+            katai_statistic(field, make_function(field, "random-pm1"), k + 1, k, pair_set)
+            r_bias_statistic(phase, n=3, k=k, base_set=pair_set, max_pairs=1)
+            assert len(read) == 2
+            for by_degree in read:
+                assert list(by_degree) == sorted(by_degree)
+                assert all(members.dtype == np.int64 for members in by_degree.values())
+                assert [Poly.from_index(field, i) for members in by_degree.values()
+                        for i in members.tolist()] == polys, (k, pair_set)
+            read.clear()

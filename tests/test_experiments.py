@@ -396,3 +396,152 @@ def test_cli_hayes_index_out_of_range_is_a_validation_error(tmp_path):
         {"dirichlet": {"modulus": [1, 0, 1], "index": 99}})))
     r = run_cli("run", str(cfg_path))
     assert r.returncode == 1 and "hayes.dirichlet.index" in r.stderr
+
+
+_TAIL = [1, 0, 1, 1, 0, 0, 1]
+
+
+def _decay(phase=None, function=None):
+    """A decay-table over F_2 with n = 3..6; the phase and function replaced."""
+    return {"kind": "decay-table", "field": {"p": 2, "r": 1}, "seed": 1,
+            "n": {"start": 3, "stop": 6},
+            "function": function or {"kind": "builtin", "name": "moebius"},
+            "phase": phase or {"terms": [{"coef": 1, "factors": [_TAIL, _TAIL]}]}}
+
+
+def _katai(k=2, pair_set="P_k", n=4):
+    return {"kind": "katai-check", "field": {"p": 2, "r": 1}, "n": {"start": n, "stop": n + 1},
+            "function": {"kind": "builtin", "name": "moebius"},
+            "katai": {"k": k, "pair_set": pair_set}}
+
+
+def _monomial(*powers):
+    return _decay({"monomials": [{"coef": 1, "powers": [list(pw) for pw in powers]}]})
+
+
+def _one(kind, **sections):
+    return {"kind": kind, "field": {"p": sections.pop("p", 2)}, "n": {"start": 2},
+            "function": {"kind": "builtin", "name": "one"}, **sections}
+
+
+# each used to crash at run time with exit 3 (an internal error), or, for the
+# unknown keys, to be accepted silently, or, for bias.r_values, to be refused
+# as a budget overrun
+INVALID_CONFIGS = {
+    "phase-tail-shorter-than-n-stop": (
+        _decay({"terms": [{"coef": 1, "factors": [[1, 0, 1]]}]}),
+        "phase.terms[0].factors[0]: factor depth 3 too shallow for G_6"),
+    "phase-tail-shorter-than-phase-n": (
+        _decay({"n": 9, "terms": [{"coef": 1, "factors": [_TAIL]}]}),
+        "phase.terms[0].factors[0]: factor depth 7 too shallow for G_9"),
+    "phase-coef-out-of-range": (
+        _decay({"terms": [{"coef": 2, "factors": [_TAIL]}]}), "phase.terms[0].coef"),
+    "phase-tail-entry-out-of-range": (
+        _decay({"terms": [{"coef": 1, "factors": [[1, 0, 5, 1, 0, 0, 1]]}]}),
+        "phase.terms[0].factors[0]"),
+    "phase-term-without-factors": (
+        _decay({"terms": [{"coef": 1}]}), "phase.terms[0].factors"),
+    "phase-monomial-coordinate": (
+        _monomial((4, 1)), "phase.monomials[0].powers: coordinate 4 outside G_3"),
+    "phase-monomial-exponent": (
+        _monomial((0, 0)), "phase.monomials[0].powers: exponent 0"),
+    "phase-monomial-repeated-coordinate": (
+        _monomial((0, 1), (0, 2)), "phase.monomials[0].powers: repeated coordinate 0"),
+    "phase-n-not-an-integer": (
+        _decay({"n": "7", "terms": [{"coef": 1, "factors": [_TAIL]}]}), "phase.n"),
+    "phase-term-unknown-key": (
+        _decay({"terms": [{"coef": 1, "factors": [_TAIL], "coeff": 1}]}),
+        "phase.terms[0].coeff: unknown key"),
+    "phase-monomial-unknown-key": (
+        _decay({"monomials": [{"coef": 1, "powers": [[0, 1]], "power": 1}]}),
+        "phase.monomials[0].power: unknown key"),
+    "builtin-without-name": (_decay(function={"kind": "builtin"}), "function.name"),
+    "unknown-builtin": (_decay(function={"kind": "builtin", "name": "mobius"}), "function.name"),
+    "random-values": (_decay(function={"kind": "random", "values": "gauss"}),
+                      "function.values"),
+    "random-base-without-seed": (
+        {**_decay(function={"kind": "twist", "hayes": {"theta": "1/3"},
+                            "base": {"kind": "random"}}), "seed": None},
+        "seed: required"),
+    "random-seed-not-an-integer": (
+        _decay(function={"kind": "random", "seed": "4"}), "function.seed"),
+    "katai-k-below-1": (_katai(k=0), "katai.k"),
+    "katai-unknown-pair-set": (_katai(pair_set="G_k"), "katai.pair_set"),
+    "katai-n-below-pair-degrees": (
+        _katai(k=3, n=3), "n.start: n too small for the chosen pair degrees"),
+    "katai-g-n-below-pair-degrees": (
+        _katai(k=3, pair_set="G_{k+1}", n=2), "n.start: n too small"),
+    "gowers-k-below-1": (_one("gowers-decay", gowers={"k": 0}), "gowers.k"),
+    "gowers-k-not-an-integer": (_one("gowers-decay", gowers={"k": "3"}), "gowers.k"),
+    "ap-default-k-over-f2": (_one("ap-decay"), "ap.k"),
+    "ap-default-k-over-f3": (_one("ap-decay", p=3), "ap.k"),
+    "ap-k-below-2": (_one("ap-decay", p=5, ap={"k": 1}), "ap.k"),
+    "tk-window-without-a-degree": (
+        {"kind": "tk-check", "field": {"p": 2}, "n": {"start": 3}, "tk": {"W": 3, "H": 4}},
+        "tk.H"),
+    "tk-window-below-degree-1": (
+        {"kind": "tk-check", "field": {"p": 2}, "n": {"start": 3}, "tk": {"W": -3, "H": 1}},
+        "tk.H"),
+    "bias-r-above-slot-dim": (
+        {"kind": "bias-rank-demo", "field": {"p": 3},
+         "bias": {"r_values": [1, 4], "slot_dim": 3}},
+        "bias.r_values: r=4 above slot_dim=3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+def test_invalid_section_values_are_validation_problems(case):
+    cfg, problem = INVALID_CONFIGS[case]
+    with pytest.raises(ConfigError) as e:
+        validate_config(cfg)
+    assert [p for p in e.value.problems if p.startswith(problem)], e.value.problems
+    assert not any(p.startswith("budget:") for p in e.value.problems)
+
+
+# the valid boundary of each rule above
+VALID_BOUNDARIES = {
+    "phase-tail-of-depth-n-stop": _decay({"terms": [{"coef": 1, "factors": [_TAIL[:6]]}]}),
+    "phase-tail-of-depth-phase-n": _decay({"n": 7, "terms": [{"coef": 1, "factors": [_TAIL]}]}),
+    "phase-largest-coef-and-entry": _decay({"terms": [{"coef": 1, "factors": [[1] * 6]}]}),
+    "phase-monomial-coordinate-n-start-minus-1": _monomial((2, 1), (0, 3)),
+    "builtin-liouville": _decay(function={"kind": "builtin", "name": "liouville"}),
+    "random-unit": _decay(function={"kind": "random", "values": "unit"}),
+    "twist-of-random-pm1": _decay(function={"kind": "twist", "hayes": {"theta": "1/3"},
+                                            "base": {"kind": "random", "values": "pm1"}}),
+    "katai-k-1": _katai(k=1, n=2),
+    "katai-n-at-pair-degrees": _katai(k=3, n=4),
+    "katai-g-n-at-pair-degrees": _katai(k=3, pair_set="G_{k+1}", n=3),
+    "gowers-k-1": _one("gowers-decay", gowers={"k": 1}),
+    "ap-default-k-over-f5": _one("ap-decay", p=5),
+    "ap-k-2-over-f3": _one("ap-decay", p=3, ap={"k": 2}),
+    "tk-window-of-one-degree": {"kind": "tk-check", "field": {"p": 2}, "n": {"start": 3},
+                                "tk": {"W": 2, "H": 4}},
+    "bias-r-at-slot-dim": {"kind": "bias-rank-demo", "field": {"p": 3},
+                           "bias": {"r_values": [3], "slot_dim": 3}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALID_BOUNDARIES))
+def test_section_value_boundaries_are_valid_and_run(case):
+    cfg = VALID_BOUNDARIES[case]
+    validate_config(cfg)
+    assert run_experiment(cfg).rows
+
+
+def test_cli_section_value_problems_exit_1():
+    for case in ("phase-monomial-coordinate", "katai-k-below-1", "bias-r-above-slot-dim"):
+        cfg, problem = INVALID_CONFIGS[case]
+        r = run_cli(cfg["kind"], "--set", f"field.p={cfg['field']['p']}",
+                    *(f"--set={key}={json.dumps(value)}" for key, value in cfg.items()
+                      if key not in ("kind", "field")))
+        assert r.returncode == 1 and problem in r.stderr, (case, r.stderr)
+
+
+def test_cli_gowers_u2_obeys_the_config_budget():
+    # 5^9 = 1,953,125 is within the default budget of 2,000,000 but over
+    # u2_fourier's own default of 2^20
+    r = run_cli("gowers-decay", "--p", "5", "--n-start", "9", "--n-stop", "9",
+                "--set", "function.kind=builtin", "--set", "function.name=moebius")
+    assert r.returncode == 0, r.stderr
+    assert [line.split(",")[0] for line in r.stdout.splitlines()
+            if not line.startswith("#")] == ["9"]
