@@ -398,6 +398,12 @@ def window_divisor_counts(field: Field, n: int, W: int, H: int) -> np.ndarray:
         # >= n divides only g = 0
         primes = digit_matrix(field.q, d + 1, irreducible_indices(field, d))
         multiples = times_fixed(field, primes, max(n - d, 0))
+        if 2 * d >= n:
+            # p*h = p'*h' with h' != 0 forces p | h', of degree < n - d <= d:
+            # the nonzero multiples of all primes of degree d are distinct
+            counts[multiples[:, 1:]] += 1
+            counts[0] += len(multiples)
+            continue
         for row in multiples:       # one prime at a time: h -> p*h is injective
             counts[row] += 1
     return counts
@@ -418,8 +424,9 @@ def turan_kubilius(field: Field, n: int, W: int, H: int) -> TKResult:
     Every p divides g = 0, so the count at g = 0 is the number of primes in
     the window.
     """
-    return turan_kubilius_from_counts(field, window_divisor_counts(field, n, W, H), n,
-                                      window_mass(field, W, H), W, H)
+    A = window_mass(field, W, H)
+    return turan_kubilius_from_squares(
+        field, squared_deviations(window_divisor_counts(field, n, W, H), A), n, A, W, H)
 
 
 def window_mass(field: Field, W: int, H: int) -> float:
@@ -429,13 +436,24 @@ def window_mass(field: Field, W: int, H: int) -> float:
                      for _ in range(irreducible_count(field, d)))
 
 
-def turan_kubilius_from_counts(field: Field, counts: np.ndarray, n: int, A: float,
-                               W: int, H: int) -> TKResult:
-    """turan_kubilius on G_n from its window counts, e.g. the prefix of
-    window_divisor_counts on a larger G_N, and the window's `window_mass` A."""
+def squared_deviations(counts: np.ndarray, A: float) -> np.ndarray:
+    """float64 (count - A)^2 of every window count, built in place: on
+    window_divisor_counts of G_N, the squares on every G_n, n <= N, are its
+    prefix."""
+    squares = counts.astype(np.float64)
+    squares -= A
+    squares *= squares
+    return squares
+
+
+def turan_kubilius_from_squares(field: Field, squares: np.ndarray, n: int, A: float,
+                                W: int, H: int) -> TKResult:
+    """turan_kubilius on G_n from the `squared_deviations` of its window
+    counts (or of those of a larger G_N, read as the prefix) and the
+    window's `window_mass` A: lhs is numpy's pairwise sum of the q^n
+    squares."""
     size = field.q ** n
-    dev = counts[:size].astype(np.float64) - A
-    lhs = float(np.sum(dev * dev))
+    lhs = float(np.sum(squares[:size]))
     return TKResult(A, lhs, lhs / (A * size), n, (W, H))
 
 

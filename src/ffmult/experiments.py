@@ -221,10 +221,17 @@ def _check_function(problems, desc, where: str, field_pr, seeded: bool):
                 _check_function(problems, desc["base"], f"{where}.base", field_pr, seeded)
     else:
         problems.append(f"{where}.kind: must be one of builtin, random, character, twist")
+    if not isinstance(desc.get("conjugate", False), bool):
+        problems.append(f"{where}.conjugate: must be true or false")
 
 
 def _is_coefficient(c, q: int) -> bool:
     return isinstance(c, int) and 0 <= c < q
+
+
+def _is_int(v) -> bool:
+    """A JSON integer: a Python bool is an int too, but true is not 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _phase_entries(problems, desc, name: str, parts: str, q: int):
@@ -283,41 +290,57 @@ def _check_phase(problems, desc, q: int, n_start: int, n_stop: int):
 
 def _check_values(problems, kind: str, sections: dict, p, n_start: int):
     """The problems of the section values `kind` reads, defaults included:
-    katai k, pair set and pair degrees against n.start, gowers k, ap k
-    against the characteristic p (None when the field is invalid), the TK
-    window, and the bias r_values against slot_dim."""
+    katai k, pair set, per_pair flag and pair degrees against n.start,
+    gowers k, ap k against the characteristic p (None when the field is
+    invalid), the TK window, the bias slot_dim, arity and r_values (each
+    at most slot_dim), and the zero-count dim, trials and degree bound.
+    Integers exclude booleans."""
     if kind == "katai-check":
         sec = sections.get("katai", {})
         k, pair_set, sets = sec.get("k", 2), sec.get("pair_set", "P_k"), analytics._PAIR_SETS
         known = isinstance(pair_set, str) and pair_set in sets
         if not known:
             problems.append(f"katai.pair_set: must be one of {', '.join(sets)}")
-        if not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             problems.append("katai.k: must be an integer >= 1")
         elif known and n_start < max(sets[pair_set][0](k)):
             problems.append("n.start: n too small for the chosen pair degrees")
+        if not isinstance(sec.get("per_pair", False), bool):
+            problems.append("katai.per_pair: must be true or false")
     elif kind == "gowers-decay":
         k = sections.get("gowers", {}).get("k", 2)
-        if not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             problems.append("gowers.k: must be an integer >= 1")
     elif kind == "ap-decay":
         k = sections.get("ap", {}).get("k", 3)
-        if p is not None and not (isinstance(k, int) and 2 <= k < p):
+        if p is not None and not (_is_int(k) and 2 <= k < p):
             problems.append(f"ap.k: must be an integer with 2 <= k < p = {p} (default 3)")
     elif kind == "tk-check" and "tk" in sections:
         W, H = sections["tk"].get("W"), sections["tk"].get("H")
-        if not (isinstance(W, int) and isinstance(H, int)):
+        if not (_is_int(W) and _is_int(H)):
             problems.append("tk.W, tk.H: required integers")
         elif max(W + 1, 1) >= H:
             problems.append(f"tk.H: the window W < deg p < H holds no degree >= 1 "
                             f"(W={W}, H={H})")
     elif kind == "bias-rank-demo":
         sec = sections.get("bias", {})
-        dim, r_values = sec.get("slot_dim", 3), sec.get("r_values", [1, 2, 3])
-        if isinstance(dim, int) and isinstance(r_values, list):
+        dim, arity = sec.get("slot_dim", 3), sec.get("arity", 2)
+        r_values = sec.get("r_values", [1, 2, 3])
+        if not (_is_int(dim) and dim >= 1):
+            problems.append("bias.slot_dim: must be an integer >= 1")
+        if not (_is_int(arity) and arity >= 1):
+            problems.append("bias.arity: must be an integer >= 1")
+        if not (isinstance(r_values, list) and all(_is_int(r) and r >= 1 for r in r_values)):
+            problems.append("bias.r_values: must be a list of integers >= 1")
+        elif _is_int(dim):
             for r in r_values:
-                if isinstance(r, int) and r > dim:
+                if r > dim:
                     problems.append(f"bias.r_values: r={r} above slot_dim={dim}")
+    elif kind == "zero-count-check" and "zero_count" in sections:
+        for key, default in (("dim", 3), ("trials", 20), ("max_total_degree", 3)):
+            value = sections["zero_count"].get(key, default)
+            if not (_is_int(value) and value >= 1):
+                problems.append(f"zero_count.{key}: must be an integer >= 1")
 
 
 def _katai_cost(n: int, q: int, k: int, pair_set: str) -> int:
@@ -616,10 +639,11 @@ def _rows_katai(cfg: ExperimentConfig, field: Field):
 def _rows_tk(cfg: ExperimentConfig, field: Field):
     W, H = cfg.sections["tk"]["W"], cfg.sections["tk"]["H"]
     # a divisor count does not depend on n: G_n reads the prefix of G_{n_stop}
-    counts = analytics.window_divisor_counts(field, cfg.n_stop, W, H)
     A = analytics.window_mass(field, W, H)
+    squares = analytics.squared_deviations(
+        analytics.window_divisor_counts(field, cfg.n_stop, W, H), A)
     for n in range(cfg.n_start, cfg.n_stop + 1):
-        res = analytics.turan_kubilius_from_counts(field, counts, n, A, W, H)
+        res = analytics.turan_kubilius_from_squares(field, squares, n, A, W, H)
         yield (n, res.A, res.lhs, res.ratio)
 
 

@@ -8,10 +8,11 @@ nothing builds Poly objects.  The kernels:
 * `digit` / `digit_matrix`: base-q digits (= coefficients) of indices;
 * `leading_coefficients`: the leading coefficient of every index of G_n;
   `degrees`: the degree of every index of an array;
-* `times_fixed`: the indices of p*h for every h in G_m (or given rows of
-  it) and every p of a stack of polynomials of one degree, the map behind
-  the irreducible sieve, the Turan-Kubilius counts, the prime-power sieve
-  of multiplicative functions, the Katai inner sums and `GnIndex.smul`;
+* `times_fixed`: the indices of p*h for every h in G_m (or a range or
+  given rows of it) and every p of a stack of polynomials of one degree,
+  the map behind the irreducible sieve, the Turan-Kubilius counts, the
+  prime-power sieve of multiplicative functions, the Katai inner sums and
+  `GnIndex.smul`;
 * `residues`: the indices of h mod g for a fixed modulus g (Dirichlet
   characters);
 * `top_codes`: the normalized top-s coefficients of every index as one
@@ -27,9 +28,13 @@ tabulated images of a cofactor's digit parts as plain integers (b wide
 enough that no lane overflows) and decodes the sums to indices through
 small lookup tables that reduce each lane mod p.  In characteristic 2 (any
 r) the lanes are the index's own bits, the sum is XOR and nothing needs
-decoding.  All of it is int64 arithmetic, exact for every index int64
-holds.  Its memory, and that of `top_codes`, is bounded by the module
-constant CHUNK_ELEMENTS, whatever the size of G_m.
+decoding.  Cofactors come as an index array or as a contiguous range of
+G_m (every caller's case but `residues` and `GnIndex.smul`); a range is
+mapped as an outer sum, the images of its high digit parts against the
+whole table of its lowest part, with no index array built.  All of it is
+int64 arithmetic, exact for every index int64 holds.  Its memory, and
+that of `top_codes`, is bounded by the module constant CHUNK_ELEMENTS,
+whatever the size of G_m.
 """
 
 from __future__ import annotations
@@ -74,9 +79,12 @@ def times_fixed(field: Field, polys, m: int, cofactors=None) -> np.ndarray:
     """(k, rows) int64 indices of p*h for every p in `polys` and every cofactor h.
 
     `polys` is a stack of k polynomials of one degree, as rows of
-    coefficients lowest first.  `cofactors` are indices of G_m, default all
-    of G_m in index order.  h -> p*h is F_p-linear on the base-p digits of
-    h; the image of the basis vector u^t x^j is the index of p*u^t times q^j.
+    coefficients lowest first.  `cofactors` are indices of G_m: an int64
+    array, or a `range` of step 1 such as the monic block
+    range(q^(m-1), 2 q^(m-1)), which the engine maps as an outer sum;
+    default range(q^m), all of G_m in index order.  h -> p*h is F_p-linear
+    on the base-p digits of h; the image of the basis vector u^t x^j is the
+    index of p*u^t times q^j.
     """
     p, r, q = field.p, field.r, field.q
     polys = np.asarray(polys, dtype=np.intp)
@@ -124,15 +132,20 @@ def residues(field: Field, modulus, idx) -> np.ndarray:
 
 def _linear_map(field: Field, images: np.ndarray, width: int, cofactors=None) -> np.ndarray:
     """(k, rows) int64 indices of A_i h for k F_p-linear maps A_i from G_m
-    to G_width and every cofactor h (indices of G_m; default all of G_m, in
-    index order).
+    to G_width and every cofactor h: an int64 index array, or a `range` of
+    step 1 (default: range(q^m), all of G_m in index order).
 
     Field elements are encoded by their base-p coordinates, so an index of
     G_m is a base-p number with r*m digits.  `images` is the (r*m, k) int64
     array of the indices of A_i u^t x^j, row j*r + t, the images of those
     digits' basis vectors.  The digits of a cofactor are cut into a few
     parts; the images of every value of one part are tabulated by
-    linearity, and the image of h is the sum of its parts' images.
+    linearity, and the image of h is the sum of its parts' images.  A range
+    is mapped as an outer sum: the cofactor hi*split + lo, lo below the
+    first part's size split, maps to image(hi*split) + table0[lo], so a
+    chunk of the range is one broadcast of the images of its consecutive
+    high values (cut and taken like an array) against the whole first
+    table.
 
     An image is held packed: each of its r*width base-p digits sits in its
     own b-bit lane of an int64, reduced mod p in the tables.  The parts'
@@ -143,14 +156,18 @@ def _linear_map(field: Field, images: np.ndarray, width: int, cofactors=None) ->
     index itself (b = 1), the sum is XOR and there is nothing to decode.
     An image wider than one int64 of lanes is mapped in slices of its
     digits that each fit, added back with their powers of p.  Tables,
-    decode tables and chunks of cofactors hold at most CHUNK_ELEMENTS
-    int64 each (a table of one digit, p entries, or a decode table of one
-    lane, 2^b entries, where that alone is more).
+    decode tables and chunks of cofactor images hold at most
+    CHUNK_ELEMENTS int64 each (a table of one digit, p entries, or a
+    decode table of one lane, 2^b entries, where that alone is more).
     """
     p = field.p
     bits, k = images.shape
     if cofactors is None:
-        cofactors = np.arange(p ** bits, dtype=np.int64)
+        cofactors = range(p ** bits)
+    elif isinstance(cofactors, range):
+        first, stop = cofactors.start, cofactors.stop
+        if cofactors.step != 1 or (first < stop and not (0 <= first and stop <= p ** bits)):
+            raise ValueError("a range of cofactors must have step 1 and lie in G_m")
     # digits per part: about half of them, as far as a part's table fits
     per = 1
     while per < (bits + 1) // 2 and p ** (per + 1) <= CHUNK_ELEMENTS:
@@ -171,16 +188,48 @@ def _linear_map(field: Field, images: np.ndarray, width: int, cofactors=None) ->
             step = max(1, CHUNK_ELEMENTS // kg)
             tables = [_table(packed[i:i + per, g0:g0 + kg], p, b)
                       for i in range(0, max(bits, 1), per)]
-            for c0 in range(0, len(cofactors), step):
-                cut = _cut(cofactors[c0:c0 + step], p, per, len(tables))
-                acc = np.take(tables[0], cut[0], axis=1)
-                for table, part in zip(tables[1:], cut[1:]):
-                    combine(acc, np.take(table, part, axis=1), out=acc)
+            for c0, acc in _chunks(tables, cofactors, step, p, per, combine):
+                block = out[g0:g0 + kg, c0:c0 + acc.shape[1]]
                 if lo:
-                    out[g0:g0 + kg, c0:c0 + step] += _decode(acc, decode)
+                    block += _decode(acc, decode)
                 else:
-                    out[g0:g0 + kg, c0:c0 + step] = _decode(acc, decode)
+                    block[...] = _decode(acc, decode)
     return out
+
+
+def _chunks(tables: list, cofactors, step: int, p: int, per: int, combine):
+    """(first column, packed images) of the cofactors, a chunk of at most
+    max(step, split) columns at a time, split the first part's table size:
+    an index array by cutting every cofactor into its parts, a range as the
+    outer sum of the images of its high values and the first part's
+    table."""
+    if not isinstance(cofactors, range):
+        for c0 in range(0, len(cofactors), step):
+            yield c0, _gather(tables, cofactors[c0:c0 + step], p, per, combine)
+        return
+    if not cofactors:
+        return
+    start, stop = cofactors.start, cofactors.stop
+    k, split = tables[0].shape
+    rows, last = max(1, step // split), -(-stop // split)     # high values per chunk
+    for h0 in range(start // split, last, rows):
+        highs = np.arange(h0, min(h0 + rows, last), dtype=np.int64)
+        # the images of hi*split, the high parts' sums (0 if there are none)
+        high = (_gather(tables[1:], highs, p, per, combine) if len(tables) > 1
+                else np.zeros((k, 1), dtype=np.int64))
+        acc = combine(high[:, :, None], tables[0][:, None, :]).reshape(k, -1)
+        c0, c1 = max(start, h0 * split), min(stop, (h0 + len(highs)) * split)
+        yield c0 - start, acc[:, c0 - h0 * split:c1 - h0 * split]
+
+
+def _gather(tables: list, values: np.ndarray, p: int, per: int, combine) -> np.ndarray:
+    """Packed images of the int64 indices `values`: the sum of their parts'
+    table entries."""
+    cut = _cut(values, p, per, len(tables))
+    acc = np.take(tables[0], cut[0], axis=1)
+    for table, part in zip(tables[1:], cut[1:]):
+        combine(acc, np.take(table, part, axis=1), out=acc)
+    return acc
 
 
 def degrees(q: int, idx) -> np.ndarray:

@@ -359,7 +359,7 @@ def irreducible_indices(field: Field, d: int) -> np.ndarray:
         # whose products are the monic indices [q^d, 2 q^d) of G_{d+1}
         m = d - e
         idx = times_fixed(field, digit_matrix(q, e + 1, irreducible_indices(field, e)),
-                          m + 1, np.arange(q ** m, 2 * q ** m, dtype=np.int64))
+                          m + 1, range(q ** m, 2 * q ** m))
         idx -= q ** d
         composite[idx] = True
     cache[d] = np.flatnonzero(~composite) + q ** d

@@ -51,9 +51,9 @@ from ffmult import (BudgetError, DegreeTwist, HayesCharacter, LaurentTruncation,
                     r_bias_statistic, random_on_irreducibles, run_experiment, sample_on_gn,
                     short_interval_characters, twist)
 from ffmult import analytics, gn
-from ffmult.analytics import (distance_terms, min_distance_over_hayes,
-                              turan_kubilius_from_counts, window_divisor_counts,
-                              window_mass)
+from ffmult.analytics import (distance_terms, min_distance_over_hayes, squared_deviations,
+                              turan_kubilius, turan_kubilius_from_squares,
+                              window_divisor_counts, window_mass)
 from ffmult.characters import DirichletCharacter, top_coefficient_tuple
 from ffmult.experiments import resolve_hayes
 from ffmult.gn import GnIndex, times_fixed
@@ -349,20 +349,51 @@ def kernel_stacks(field):
 @pytest.mark.parametrize("q", sorted(KERNEL_GRID))
 @pytest.mark.parametrize("chunk", [None, 7, 40])
 def test_times_fixed_equals_poly_products(q, chunk, monkeypatch):
+    # a range is mapped as an outer sum of its high parts' images and the
+    # first part's table, an array part by part: both must give the products
     if chunk is not None:
-        # chunk boundaries inside stacks, cofactor rows and digit parts
+        # chunk boundaries inside stacks, cofactor rows and digit parts;
+        # chunk 7 cuts a cofactor into many parts
         monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    parts = []
+    chunks = gn._chunks
+
+    def spy(tables, cofactors, *args):
+        if isinstance(cofactors, range):
+            parts.append(len(tables))
+        return chunks(tables, cofactors, *args)
+    monkeypatch.setattr(gn, "_chunks", spy)
     (p, r), m_max = KERNEL_GRID[q]
     field = build_field(p, r)
     for stack in kernel_stacks(field):
         for m in range(m_max + 1):
-            out = times_fixed(field, stack, m)
-            assert out.dtype == np.int64 and out.shape == (len(stack), q ** m)
-            assert np.array_equal(out, poly_products(field, stack, range(q ** m))), (stack, m)
-            # the sieve's explicit rows: the monic cofactors of degree m
-            monic = np.arange(q ** m, 2 * q ** m, dtype=np.int64)
-            assert np.array_equal(times_fixed(field, stack, m + 1, monic),
-                                  poly_products(field, stack, monic)), (stack, m)
+            size = q ** m
+            expected = poly_products(field, stack, range(2 * size))
+            out = times_fixed(field, stack, m)          # range(q^m), all of G_m
+            assert out.dtype == np.int64 and out.shape == (len(stack), size)
+            assert np.array_equal(out, expected[:, :size]), (stack, m)
+            assert np.array_equal(times_fixed(field, stack, m, np.arange(size)), out)
+            # the sieve's monic block of G_{m+1}; ends off every power of p
+            # (for p^m > 4) and empty ranges for a few polynomials of the
+            # stack (more than one group at chunk 7); as ranges and as arrays
+            for k, width, rows in [(len(stack), m + 1, range(size, 2 * size)),
+                                   (4, m, range(min(size // 3 + 1, size), max(size - 2, 0))),
+                                   (4, m, range(0)), (4, m, range(size // 2, size // 2))]:
+                for cofactors in (rows, np.arange(rows.start, rows.stop, dtype=np.int64)):
+                    out = times_fixed(field, stack[:k], width, cofactors)
+                    assert out.shape == (len(stack[:k]), len(rows))
+                    assert np.array_equal(out, expected[:k, rows.start:rows.stop]), (stack, rows)
+    assert min(parts) == 1
+    if chunk == 7:
+        assert max(parts) >= 3
+
+
+def test_times_fixed_refuses_a_range_with_steps_or_outside_g_m():
+    field = build_field(2, 1)
+    assert times_fixed(field, [(1, 1)], 3, range(9, 9)).shape == (1, 0)
+    for rows in (range(0, 8, 2), range(-1, 3), range(4, 9), range(0, 1, -1)):
+        with pytest.raises(ValueError, match="step 1 and lie in G_m"):
+            times_fixed(field, [(1, 1)], 3, rows)
 
 
 @pytest.mark.parametrize("pr,m", [((3, 1), 25), ((3, 2), 12), ((17, 1), 10)])
@@ -418,7 +449,13 @@ def test_linear_map_blocks_hold_at_most_chunk_elements(monkeypatch):
     for pr, m, wide in [((2, 1), 14, 40), ((2, 3), 5, 12), ((3, 1), 9, 25), ((17, 1), 4, 12),
                         ((3, 3), 3, 8)]:
         field = build_field(*pr)
-        times_fixed(field, [prime.coeffs for prime in irreducibles_of_degree(field, 1)], m)
+        q, primes = field.q, [prime.coeffs for prime in irreducibles_of_degree(field, 1)]
+        # the outer sums of ranges (G_m by default, the monic block, ends off
+        # the parts) and the same rows as an array
+        times_fixed(field, primes, m)
+        times_fixed(field, primes, m + 1, range(q ** m, 2 * q ** m))
+        times_fixed(field, primes, m, range(3, q ** m - 3))
+        times_fixed(field, primes, m, np.arange(q ** m, dtype=np.int64))
         times_fixed(field, [(1, 1, 1)], wide, np.arange(5, dtype=np.int64))
         gn.residues(field, (1, 0, 0, 0, 0, 0, 1), np.arange(field.q ** m, dtype=np.int64))
     assert {name for name, _ in sizes} == {"_table", "_decoders", "_decode"}
@@ -447,11 +484,47 @@ def test_tk_counts_on_g_n_stop_have_the_per_n_counts_as_prefixes(pr, n_stop, W, 
     for n in range(1, n_stop + 1):
         per_n = window_divisor_counts(field, n, W, H)
         assert np.array_equal(full[:field.q ** n], per_n), n
-        a = turan_kubilius_from_counts(field, full, n, A, W, H)
-        b = turan_kubilius_from_counts(field, per_n, n, A, W, H)
+        a = turan_kubilius_from_squares(field, squared_deviations(full, A), n, A, W, H)
+        b = turan_kubilius_from_squares(field, squared_deviations(per_n, A), n, A, W, H)
         assert struct.pack("<3d", a.A, a.lhs, a.ratio) == struct.pack("<3d", b.A, b.lhs, b.ratio)
     primes = sum(len(irreducibles_of_degree(field, d)) for d in range(max(W + 1, 1), H))
     assert full[0] == primes
+
+
+def per_prime_counts(field, n, W, H):
+    """window_divisor_counts by the per-prime loop: each window prime's
+    multiples in G_n added one prime at a time."""
+    counts = np.zeros(field.q ** n, dtype=np.int32)
+    for d in range(max(W + 1, 1), H):
+        for prime in irreducibles_of_degree(field, d):
+            counts[times_fixed(field, [prime.coeffs], max(n - d, 0))[0]] += 1
+    return counts
+
+
+# (p, r), n and a window with degrees below n/2, from n/2 to n and above n
+TK_GRID = [((2, 1), 10, 1, 13), ((3, 1), 6, 0, 8), ((2, 2), 5, 0, 7), ((5, 1), 4, 0, 6)]
+
+
+@pytest.mark.parametrize("pr,n,W,H", TK_GRID)
+def test_tk_counts_equal_the_per_prime_loop(pr, n, W, H):
+    # a degree with 2d >= n is one scatter of all its primes' multiples
+    field = build_field(*pr)
+    assert any(2 * d < n for d in range(W + 1, H)) and any(d >= n for d in range(W + 1, H))
+    for m in range(1, n + 1):
+        assert np.array_equal(window_divisor_counts(field, m, W, H),
+                              per_prime_counts(field, m, W, H)), m
+
+
+@pytest.mark.parametrize("pr,n,W,H", TK_GRID)
+def test_tk_check_rows_are_turan_kubilius_per_n(pr, n, W, H):
+    # the squares built once on G_{n_stop} give each n the lhs of its own run
+    field = build_field(*pr)
+    rows = run_experiment({"kind": "tk-check", "field": {"p": pr[0], "r": pr[1]},
+                           "n": {"start": 1, "stop": n}, "tk": {"W": W, "H": H}}).rows
+    for m, A, lhs, ratio in rows:
+        res = turan_kubilius(field, m, W, H)
+        assert struct.pack("<3d", A, lhs, ratio) == struct.pack("<3d", res.A, res.lhs,
+                                                                res.ratio), m
 
 
 def kernel_moduli(field):
@@ -593,8 +666,7 @@ def test_array_paths_build_no_poly(pr, poly_constructions):
     poly_constructions.clear()
     for d in range(1, n + 1):
         assert len(irreducible_indices(field, d)) == irreducible_count(field, d)
-    turan_kubilius_from_counts(field, window_divisor_counts(field, n, 1, n + 2), n,
-                               window_mass(field, 1, n + 2), 1, n + 2)
+    turan_kubilius(field, n, 1, n + 2)
     for f in functions:
         function_on_gn(f, n)
         for d in range(1, n + 1):

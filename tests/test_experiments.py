@@ -409,10 +409,10 @@ def _decay(phase=None, function=None):
             "phase": phase or {"terms": [{"coef": 1, "factors": [_TAIL, _TAIL]}]}}
 
 
-def _katai(k=2, pair_set="P_k", n=4):
+def _katai(k=2, pair_set="P_k", n=4, **katai):
     return {"kind": "katai-check", "field": {"p": 2, "r": 1}, "n": {"start": n, "stop": n + 1},
             "function": {"kind": "builtin", "name": "moebius"},
-            "katai": {"k": k, "pair_set": pair_set}}
+            "katai": {"k": k, "pair_set": pair_set, **katai}}
 
 
 def _monomial(*powers):
@@ -422,6 +422,23 @@ def _monomial(*powers):
 def _one(kind, **sections):
     return {"kind": kind, "field": {"p": sections.pop("p", 2)}, "n": {"start": 2},
             "function": {"kind": "builtin", "name": "one"}, **sections}
+
+
+def _bias(**bias):
+    return {"kind": "bias-rank-demo", "field": {"p": 3}, "bias": bias}
+
+
+def _zero_count(**zero_count):
+    return {"kind": "zero-count-check", "field": {"p": 3}, "seed": 1, "zero_count": zero_count}
+
+
+def _tk(W=1, H=4):
+    return {"kind": "tk-check", "field": {"p": 2}, "n": {"start": 3}, "tk": {"W": W, "H": H}}
+
+
+def _twist(conjugate):
+    return _decay(function={"kind": "twist", "hayes": {"theta": "1/3"}, "conjugate": conjugate,
+                            "base": {"kind": "builtin", "name": "moebius"}})
 
 
 # each used to crash at run time with exit 3 (an internal error), or, for the
@@ -486,6 +503,27 @@ INVALID_CONFIGS = {
         {"kind": "bias-rank-demo", "field": {"p": 3},
          "bias": {"r_values": [1, 4], "slot_dim": 3}},
         "bias.r_values: r=4 above slot_dim=3"),
+    # crashed the cost estimate in validate_config itself (exit 3)
+    "bias-slot-dim-a-string": (_bias(slot_dim="3"), "bias.slot_dim"),
+    "bias-arity-0": (_bias(arity=0), "bias.arity"),
+    "bias-r-values-a-string": (_bias(r_values="12"), "bias.r_values"),
+    "bias-r-0": (_bias(r_values=[0]), "bias.r_values"),
+    "zero-count-dim-a-string": (_zero_count(dim="3"), "zero_count.dim"),
+    "zero-count-dim-0": (_zero_count(dim=0), "zero_count.dim"),
+    "zero-count-trials-a-string": (_zero_count(trials="2"), "zero_count.trials"),
+    "zero-count-trials-negative": (_zero_count(trials=-1), "zero_count.trials"),
+    "zero-count-max-degree-0": (_zero_count(max_total_degree=0), "zero_count.max_total_degree"),
+    "zero-count-max-degree-a-float": (
+        _zero_count(max_total_degree=1.5), "zero_count.max_total_degree"),
+    # read for truthiness: the string "false" selected per-pair mode, a conjugate twist
+    "katai-per-pair-a-string": (_katai(per_pair="false"), "katai.per_pair"),
+    "twist-conjugate-a-string": (_twist("false"), "function.conjugate"),
+    # booleans are Python ints: gowers.k = true ran as k = 1
+    "katai-k-true": (_katai(k=True), "katai.k"),
+    "gowers-k-true": (_one("gowers-decay", gowers={"k": True}), "gowers.k"),
+    "ap-k-true": (_one("ap-decay", p=5, ap={"k": True}), "ap.k"),
+    "tk-w-true": (_tk(W=True), "tk.W, tk.H: required integers"),
+    "tk-h-true": (_tk(W=-1, H=True), "tk.W, tk.H: required integers"),
 }
 
 
@@ -518,6 +556,16 @@ VALID_BOUNDARIES = {
                                 "tk": {"W": 2, "H": 4}},
     "bias-r-at-slot-dim": {"kind": "bias-rank-demo", "field": {"p": 3},
                            "bias": {"r_values": [3], "slot_dim": 3}},
+    "bias-slot-dim-1": _bias(slot_dim=1, r_values=[1]),
+    "bias-arity-1": _bias(arity=1),
+    "bias-r-1": _bias(r_values=[1]),
+    "zero-count-dim-1": _zero_count(dim=1, trials=2),
+    "zero-count-trials-1": _zero_count(trials=1),
+    "zero-count-max-degree-1": _zero_count(max_total_degree=1, trials=2),
+    "katai-per-pair-false": _katai(per_pair=False),
+    "katai-per-pair-true": _katai(per_pair=True),
+    "twist-conjugate-true": _twist(True),
+    "tk-w-0": _tk(W=0, H=2),
 }
 
 
@@ -529,7 +577,8 @@ def test_section_value_boundaries_are_valid_and_run(case):
 
 
 def test_cli_section_value_problems_exit_1():
-    for case in ("phase-monomial-coordinate", "katai-k-below-1", "bias-r-above-slot-dim"):
+    for case in ("phase-monomial-coordinate", "katai-k-below-1", "bias-r-above-slot-dim",
+                 "bias-slot-dim-a-string", "zero-count-dim-a-string", "katai-per-pair-a-string"):
         cfg, problem = INVALID_CONFIGS[case]
         r = run_cli(cfg["kind"], "--set", f"field.p={cfg['field']['p']}",
                     *(f"--set={key}={json.dumps(value)}" for key, value in cfg.items()
