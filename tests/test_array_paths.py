@@ -1,9 +1,11 @@
 """The array paths against the per-element paths, bit for bit.
 
 `times_fixed`, the one product kernel on index space, must give the indices
-of the Poly products p*h for stacks of polynomials, explicit cofactor rows
-and any chunking; the Turan-Kubilius counts built once on G_{n_stop} must
-equal the counts built on each G_n.
+of the Poly products p*h for stacks of polynomials, cofactor ranges (mapped
+as outer sums) and the same rows as explicit index arrays, and any
+chunking; the Turan-Kubilius counts built once on G_{n_stop} must equal
+the counts built on each G_n and those of a per-prime loop, and each
+tk-check row the result of `turan_kubilius` for its n alone.
 
 The residue and top-coefficient kernels must equal `Poly.__mod__` and
 `top_coefficient_tuple`; a Hayes product read as an array
