@@ -37,7 +37,6 @@ import numpy as np
 
 from .characters import (DirichletCharacter, HayesCharacter, dirichlet_characters,
                          short_interval_characters)
-from .errors import BudgetError
 from .fields import Field
 from .gn import GnIndex, digit_matrix, times_fixed
 from .laurent import LaurentTruncation, linear_form_table
@@ -136,8 +135,7 @@ def correlate(field: Field, nu, t, n: int, domain: str = "all") -> complex:
     to it).  Both are read on the slice through `_on_gn` and multiplied as
     arrays; a plain callable is called only on the slice.
     """
-    if field.q ** n > field.enumeration_budget:
-        raise BudgetError(f"G_{n} over the enumeration budget")
+    field.charge(field.q ** n, f"G_{n}")
     rng = domain_indices(field, n, domain)
     re, im = _products(_on_gn(field, n, nu, rng), _on_gn(field, n, t, rng))
     return _fsum_arrays(re, im) / len(rng)
@@ -146,22 +144,26 @@ def correlate(field: Field, nu, t, n: int, domain: str = "all") -> complex:
 # -- Gowers norms -----------------------------------------------------------------
 
 
-def gowers_norm(field: Field, n: int, f, k: int, budget: int = 10 ** 8) -> float:
+def gowers_cost(q: int, n: int, k: int) -> int:
+    """`gowers_norm`'s |G_n|^k element operations; for k >= 2 they cover its shift table."""
+    return q ** (n * k)
+
+
+def gowers_norm(field: Field, n: int, f, k: int) -> float:
     """U^k norm by the 2^k-corner cube average over (x, h_1, ..., h_k).
 
     The sum is evaluated by iterating multiplicative derivatives
     f -> f(.+h) conj f(.), which regroups the corner sum exactly: |G|^(k-1)
-    means of length |G|, so the budget guards those |G|^k element operations.
+    means of length |G|, the `gowers_cost` charged to the field.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     size = field.q ** n
-    if size ** k > budget:
-        raise BudgetError(f"U^{k} brute force needs {size ** k} element "
-                          f"operations, over budget {budget}")
+    field.charge(gowers_cost(field.q, n, k), f"U^{k} on G_{n}")
     arr = sample_on_gn(field, n, f)
-    G = GnIndex(field, n)
-    shift = G.table
+    idx = np.arange(size, dtype=np.int64)
+    # shift[h] holds the indices of x + h; U^1 = |E f| reads no row of it
+    shift = GnIndex(field, n).add(idx[:, None], idx[None, :]) if k >= 2 else None
 
     def cube_mean(v: np.ndarray, kk: int) -> float:
         if kk == 1:
@@ -176,7 +178,7 @@ def gowers_norm(field: Field, n: int, f, k: int, budget: int = 10 ** 8) -> float
     return val ** (1.0 / 2 ** k)
 
 
-def u2_fourier(field: Field, n: int, f, budget: int = 1 << 20) -> float:
+def u2_fourier(field: Field, n: int, f) -> float:
     """U^2 via the character transform: (sum |f_hat|^4)^(1/4).
 
     The characters of G_n are alpha_1(<x, xi>) under the trace pairing;
@@ -184,8 +186,7 @@ def u2_fourier(field: Field, n: int, f, budget: int = 1 << 20) -> float:
     standard multidimensional length-p DFT, which is what numpy computes.
     """
     size = field.q ** n
-    if size > budget:
-        raise BudgetError(f"transform size {size} over budget {budget}")
+    field.charge(size, f"the transform on G_{n}")
     arr = sample_on_gn(field, n, f).reshape((field.p,) * (field.r * n))
     hat = np.fft.fftn(arr) / size
     return float(np.sum(np.abs(hat) ** 4) ** 0.25)
@@ -209,12 +210,16 @@ class ApResult:
     k: int
 
 
-def ap_correlation(field: Field, n: int, fs, budget: int = 10 ** 8,
-                   tolerance: float = 1e-9) -> ApResult:
+def ap_cost(q: int, n: int, k: int) -> int:
+    """`ap_correlation`'s q^(2n) pairs (x, y) and the cube of its U^(k-1) bound."""
+    return max(q ** (2 * n), gowers_cost(q, n, k - 1))
+
+
+def ap_correlation(field: Field, n: int, fs, tolerance: float = 1e-9) -> ApResult:
     """E_{x,y in G_n} prod_j f_j(x + (j-1)y), checked against U^{k-1}(f_k).
 
     Requires k < char(F_q), so that j*y = 0 has only the trivial solution
-    for every j < k.
+    for every j < k.  The field is charged the `ap_cost` up front.
     """
     fs = list(fs)
     k = len(fs)
@@ -223,8 +228,7 @@ def ap_correlation(field: Field, n: int, fs, budget: int = 10 ** 8,
     if k >= field.p:
         raise ValueError(f"k = {k} >= char = {field.p}: torsion condition fails")
     size = field.q ** n
-    if size ** 2 > budget:
-        raise BudgetError("pair enumeration over budget")
+    field.charge(ap_cost(field.q, n, k), f"the {k}-term progressions on G_{n}")
     arrays = [sample_on_gn(field, n, f) for f in fs]
     G = GnIndex(field, n)
     idx = np.arange(size, dtype=np.int64)
@@ -233,7 +237,7 @@ def ap_correlation(field: Field, n: int, fs, budget: int = 10 ** 8,
         pos = G.add(idx[:, None], G.smul(j % field.p, idx)[None, :])
         prod = prod * arrays[j][pos]
     mean = complex(prod.mean())
-    bound = gowers_norm(field, n, arrays[-1], k - 1, budget=budget)
+    bound = gowers_norm(field, n, arrays[-1], k - 1)
     return ApResult(mean, bound, abs(mean) <= bound + tolerance, k)
 
 
@@ -259,6 +263,21 @@ def _pair_set(field: Field, k: int, name: str) -> dict:
     return {d: members(field, d) for d in degrees(k)}
 
 
+def katai_cost(q: int, n: int, k: int, pair_set: str) -> int:
+    """Inner-sum terms of katai_statistic: sum over pairs (a, b) of
+    q^(n - max(deg a, deg b)), from the per-degree sizes of the pair set."""
+    degrees, count, _ = _PAIR_SETS[pair_set]
+    cost, below = 0, 0
+    for d in degrees(k):
+        # pairs whose larger degree is d
+        size = count(q, d)
+        pairs = (below + size) ** 2 - below ** 2
+        if d <= n:
+            cost += pairs * q ** (n - d)
+        below += size
+    return cost
+
+
 def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
                     per_pair: bool = False) -> float:
     """Normalized double sum over irreducible pairs certifying orthogonality.
@@ -274,7 +293,7 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
 
     `f` is a MultiplicativeFunction, an index-order array on G_n or any
     callable on Poly; it is sampled once on all of G_n (a callable is called
-    q^n times, so q^n must be within the enumeration budget).  The pairs
+    q^n times; q^n and the `katai_cost` are charged to the field).  The pairs
     whose larger degree is D share m = n - D, and f(a g) for the a of one
     degree is read from that array through one `times_fixed` block per
     (deg a, m).  Every inner sum and the total are fsums, so the order of
@@ -284,6 +303,7 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
     pairs = _pair_set(field, k, pair_set)
     if n < max(pairs):
         raise ValueError("n too small for the chosen pair degrees")
+    field.charge(katai_cost(q, n, k, pair_set), f"the Katai inner sums on G_{n}")
     f_arr = sample_on_gn(field, n, f)
     parts = []
     for top, members in pairs.items():
@@ -317,7 +337,7 @@ class RBiasResult:
 
 def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
                      base_set: str = "G_{k+1}", mode: str = "exhaustive",
-                     budget: int = 10 ** 8, max_pairs: int = 2000,
+                     max_pairs: int = 2000,
                      seed: int = 0, m: int | None = None) -> RBiasResult:
     """E_{a,b} E_{g in G_{n-k}^m} alpha_1(d^mP(a g) - d^mP(b g)).
 
@@ -326,7 +346,7 @@ def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
     computation.  The (a,b) average of the difference structure makes the
     statistic a modulus-squared average: real and nonnegative.  Declaring
     m above the structural degree makes d^mP vanish and the statistic is
-    exactly 1.
+    exactly 1.  The pairs' inner evaluations are charged to the field.
     """
     field = P.field
     if m is None:
@@ -347,9 +367,7 @@ def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
         sel = rng.choice(len(pairs), size=min(max_pairs, len(pairs)), replace=False)
         pairs = [pairs[i] for i in sorted(sel)]
         mode_used = "sampled"
-    if len(pairs) * inner_size > budget:
-        raise BudgetError(f"{len(pairs)} pairs x {inner_size} inner evaluations "
-                          f"over budget {budget}")
+    field.charge(len(pairs) * inner_size, f"the inner means of {len(pairs)} pairs")
     scaled = {}
     for a in base:
         if a.coeffs not in scaled:
@@ -380,18 +398,24 @@ class TKResult:
     window: tuple
 
 
+def tk_cost(q: int, n: int, W: int, H: int) -> int:
+    """Index rows window_divisor_counts marks on G_n: q^(n-d) multiples of
+    each window prime of degree d < n, and the single index 0 for d >= n."""
+    return sum(necklace_count(q, d) * q ** max(n - d, 0) for d in range(max(W + 1, 1), H))
+
+
 def window_divisor_counts(field: Field, n: int, W: int, H: int) -> np.ndarray:
     """#{p in window : p | g} for every g in G_n, the window being the monic
     irreducibles with W < deg p < H.
 
     The count of g does not depend on n, so the counts on G_m, m <= n, are
-    the prefix [:q^m].  Every p divides g = 0.  G_n is checked against the
-    enumeration budget before any irreducible of the window is sieved.
+    the prefix [:q^m].  Every p divides g = 0.  G_n and the `tk_cost` rows
+    are charged to the field before any irreducible of the window is sieved.
     """
     degrees = _tk_degrees(W, H)
     size = field.q ** n
-    if size > field.enumeration_budget:
-        raise BudgetError(f"G_{n} over the enumeration budget")
+    field.charge(size, f"G_{n}")
+    field.charge(tk_cost(field.q, n, W, H), f"the window's multiples on G_{n}")
     counts = np.zeros(size, dtype=np.int32)
     for d in degrees:
         # multiples of p in G_n are p*h, h in G_{n-d}; a prime of degree
@@ -504,8 +528,7 @@ class MinDistanceResult:
 
 
 def min_distance_over_hayes(f, N: int, modulus_degree_bound: int,
-                            length_bound: int, theta_grid=64,
-                            budget: int = 100_000) -> MinDistanceResult:
+                            length_bound: int, theta_grid=64) -> MinDistanceResult:
     """1 + min over (chi, xi, theta) of D(f, chi xi e_theta; N).
 
     chi runs over all Dirichlet characters with deg(modulus) <= bound
@@ -525,8 +548,8 @@ def min_distance_over_hayes(f, N: int, modulus_degree_bound: int,
     chis = [DirichletCharacter.trivial(field)]
     for deg in range(1, modulus_degree_bound + 1):
         for modulus in monic_of_degree(field, deg):
-            chis.extend(dirichlet_characters(modulus, budget))
-    xis = short_interval_characters(field, length_bound, budget)
+            chis.extend(dirichlet_characters(modulus))
+    xis = short_interval_characters(field, length_bound)
     weight_total = math.fsum(float(field.q) ** -d for d in degrees for _ in primes[d])
 
     def values(character, d: int) -> np.ndarray:
@@ -646,9 +669,7 @@ def linear_phase_sum(field: Field, beta: LaurentTruncation, n: int) -> complex:
     through depth n and 0 otherwise (the section-6.2 dichotomy), which the
     acceptance suite checks against this computation.
     """
-    size = field.q ** n
-    if size > field.enumeration_budget:
-        raise BudgetError(f"G_{n} over the enumeration budget")
+    field.charge(field.q ** n, f"G_{n}")
     vals = linear_form_table(beta, n)
     exps = field.trace_table[vals]
     counts = np.bincount(exps, minlength=field.p)

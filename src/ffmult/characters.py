@@ -35,7 +35,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError
 from .fields import Field
 from .gn import degrees, residues, top_codes
 from .groups import AbelianGroupStructure, decompose_abelian_group
@@ -123,16 +122,15 @@ class DirichletCharacter:
         return f"DirichletCharacter(mod {self.modulus}, index {self.exponents})"
 
 
-def unit_group(field: Field, modulus: Poly, budget: int = 100_000) -> AbelianGroupStructure:
+def unit_group(field: Field, modulus: Poly) -> AbelianGroupStructure:
     """(F_q[x]/g)^* as a decomposed abelian group, residues in index order."""
     if modulus.is_zero() or modulus.degree < 1:
         raise ValueError("modulus must have degree >= 1")
     modulus = modulus.monic()
+    field.charge(field.q ** int(modulus.degree), f"the residues mod {modulus}")
     units = [h for h in _residues(field, modulus)
              if poly_gcd(h, modulus) == Poly.one(field)]
-    if len(units) > budget:
-        raise BudgetError(f"unit group of size {len(units)} over budget {budget}")
-    return decompose_abelian_group(units, lambda a, b: (a * b) % modulus, budget)
+    return decompose_abelian_group(units, lambda a, b: (a * b) % modulus, field.enumeration_budget)
 
 
 def _residues(field: Field, modulus: Poly):
@@ -141,10 +139,10 @@ def _residues(field: Field, modulus: Poly):
         yield Poly.from_index(field, idx)
 
 
-def dirichlet_characters(modulus: Poly, budget: int = 100_000) -> list:
+def dirichlet_characters(modulus: Poly) -> list:
     """All phi(g) characters mod g; index 0 is the principal character."""
     field = modulus.field
-    structure = unit_group(field, modulus, budget)
+    structure = unit_group(field, modulus)
     out = []
     for exps in itertools.product(*(range(d) for d in structure.orders)):
         out.append(DirichletCharacter(field, modulus.monic(), structure, exps))
@@ -154,12 +152,11 @@ def dirichlet_characters(modulus: Poly, budget: int = 100_000) -> list:
 # -- short interval characters -------------------------------------------------
 
 
-def r_s_group(field: Field, s: int, budget: int = 100_000) -> AbelianGroupStructure:
+def r_s_group(field: Field, s: int) -> AbelianGroupStructure:
     """R_s: tuples (a_1..a_s) as series 1 + a_1/x + ... under truncated product."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    if field.q ** s > budget:
-        raise BudgetError(f"R_s of size {field.q ** s} over budget {budget}")
+    field.charge(field.q ** s, f"R_{s}")
     add, mul = field.add_py, field.mul_py
 
     def op(a, b):
@@ -172,7 +169,7 @@ def r_s_group(field: Field, s: int, budget: int = 100_000) -> AbelianGroupStruct
         return tuple(c)
 
     elements = list(itertools.product(range(field.q), repeat=s))
-    return decompose_abelian_group(elements, op, budget)
+    return decompose_abelian_group(elements, op, field.enumeration_budget)
 
 
 def _code(field: Field, a: tuple) -> int:
@@ -247,9 +244,9 @@ class ShortIntervalCharacter:
         return f"ShortIntervalCharacter(s={self.s}, index {self.exponents})"
 
 
-def short_interval_characters(field: Field, s: int, budget: int = 100_000) -> list:
+def short_interval_characters(field: Field, s: int) -> list:
     """All q^s characters of R_s; index 0 is the trivial one."""
-    structure = r_s_group(field, s, budget)
+    structure = r_s_group(field, s)
     out = []
     for exps in itertools.product(*(range(d) for d in structure.orders)):
         out.append(ShortIntervalCharacter(field, s, structure, exps))

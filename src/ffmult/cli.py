@@ -13,6 +13,7 @@ import sys
 
 from .errors import BudgetError, ConfigError
 from .experiments import KINDS, list_builtins, run_experiment, validate_config
+from .fields import DEFAULT_BUDGET
 
 EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -48,7 +49,8 @@ def _common_flags(sub):
     sub.add_argument("--seed", type=int)
     sub.add_argument("--n-start", type=int, dest="n_start")
     sub.add_argument("--n-stop", type=int, dest="n_stop")
-    sub.add_argument("--budget", type=int, help="max evaluations per n")
+    sub.add_argument("--budget", type=int, help="budget.max_evals_per_n, the run field's cap "
+                     f"on every set and kernel cost (default {DEFAULT_BUDGET})")
     sub.add_argument("--domain", choices=["all", "nonzero", "monic"])
     sub.add_argument("--output", help="output file path")
     sub.add_argument("--format", choices=["csv", "json"], dest="out_format")

@@ -25,11 +25,11 @@ from . import analytics
 from .characters import (DegreeTwist, HayesCharacter, UnitCharacter,
                          dirichlet_characters, short_interval_characters)
 from .errors import ConfigError
-from .fields import Field, build_field, is_prime
+from .fields import DEFAULT_BUDGET, Field, build_field, is_prime
 from .laurent import LaurentTruncation
 from .multiplicative import _BUILTINS, builtin, from_character, random_on_irreducibles, twist
-from .phases import MultilinearForm, PolynomialPhase, projective_common_zeros
-from .polys import Poly, factor, necklace_count
+from .phases import MultilinearForm, PolynomialPhase, bias_cost, projective_common_zeros
+from .polys import Poly, factor
 
 KINDS = ("decay-table", "distance-growth", "gowers-decay", "ap-decay",
          "katai-check", "tk-check", "bias-rank-demo", "zero-count-check")
@@ -52,7 +52,17 @@ _TOP_KEYS = {"kind", "field", "seed", "n", "budget", "domain", "function",
              "phase", "hayes", "gowers", "ap", "katai", "tk", "bias",
              "zero_count", "output"}
 
-_DEFAULT_BUDGET = 2_000_000
+# the sections each kind requires; the kinds that require "function" resolve it
+_NEEDS = {
+    "decay-table": ("function", "phase"),
+    "distance-growth": ("function", "hayes"),
+    "gowers-decay": ("function",),
+    "ap-decay": ("function",),
+    "katai-check": ("function",),
+    "tk-check": ("tk",),
+    "bias-rank-demo": (),
+    "zero-count-check": ("zero_count",),
+}
 
 
 @dataclass
@@ -70,10 +80,9 @@ class ExperimentConfig:
     raw: dict = dc_field(repr=False, default_factory=dict)
 
     def build_field(self) -> Field:
-        kwargs = {}
-        if self.field_params.get("factor_degree_bound") is not None:
-            kwargs["factor_degree_bound"] = self.field_params["factor_degree_bound"]
-        return build_field(self.field_params["p"], self.field_params["r"], **kwargs)
+        """The run's field, whose enumeration budget is the config's budget."""
+        return build_field(self.field_params["p"], self.field_params["r"],
+                           enumeration_budget=self.budget)
 
 
 # -- descriptor resolution -------------------------------------------------------
@@ -151,7 +160,7 @@ def _unit_count(p: int, r: int, modulus: list) -> int:
 
 def _check_index(problems, obj, count: int, where: str):
     index = obj.get("index", 0)
-    if not isinstance(index, int) or not 0 <= index < count:
+    if not _is_int(index) or not 0 <= index < count:
         problems.append(f"{where}.index: must be an integer in [0, {count})")
 
 
@@ -164,8 +173,7 @@ def _check_hayes(problems, desc, where: str, p: int, r: int):
     chi = desc.get("dirichlet")
     if chi is not None and _check_keys(problems, chi, {"modulus", "index"}, f"{where}.dirichlet"):
         modulus = chi.get("modulus")
-        if not (isinstance(modulus, list)
-                and all(isinstance(c, int) and 0 <= c < q for c in modulus)):
+        if not (isinstance(modulus, list) and all(_is_coefficient(c, q) for c in modulus)):
             problems.append(f"{where}.dirichlet.modulus: required list of coefficients "
                             f"in [0, {q})")
         else:
@@ -178,7 +186,7 @@ def _check_hayes(problems, desc, where: str, p: int, r: int):
     xi = desc.get("short")
     if xi is not None and _check_keys(problems, xi, {"s", "index"}, f"{where}.short"):
         length = xi.get("s")
-        if not isinstance(length, int) or length < 0:
+        if not _is_int(length) or length < 0:
             problems.append(f"{where}.short.s: required integer >= 0")
         else:
             _check_index(problems, xi, q ** length, f"{where}.short")
@@ -189,7 +197,7 @@ def _check_hayes(problems, desc, where: str, p: int, r: int):
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             problems.append(f"{where}.theta: must be a finite number or a fraction "
                             f"string such as '1/3'")
-    if desc.get("unit_index") is not None and not isinstance(desc["unit_index"], int):
+    if desc.get("unit_index") is not None and not _is_int(desc["unit_index"]):
         problems.append(f"{where}.unit_index: must be an integer")
 
 
@@ -205,7 +213,7 @@ def _check_function(problems, desc, where: str, field_pr, seeded: bool):
     elif kind == "random":
         if desc.get("values", "pm1") not in ("pm1", "unit"):
             problems.append(f"{where}.values: must be pm1 or unit")
-        if "seed" in desc and not isinstance(desc["seed"], int):
+        if "seed" in desc and not _is_int(desc["seed"]):
             problems.append(f"{where}.seed: must be an integer")
         elif "seed" not in desc and not seeded:
             problems.append("seed: required because a randomized object is referenced")
@@ -226,7 +234,7 @@ def _check_function(problems, desc, where: str, field_pr, seeded: bool):
 
 
 def _is_coefficient(c, q: int) -> bool:
-    return isinstance(c, int) and 0 <= c < q
+    return _is_int(c) and 0 <= c < q
 
 
 def _is_int(v) -> bool:
@@ -259,7 +267,7 @@ def _check_phase(problems, desc, q: int, n_start: int, n_stop: int):
     monomials in distinct coordinates below n.start with exponents >= 1 (so
     the phase on G_n is the prefix of the phase on G_{n.stop})."""
     depth = desc.get("n", n_stop)
-    if not isinstance(depth, int):
+    if not _is_int(depth):
         problems.append("phase.n: must be an integer")
         depth = n_stop
     depth = max(depth, n_stop)
@@ -275,7 +283,7 @@ def _check_phase(problems, desc, q: int, n_start: int, n_stop: int):
         seen = set()
         for power in powers:
             if not (isinstance(power, list) and len(power) == 2
-                    and all(isinstance(v, int) for v in power)):
+                    and all(_is_int(v) for v in power)):
                 problems.append(f"{where}.powers: each entry must be a pair [j, e] of integers")
                 continue
             j, e = power
@@ -343,49 +351,43 @@ def _check_values(problems, kind: str, sections: dict, p, n_start: int):
                 problems.append(f"zero_count.{key}: must be an integer >= 1")
 
 
-def _katai_cost(n: int, q: int, k: int, pair_set: str) -> int:
-    """Inner-sum terms of katai_statistic: sum over pairs (a, b) of
-    q^(n - max(deg a, deg b)), from the per-degree sizes of the pair set."""
-    degrees, count, _ = analytics._PAIR_SETS[pair_set]
-    cost, below = 0, 0
-    for d in degrees(k):
-        # pairs whose larger degree is d
-        size = count(q, d)
-        pairs = (below + size) ** 2 - below ** 2
-        if d <= n:
-            cost += pairs * q ** (n - d)
-        below += size
-    return cost
-
-
-def _tk_cost(n: int, q: int, W: int, H: int) -> int:
-    """Index rows window_divisor_counts marks on G_n: q^(n-d) multiples of
-    each window prime of degree d < n, and the single index 0 for d >= n."""
-    return sum(necklace_count(q, d) * q ** max(n - d, 0) for d in range(max(W + 1, 1), H))
+def _character_exponents(kind: str, sections: dict) -> list:
+    """e of the q^e residues mod each Dirichlet modulus (`unit_group`) and of
+    each R_s (`r_s_group`) in the Hayes descriptors the run of `kind` resolves."""
+    descriptors = [sections["hayes"]] if kind == "distance-growth" else []
+    desc = sections.get("function", {}) if "function" in _NEEDS[kind] else {}
+    while desc.get("kind") in ("character", "twist"):
+        descriptors.append(desc["hayes"])
+        desc = desc.get("base", {})
+    return ([max(i for i, c in enumerate(h["dirichlet"]["modulus"]) if c)
+             for h in descriptors if h.get("dirichlet") is not None]
+            + [h["short"]["s"] for h in descriptors if h.get("short") is not None])
 
 
 def _estimated_cost(kind: str, n: int, q: int, sections: dict) -> int:
+    """The largest charge the run of `kind` makes to its field at n (0
+    without an n-range): G_n, also for the arrays on G_{n.stop} and the sieve
+    at degree n, the Hayes sets, and the kernel's declared cost."""
+    if kind == "bias-rank-demo":
+        sec = sections.get("bias", {})
+        return bias_cost(q, (sec.get("slot_dim", 3),) * sec.get("arity", 2))
+    if kind == "zero-count-check":
+        return q ** sections["zero_count"].get("dim", 3)     # projective_common_zeros
+    costs = [q ** n] + [q ** e for e in _character_exponents(kind, sections)]
     if kind == "katai-check":
         sec = sections.get("katai", {})
-        return _katai_cost(n, q, sec.get("k", 2), sec.get("pair_set", "P_k"))
-    if kind in ("decay-table", "distance-growth"):
-        return q ** n
-    if kind == "gowers-decay":
+        costs.append(analytics.katai_cost(q, n, sec.get("k", 2), sec.get("pair_set", "P_k")))
+    elif kind == "gowers-decay":
+        # k = 2 runs u2_fourier, one transform of G_n
         k = sections.get("gowers", {}).get("k", 2)
-        if k == 2:
-            return q ** n          # u2_fourier: one transform of size q^n
-        return q ** (n * k)        # gowers_norm: the cube recursion's element operations
-    if kind == "ap-decay":
-        return q ** (2 * n)
-    if kind == "tk-check":
-        return _tk_cost(n, q, sections["tk"]["W"], sections["tk"]["H"])
-    if kind == "bias-rank-demo":
-        dim = sections.get("bias", {}).get("slot_dim", 3)
-        arity = sections.get("bias", {}).get("arity", 2)
-        return q ** (dim * arity)
-    if kind == "zero-count-check":
-        return q ** sections.get("zero_count", {}).get("dim", 3)
-    return 0
+        costs.append(q ** n if k == 2 else analytics.gowers_cost(q, n, k))
+    elif kind == "ap-decay":
+        costs.append(analytics.ap_cost(q, n, sections.get("ap", {}).get("k", 3)))
+    elif kind == "tk-check":
+        # the window's counts, and the sieve of its top degree H - 1
+        W, H = sections["tk"]["W"], sections["tk"]["H"]
+        costs += [analytics.tk_cost(q, n, W, H), q ** (H - 1)]
+    return max(costs)
 
 
 def validate_config(source) -> ExperimentConfig:
@@ -412,15 +414,14 @@ def validate_config(source) -> ExperimentConfig:
         problems.append(f"kind: must be one of {', '.join(KINDS)} (got {kind!r})")
 
     fsec = raw.get("field", {})
-    if _check_keys(problems, fsec, {"p", "r", "factor_degree_bound"}, "field"):
+    if _check_keys(problems, fsec, {"p", "r"}, "field"):
         p = fsec.get("p")
         r = fsec.get("r", 1)
-        if not isinstance(p, int) or not is_prime(p):
+        if not (_is_int(p) and is_prime(p)):
             problems.append("field.p: required prime")
-        if not isinstance(r, int) or r < 1:
+        if not _is_int(r) or r < 1:
             problems.append("field.r: must be a positive integer")
-    field_params = {"p": fsec.get("p", 2), "r": fsec.get("r", 1),
-                    "factor_degree_bound": fsec.get("factor_degree_bound")}
+    field_params = {"p": fsec.get("p", 2), "r": fsec.get("r", 1)}
 
     nsec = raw.get("n", {})
     n_start = n_stop = 0
@@ -430,20 +431,20 @@ def validate_config(source) -> ExperimentConfig:
     elif _check_keys(problems, nsec, {"start", "stop"}, "n"):
         n_start = nsec.get("start")
         n_stop = nsec.get("stop", n_start)
-        if not isinstance(n_start, int) or n_start < 1:
+        if not _is_int(n_start) or n_start < 1:
             problems.append("n.start: required positive integer")
             n_start = n_stop = 1
-        elif not isinstance(n_stop, int) or n_stop < n_start:
+        elif not _is_int(n_stop) or n_stop < n_start:
             problems.append("n.stop: must be an integer >= n.start")
             n_stop = n_start
 
     bsec = raw.get("budget", {})
-    budget = _DEFAULT_BUDGET
+    budget = DEFAULT_BUDGET
     if _check_keys(problems, bsec, {"max_evals_per_n"}, "budget"):
-        budget = bsec.get("max_evals_per_n", _DEFAULT_BUDGET)
-        if not isinstance(budget, int) or budget < 1:
+        budget = bsec.get("max_evals_per_n", DEFAULT_BUDGET)
+        if not _is_int(budget) or budget < 1:
             problems.append("budget.max_evals_per_n: must be a positive integer")
-            budget = _DEFAULT_BUDGET
+            budget = DEFAULT_BUDGET
 
     domain = raw.get("domain", "all")
     if domain not in ("all", "nonzero", "monic"):
@@ -467,17 +468,7 @@ def validate_config(source) -> ExperimentConfig:
             if _check_keys(problems, raw[name], allowed, name):
                 sections[name] = raw[name]
 
-    needs = {
-        "decay-table": ("function", "phase"),
-        "distance-growth": ("function", "hayes"),
-        "gowers-decay": ("function",),
-        "ap-decay": ("function",),
-        "katai-check": ("function",),
-        "tk-check": ("tk",),
-        "bias-rank-demo": (),
-        "zero-count-check": ("zero_count",),
-    }
-    for req in needs.get(kind, ()):
+    for req in _NEEDS.get(kind, ()):
         if req not in sections:
             problems.append(f"{req}: required for kind {kind}")
 
@@ -495,7 +486,7 @@ def validate_config(source) -> ExperimentConfig:
 
     if kind == "zero-count-check" and seed is None:
         problems.append("seed: required because a randomized object is referenced")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         problems.append("seed: must be an integer")
 
     out = sections.get("output", {})
@@ -506,20 +497,14 @@ def validate_config(source) -> ExperimentConfig:
 
     # the cost is estimated for an otherwise valid config only
     if kind in KINDS and field_ok and not problems:
-        q = p ** r
-        lo = n_start if kind not in ("bias-rank-demo", "zero-count-check") else 1
-        hi = n_stop if kind not in ("bias-rank-demo", "zero-count-check") else 1
-        for n in range(lo, hi + 1):
-            cost = _estimated_cost(kind, n, q, sections)
+        # the kinds without an n-range have n.start = n.stop = 0
+        for n in range(n_start, n_stop + 1):
+            cost = _estimated_cost(kind, n, p ** r, sections)
             if cost > budget:
-                problems.append(f"budget: n={n} needs about {cost} evaluations, "
+                at = f"n={n}" if n else "experiment"
+                problems.append(f"budget: {at} needs {cost} evaluations, "
                                 f"over max_evals_per_n={budget}")
                 break
-        if kind in ("bias-rank-demo", "zero-count-check"):
-            cost = _estimated_cost(kind, 1, q, sections)
-            if cost > budget:
-                problems.append(f"budget: experiment needs about {cost} evaluations, "
-                                f"over max_evals_per_n={budget}")
 
     if problems:
         raise ConfigError(problems)
@@ -611,9 +596,9 @@ def _rows_gowers_decay(cfg: ExperimentConfig, field: Field):
     k = cfg.sections.get("gowers", {}).get("k", 2)
     for n in range(cfg.n_start, cfg.n_stop + 1):
         if k == 2:
-            norm = analytics.u2_fourier(field, n, f[:field.q ** n], budget=cfg.budget)
+            norm = analytics.u2_fourier(field, n, f[:field.q ** n])
         else:
-            norm = analytics.gowers_norm(field, n, f[:field.q ** n], k, budget=cfg.budget)
+            norm = analytics.gowers_norm(field, n, f[:field.q ** n], k)
         yield (n, norm)
 
 
@@ -621,7 +606,7 @@ def _rows_ap_decay(cfg: ExperimentConfig, field: Field):
     f = _function_on_prefixes(cfg, field)
     k = cfg.sections.get("ap", {}).get("k", 3)
     for n in range(cfg.n_start, cfg.n_stop + 1):
-        res = analytics.ap_correlation(field, n, [f[:field.q ** n]] * k, budget=cfg.budget)
+        res = analytics.ap_correlation(field, n, [f[:field.q ** n]] * k)
         yield (n, abs(res.mean), res.gowers_bound, res.satisfied)
 
 
@@ -655,7 +640,7 @@ def _rows_bias_rank(cfg: ExperimentConfig, field: Field):
     for r in sec.get("r_values", [1, 2, 3]):
         terms = [(1, tuple(coords[i] for _ in range(arity))) for i in range(r)]
         Q = MultilinearForm(field, (dim,) * arity, terms, block_count=r)
-        res = Q.bias(budget=cfg.budget)
+        res = Q.bias()
         bound = field.q ** -r
         yield (r, res.bias, res.analytic_rank, bound, res.bias >= bound - 1e-9)
 
@@ -685,7 +670,7 @@ def _rows_zero_count(cfg: ExperimentConfig, field: Field):
         if any(P.is_zero() or P.degree != d for P, d in zip(phases, degs)):
             continue
         done += 1
-        res = projective_common_zeros(phases, dim, budget=cfg.budget)
+        res = projective_common_zeros(phases, dim)
         yield (done, res.count, res.projective_size, res.bound, res.passes,
                res.total_degree, len(phases))
 

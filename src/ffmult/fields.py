@@ -23,6 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetError
+
+# the default of Field.enumeration_budget and of budget.max_evals_per_n
+DEFAULT_BUDGET = 2_000_000
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -98,7 +103,7 @@ class Field:
     """F_{p^r} with table-driven arithmetic on int-encoded elements."""
 
     def __init__(self, p: int, r: int, factor_degree_bound: int | None = None,
-                 enumeration_budget: int = 2_097_152):
+                 enumeration_budget: int = DEFAULT_BUDGET):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if r < 1:
@@ -236,6 +241,12 @@ class Field:
             self._unit_roots[order] = _exact_roots(order)
         return self._unit_roots[order]
 
+    def charge(self, count: int, what: str):
+        """Refuse `count` elements or operations of `what` over the budget."""
+        if count > self.enumeration_budget:
+            raise BudgetError(f"{what} needs {count}, over the enumeration budget "
+                              f"{self.enumeration_budget}")
+
     # -- misc ---------------------------------------------------------------
 
     def elements(self):
@@ -334,6 +345,6 @@ class FieldElement:
 
 
 def build_field(p: int, r: int, factor_degree_bound: int | None = None,
-                enumeration_budget: int = 2_097_152) -> Field:
+                enumeration_budget: int = DEFAULT_BUDGET) -> Field:
     """Construct F_{p^r} with a deterministically chosen defining polynomial."""
     return Field(p, r, factor_degree_bound, enumeration_budget)

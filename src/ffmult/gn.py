@@ -354,9 +354,7 @@ class GnIndex:
         self.field = field
         self.n = n
         self.size = field.q ** n
-        if self.size > field.enumeration_budget:
-            raise BudgetError(f"G_{n} over the enumeration budget")
-        self._table = None
+        field.charge(self.size, f"G_{n}")
 
     def add(self, a, b):
         q = self.field.q
@@ -370,13 +368,3 @@ class GnIndex:
         """c*g for every index g of `a`: the product by the degree-0 polynomial c."""
         a = np.asarray(a, dtype=np.int64)
         return times_fixed(self.field, [[c]], self.n, a.ravel())[0].reshape(a.shape)
-
-    @property
-    def table(self) -> np.ndarray:
-        """Full addition table; only for small groups (shift rows for U^k)."""
-        if self._table is None:
-            if self.size > 4096:
-                raise BudgetError(f"addition table for |G| = {self.size} too large")
-            idx = np.arange(self.size, dtype=np.int64)
-            self._table = self.add(idx[:, None], idx[None, :])
-        return self._table

@@ -156,10 +156,11 @@ def _decompose(view: _GroupView):
     return (g1, *lifted), (d1, *sub_orders)
 
 
-def decompose_abelian_group(elements, op, budget: int = 100_000) -> AbelianGroupStructure:
+def decompose_abelian_group(elements, op, budget: int) -> AbelianGroupStructure:
     """Elementary-divisor decomposition of a finite abelian group.
 
-    `elements` is any enumerable of hashables, `op` the group operation.
+    `elements` is any enumerable of hashables, `op` the group operation;
+    a group of more than `budget` elements is refused.
     The returned structure carries the dlog table for every element; its
     construction re-generates the whole group from the generators, which
     verifies the decomposition.

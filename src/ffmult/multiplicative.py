@@ -42,7 +42,6 @@ import random
 import numpy as np
 
 from .characters import HayesCharacter
-from .errors import BudgetError
 from .fields import Field
 from .gn import digit_matrix, leading_coefficients, times_fixed
 from .polys import Poly, factor, irreducible_indices, irreducibles_of_degree
@@ -147,8 +146,7 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
     field = f.field
     q = field.q
     size = q ** n
-    if size > field.enumeration_budget:
-        raise BudgetError(f"G_{n} over the enumeration budget")
+    field.charge(size, f"G_{n}")
     if f._character is not None:
         base, H, conjugate = f._character
         values = H.values_at(np.arange(size, dtype=np.int64))
@@ -247,8 +245,7 @@ def per_element(field: Field, f, indices) -> np.ndarray:
     Refused before the first call when there are more indices than the
     field's enumeration budget allows.
     """
-    if len(indices) > field.enumeration_budget:
-        raise BudgetError(f"{len(indices)} evaluations over the enumeration budget")
+    field.charge(len(indices), "calls of a plain callable")
     out = np.empty(len(indices), dtype=np.complex128)
     for i, idx in enumerate(indices):
         out[i] = f(Poly.from_index(field, idx))

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
 from .fields import Field
 from .gn import digit
 from .laurent import LaurentTruncation, linear_form, linear_form_table
@@ -171,8 +170,7 @@ class PolynomialPhase:
         F = self.field
         q = F.q
         size = q ** self.n
-        if size > F.enumeration_budget:
-            raise BudgetError(f"G_{self.n} over the enumeration budget")
+        F.charge(size, f"G_{self.n}")
         add_t, mul_t = F.add_table, F.mul_table
         acc = np.zeros(size, dtype=np.int16)
         for c, factors in self.product_terms:
@@ -336,6 +334,11 @@ def verify_degree(P: PolynomialPhase, m: int, trials: int = 32, rng=None) -> boo
 # -- multilinear forms ---------------------------------------------------------
 
 
+def bias_cost(q: int, dims) -> int:
+    """The slot tuples an exhaustive bias evaluates: q^(d_1 + ... + d_m)."""
+    return math.prod(q ** d for d in dims)
+
+
 @dataclass
 class BiasResult:
     bias: float
@@ -475,14 +478,13 @@ class MultilinearForm:
         assert counts.sum() == total
         return counts
 
-    def bias(self, mode: str = "exhaustive", budget: int = 10 ** 8,
-             samples: int = 10000, seed: int = 0) -> BiasResult:
+    def bias(self, mode: str = "exhaustive", samples: int = 10000,
+             seed: int = 0) -> BiasResult:
         """E over slot tuples of alpha_1(Q(x)); real and >= q^{-partition rank}."""
         F = self.field
-        total = math.prod(F.q ** d for d in self.dims)
+        total = bias_cost(F.q, self.dims)
         if mode == "exhaustive":
-            if total > budget:
-                raise BudgetError(f"{total} evaluations over the bias budget {budget}")
+            F.charge(total, f"the exhaustive bias over {len(self.dims)} slots")
             counts = self.exponent_counts()
             val = complex(np.sum(counts * F.roots) / total)
             imag = abs(val.imag)
@@ -628,7 +630,7 @@ class ZeroCountResult:
     total_degree: int
 
 
-def projective_common_zeros(phases, dim: int, budget: int = 10 ** 6,
+def projective_common_zeros(phases, dim: int,
                             field: Field | None = None) -> ZeroCountResult:
     """Brute-force common projective zeros of homogeneous phases on G_dim,
     checked against the |Pr(V)| / (2 q^{D+1}) lower bound.
@@ -642,12 +644,11 @@ def projective_common_zeros(phases, dim: int, budget: int = 10 ** 6,
     elif field is None:
         raise ValueError("an empty system needs an explicit field")
     q = field.q
+    size = q ** dim
+    proj_size = (size - 1) // (q - 1)
     if not phases:
-        size = q ** dim
-        proj_size = (size - 1) // (q - 1)
         return ZeroCountResult(proj_size, proj_size, proj_size / (2 * q), True, 0)
-    if q ** dim > budget:
-        raise BudgetError(f"q^dim = {q ** dim} over budget {budget}")
+    field.charge(size, f"G_{dim}")
     D = 0
     for P in phases:
         if P.n != dim:
@@ -655,8 +656,6 @@ def projective_common_zeros(phases, dim: int, budget: int = 10 ** 6,
         if P.is_zero() or not P.is_homogeneous() or P.degree < 1:
             raise ValueError("system members must be homogeneous of degree >= 1")
         D += P.degree
-    size = q ** dim
-    proj_size = (size - 1) // (q - 1)
     idx = np.arange(size, dtype=np.int64)
     first_nonzero = np.zeros(size, dtype=np.int16)
     found = np.zeros(size, dtype=bool)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetError
 from .fields import Field
 from .gn import digit_matrix, times_fixed
 
@@ -257,17 +256,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # -- enumeration -------------------------------------------------------------
 
 
-def _budget_check(field: Field, count: int, what: str):
-    if count > field.enumeration_budget:
-        raise BudgetError(f"{what} has {count} elements, over the enumeration "
-                          f"budget {field.enumeration_budget}")
-
-
 def g_n(field: Field, n: int):
     """All q^n polynomials of degree at most n-1 (includes 0), index order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _budget_check(field, field.q ** n, f"G_{n}")
+    field.charge(field.q ** n, f"G_{n}")
     for idx in range(field.q ** n):
         yield Poly.from_index(field, idx)
 
@@ -276,7 +269,7 @@ def monic_of_degree(field: Field, n: int):
     """All q^n monic polynomials of degree exactly n, index order on the tail."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _budget_check(field, field.q ** n, f"monic degree {n}")
+    field.charge(field.q ** n, f"the monics of degree {n}")
     for idx in range(field.q ** n):
         low = Poly.from_index(field, idx).coeffs
         yield Poly(field, low + (0,) * (n - len(low)) + (1,))
@@ -352,7 +345,7 @@ def irreducible_indices(field: Field, d: int) -> np.ndarray:
     if d in cache:
         return cache[d]
     q = field.q
-    _budget_check(field, q ** d, f"irreducible sieve at degree {d}")
+    field.charge(q ** d, f"the irreducible sieve at degree {d}")
     composite = np.zeros(q ** d, dtype=bool)
     for e in range(1, d // 2 + 1):
         # monic cofactors of degree d - e: the indices [q^(d-e), 2 q^(d-e)),

@@ -135,15 +135,16 @@ def test_gowers_character_example():
 
 def test_gowers_budget():
     with pytest.raises(BudgetError):
-        gowers_norm(F2, 8, np.ones(256, dtype=complex), 3, budget=10 ** 6)
+        gowers_norm(build_field(2, 1, enumeration_budget=10 ** 6), 8,
+                    np.ones(256, dtype=complex), 3)
 
 
 def test_gowers_budget_charges_the_cube_operations():
     # U^3 on G_6 over F_2: 2^12 means of length 2^6, 2^18 element operations
     ones = np.ones(64, dtype=complex)
-    assert gowers_norm(F2, 6, ones, 3, budget=2 ** 18) == 1.0
+    assert gowers_norm(build_field(2, 1, enumeration_budget=2 ** 18), 6, ones, 3) == 1.0
     with pytest.raises(BudgetError, match="262144"):
-        gowers_norm(F2, 6, ones, 3, budget=2 ** 18 - 1)
+        gowers_norm(build_field(2, 1, enumeration_budget=2 ** 18 - 1), 6, ones, 3)
 
 
 def test_u2_equals_brute_force():

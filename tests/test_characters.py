@@ -30,6 +30,26 @@ def test_unit_group_examples():
     assert set(g2.elements) == {Poly.one(F2), Poly(F2, (1, 1))}
 
 
+def test_unit_group_refuses_before_it_enumerates(monkeypatch):
+    from ffmult import characters
+    from ffmult.errors import BudgetError
+    built = []
+    real = characters._residues
+    monkeypatch.setattr(characters, "_residues",
+                        lambda field, modulus: built.append(modulus) or real(field, modulus))
+    tiny = build_field(3, 1, enumeration_budget=26)
+    modulus = Poly(tiny, (1, 2, 0, 1))               # degree 3: 27 residues
+    with pytest.raises(BudgetError, match="27"):
+        unit_group(tiny, modulus)
+    with pytest.raises(BudgetError):
+        dirichlet_characters(modulus)
+    assert built == []
+    roomy = build_field(3, 1, enumeration_budget=27)
+    # x^3 - x + 1 is irreducible over F_3: every nonzero residue is a unit
+    assert unit_group(roomy, Poly(roomy, (1, 2, 0, 1))).size == 26
+    assert len(built) == 1
+
+
 def test_dirichlet_count_and_principal():
     chars = dirichlet_characters(Poly.x(F3))
     assert len(chars) == 2

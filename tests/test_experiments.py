@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import subprocess
@@ -305,14 +306,15 @@ def test_tk_estimate_equals_the_rows_the_kernel_marks(monkeypatch):
         return out
 
     monkeypatch.setattr(analytics, "times_fixed", counting)
-    # three of the windows hold primes of degree >= n (one row each, the index 0)
+    # three of the windows hold primes of degree >= n (one row each, the index
+    # 0); the estimate charges the kernel's declared rows, and also G_n and the
+    # sieve of the top window degree, which here may be larger
     for (p, r), n, W, H in (((3, 1), 8, 1, 9), ((2, 1), 14, 1, 12), ((2, 1), 5, 1, 8),
                             ((2, 2), 5, 0, 7), ((5, 1), 4, 1, 4)):
         field = build_field(p, r)
         marked.clear()
         analytics.turan_kubilius(field, n, W, H)
-        sections = {"tk": {"W": W, "H": H}}
-        assert _estimated_cost("tk-check", n, field.q, sections) == sum(marked)
+        assert analytics.tk_cost(field.q, n, W, H) == sum(marked)
     # the benchmark's tk-f3 at n = 12, and a window that q^n under-estimated
     assert _estimated_cost("tk-check", 12, 3, {"tk": {"W": 1, "H": 9}}) == 783_675
     assert _estimated_cost("tk-check", 14, 2, {"tk": {"W": 1, "H": 12}}) == 25_728
@@ -524,6 +526,34 @@ INVALID_CONFIGS = {
     "ap-k-true": (_one("ap-decay", p=5, ap={"k": True}), "ap.k"),
     "tk-w-true": (_tk(W=True), "tk.W, tk.H: required integers"),
     "tk-h-true": (_tk(W=-1, H=True), "tk.W, tk.H: required integers"),
+    # booleans read as integers in these keys too: n.start = true ran as 1, and
+    # budget.max_evals_per_n = true was refused as a budget overrun (exit 2);
+    # field.p = true was already refused, since 1 is not prime
+    "field-p-true": ({**_tk(), "field": {"p": True}}, "field.p"),
+    "field-r-true": ({**_tk(), "field": {"p": 3, "r": True}}, "field.r"),
+    "n-start-true": ({**_tk(), "n": {"start": True, "stop": 2}}, "n.start"),
+    "n-stop-true": ({**_tk(), "n": {"start": 1, "stop": True}}, "n.stop"),
+    "seed-true": ({**_tk(), "seed": True}, "seed: must be an integer"),
+    "function-seed-true": (_decay(function={"kind": "random", "seed": True}), "function.seed"),
+    "budget-true": ({**_tk(), "budget": {"max_evals_per_n": True}},
+                    "budget.max_evals_per_n"),
+    "phase-n-true": (_decay({"n": True, "terms": [{"coef": 1, "factors": [_TAIL]}]}),
+                     "phase.n"),
+    "phase-coef-true": (_decay({"terms": [{"coef": True, "factors": [_TAIL]}]}),
+                        "phase.terms[0].coef"),
+    "phase-monomial-powers-true": (_monomial((True, 1)), "phase.monomials[0].powers"),
+    "dirichlet-modulus-true": (distance_config({"dirichlet": {"modulus": [True, 0, 1]}}),
+                               "hayes.dirichlet.modulus"),
+    "dirichlet-index-true": (
+        distance_config({"dirichlet": {"modulus": [1, 0, 1], "index": True}}),
+        "hayes.dirichlet.index"),
+    "short-index-true": (distance_config({"short": {"s": 1, "index": True}}),
+                         "hayes.short.index"),
+    "short-s-true": (distance_config({"short": {"s": True}}), "hayes.short.s"),
+    "unit-index-true": (distance_config({"unit_index": True}), "hayes.unit_index"),
+    # no runner makes a scalar f(g) call, so the key changed no row
+    "field-factor-degree-bound": ({**_tk(), "field": {"p": 2, "factor_degree_bound": 1}},
+                                  "field.factor_degree_bound: unknown key"),
 }
 
 
@@ -578,7 +608,8 @@ def test_section_value_boundaries_are_valid_and_run(case):
 
 def test_cli_section_value_problems_exit_1():
     for case in ("phase-monomial-coordinate", "katai-k-below-1", "bias-r-above-slot-dim",
-                 "bias-slot-dim-a-string", "zero-count-dim-a-string", "katai-per-pair-a-string"):
+                 "bias-slot-dim-a-string", "zero-count-dim-a-string", "katai-per-pair-a-string",
+                 "budget-true"):
         cfg, problem = INVALID_CONFIGS[case]
         r = run_cli(cfg["kind"], "--set", f"field.p={cfg['field']['p']}",
                     *(f"--set={key}={json.dumps(value)}" for key, value in cfg.items()
@@ -587,10 +618,138 @@ def test_cli_section_value_problems_exit_1():
 
 
 def test_cli_gowers_u2_obeys_the_config_budget():
-    # 5^9 = 1,953,125 is within the default budget of 2,000,000 but over
-    # u2_fourier's own default of 2^20
+    # 5^9 = 1,953,125 is within the default budget of 2,000,000, which
+    # u2_fourier reads from the run's field
     r = run_cli("gowers-decay", "--p", "5", "--n-start", "9", "--n-stop", "9",
                 "--set", "function.kind=builtin", "--set", "function.name=moebius")
     assert r.returncode == 0, r.stderr
     assert [line.split(",")[0] for line in r.stdout.splitlines()
             if not line.startswith("#")] == ["9"]
+
+
+# -- one budget: validation refuses exactly what the run refuses ----------------------
+
+_MOEBIUS = {"kind": "builtin", "name": "moebius"}
+_TAIL9 = [1, 0, 1, 1, 0, 0, 1, 1, 0]
+
+# small configs per kind, with costs that cross 2^6..2^14 in different charges
+AGREEMENT_GRID = {
+    "gowers-k1": {"kind": "gowers-decay", "field": {"p": 2}, "n": {"start": 5, "stop": 8},
+                  "function": _MOEBIUS, "gowers": {"k": 1}},
+    "gowers-k2": {"kind": "gowers-decay", "field": {"p": 3}, "n": {"start": 2, "stop": 5},
+                  "function": _MOEBIUS, "gowers": {"k": 2}},
+    "gowers-k3": {"kind": "gowers-decay", "field": {"p": 2}, "n": {"start": 2, "stop": 4},
+                  "function": _MOEBIUS, "gowers": {"k": 3}},
+    "ap-k3-f5": {"kind": "ap-decay", "field": {"p": 5}, "n": {"start": 1, "stop": 2},
+                 "function": _MOEBIUS, "ap": {"k": 3}},
+    "ap-k4-f5": {"kind": "ap-decay", "field": {"p": 5}, "n": {"start": 1, "stop": 2},
+                 "function": _MOEBIUS, "ap": {"k": 4}},
+    # window degrees above n/2 and above n: the sieve of degree 9 dominates
+    "tk-window-above-n": {"kind": "tk-check", "field": {"p": 2}, "n": {"start": 4, "stop": 5},
+                          "tk": {"W": 1, "H": 10}},
+    # the marked rows dominate
+    "tk-window-rows": {"kind": "tk-check", "field": {"p": 2}, "n": {"start": 8, "stop": 10},
+                       "tk": {"W": 0, "H": 6}},
+    "tk-window-f3": {"kind": "tk-check", "field": {"p": 3}, "n": {"start": 3, "stop": 5},
+                     "tk": {"W": 1, "H": 5}},
+    "katai-p-k": {"kind": "katai-check", "field": {"p": 2}, "seed": 3,
+                  "n": {"start": 3, "stop": 6}, "function": {"kind": "random"},
+                  "katai": {"k": 2}},
+    "katai-g-k": {"kind": "katai-check", "field": {"p": 3}, "n": {"start": 2, "stop": 4},
+                  "function": _MOEBIUS, "katai": {"k": 1, "pair_set": "G_{k+1}"}},
+    # the residues of a degree-7 modulus dominate
+    "distance-dirichlet": {"kind": "distance-growth", "field": {"p": 2},
+                           "n": {"start": 1, "stop": 4}, "function": _MOEBIUS,
+                           "hayes": {"dirichlet": {"modulus": [1, 1, 0, 0, 0, 0, 0, 1]}}},
+    # R_8 dominates
+    "distance-short": {"kind": "distance-growth", "field": {"p": 2},
+                       "n": {"start": 1, "stop": 5}, "function": _MOEBIUS,
+                       "hayes": {"short": {"s": 8, "index": 5}, "theta": "1/3"}},
+    "decay-moebius": {**_decay(), "n": {"start": 3, "stop": 7}},
+    # a twist whose base is a character on R_7, over G_2..G_5
+    "decay-twist-of-character": {
+        **_decay({"terms": [{"coef": 1, "factors": [_TAIL9]}]}), "n": {"start": 2, "stop": 5},
+        "function": {"kind": "twist", "hayes": {"theta": "1/5"},
+                     "base": {"kind": "character", "hayes": {"short": {"s": 7, "index": 9}}}}},
+    "bias-f2": _bias(slot_dim=3, arity=3, r_values=[1, 3]) | {"field": {"p": 2}},
+    "bias-f3": _bias(slot_dim=2, arity=3, r_values=[1, 2]),
+    "zero-count-f3": _zero_count(dim=5, trials=3, max_total_degree=2),
+}
+
+
+def _validates(cfg, budget: int) -> bool:
+    try:
+        validate_config({**cfg, "budget": {"max_evals_per_n": budget}})
+    except ConfigError as e:
+        assert all(p.startswith("budget:") for p in e.problems), e.problems
+        return False
+    return True
+
+
+def _runs_within(cfg, budget: int) -> bool:
+    """The run of cfg on a field of `budget`, with validation's estimate skipped."""
+    unchecked = validate_config({**cfg, "budget": {"max_evals_per_n": 10 ** 12}})
+    try:
+        run_experiment(dataclasses.replace(unchecked, budget=budget))
+    except BudgetError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_GRID))
+def test_validation_accepts_exactly_what_the_run_accepts(case):
+    cfg = AGREEMENT_GRID[case]
+    outcomes = [(_validates(cfg, 2 ** e), _runs_within(cfg, 2 ** e)) for e in range(6, 15)]
+    assert all(valid == runs for valid, runs in outcomes), outcomes
+    # the grid crosses each config's largest charge, or holds it
+    assert outcomes[-1][0]
+
+
+def test_the_config_budget_is_the_run_fields_cap():
+    cfg = validate_config({**_tk(), "budget": {"max_evals_per_n": 12345}})
+    assert cfg.build_field().enumeration_budget == 12345
+    from ffmult.fields import DEFAULT_BUDGET
+    assert validate_config(_tk()).build_field().enumeration_budget == DEFAULT_BUDGET == 2_000_000
+
+
+def test_gowers_u1_builds_no_addition_table():
+    # G_13 over F_2 has 8,192 elements: the 2^26-entry addition table used to be
+    # refused at this default budget (a fixed cap of 4,096), though U^1 reads no row
+    cfg = {"kind": "gowers-decay", "field": {"p": 2}, "seed": 5, "n": {"start": 1, "stop": 13},
+           "function": {"kind": "random", "values": "unit"}, "gowers": {"k": 1}}
+    rows = run_experiment(cfg).rows
+    assert [n for n, _ in rows] == list(range(1, 14))
+    # the values before the change, n = 1..12
+    assert [norm for _, norm in rows[:12]] == [
+        0.5, 0.28795335815553835, 0.17124787693777951, 0.1226298370171745,
+        0.03325690759345127, 0.06418456465126593, 0.06203950709432903,
+        0.05892607830847393, 0.02421193693558483, 0.03061503900995602,
+        0.017816864123396933, 0.016449313273082758]
+    moebius = {**cfg, "function": _MOEBIUS, "n": {"start": 13, "stop": 13}}
+    assert run_experiment(moebius).rows == [(13, 2.0 ** -13)]
+
+
+def test_configs_within_the_budget_run_past_the_old_field_cap():
+    # each was refused at run time by the field's separate cap of 2^21 after
+    # validation had passed it
+    distance = {"kind": "distance-growth", "field": {"p": 2}, "n": {"start": 20, "stop": 22},
+                "function": _MOEBIUS, "hayes": {"theta": "1/3"},
+                "budget": {"max_evals_per_n": 10 ** 8}}
+    assert [row[0] for row in run_experiment(distance).rows] == [20, 21, 22]
+    tk = {"kind": "tk-check", "field": {"p": 3}, "n": {"start": 13, "stop": 14},
+          "tk": {"W": 0, "H": 6}, "budget": {"max_evals_per_n": 10 ** 8}}
+    assert [row[0] for row in run_experiment(tk).rows] == [13, 14]
+
+
+def test_charges_the_old_estimate_missed_are_refused_at_validation():
+    # U^3 bound of a 4-term progression: 5^6 = 15,625 operations at n = 2
+    ap = {"kind": "ap-decay", "field": {"p": 5}, "n": {"start": 2, "stop": 2},
+          "function": _MOEBIUS, "ap": {"k": 4}, "budget": {"max_evals_per_n": 1000}}
+    # the window counts on G_21 (2,097,152) exceed the default budget; the
+    # 190,464 marked rows do not
+    tk = {"kind": "tk-check", "field": {"p": 2}, "n": {"start": 21, "stop": 21},
+          "tk": {"W": 10, "H": 12}}
+    for cfg, problem in ((ap, "budget: n=2 needs 15625"), (tk, "budget: n=21 needs 2097152")):
+        with pytest.raises(ConfigError) as e:
+            validate_config(cfg)
+        assert [p for p in e.value.problems if p.startswith(problem)], e.value.problems

@@ -35,6 +35,7 @@ import io
 
 import pytest
 
+from ffmult import gn
 from ffmult.experiments import run_experiment
 
 _PHASE2 = {"terms": [{"coef": 1, "factors": [[1, 0, 1, 1, 0, 0, 1, 1, 1, 0],
@@ -220,3 +221,26 @@ def test_payload_matches_pin(name):
 def test_pins_cover_every_kind():
     from ffmult.experiments import KINDS
     assert {cfg["kind"] for cfg, _ in PINS.values()} == set(KINDS)
+
+
+# results do not depend on how the enumeration is partitioned: neither on the
+# engine's chunk size nor on the n-range a row is computed in
+@pytest.mark.parametrize("chunk", (7, 40))
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_payload_matches_pin_at_every_chunk_size(name, chunk, monkeypatch):
+    monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    cfg, pinned = PINS[name]
+    assert hashlib.sha256(payload(cfg)).hexdigest() == pinned
+
+
+def _rows(cfg) -> list:
+    return [line for line in payload(cfg).decode().splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (cfg, _) in PINS.items() if "n" in cfg))
+def test_each_n_run_alone_gives_the_row_of_the_pinned_range(name):
+    cfg, _ = PINS[name]
+    start, stop = cfg["n"]["start"], cfg["n"]["stop"]
+    alone = [row for n in range(start, stop + 1)
+             for row in _rows({**cfg, "n": {"start": n, "stop": n}})]
+    assert alone == _rows(cfg)

@@ -214,15 +214,17 @@ def test_bias_exact_examples():
 
 def test_bias_nonnegative_on_random_forms():
     rng = random.Random(13)
+    fields = [build_field(2, 1, enumeration_budget=10 ** 6),
+              build_field(3, 1, enumeration_budget=10 ** 6)]
     for _ in range(100):
-        F = rng.choice([F2, F3])
+        F = rng.choice(fields)
         m = rng.choice([2, 3])
         dim = rng.randint(2, 4)
         terms = [(rng.randrange(1, F.q),
                   tuple(LaurentTruncation.random(F, dim, rng) for _ in range(m)))
                  for _ in range(rng.randint(1, 4))]
         Q = MultilinearForm(F, (dim,) * m, terms)
-        res = Q.bias(budget=10 ** 6)
+        res = Q.bias()
         assert res.bias >= -1e-9
         assert res.imag_residual < 1e-9
 
@@ -251,11 +253,12 @@ def test_block_forms_meet_partition_rank_bound():
 
 
 def test_bias_budget_and_sampled():
+    F = build_field(3, 1, enumeration_budget=10)
     Q = MultilinearForm.rank_one(
-        F3, (3, 3), (LaurentTruncation.coordinate(F3, 0, 3),
-                     LaurentTruncation.coordinate(F3, 0, 3)))
+        F, (3, 3), (LaurentTruncation.coordinate(F, 0, 3),
+                    LaurentTruncation.coordinate(F, 0, 3)))
     with pytest.raises(BudgetError):
-        Q.bias(budget=10)
+        Q.bias()
     s = Q.bias(mode="sampled", samples=30000, seed=4)
     assert abs(s.bias - 1 / 3) < 5 * max(s.stderr, 1e-3)
     assert s.mode == "sampled" and s.stderr is not None
