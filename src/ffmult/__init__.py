@@ -32,9 +32,10 @@ from .polys import (NEG_INF, Poly, enumerate_sets, factor, g_n,
 from .laurent import LaurentTruncation, linear_form, linear_form_table
 from .groups import AbelianGroupStructure, decompose_abelian_group
 from .characters import (DegreeTwist, DirichletCharacter, HayesCharacter,
-                         ShortIntervalCharacter, UnitCharacter,
+                         ShortIntervalCharacter, UnitCharacter, dirichlet_character,
                          dirichlet_characters, eval_hayes, r_s_group,
-                         short_interval_characters, unit_group)
+                         short_interval_character, short_interval_characters,
+                         unit_group)
 from .multiplicative import (MultiplicativeFunction, builtin, from_character,
                              function_on_gn, random_on_irreducibles, twist)
 from .phases import (BiasResult, MultilinearForm, PolynomialPhase, RankBounds,

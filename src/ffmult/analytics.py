@@ -38,7 +38,7 @@ import numpy as np
 from .characters import (DirichletCharacter, HayesCharacter, dirichlet_characters,
                          short_interval_characters)
 from .fields import Field
-from .gn import GnIndex, digit_matrix, times_fixed
+from .gn import GnIndex, digit_matrix, times_fixed, times_fixed_chunks
 from .laurent import LaurentTruncation, linear_form_table
 from .multiplicative import (MultiplicativeFunction, _complex, _prime_power_values, _products,
                              from_character, function_on_gn, per_element, prime_values)
@@ -406,30 +406,36 @@ def tk_cost(q: int, n: int, W: int, H: int) -> int:
 
 def window_divisor_counts(field: Field, n: int, W: int, H: int) -> np.ndarray:
     """#{p in window : p | g} for every g in G_n, the window being the monic
-    irreducibles with W < deg p < H.
+    irreducibles with W < deg p < H, as unsigned integers of the narrowest
+    dtype that holds the number of window primes (`np.min_scalar_type`).
 
     The count of g does not depend on n, so the counts on G_m, m <= n, are
     the prefix [:q^m].  Every p divides g = 0.  G_n and the `tk_cost` rows
     are charged to the field before any irreducible of the window is sieved.
+    The multiples are scattered a chunk at a time as the engine maps them.
     """
     degrees = _tk_degrees(W, H)
     size = field.q ** n
     field.charge(size, f"G_{n}")
     field.charge(tk_cost(field.q, n, W, H), f"the window's multiples on G_{n}")
-    counts = np.zeros(size, dtype=np.int32)
+    total = sum(irreducible_count(field, d) for d in degrees)      # counts[0]
+    counts = np.zeros(size, dtype=np.min_scalar_type(total))
     for d in degrees:
         # multiples of p in G_n are p*h, h in G_{n-d}; a prime of degree
         # >= n divides only g = 0
         primes = digit_matrix(field.q, d + 1, irreducible_indices(field, d))
-        multiples = times_fixed(field, primes, max(n - d, 0))
+        chunks = times_fixed_chunks(field, primes, max(n - d, 0))
         if 2 * d >= n:
             # p*h = p'*h' with h' != 0 forces p | h', of degree < n - d <= d:
-            # the nonzero multiples of all primes of degree d are distinct
-            counts[multiples[:, 1:]] += 1
-            counts[0] += len(multiples)
+            # the nonzero multiples of all primes of degree d are distinct.
+            # h = 0 is column 0, in the first chunk of each group of primes
+            for _, col0, multiples in chunks:
+                counts[multiples[:, 1:] if col0 == 0 else multiples] += 1
+            counts[0] += len(primes)
             continue
-        for row in multiples:       # one prime at a time: h -> p*h is injective
-            counts[row] += 1
+        for _, _, multiples in chunks:
+            for row in multiples:   # one prime at a time: h -> p*h is injective
+                counts[row] += 1
     return counts
 
 

@@ -139,14 +139,31 @@ def _residues(field: Field, modulus: Poly):
         yield Poly.from_index(field, idx)
 
 
+def character_exponents(structure: AbelianGroupStructure, index: int) -> tuple:
+    """The exponents of character `index` in the enumeration order, the
+    order of itertools.product over `structure.orders`: `index` in mixed
+    radix, the last exponent the fastest digit."""
+    if not 0 <= index < structure.size:
+        raise ValueError(f"character index {index} outside [0, {structure.size})")
+    exps = []
+    for order in reversed(structure.orders):
+        index, e = divmod(index, order)
+        exps.append(e)
+    return tuple(reversed(exps))
+
+
+def dirichlet_character(modulus: Poly, index: int) -> DirichletCharacter:
+    """Character `index` of `dirichlet_characters(modulus)`, the only one built."""
+    structure = unit_group(modulus.field, modulus)
+    return DirichletCharacter(modulus.field, modulus.monic(), structure,
+                              character_exponents(structure, index))
+
+
 def dirichlet_characters(modulus: Poly) -> list:
     """All phi(g) characters mod g; index 0 is the principal character."""
-    field = modulus.field
-    structure = unit_group(field, modulus)
-    out = []
-    for exps in itertools.product(*(range(d) for d in structure.orders)):
-        out.append(DirichletCharacter(field, modulus.monic(), structure, exps))
-    return out
+    structure = unit_group(modulus.field, modulus)
+    return [DirichletCharacter(modulus.field, modulus.monic(), structure, exps)
+            for exps in itertools.product(*(range(d) for d in structure.orders))]
 
 
 # -- short interval characters -------------------------------------------------
@@ -244,13 +261,17 @@ class ShortIntervalCharacter:
         return f"ShortIntervalCharacter(s={self.s}, index {self.exponents})"
 
 
+def short_interval_character(field: Field, s: int, index: int) -> ShortIntervalCharacter:
+    """Character `index` of `short_interval_characters(field, s)`, the only one built."""
+    structure = r_s_group(field, s)
+    return ShortIntervalCharacter(field, s, structure, character_exponents(structure, index))
+
+
 def short_interval_characters(field: Field, s: int) -> list:
     """All q^s characters of R_s; index 0 is the trivial one."""
     structure = r_s_group(field, s)
-    out = []
-    for exps in itertools.product(*(range(d) for d in structure.orders)):
-        out.append(ShortIntervalCharacter(field, s, structure, exps))
-    return out
+    return [ShortIntervalCharacter(field, s, structure, exps)
+            for exps in itertools.product(*(range(d) for d in structure.orders))]
 
 
 # -- degree twists and unit characters ------------------------------------------

@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import analytics
-from .characters import (DegreeTwist, HayesCharacter, UnitCharacter,
-                         dirichlet_characters, short_interval_characters)
+from .characters import (DegreeTwist, HayesCharacter, UnitCharacter, dirichlet_character,
+                         short_interval_character)
 from .errors import ConfigError
 from .fields import DEFAULT_BUDGET, Field, build_field, is_prime
 from .laurent import LaurentTruncation
@@ -92,13 +92,10 @@ def resolve_hayes(field: Field, desc: dict) -> HayesCharacter:
     dirichlet = short = twist_part = unit = None
     if desc.get("dirichlet") is not None:
         d = desc["dirichlet"]
-        modulus = Poly(field, d["modulus"])
-        chars = dirichlet_characters(modulus)
-        dirichlet = chars[d.get("index", 0)]
+        dirichlet = dirichlet_character(Poly(field, d["modulus"]), d.get("index", 0))
     if desc.get("short") is not None:
         s = desc["short"]
-        chars = short_interval_characters(field, s["s"])
-        short = chars[s.get("index", 0)]
+        short = short_interval_character(field, s["s"], s.get("index", 0))
     if desc.get("theta") is not None:
         th = desc["theta"]
         twist_part = DegreeTwist(Fraction(th) if isinstance(th, str) else th)

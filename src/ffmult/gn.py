@@ -10,19 +10,22 @@ nothing builds Poly objects.  The kernels:
   `degrees`: the degree of every index of an array;
 * `times_fixed`: the indices of p*h for every h in G_m (or a range or
   given rows of it) and every p of a stack of polynomials of one degree,
-  the map behind the irreducible sieve, the Turan-Kubilius counts, the
-  prime-power sieve of multiplicative functions, the Katai inner sums and
-  `GnIndex.smul`;
+  as one block, for the prime-power sieve of multiplicative functions,
+  the Katai inner sums and `GnIndex.smul`; `times_fixed_chunks`: the same
+  products a chunk at a time, for the irreducible sieve and the
+  Turan-Kubilius counts, which scatter each chunk and never hold the
+  block;
 * `residues`: the indices of h mod g for a fixed modulus g (Dirichlet
   characters);
 * `top_codes`: the normalized top-s coefficients of every index as one
   code (short-interval characters);
 * `GnIndex`: additive-group arithmetic (g + h, c*g) on index arrays.
 
-`times_fixed` and `residues` share one engine, `_linear_map`, built on the
-base-p view of an index: field elements are encoded by their F_p
-coordinates, so an index of G_m is a base-p number with r*m digits, and
-h -> p*h and h -> h mod g are F_p-linear on those digits.  The engine holds
+`times_fixed`, `times_fixed_chunks` and `residues` share one engine,
+`_map_chunks`, built on the base-p view of an index: field elements are
+encoded by their F_p coordinates, so an index of G_m is a base-p number
+with r*m digits, and h -> p*h and h -> h mod g are F_p-linear on those
+digits.  The engine holds
 an image with each base-p digit in its own b-bit lane of an int64, sums
 tabulated images of a cofactor's digit parts as plain integers (b wide
 enough that no lane overflows) and decodes the sums to indices through
@@ -32,12 +35,19 @@ decoding.  Cofactors come as an index array or as a contiguous range of
 G_m (every caller's case but `residues` and `GnIndex.smul`); a range is
 mapped as an outer sum, the images of its high digit parts against the
 whole table of its lowest part, with no index array built.  All of it is
-int64 arithmetic, exact for every index int64 holds.  Its memory, and
-that of `top_codes`, is bounded by the module constant CHUNK_ELEMENTS,
-whatever the size of G_m.
+int64 arithmetic, exact for every index int64 holds.  The engine yields
+its products in chunks, each a fresh int64 array with every digit slice
+summed; `_linear_map` collects them into one block, the consumers of
+`times_fixed_chunks` scatter them.  Its memory per digit slice of the
+images (one slice unless an image has more base-p digits than an int64
+has lanes), and that of `top_codes`, is bounded by the module constant
+CHUNK_ELEMENTS, whatever the size of G_m.  The decode tables are cached
+per (p, lane width, slice, CHUNK_ELEMENTS), built on first use.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -86,6 +96,21 @@ def times_fixed(field: Field, polys, m: int, cofactors=None) -> np.ndarray:
     on the base-p digits of h; the image of the basis vector u^t x^j is the
     index of p*u^t times q^j.
     """
+    return _linear_map(field, *_product_images(field, polys, m), cofactors)
+
+
+def times_fixed_chunks(field: Field, polys, m: int, cofactors=None):
+    """The products of `times_fixed`, a chunk at a time: (row0, col0, idx)
+    with idx the block [row0:row0 + len(idx), col0:col0 + idx.shape[1]] of
+    times_fixed(field, polys, m, cofactors), a fresh int64 array of at most
+    CHUNK_ELEMENTS entries that the consumer may overwrite.  Column 0 of a
+    row group comes only in its chunk with col0 == 0."""
+    return _map_chunks(field, *_product_images(field, polys, m), cofactors)
+
+
+def _product_images(field: Field, polys, m: int) -> tuple:
+    """(images, width) of the maps h -> p*h from G_m, p in `polys`, for
+    the engine: the images of the basis vectors u^t x^j, row j*r + t."""
     p, r, q = field.p, field.r, field.q
     polys = np.asarray(polys, dtype=np.intp)
     k, length = polys.shape
@@ -96,7 +121,7 @@ def times_fixed(field: Field, polys, m: int, cofactors=None) -> np.ndarray:
     codes = field.mul_table[polys[:, :, None], p ** np.arange(r)].astype(np.int64)
     lows = np.einsum("ijt,j->it", codes, q ** np.arange(length, dtype=np.int64))
     images = q ** np.arange(m, dtype=np.int64)[:, None, None] * lows.T
-    return _linear_map(field, images.reshape(r * m, k), width, cofactors)
+    return images.reshape(r * m, k), width
 
 
 def residues(field: Field, modulus, idx) -> np.ndarray:
@@ -132,8 +157,34 @@ def residues(field: Field, modulus, idx) -> np.ndarray:
 
 def _linear_map(field: Field, images: np.ndarray, width: int, cofactors=None) -> np.ndarray:
     """(k, rows) int64 indices of A_i h for k F_p-linear maps A_i from G_m
-    to G_width and every cofactor h: an int64 index array, or a `range` of
-    step 1 (default: range(q^m), all of G_m in index order).
+    to G_width and every cofactor h: the chunks of `_map_chunks` collected
+    into one block."""
+    cofactors = _cofactors(cofactors, field.p ** images.shape[0])
+    out = np.empty((images.shape[1], len(cofactors)), dtype=np.int64)
+    for row0, col0, idx in _map_chunks(field, images, width, cofactors):
+        out[row0:row0 + idx.shape[0], col0:col0 + idx.shape[1]] = idx
+    return out
+
+
+def _cofactors(cofactors, size: int):
+    """The cofactors of a map from G_m, |G_m| = size: an index array as
+    given, a range checked to have step 1 and lie in G_m, None as
+    range(size)."""
+    if cofactors is None:
+        return range(size)
+    if isinstance(cofactors, range):
+        first, stop = cofactors.start, cofactors.stop
+        if cofactors.step != 1 or (first < stop and not (0 <= first and stop <= size)):
+            raise ValueError("a range of cofactors must have step 1 and lie in G_m")
+    return cofactors
+
+
+def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None):
+    """(row0, col0, idx) chunks of the int64 indices A_i h, i from row0 and
+    h from column col0 on, for k F_p-linear maps A_i from G_m to G_width
+    and every cofactor h: an int64 index array, or a `range` of step 1
+    (default: range(q^m), all of G_m in index order).  Every chunk is a
+    fresh array, its digit slices summed.
 
     Field elements are encoded by their base-p coordinates, so an index of
     G_m is a base-p number with r*m digits.  `images` is the (r*m, k) int64
@@ -155,19 +206,15 @@ def _linear_map(field: Field, images: np.ndarray, width: int, cofactors=None) ->
     their powers of p.  In characteristic 2 the lanes are the bits of the
     index itself (b = 1), the sum is XOR and there is nothing to decode.
     An image wider than one int64 of lanes is mapped in slices of its
-    digits that each fit, added back with their powers of p.  Tables,
-    decode tables and chunks of cofactor images hold at most
-    CHUNK_ELEMENTS int64 each (a table of one digit, p entries, or a
+    digits that each fit; a group of maps holds the tables of all its
+    slices, and each chunk is the sum of its slices' decoded indices.
+    Per slice, tables, decode tables and chunks of cofactor images hold at
+    most CHUNK_ELEMENTS int64 each (a table of one digit, p entries, or a
     decode table of one lane, 2^b entries, where that alone is more).
     """
     p = field.p
     bits, k = images.shape
-    if cofactors is None:
-        cofactors = range(p ** bits)
-    elif isinstance(cofactors, range):
-        first, stop = cofactors.start, cofactors.stop
-        if cofactors.step != 1 or (first < stop and not (0 <= first and stop <= p ** bits)):
-            raise ValueError("a range of cofactors must have step 1 and lie in G_m")
+    cofactors = _cofactors(cofactors, p ** bits)
     # digits per part: about half of them, as far as a part's table fits
     per = 1
     while per < (bits + 1) // 2 and p ** (per + 1) <= CHUNK_ELEMENTS:
@@ -177,24 +224,24 @@ def _linear_map(field: Field, images: np.ndarray, width: int, cofactors=None) ->
     b = 1 if p == 2 else (max(parts, 2) * (p - 1)).bit_length()
     digits, lanes = field.r * width, 63 // b
     combine = np.bitwise_xor if p == 2 else np.add
-    out = np.empty((k, len(cofactors)), dtype=np.int64)
-    group = max(1, CHUNK_ELEMENTS // split)
+    slices = []                         # (packed images, decode tables) per slice
     for lo in range(0, digits, lanes):
         count = min(lanes, digits - lo)
-        packed = _pack(images, p, b, lo, count)
-        decode = _decoders(p, b, lo, count)
-        for g0 in range(0, k, group):
-            kg = min(group, k - g0)
-            step = max(1, CHUNK_ELEMENTS // kg)
-            tables = [_table(packed[i:i + per, g0:g0 + kg], p, b)
-                      for i in range(0, max(bits, 1), per)]
-            for c0, acc in _chunks(tables, cofactors, step, p, per, combine):
-                block = out[g0:g0 + kg, c0:c0 + acc.shape[1]]
-                if lo:
-                    block += _decode(acc, decode)
-                else:
-                    block[...] = _decode(acc, decode)
-    return out
+        slices.append((_pack(images, p, b, lo, count),
+                       _decoders(p, b, lo, count, CHUNK_ELEMENTS)))
+    group = max(1, CHUNK_ELEMENTS // split)
+    for row0 in range(0, k, group):
+        rows = slice(row0, min(row0 + group, k))
+        step = max(1, CHUNK_ELEMENTS // (rows.stop - row0))
+        streams = [_chunks([_table(packed[i:i + per, rows], p, b)
+                            for i in range(0, max(bits, 1), per)],
+                           cofactors, step, p, per, combine)
+                   for packed, _ in slices]
+        for pieces in zip(*streams):
+            idx = _decode(pieces[0][1], slices[0][1])
+            for (_, acc), (_, decode) in zip(pieces[1:], slices[1:]):
+                idx += _decode(acc, decode)
+            yield row0, pieces[0][0], idx
 
 
 def _chunks(tables: list, cofactors, step: int, p: int, per: int, combine):
@@ -316,24 +363,29 @@ def _table(rows: np.ndarray, p: int, b: int) -> np.ndarray:
     return table
 
 
-def _decoders(p: int, b: int, lo: int, count: int) -> list:
+@functools.lru_cache(maxsize=64)
+def _decoders(p: int, b: int, lo: int, count: int, chunk: int) -> list:
     """(shift, table) pairs that turn a sum S of packed images, its lanes
     the digits lo .. lo+count-1, into their index: the sum over the pairs
     of table[(S >> shift) & (len(table) - 1)].  A table covers as many
-    lanes as fit in CHUNK_ELEMENTS entries, reduces each lane mod p and
-    weights it by its power of p.  No tables in characteristic 2, where S
-    is the index."""
+    lanes as fit in `chunk` (the engine's CHUNK_ELEMENTS) entries, reduces
+    each lane mod p and weights it by its power of p.  No tables in
+    characteristic 2, where S is the index.  Cached, so the read-only
+    tables are shared by every call with the same arguments."""
     if p == 2:
         return []
-    per = min(count, max(1, (CHUNK_ELEMENTS.bit_length() - 1) // b))     # lanes per table
+    per = min(count, max(1, (chunk.bit_length() - 1) // b))     # lanes per table
     lane_mod = np.arange(1 << b, dtype=np.int64) % p    # a lane's value mod p
     base = np.zeros(1, dtype=np.int64)  # the index of `per` lanes, by lanes
     for lane in range(per):
         # lane value v followed by lower lanes i: v mod p times p^lane + base[i]
         base = (lane_mod[:, None] * p ** lane + base).ravel()
     # a table of fewer lanes is a prefix of the base
-    return [(b * first, base[:1 << (b * min(per, count - first))] * p ** (lo + first))
-            for first in range(0, count, per)]
+    tables = [(b * first, base[:1 << (b * min(per, count - first))] * p ** (lo + first))
+              for first in range(0, count, per)]
+    for _, table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _decode(packed: np.ndarray, decode: list) -> np.ndarray:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Field
-from .gn import digit_matrix, times_fixed
+from .gn import digit_matrix, times_fixed_chunks
 
 NEG_INF = float("-inf")
 
@@ -335,8 +335,9 @@ def irreducible_indices(field: Field, d: int) -> np.ndarray:
 
     Every monic of degree d that is a product p*h with p irreducible of
     degree e <= d/2 and h monic of degree d - e is marked; the products
-    come from `times_fixed` on the coefficient rows of the degree-e
-    indices, so no Poly is built.  `multiplicative.function_on_gn` fills
+    come from `times_fixed_chunks` on the coefficient rows of the degree-e
+    indices and are marked a chunk at a time, so no Poly and no whole
+    block of products is built.  `multiplicative.function_on_gn` fills
     the same cache, with the same arrays, from the marks of its own pass.
     """
     if d < 1:
@@ -351,12 +352,15 @@ def irreducible_indices(field: Field, d: int) -> np.ndarray:
         # monic cofactors of degree d - e: the indices [q^(d-e), 2 q^(d-e)),
         # whose products are the monic indices [q^d, 2 q^d) of G_{d+1}
         m = d - e
-        idx = times_fixed(field, digit_matrix(q, e + 1, irreducible_indices(field, e)),
-                          m + 1, range(q ** m, 2 * q ** m))
-        idx -= q ** d
-        composite[idx] = True
-    cache[d] = np.flatnonzero(~composite) + q ** d
-    return cache[d]
+        for _, _, idx in times_fixed_chunks(
+                field, digit_matrix(q, e + 1, irreducible_indices(field, e)),
+                m + 1, range(q ** m, 2 * q ** m)):
+            idx -= q ** d
+            composite[idx] = True
+    survivors = np.flatnonzero(np.logical_not(composite, out=composite))
+    survivors += q ** d
+    cache[d] = survivors
+    return survivors
 
 
 def irreducibles_of_degree(field: Field, d: int) -> tuple:

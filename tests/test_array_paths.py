@@ -529,6 +529,91 @@ def test_tk_check_rows_are_turan_kubilius_per_n(pr, n, W, H):
                                                                 res.ratio), m
 
 
+@pytest.mark.parametrize("pr,n,W,H", TK_GRID)
+def test_tk_counts_are_unsigned_and_give_the_int32_bits(pr, n, W, H):
+    # the narrowest unsigned dtype holding the number of window primes, the
+    # count at g = 0; the squares and rows those of int32 counts
+    field = build_field(*pr)
+    counts = window_divisor_counts(field, n, W, H)
+    reference = per_prime_counts(field, n, W, H)
+    primes = sum(irreducible_count(field, d) for d in range(max(W + 1, 1), H))
+    assert counts.dtype == np.min_scalar_type(primes) and counts.dtype.kind == "u"
+    assert reference.dtype == np.int32 and np.array_equal(counts, reference)
+    assert int(counts[0]) == primes
+    A = window_mass(field, W, H)
+    squares, expected = squared_deviations(counts, A), squared_deviations(reference, A)
+    assert squares.tobytes() == expected.tobytes()
+    for m in range(1, n + 1):
+        a = turan_kubilius_from_squares(field, squares, m, A, W, H)
+        b = turan_kubilius_from_squares(field, expected, m, A, W, H)
+        assert struct.pack("<3d", a.A, a.lhs, a.ratio) == struct.pack("<3d", b.A, b.lhs, b.ratio)
+
+
+@pytest.mark.parametrize("W,H,dtype", [(0, 11, np.uint8), (0, 12, np.uint16)])
+def test_tk_counts_dtype_follows_the_number_of_window_primes(W, H, dtype):
+    # F_2: 226 primes of degree 1..10, 412 of degree 1..11
+    field = build_field(2, 1)
+    counts = window_divisor_counts(field, 6, W, H)
+    assert counts.dtype == dtype
+    assert int(counts[0]) == sum(irreducible_count(field, d) for d in range(1, H))
+    assert np.array_equal(counts, per_prime_counts(field, 6, W, H))
+
+
+# a few chunk-sized int64 temporaries of the decode and the scatter, the
+# decode tables the engine caches and, for the sieve, its output
+CHUNK_ALLOWANCE = 12
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sieve_memory_is_its_mask_and_a_few_chunks():
+    # the products are marked a chunk at a time: no (k, q^(d-e)) block
+    field = build_field(2, 1)
+    for e in range(1, 11):
+        irreducible_indices(field, e)
+    out, peak = _traced_peak(lambda: irreducible_indices(field, 20))
+    assert len(out) == irreducible_count(field, 20)
+    assert peak <= 2 ** 20 + CHUNK_ALLOWANCE * gn.CHUNK_ELEMENTS * 8
+
+
+def test_tk_counts_memory_is_the_counts_and_a_few_chunks():
+    counts, peak = _traced_peak(lambda: window_divisor_counts(build_field(3, 1), 12, 1, 9))
+    assert peak <= counts.nbytes + CHUNK_ALLOWANCE * gn.CHUNK_ELEMENTS * 8
+    assert counts.dtype == np.uint16
+
+
+def test_decoder_cache_follows_chunk_elements(monkeypatch):
+    # decode tables cached at the default size must not serve a smaller
+    # CHUNK_ELEMENTS: every table within the patched bound, the same products
+    grid = []
+    for q in (3, 5, 9, 17, 27):
+        (p, r), m_max = KERNEL_GRID[q]
+        field = build_field(p, r)
+        for stack in kernel_stacks(field):
+            for m in range(m_max + 1):
+                grid.append((field, stack, m, times_fixed(field, stack, m)))
+    decoders = gn._decoders
+    for chunk in (7, 40):
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+        sizes = []
+
+        def spy(p, b, lo, count, size):
+            out = decoders(p, b, lo, count, size)
+            sizes.append((size, max(len(t) for _, t in out) <= max(chunk, 1 << b)))
+            return out
+        monkeypatch.setattr(gn, "_decoders", spy)
+        for field, stack, m, expected in grid:
+            assert np.array_equal(times_fixed(field, stack, m), expected), (field.q, stack, m)
+        assert sizes and sizes == [(chunk, True)] * len(sizes)
+
+
 def kernel_moduli(field):
     """Moduli of degree 0 to 3: constants, x, a non-monic one, x^2 (not
     squarefree) and x^2 + 1 and a degree-3 polynomial."""

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from ffmult.characters import (DegreeTwist, DirichletCharacter, HayesCharacter,
-                               UnitCharacter, dirichlet_characters, eval_hayes,
-                               r_s_group, short_interval_characters,
+                               UnitCharacter, character_exponents, dirichlet_character,
+                               dirichlet_characters, eval_hayes, r_s_group,
+                               short_interval_character, short_interval_characters,
                                top_coefficient_tuple, unit_group)
 from ffmult.fields import build_field
 from ffmult.polys import Poly, poly_gcd
@@ -89,6 +90,53 @@ def test_dirichlet_multiplicative_on_residues_exact():
                 assert tab is None
             else:
                 assert tab == (ta + tb) % 1
+
+
+@pytest.mark.parametrize("pr", [(2, 1), (3, 1), (2, 2)])
+def test_the_indexed_character_is_the_list_entry(pr, monkeypatch):
+    # every index of every monic modulus of degree <= 3 and of every R_s,
+    # s <= 3: the character built alone equals the list's entry
+    from ffmult import characters
+    field = build_field(*pr)
+    for name in ("unit_group", "r_s_group"):     # decompose each group once
+        memo, real = {}, getattr(characters, name)
+        monkeypatch.setattr(characters, name, lambda field, key, memo=memo, real=real:
+                            memo[key] if key in memo else memo.setdefault(key, real(field, key)))
+    pairs = [(dirichlet_characters(g), lambda i, g=g: dirichlet_character(g, i))
+             for g in monic_moduli(field, 3)]
+    pairs += [(short_interval_characters(field, s),
+               lambda i, s=s: short_interval_character(field, s, i)) for s in range(4)]
+    for chars, build in pairs:
+        for i, expected in enumerate(chars):
+            one = build(i)
+            assert type(one) is type(expected) and one.exponents == expected.exponents
+            assert one.order == expected.order and (one.table == expected.table).all()
+        with pytest.raises(ValueError, match="character index"):
+            build(len(chars))
+        with pytest.raises(ValueError, match="character index"):
+            build(-1)
+
+
+def test_character_exponents_are_the_product_order():
+    structure = unit_group(F3, Poly(F3, (1, 0, 0, 1)))      # x^3 + 1 = (x + 1)^3 over F_3
+    orders = structure.orders
+    expected = list(itertools.product(*(range(d) for d in orders)))
+    assert len(orders) > 1 and len(expected) == structure.size
+    assert [character_exponents(structure, i) for i in range(structure.size)] == expected
+
+
+def test_resolve_hayes_builds_one_character_of_each_family(monkeypatch):
+    from ffmult import characters
+    from ffmult.experiments import resolve_hayes
+    built = []
+    real = characters._character_table
+    monkeypatch.setattr(characters, "_character_table",
+                        lambda structure, *args: built.append(structure) or real(structure, *args))
+    H = resolve_hayes(F3, {"dirichlet": {"modulus": [1, 0, 1], "index": 5},
+                           "short": {"s": 3, "index": 20}})
+    assert len(built) == 2
+    assert H.dirichlet.exponents == dirichlet_characters(Poly(F3, (1, 0, 1)))[5].exponents
+    assert H.short.exponents == short_interval_characters(F3, 3)[20].exponents
 
 
 def test_r_s_group_law_full_check():

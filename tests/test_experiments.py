@@ -297,15 +297,15 @@ def test_katai_budget_refusal_uses_the_exact_estimate():
 def test_tk_estimate_equals_the_rows_the_kernel_marks(monkeypatch):
     from ffmult import analytics
     from ffmult.experiments import _estimated_cost
-    real = analytics.times_fixed
+    real = analytics.times_fixed_chunks
     marked = []
 
     def counting(*args, **kwargs):
-        out = real(*args, **kwargs)
-        marked.append(out.size)
-        return out
+        for chunk in real(*args, **kwargs):
+            marked.append(chunk[2].size)
+            yield chunk
 
-    monkeypatch.setattr(analytics, "times_fixed", counting)
+    monkeypatch.setattr(analytics, "times_fixed_chunks", counting)
     # three of the windows hold primes of degree >= n (one row each, the index
     # 0); the estimate charges the kernel's declared rows, and also G_n and the
     # sieve of the top window degree, which here may be larger
