@@ -25,24 +25,23 @@ nothing builds Poly objects.  The kernels:
 `_map_chunks`, built on the base-p view of an index: field elements are
 encoded by their F_p coordinates, so an index of G_m is a base-p number
 with r*m digits, and h -> p*h and h -> h mod g are F_p-linear on those
-digits.  The engine holds
-an image with each base-p digit in its own b-bit lane of an int64, sums
-tabulated images of a cofactor's digit parts as plain integers (b wide
-enough that no lane overflows) and decodes the sums to indices through
-small lookup tables that reduce each lane mod p.  In characteristic 2 (any
-r) the lanes are the index's own bits, the sum is XOR and nothing needs
-decoding.  Cofactors come as an index array or as a contiguous range of
-G_m (every caller's case but `residues` and `GnIndex.smul`); a range is
-mapped as an outer sum, the images of its high digit parts against the
-whole table of its lowest part, with no index array built.  All of it is
-int64 arithmetic, exact for every index int64 holds.  The engine yields
-its products in chunks, each a fresh int64 array with every digit slice
-summed; `_linear_map` collects them into one block, the consumers of
-`times_fixed_chunks` scatter them.  Its memory per digit slice of the
-images (one slice unless an image has more base-p digits than an int64
-has lanes), and that of `top_codes`, is bounded by the module constant
-CHUNK_ELEMENTS, whatever the size of G_m.  The decode tables are cached
-per (p, lane width, slice, CHUNK_ELEMENTS), built on first use.
+digits.  The engine holds an image with each base-p digit in its own b-bit
+lane of an int64, sums tabulated images of a cofactor's digit parts as
+plain integers (b wide enough that no lane overflows) and decodes the sums
+to indices through small lookup tables that reduce each lane mod p.  In
+characteristic 2 (any r) the lanes are the index's own bits, the sum is
+XOR and nothing needs decoding.  Cofactors come as an index array or as a
+contiguous range of G_m (every caller's case but `residues` and
+`GnIndex.smul`); a range is mapped as an outer sum, the images of its high
+digit parts against the whole table of its lowest part, with no index
+array built.  All of it is int64 arithmetic, exact for every index int64
+holds.  The engine yields its products in chunks, each a fresh int64 array
+with every digit slice summed; `_linear_map` collects them into one block,
+the consumers of `times_fixed_chunks` scatter them.  Its memory per digit
+slice of the images (one slice unless an image has more base-p digits than
+an int64 has lanes), and that of `top_codes`, is bounded by the module
+constant CHUNK_ELEMENTS, whatever the size of G_m.  The decode tables are
+cached per (p, lane width, slice, CHUNK_ELEMENTS), built on first use.
 """
 
 from __future__ import annotations
@@ -79,9 +78,9 @@ def leading_coefficients(q: int, n: int) -> np.ndarray:
     return out
 
 
-# the largest block the linear maps hold at once (one table of packed
-# images, one decode table, one chunk of cofactor images): the kernel's
-# memory bound for any G_m
+# the largest block the linear maps hold at once per digit slice (one
+# table of packed images, one decode table, one chunk of cofactor images):
+# the kernel's memory bound for any G_m
 CHUNK_ELEMENTS = 1 << 14
 
 
@@ -103,8 +102,8 @@ def times_fixed_chunks(field: Field, polys, m: int, cofactors=None):
     """The products of `times_fixed`, a chunk at a time: (row0, col0, idx)
     with idx the block [row0:row0 + len(idx), col0:col0 + idx.shape[1]] of
     times_fixed(field, polys, m, cofactors), a fresh int64 array of at most
-    CHUNK_ELEMENTS entries that the consumer may overwrite.  Column 0 of a
-    row group comes only in its chunk with col0 == 0."""
+    max(CHUNK_ELEMENTS, p) entries that the consumer may overwrite.
+    Column 0 of a group of rows comes only in its chunk with col0 == 0."""
     return _map_chunks(field, *_product_images(field, polys, m), cofactors)
 
 
