@@ -17,7 +17,7 @@ from ffmult import (LaurentTruncation, PolynomialPhase, build_field, correlate,
                     katai_statistic, linear_form, phase_character_array,
                     random_on_irreducibles)
 
-field = build_field(2, 1, factor_degree_bound=13)
+field = build_field(2, 1)
 
 print("Correlation of a random +-1 multiplicative function with a quadratic phase")
 nu = random_on_irreducibles(field, 4)

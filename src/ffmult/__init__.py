@@ -26,14 +26,14 @@ Layers, bottom to top:
 
 from .errors import BudgetError, ConfigError
 from .fields import Field, FieldElement, build_field
-from .polys import (NEG_INF, Poly, enumerate_sets, factor, g_n,
-                    irreducible_count, irreducibles_of_degree, is_irreducible,
-                    monic_of_degree, p_k, poly_gcd)
+from .polys import (NEG_INF, Poly, factor, g_n, irreducible_count,
+                    irreducibles_of_degree, is_irreducible, monic_of_degree, p_k,
+                    poly_gcd)
 from .laurent import LaurentTruncation, linear_form, linear_form_table
 from .groups import AbelianGroupStructure, decompose_abelian_group
 from .characters import (DegreeTwist, DirichletCharacter, HayesCharacter,
                          ShortIntervalCharacter, UnitCharacter, dirichlet_character,
-                         dirichlet_characters, eval_hayes, r_s_group,
+                         dirichlet_characters, r_s_group,
                          short_interval_character, short_interval_characters,
                          unit_group)
 from .multiplicative import (MultiplicativeFunction, builtin, from_character,

@@ -43,8 +43,8 @@ from .laurent import LaurentTruncation, linear_form_table
 from .multiplicative import (MultiplicativeFunction, _complex, _prime_power_values, _products,
                              from_character, function_on_gn, per_element, prime_values)
 from .phases import PolynomialPhase, derivative_form
-from .polys import (Poly, irreducible_count, irreducible_indices, irreducibles_of_degree,
-                    monic_of_degree, necklace_count)
+from .polys import (Poly, irreducible_count, irreducible_indices, monic_of_degree,
+                    necklace_count)
 
 
 def _on_gn(field: Field, n: int, f, indices: range) -> np.ndarray:
@@ -499,8 +499,7 @@ def _at_primes(field: Field, f, d: int) -> np.ndarray:
         return prime_values(f, d)
     if isinstance(f, HayesCharacter):
         return f.values_at(irreducible_indices(field, d))
-    return np.array([complex(f(p)) for p in irreducibles_of_degree(field, d)],
-                    dtype=np.complex128)
+    return per_element(field, f, irreducible_indices(field, d))
 
 
 def distance_terms(f, g, d: int) -> list:

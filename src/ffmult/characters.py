@@ -130,7 +130,7 @@ def unit_group(field: Field, modulus: Poly) -> AbelianGroupStructure:
     field.charge(field.q ** int(modulus.degree), f"the residues mod {modulus}")
     units = [h for h in _residues(field, modulus)
              if poly_gcd(h, modulus) == Poly.one(field)]
-    return decompose_abelian_group(units, lambda a, b: (a * b) % modulus, field.enumeration_budget)
+    return decompose_abelian_group(units, lambda a, b: (a * b) % modulus)
 
 
 def _residues(field: Field, modulus: Poly):
@@ -186,7 +186,7 @@ def r_s_group(field: Field, s: int) -> AbelianGroupStructure:
         return tuple(c)
 
     elements = list(itertools.product(range(field.q), repeat=s))
-    return decompose_abelian_group(elements, op, field.enumeration_budget)
+    return decompose_abelian_group(elements, op)
 
 
 def _code(field: Field, a: tuple) -> int:
@@ -462,8 +462,3 @@ class HayesCharacter:
         if self.unit is not None:
             bits.append(f"unit[{self.unit.index}]")
         return "HayesCharacter(" + (" * ".join(bits) if bits else "trivial") + ")"
-
-
-def eval_hayes(H: HayesCharacter, g: Poly) -> complex:
-    """Value of the Hayes product at g; zero exactly off the chi-units."""
-    return H(g)

@@ -148,7 +148,7 @@ def _check_keys(problems, obj, allowed, where):
 def _unit_count(p: int, r: int, modulus: list) -> int:
     """|(F_q[x]/g)^*|, the number of Dirichlet characters mod g, from the
     factorization of g (degree >= 1): prod q^((k-1) deg P) (q^deg P - 1)."""
-    field = build_field(p, r, factor_degree_bound=max(1, (len(modulus) - 1) // 2))
+    field = build_field(p, r)
     q = field.q
     _, parts = factor(Poly(field, modulus))
     return math.prod(q ** ((k - 1) * int(P.degree)) * (q ** int(P.degree) - 1)

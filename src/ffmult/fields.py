@@ -88,22 +88,10 @@ def _least_irreducible(p: int, r: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible of degree %d over F_%d" % (r, p))
 
 
-def _default_factor_bound(q: int) -> int:
-    if q == 2:
-        return 12
-    if q == 3:
-        return 8
-    d = 1
-    while q ** (d + 1) <= 6561:
-        d += 1
-    return d
-
-
 class Field:
     """F_{p^r} with table-driven arithmetic on int-encoded elements."""
 
-    def __init__(self, p: int, r: int, factor_degree_bound: int | None = None,
-                 enumeration_budget: int = DEFAULT_BUDGET):
+    def __init__(self, p: int, r: int, enumeration_budget: int = DEFAULT_BUDGET):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if r < 1:
@@ -114,8 +102,6 @@ class Field:
         if self.q > 512:
             raise ValueError(f"q = {self.q} too large for table-driven arithmetic")
         self.modulus = _least_irreducible(p, r)
-        self.factor_degree_bound = (factor_degree_bound if factor_degree_bound is not None
-                                    else _default_factor_bound(self.q))
         self.enumeration_budget = enumeration_budget
         self._build_tables()
         # exp(2*pi*i*k/p) for exponent->complex conversion at sum time
@@ -344,7 +330,6 @@ class FieldElement:
         return "+".join(reversed(parts)) if parts else "0"
 
 
-def build_field(p: int, r: int, factor_degree_bound: int | None = None,
-                enumeration_budget: int = DEFAULT_BUDGET) -> Field:
+def build_field(p: int, r: int, enumeration_budget: int = DEFAULT_BUDGET) -> Field:
     """Construct F_{p^r} with a deterministically chosen defining polynomial."""
-    return Field(p, r, factor_degree_bound, enumeration_budget)
+    return Field(p, r, enumeration_budget)

@@ -11,15 +11,14 @@ The discrete-log table is built by enumerating every product of generator
 powers; a collision there would mean the decomposition failed, so the
 reconstruction doubles as verification.  Non-group inputs (no identity,
 missing inverses, closure failures) are detected during order computation
-and rejected.
+and rejected.  The callers charge the size of the universe to their
+field's budget before they build it; nothing here is capped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-
-from .errors import BudgetError
 
 
 def _lcm(a: int, b: int) -> int:
@@ -156,18 +155,15 @@ def _decompose(view: _GroupView):
     return (g1, *lifted), (d1, *sub_orders)
 
 
-def decompose_abelian_group(elements, op, budget: int) -> AbelianGroupStructure:
+def decompose_abelian_group(elements, op) -> AbelianGroupStructure:
     """Elementary-divisor decomposition of a finite abelian group.
 
-    `elements` is any enumerable of hashables, `op` the group operation;
-    a group of more than `budget` elements is refused.
+    `elements` is any enumerable of hashables, `op` the group operation.
     The returned structure carries the dlog table for every element; its
     construction re-generates the whole group from the generators, which
     verifies the decomposition.
     """
     elements = tuple(elements)
-    if len(elements) > budget:
-        raise BudgetError(f"group of size {len(elements)} over budget {budget}")
     view = _GroupView(elements, op)
     gens, orders = _decompose(view)
 

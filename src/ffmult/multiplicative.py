@@ -3,10 +3,11 @@
 A function here is determined by its rule on prime powers (irreducible p,
 exponent k), a rule on units (default: constant 1, so built-ins are
 unit-invariant), and the convention f(0) = 0.  A value at one polynomial,
-f(g), comes from factor() (whose field-wide memo is the one scalar memo);
-that is the only use of the field's factor-degree bound.  A whole array on
-G_n comes from `function_on_gn`, and the values at the irreducibles of one
-degree from `prime_values`, both bit for bit equal to the scalar path.
+f(g), comes from factor() (whose field-wide memo is the one scalar memo),
+or, for a character or a twist, from its Hayes product H(g), times the
+base function's f(g).  A whole array on G_n comes from `function_on_gn`,
+and the values at the irreducibles of one degree from `prime_values`,
+both bit for bit equal to the scalar path.
 `function_on_gn` is one Eratosthenes pass over index space that needs no
 factor(): per degree d it multiplies each g by f(p^k) for its primes p of
 degree d in rounds, one vectorized scatter per round (the r-th prime of
@@ -14,8 +15,7 @@ every g), and a single scatter when 2d >= n, where no g has two such
 primes; the irreducibles it needs are read from its own composite marks.
 Characters and twists are the Hayes arrays of `HayesCharacter.values_at`
 (times the base function's array).  `per_element` is the one loop that
-calls a function polynomial by polynomial; only plain callables (and an
-`eval_override` that is one) reach it.
+calls a function polynomial by polynomial; only plain callables reach it.
 
 Built-ins: moebius (mu(p) = -1, zero on non-squarefree), liouville
 (lambda(p^k) = (-1)^k), one.  Character-derived functions wrap a Hayes
@@ -51,7 +51,8 @@ class MultiplicativeFunction:
     """f with f(gh) = f(g)f(h) on coprime pairs, f(0) = 0, f(1) = 1."""
 
     # (base, H, conjugate) for from_character(H) (base None) and
-    # twist(base, H, conjugate): the array paths read H as Hayes arrays
+    # twist(base, H, conjugate): f(g) is H(g), base(g) H(g) or
+    # base(g) conj H(g), and the array paths read H as Hayes arrays
     _character = None
     # d -> f(p) at irreducible_indices(field, d) for a random function,
     # whose prime-power rule is f(p) ** k: the array paths read these
@@ -59,13 +60,12 @@ class MultiplicativeFunction:
 
     def __init__(self, field: Field, prime_power_rule, *, name: str,
                  completely_multiplicative: bool = False, unit_rule=None,
-                 eval_override=None, degree_profile=None, descriptor=None):
+                 degree_profile=None, descriptor=None):
         self.field = field
         self.prime_power_rule = prime_power_rule
         self.name = name
         self.completely_multiplicative = completely_multiplicative
         self.unit_rule = unit_rule or (lambda c: 1.0 + 0j)
-        self.eval_override = eval_override
         self.degree_profile = degree_profile
         self._descriptor = descriptor or {"kind": "custom", "name": name}
 
@@ -76,8 +76,12 @@ class MultiplicativeFunction:
     def __call__(self, g: Poly) -> complex:
         if g.is_zero():
             return 0j
-        if self.eval_override is not None:
-            return complex(self.eval_override(g))
+        if self._character is not None:
+            base, H, conjugate = self._character
+            h = H(g)
+            if base is None:
+                return complex(h)
+            return complex(base(g) * (h.conjugate() if conjugate else h))
         if g.degree == 0:
             return complex(self.unit_rule(g.coeffs[0]))
         unit, parts = factor(g)
@@ -123,11 +127,11 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
     """f on all of G_n as a complex array in index order, bit-identical to
     [f(g) for g in G_n].
 
-    Functions without an eval_override are sieved over index space in one
-    Eratosthenes pass: every nonzero index starts at unit_rule(lc), and each
-    degree d < n multiplies every g by f(p^k) for the primes p of degree d
-    with p^k || g, p in index order, which is the order factor() returns, so
-    each value sees the same roundings as the scalar path.  A degree is
+    Functions other than characters and twists are sieved over index space
+    in one Eratosthenes pass: every nonzero index starts at unit_rule(lc),
+    and each degree d < n multiplies every g by f(p^k) for the primes p of
+    degree d with p^k || g, p in index order, which is the order factor()
+    returns, so each value sees the same roundings as the scalar path.  A degree is
     applied in rounds, one vectorized `_scatter` per round: the (g, p, k)
     of the degree are sorted by (g, p) and round r takes the r-th prime of
     every g, so at most floor((n-1)/d) rounds.  When 2d >= n no g has two
@@ -140,8 +144,7 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
     entry yet (the standalone `irreducible_indices` gives the same arrays).
     A character is its Hayes array; a twist is its base's array times the
     Hayes array (or its conjugate), by the separate float64 products of
-    `_products`.  Any other eval_override is a plain callable and goes
-    through `per_element`.
+    `_products`.
     """
     field = f.field
     q = field.q
@@ -154,8 +157,6 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
             return values
         # at the index 0 both factors are +0, and so is the product
         return _complex(*_products(function_on_gn(base, n), values, conjugate))
-    if f.eval_override is not None:
-        return per_element(field, f, range(size))
     units = np.array([0j] + [complex(f.unit_rule(c)) for c in range(1, q)])
     out = units[leading_coefficients(q, n)]
     cache = field._irreducible_indices
@@ -285,7 +286,7 @@ def from_character(H: HayesCharacter) -> MultiplicativeFunction:
 
     f = MultiplicativeFunction(
         H.field, lambda p, k: H(p) ** k, name="hayes",
-        completely_multiplicative=True, eval_override=H,
+        completely_multiplicative=True,
         unit_rule=lambda c: H(Poly.constant(H.field, c)),
         degree_profile=profile,
         descriptor={"kind": "character", "hayes": H.descriptor()})
@@ -338,11 +339,6 @@ def random_on_irreducibles(field: Field, seed: int,
 def twist(f: MultiplicativeFunction, H: HayesCharacter,
           conjugate: bool = False) -> MultiplicativeFunction:
     """Pointwise product f*H, or f*conj(H) with conjugate=True."""
-
-    def over(g: Poly) -> complex:
-        h = H(g)
-        return f(g) * (h.conjugate() if conjugate else h)
-
     sign = "conj " if conjugate else ""
     out = MultiplicativeFunction(
         f.field,
@@ -350,7 +346,6 @@ def twist(f: MultiplicativeFunction, H: HayesCharacter,
                                                  if conjugate else H(p) ** k),
         name=f"{f.name}*{sign}hayes",
         completely_multiplicative=f.completely_multiplicative,
-        eval_override=over,
         unit_rule=lambda c: f.unit_rule(c) * (H(Poly.constant(f.field, c)).conjugate()
                                               if conjugate else H(Poly.constant(f.field, c))),
         descriptor={"kind": "twist", "base": f.descriptor(),

@@ -17,9 +17,9 @@ vectorized over the cofactor and batched over the primes of a degree, so
 desk-scale tables (q^d up to ~10^6) build in well under a second.  Poly
 tuples of the irreducibles are made on demand, on the first call of
 `irreducibles_of_degree`, for the scalar API.  Factorization is trial
-division against that table; a polynomial of degree D is fully factorable
-as long as D//2 stays within the table bound, since a composite always has
-a factor of at most half its degree.
+division against those tables up to half the degree of what is left, since
+a composite always has a factor of at most half its degree; the only limit
+on it is the sieve's charge against the field's enumeration budget.
 """
 
 from __future__ import annotations
@@ -284,17 +284,6 @@ def p_k(field: Field, k: int):
             yield g
 
 
-def enumerate_sets(field: Field, kind: str, *, n: int | None = None, k: int | None = None):
-    """Dispatcher kept for config-driven callers; see the named iterators."""
-    if kind == "G_n":
-        return g_n(field, n)
-    if kind == "monic_of_degree":
-        return monic_of_degree(field, n)
-    if kind == "P_k":
-        return p_k(field, k)
-    raise ValueError(f"unknown set kind {kind!r}")
-
-
 # -- irreducibles ------------------------------------------------------------
 
 
@@ -384,21 +373,18 @@ def is_irreducible(g: Poly) -> bool:
         key = m.to_index()
         at = int(np.searchsorted(idx, key))
         return at < len(idx) and int(idx[at]) == key
-    # degree too large to sieve at full width: trial-divide up to d//2
-    for e in range(1, d // 2 + 1):
-        for p in irreducibles_of_degree(field, e):
-            if (m % p).is_zero():
-                return False
-    return True
+    # degree too large to sieve at full width: trial division
+    return factor(g)[1] == ((m, 1),)
 
 
 def factor(g: Poly):
     """g = unit * prod(p_i^{k_i}); returns (unit_code, ((p, k), ...)).
 
-    Trial division against the cached irreducible table.  Works whenever
-    deg(g) <= 2*bound + 1 for the field's factor_degree_bound: a composite
-    cofactor would need a divisor of degree at most deg//2 <= bound, so a
-    surviving cofactor is certified irreducible.
+    Trial division against the cached irreducible tables, degree by
+    degree up to half the degree of the cofactor left: a composite
+    cofactor would have a divisor of at most that degree, so a surviving
+    cofactor is certified irreducible.  The sieve of each degree is
+    charged to the field's enumeration budget.
     """
     if g.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -408,11 +394,6 @@ def factor(g: Poly):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    bound = field.factor_degree_bound
-    if g.degree > 2 * bound + 1:
-        raise ValueError(
-            f"deg(g) = {g.degree} exceeds the factorable range 2*{bound}+1 = "
-            f"{2 * bound + 1}; raise factor_degree_bound on the field")
     unit = g.lc()
     m = g.monic()
     out = []

@@ -342,7 +342,7 @@ def test_11c_katai_constant_function():
 
 def test_12_aperiodic_decay_exhibit():
     t0 = time.time()
-    field = build_field(2, 1, factor_degree_bound=13)
+    field = build_field(2, 1)
     nu = random_on_irreducibles(field, 4)
     rng = random.Random(10)
     L1 = LaurentTruncation.random(field, 16, rng)

@@ -141,16 +141,6 @@ def test_function_on_gn_matches_per_element_bytes(pr, name):
         assert sieved.tobytes() == per_element(make_function(field, name), n).tobytes(), n
 
 
-def test_sieve_ignores_the_factor_degree_bound():
-    field = build_field(2, 1, factor_degree_bound=2)
-    mu = builtin(field, "moebius")
-    arr = function_on_gn(mu, 9)
-    with pytest.raises(ValueError, match="factorable range"):
-        mu(Poly.from_index(field, 2 ** 8 + 3))
-    wide = build_field(2, 1)
-    assert arr.tobytes() == per_element(builtin(wide, "moebius"), 9).tobytes()
-
-
 def per_prime_sieve(f, n):
     """function_on_gn as the prime-power sieve was first written: one scale
     of the exact multiples of p^k per prime p and k, primes boxed from the

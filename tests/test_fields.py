@@ -1,8 +1,11 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ffmult
 from ffmult.fields import FieldElement, build_field, is_prime
 
 
@@ -106,3 +109,32 @@ def test_coords_roundtrip():
     F9 = build_field(3, 2)
     for a in range(9):
         assert F9.from_coords(F9.coords(a)) == a
+
+
+def _budget_raises(tree: ast.Module) -> list:
+    """The qualified names of the functions that `raise BudgetError`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "BudgetError":
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_budget_refusals_come_from_the_field_charge_alone():
+    # every budget refusal is Field.charge; the one other BudgetError is the
+    # int64 limit of the product-index engine, which no budget can lift
+    sites = []
+    for path in sorted(Path(ffmult.__file__).parent.glob("*.py")):
+        sites += [f"{path.stem}.{name}"
+                  for name in _budget_raises(ast.parse(path.read_text()))]
+    assert sorted(sites) == ["fields.Field.charge", "gn._product_images"]

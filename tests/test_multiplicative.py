@@ -169,10 +169,3 @@ def test_descriptors():
     assert builtin(F2, "moebius").descriptor() == {"kind": "builtin", "name": "moebius"}
     d = random_on_irreducibles(F2, 9, "unit").descriptor()
     assert d == {"kind": "random", "seed": 9, "values": "unit"}
-
-
-def test_evaluation_beyond_factor_cache_rejected():
-    F = build_field(2, 1, factor_degree_bound=2)
-    mu = builtin(F, "moebius")
-    with pytest.raises(ValueError):
-        mu(Poly.from_index(F, 2 ** 9 + 3))

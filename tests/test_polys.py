@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from ffmult.errors import BudgetError
 from ffmult.fields import build_field
-from ffmult.polys import (NEG_INF, Poly, enumerate_sets, factor, g_n,
-                          irreducible_count, irreducibles_of_degree,
+from ffmult.multiplicative import builtin
+from ffmult.polys import (NEG_INF, Poly, factor, g_n, irreducible_count,
+                          irreducible_indices, irreducibles_of_degree,
                           is_irreducible, monic_of_degree, p_k, poly_gcd)
 
 F2 = build_field(2, 1)
@@ -106,12 +107,10 @@ def test_p_k_two_degree_span():
     assert all(is_irreducible(g) for g in pk)
 
 
-def test_enumerate_sets_dispatch():
-    assert len(list(enumerate_sets(F2, "G_n", n=4))) == 16
-    assert len(list(enumerate_sets(F2, "monic_of_degree", n=2))) == 4
-    assert len(list(enumerate_sets(F2, "P_k", k=2))) == 3
-    with pytest.raises(ValueError):
-        list(enumerate_sets(F2, "nope"))
+def test_set_iterator_sizes():
+    assert len(list(g_n(F2, 4))) == 16
+    assert len(list(monic_of_degree(F2, 2))) == 4
+    assert len(list(p_k(F2, 2))) == 3
 
 
 def test_enumeration_budget_guard():
@@ -180,10 +179,33 @@ def test_factor_multiply_roundtrip_random_products():
         assert all(is_irreducible(p) for p, _ in fs)
 
 
-def test_factor_rejects_beyond_certifiable_range():
-    F = build_field(2, 1, factor_degree_bound=2)
-    with pytest.raises(ValueError, match="factorable range"):
-        factor(Poly.from_index(F, 2 ** 7 + 1) * Poly.x(F) ** 2)
+@pytest.mark.parametrize("pr,degree", [((2, 1), 26), ((2, 1), 30), ((3, 1), 18),
+                                       ((2, 2), 14)])
+def test_factor_past_the_old_degree_caps(pr, degree):
+    # F_2, F_3 and F_4 once refused degrees above 25, 17 and 13
+    F = build_field(*pr)
+    rng = random.Random(degree)
+    g = Poly(F, [rng.randrange(F.q) for _ in range(degree)] + [rng.randrange(1, F.q)])
+    unit, parts = factor(g)
+    back = Poly.constant(F, unit)
+    for p, k in parts:
+        back = back * p ** k
+    assert back == g
+    assert all(is_irreducible(p) for p, _ in parts)
+    if pr == (2, 2):
+        squarefree = all(k == 1 for _, k in parts)
+        assert builtin(F, "moebius")(g) == ((-1) ** len(parts) if squarefree else 0)
+
+
+def test_factor_is_refused_only_by_the_sieve_charge():
+    # trial division of an irreducible of degree 16 sieves up to degree 8
+    key = int(irreducible_indices(F2, 16)[0])
+    tight = build_field(2, 1, enumeration_budget=200)
+    with pytest.raises(BudgetError, match="sieve at degree 8 needs 256"):
+        factor(Poly.from_index(tight, key))
+    enough = build_field(2, 1, enumeration_budget=256)
+    g = Poly.from_index(enough, key)
+    assert factor(g) == (1, ((g, 1),))
 
 
 def test_factorization_is_canonical_order():
