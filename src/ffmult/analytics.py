@@ -44,7 +44,7 @@ from .multiplicative import (MultiplicativeFunction, _complex, _prime_power_valu
                              from_character, function_on_gn, per_element, prime_values)
 from .phases import PolynomialPhase, derivative_form
 from .polys import (Poly, irreducible_count, irreducible_indices, monic_of_degree,
-                    necklace_count)
+                    necklace_count, sieve_through)
 
 
 def _on_gn(field: Field, n: int, f, indices: range) -> np.ndarray:
@@ -412,7 +412,10 @@ def window_divisor_counts(field: Field, n: int, W: int, H: int) -> np.ndarray:
     The count of g does not depend on n, so the counts on G_m, m <= n, are
     the prefix [:q^m].  Every p divides g = 0.  G_n and the `tk_cost` rows
     are charged to the field before any irreducible of the window is sieved.
-    The multiples are scattered a chunk at a time as the engine maps them.
+    The multiples are added a chunk at a time as the engine maps them, by
+    one `np.add.at`, which adds 1 per occurrence of an index: g = 0, a
+    multiple of every prime, and a g divisible by two primes of one chunk
+    are counted once per prime.
     """
     degrees = _tk_degrees(W, H)
     size = field.q ** n
@@ -420,22 +423,13 @@ def window_divisor_counts(field: Field, n: int, W: int, H: int) -> np.ndarray:
     field.charge(tk_cost(field.q, n, W, H), f"the window's multiples on G_{n}")
     total = sum(irreducible_count(field, d) for d in degrees)      # counts[0]
     counts = np.zeros(size, dtype=np.min_scalar_type(total))
+    one = counts.dtype.type(1)      # a 1-D index and a scalar of the dtype: add.at's fast path
     for d in degrees:
         # multiples of p in G_n are p*h, h in G_{n-d}; a prime of degree
         # >= n divides only g = 0
         primes = digit_matrix(field.q, d + 1, irreducible_indices(field, d))
-        chunks = times_fixed_chunks(field, primes, max(n - d, 0))
-        if 2 * d >= n:
-            # p*h = p'*h' with h' != 0 forces p | h', of degree < n - d <= d:
-            # the nonzero multiples of all primes of degree d are distinct.
-            # h = 0 is column 0, in the first chunk of each group of primes
-            for _, col0, multiples in chunks:
-                counts[multiples[:, 1:] if col0 == 0 else multiples] += 1
-            counts[0] += len(primes)
-            continue
-        for _, _, multiples in chunks:
-            for row in multiples:   # one prime at a time: h -> p*h is injective
-                counts[row] += 1
+        for _, _, multiples in times_fixed_chunks(field, primes, max(n - d, 0)):
+            np.add.at(counts, multiples.ravel(), one)
     return counts
 
 
@@ -518,6 +512,7 @@ def distance_from_terms(terms) -> float:
 def pretentious_distance(f, g, N: int, window_low: int = 0) -> float:
     """D(f, g; N): sqrt of sum over irreducibles with window_low <= deg <= N
     of q^{-deg p} (1 - Re f(p) conj g(p)), each summand clamped at >= 0."""
+    sieve_through(f.field if isinstance(f, MultiplicativeFunction) else g.field, N)
     return distance_from_terms([t for d in range(max(window_low, 1), N + 1)
                                 for t in distance_terms(f, g, d)])
 
@@ -546,6 +541,7 @@ def min_distance_over_hayes(f, N: int, modulus_degree_bound: int,
     if not thetas:
         raise ValueError("theta grid must contain at least one point")
     degrees = range(1, N + 1)
+    sieve_through(field, N)
     primes = {d: irreducible_indices(field, d) for d in degrees}
     # q^{-d} f(p) per degree, rounded as Python's float * complex rounds it
     weighted = {d: _products(complex(float(field.q) ** -d), _at_primes(field, f, d))

@@ -29,7 +29,7 @@ from .fields import DEFAULT_BUDGET, Field, build_field, is_prime
 from .laurent import LaurentTruncation
 from .multiplicative import _BUILTINS, builtin, from_character, random_on_irreducibles, twist
 from .phases import MultilinearForm, PolynomialPhase, bias_cost, projective_common_zeros
-from .polys import Poly, factor
+from .polys import Poly, factor, sieve_through
 
 KINDS = ("decay-table", "distance-growth", "gowers-decay", "ap-decay",
          "katai-check", "tk-check", "bias-rank-demo", "zero-count-check")
@@ -581,6 +581,7 @@ def _rows_decay_table(cfg: ExperimentConfig, field: Field):
 def _rows_distance_growth(cfg: ExperimentConfig, field: Field):
     f = resolve_function(field, cfg.sections["function"], cfg.seed)
     target = from_character(resolve_hayes(field, cfg.sections["hayes"]))
+    sieve_through(field, cfg.n_stop)
     # each irreducible's term once; row N sums the terms of degree <= N
     terms = [t for d in range(1, cfg.n_start) for t in analytics.distance_terms(f, target, d)]
     for N in range(cfg.n_start, cfg.n_stop + 1):

@@ -117,47 +117,30 @@ class Field:
 
     def _build_tables(self):
         p, r, q = self.p, self.r, self.q
-        digits = np.array([[(e // p ** i) % p for i in range(r)] for e in range(q)],
-                          dtype=np.int64)
-        add = np.zeros((q, q), dtype=np.int16)
-        for a in range(q):
-            add[a] = ((digits[a] + digits) % p) @ (p ** np.arange(r))
+        weights = p ** np.arange(r)
+        digits = np.arange(q)[:, None] // weights % p       # (q, r) coordinates
+        add = ((digits[:, None] + digits) % p @ weights).astype(np.int16)
         self.add_table = add
-        self.neg_table = np.array([((-digits[a]) % p) @ (p ** np.arange(r))
-                                   for a in range(q)], dtype=np.int16)
+        self.neg_table = (-digits % p @ weights).astype(np.int16)
 
-        # u^k reduced mod the defining polynomial, for k < 2r-1
-        mod = list(self.modulus)
-        red = {k: [0] * k + [1] + [0] * (r - k - 1) for k in range(r)}
-        for k in range(r, 2 * r - 1):
-            prev = red[k - 1]
-            lead = prev[r - 1]
-            shifted = [0] + prev[:r - 1]
-            red[k] = [(shifted[i] - lead * mod[i]) % p for i in range(r)]
-        mul = np.zeros((q, q), dtype=np.int16)
-        for a in range(q):
-            da = digits[a]
-            for b in range(a, q):
-                db = digits[b]
-                acc = [0] * r
-                for i in range(r):
-                    if da[i] == 0:
-                        continue
-                    for j in range(r):
-                        if db[j] == 0:
-                            continue
-                        c = (da[i] * db[j]) % p
-                        for t, rt in enumerate(red[i + j]):
-                            acc[t] = (acc[t] + c * rt) % p
-                code = sum(c * p ** i for i, c in enumerate(acc))
-                mul[a, b] = code
-                mul[b, a] = code
+        # shifts[i]: the digits of u^i * b for every b, from u * (u^(i-1) b)
+        # with u^r = -(m_0 + m_1 u + ... + m_{r-1} u^(r-1)) (m the modulus)
+        low = -np.array(self.modulus[:r]) % p
+        shifts = np.empty((r, q, r), dtype=np.int64)
+        shifts[0] = digits
+        for i in range(1, r):
+            shifts[i] = shifts[i - 1, :, r - 1:] * low
+            shifts[i, :, 1:] += shifts[i - 1, :, :-1]
+            shifts[i] %= p
+        # the digits of a*b are sum_i a_i (u^i b) mod p: one matrix product
+        prod = digits @ shifts.reshape(r, q * r) % p
+        mul = (prod.reshape(q, q, r) @ weights).astype(np.int16)
         self.mul_table = mul
 
+        # the one b with a*b = 1 in each row a >= 1 (inv[0] = 0)
         inv = np.zeros(q, dtype=np.int16)
-        for a in range(1, q):
-            row = np.nonzero(mul[a] == 1)[0]
-            inv[a] = row[0]
+        rows, cols = np.nonzero(mul == 1)
+        inv[rows] = cols
         self.inv_table = inv
 
         trace = np.zeros(q, dtype=np.int16)

@@ -141,7 +141,8 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
     the multiples p*h with deg h >= 1 of the primes of degree d < n/2 mark
     every composite of G_n, so the unmarked monic indices of degree d are
     its primes.  They fill the field's irreducible cache where it has no
-    entry yet (the standalone `irreducible_indices` gives the same arrays).
+    entry yet (the sieve of `irreducible_indices` and `sieve_through` gives
+    the same arrays).
     A character is its Hayes array; a twist is its base's array times the
     Hayes array (or its conjugate), by the separate float64 products of
     `_products`.

@@ -14,12 +14,18 @@ degree d that is a product of two smaller monic polynomials gets marked,
 survivors are irreducible.  The sieve works on index space only: its
 product is a sorted int64 index array per degree (`irreducible_indices`),
 vectorized over the cofactor and batched over the primes of a degree, so
-desk-scale tables (q^d up to ~10^6) build in well under a second.  Poly
-tuples of the irreducibles are made on demand, on the first call of
+desk-scale tables (q^d up to ~10^6) build in well under a second.  One
+sieve, `_sieve`, marks a block of consecutive degrees in one mask, one
+engine call per prime degree (and per cofactor degree when q > 2); a
+single degree is the block of one, and `sieve_through` sieves every
+degree up to N in blocks that halve, so F_2 through degree 17 takes 15
+engine calls where a sieve per degree takes 72.  Poly tuples of the
+irreducibles are made on demand, on the first call of
 `irreducibles_of_degree`, for the scalar API.  Factorization is trial
-division against those tables up to half the degree of what is left, since
-a composite always has a factor of at most half its degree; the only limit
-on it is the sieve's charge against the field's enumeration budget.
+division against those tables up to half the degree of what is left,
+since a composite always has a factor of at most half its degree; the
+only limit on it is the sieve's charge against the field's enumeration
+budget.
 """
 
 from __future__ import annotations
@@ -320,36 +326,79 @@ def necklace_count(q: int, d: int) -> int:
 
 def irreducible_indices(field: Field, d: int) -> np.ndarray:
     """Sorted int64 indices of the monic irreducibles of degree d, cached
-    on the field: the sieve's survivors.
-
-    Every monic of degree d that is a product p*h with p irreducible of
-    degree e <= d/2 and h monic of degree d - e is marked; the products
-    come from `times_fixed_chunks` on the coefficient rows of the degree-e
-    indices and are marked a chunk at a time, so no Poly and no whole
-    block of products is built.  `multiplicative.function_on_gn` fills
-    the same cache, with the same arrays, from the marks of its own pass.
-    """
+    on the field: the survivors of `_sieve` of the one degree d.
+    `sieve_through` fills the same cache a block of degrees at a time, and
+    `multiplicative.function_on_gn` from the marks of its own pass, both
+    with the same arrays."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     cache = field._irreducible_indices
-    if d in cache:
-        return cache[d]
-    q = field.q
-    field.charge(q ** d, f"the irreducible sieve at degree {d}")
-    composite = np.zeros(q ** d, dtype=bool)
-    for e in range(1, d // 2 + 1):
-        # monic cofactors of degree d - e: the indices [q^(d-e), 2 q^(d-e)),
-        # whose products are the monic indices [q^d, 2 q^d) of G_{d+1}
-        m = d - e
-        for _, _, idx in times_fixed_chunks(
-                field, digit_matrix(q, e + 1, irreducible_indices(field, e)),
-                m + 1, range(q ** m, 2 * q ** m)):
-            idx -= q ** d
-            composite[idx] = True
-    survivors = np.flatnonzero(np.logical_not(composite, out=composite))
-    survivors += q ** d
-    cache[d] = survivors
-    return survivors
+    if d not in cache:
+        _sieve(field, d, d)
+    return cache[d]
+
+
+def sieve_through(field: Field, top: int):
+    """Cache `irreducible_indices` of every degree 1..top.
+
+    Each uncached degree d is charged q^d, in ascending order, before any
+    is sieved.  Then `sieve_through(field, top // 2)` caches the degrees
+    that hold every prime of degree <= top/2, and the uncached degrees
+    above top // 2 are one `_sieve` block.  F_2 through degree 17 is the
+    blocks {1}, {2}, {3, 4}, {5..8}, {9..17} and 15 calls of
+    `times_fixed_chunks`, where a sieve per degree makes 72.
+    """
+    cache = field._irreducible_indices
+    for d in range(1, top + 1):
+        if d not in cache:
+            field.charge(field.q ** d, f"the irreducible sieve at degree {d}")
+    if top > 1:
+        sieve_through(field, top // 2)
+    todo = [d for d in range(top // 2 + 1, top + 1) if d not in cache]
+    if todo:
+        _sieve(field, todo[0], todo[-1])
+
+
+def _sieve(field: Field, lo: int, hi: int):
+    """Sieve the monic degrees lo..hi in one mask and cache the survivors of
+    each degree that has no cache entry yet; each degree is charged q^d.
+
+    The mask holds the monic block [q^d, 2 q^d) of each degree one after
+    the other, sum of q^d over lo..hi <= q/(q-1) q^hi bools.  Every monic
+    of degree d that is a product p*h with p irreducible of degree e <= d/2
+    and h monic of degree d - e >= e is marked: one `times_fixed_chunks`
+    call per prime degree e <= hi/2 and cofactor degrees max(lo - e, e) ..
+    hi - e, whose monic blocks are one range when q = 2 (the indices
+    [2^m0, 2^(m1+1)) and their products are contiguous) and one range per
+    cofactor degree otherwise.  The products are marked a chunk at a time,
+    so no Poly and no whole block of products is built.
+    """
+    q, cache = field.q, field._irreducible_indices
+    offset = {}                         # d -> where its monic block starts
+    size = 0
+    for d in range(lo, hi + 1):
+        field.charge(q ** d, f"the irreducible sieve at degree {d}")
+        offset[d], size = size, size + q ** d
+    composite = np.zeros(size, dtype=bool)
+    for e in range(1, hi // 2 + 1):
+        primes = digit_matrix(q, e + 1, irreducible_indices(field, e))
+        low = max(lo - e, e)
+        spans = [(low, hi - e)] if q == 2 else [(m, m) for m in range(low, hi - e + 1)]
+        for m0, m1 in spans:
+            # the monic cofactors of degree m0..m1, [q^m0, 2 q^m1) when
+            # m0 = m1 or q = 2, whose products lie in the mask from the
+            # monic block of degree e + m0 on
+            shift = q ** (e + m0) - offset[e + m0]
+            for _, _, idx in times_fixed_chunks(field, primes, m1 + 1,
+                                                range(q ** m0, 2 * q ** m1)):
+                idx -= shift
+                composite[idx] = True
+    np.logical_not(composite, out=composite)
+    for d in range(lo, hi + 1):
+        if d not in cache:
+            survivors = np.flatnonzero(composite[offset[d]:offset[d] + q ** d])
+            survivors += q ** d
+            cache[d] = survivors
 
 
 def irreducibles_of_degree(field: Field, d: int) -> tuple:

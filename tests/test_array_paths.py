@@ -61,7 +61,8 @@ from ffmult.experiments import resolve_hayes
 from ffmult.gn import GnIndex, times_fixed
 from ffmult.laurent import linear_form, linear_form_table
 from ffmult.multiplicative import function_on_gn, prime_values
-from ffmult.polys import irreducible_count, irreducible_indices, irreducibles_of_degree
+from ffmult.polys import (irreducible_count, irreducible_indices, irreducibles_of_degree,
+                          sieve_through)
 
 # (p, r) -> largest n of the grid
 GRID = {(2, 1): 11, (3, 1): 7, (2, 2): 5, (5, 1): 4}
@@ -539,6 +540,16 @@ def test_tk_counts_are_unsigned_and_give_the_int32_bits(pr, n, W, H):
         assert struct.pack("<3d", a.A, a.lhs, a.ratio) == struct.pack("<3d", b.A, b.lhs, b.ratio)
 
 
+@pytest.mark.parametrize("pr,n,W,H", [((2, 1), 6, 5, 9), ((3, 1), 3, 2, 6), ((2, 2), 2, 3, 5)])
+def test_tk_primes_of_degree_at_least_n_divide_only_zero(pr, n, W, H):
+    # every window degree is >= n: each prime's one multiple in G_n is g = 0
+    field = build_field(*pr)
+    counts = window_divisor_counts(field, n, W, H)
+    primes = sum(irreducible_count(field, d) for d in range(W + 1, H))
+    assert int(counts[0]) == primes and not counts[1:].any()
+    assert np.array_equal(counts, per_prime_counts(field, n, W, H))
+
+
 @pytest.mark.parametrize("W,H,dtype", [(0, 11, np.uint8), (0, 12, np.uint16)])
 def test_tk_counts_dtype_follows_the_number_of_window_primes(W, H, dtype):
     # F_2: 226 primes of degree 1..10, 412 of degree 1..11
@@ -571,6 +582,16 @@ def test_sieve_memory_is_its_mask_and_a_few_chunks():
     out, peak = _traced_peak(lambda: irreducible_indices(field, 20))
     assert len(out) == irreducible_count(field, 20)
     assert peak <= 2 ** 20 + CHUNK_ALLOWANCE * gn.CHUNK_ELEMENTS * 8
+
+
+def test_block_sieve_memory_is_its_mask_and_a_few_chunks():
+    # degrees 11..20 in one mask of 2^21 - 2^11 bools, marked a chunk at a time
+    field = build_field(2, 1)
+    for e in range(1, 11):
+        irreducible_indices(field, e)
+    _, peak = _traced_peak(lambda: sieve_through(field, 20))
+    assert len(irreducible_indices(field, 20)) == irreducible_count(field, 20)
+    assert peak <= 2 ** 21 + CHUNK_ALLOWANCE * gn.CHUNK_ELEMENTS * 8
 
 
 def test_tk_counts_memory_is_the_counts_and_a_few_chunks():

@@ -674,7 +674,15 @@ AGREEMENT_GRID = {
     "bias-f2": _bias(slot_dim=3, arity=3, r_values=[1, 3]) | {"field": {"p": 2}},
     "bias-f3": _bias(slot_dim=2, arity=3, r_values=[1, 2]),
     "zero-count-f3": _zero_count(dim=5, trials=3, max_total_degree=2),
+    # N up to 20 sieves degrees 11..20 in one block of about 2^21 monic
+    # indices: each degree is charged q^d, never the block
+    "distance-block": {"kind": "distance-growth", "field": {"p": 2},
+                       "n": {"start": 19, "stop": 20}, "function": _MOEBIUS,
+                       "hayes": {"theta": "1/3"}},
 }
+
+# the budget exponents of the grid, where 2^6..2^14 does not reach a config
+AGREEMENT_EXPONENTS = {"distance-block": range(18, 21)}
 
 
 def _validates(cfg, budget: int) -> bool:
@@ -699,7 +707,8 @@ def _runs_within(cfg, budget: int) -> bool:
 @pytest.mark.parametrize("case", sorted(AGREEMENT_GRID))
 def test_validation_accepts_exactly_what_the_run_accepts(case):
     cfg = AGREEMENT_GRID[case]
-    outcomes = [(_validates(cfg, 2 ** e), _runs_within(cfg, 2 ** e)) for e in range(6, 15)]
+    outcomes = [(_validates(cfg, 2 ** e), _runs_within(cfg, 2 ** e))
+                for e in AGREEMENT_EXPONENTS.get(case, range(6, 15))]
     assert all(valid == runs for valid, runs in outcomes), outcomes
     # the grid crosses each config's largest charge, or holds it
     assert outcomes[-1][0]

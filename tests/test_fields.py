@@ -1,5 +1,6 @@
 import ast
 import itertools
+import time
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,70 @@ def test_field_element_sugar():
     assert (u ** 3).code == 1                # multiplicative order 3
     assert (u / u).code == 1
     assert FieldElement(F4, 3) - u == FieldElement(F4, 1)
+
+
+def _loop_tables(p: int, r: int, modulus: tuple) -> tuple:
+    """The add, neg, mul and inv tables of F_{p^r} by the coefficient
+    loops: the reference for the vectorized builder."""
+    q = p ** r
+    digits = np.array([[(e // p ** i) % p for i in range(r)] for e in range(q)],
+                      dtype=np.int64)
+    add = np.zeros((q, q), dtype=np.int16)
+    for a in range(q):
+        add[a] = ((digits[a] + digits) % p) @ (p ** np.arange(r))
+    neg = np.array([((-digits[a]) % p) @ (p ** np.arange(r)) for a in range(q)],
+                   dtype=np.int16)
+    # u^k reduced mod the defining polynomial, for k < 2r-1
+    mod = list(modulus)
+    red = {k: [0] * k + [1] + [0] * (r - k - 1) for k in range(r)}
+    for k in range(r, 2 * r - 1):
+        prev = red[k - 1]
+        lead = prev[r - 1]
+        shifted = [0] + prev[:r - 1]
+        red[k] = [(shifted[i] - lead * mod[i]) % p for i in range(r)]
+    mul = np.zeros((q, q), dtype=np.int16)
+    for a in range(q):
+        da = digits[a]
+        for b in range(a, q):
+            db = digits[b]
+            acc = [0] * r
+            for i in range(r):
+                if da[i] == 0:
+                    continue
+                for j in range(r):
+                    if db[j] == 0:
+                        continue
+                    c = (da[i] * db[j]) % p
+                    for t, rt in enumerate(red[i + j]):
+                        acc[t] = (acc[t] + c * rt) % p
+            code = sum(c * p ** i for i, c in enumerate(acc))
+            mul[a, b] = code
+            mul[b, a] = code
+    inv = np.zeros(q, dtype=np.int16)
+    for a in range(1, q):
+        inv[a] = np.nonzero(mul[a] == 1)[0][0]
+    return add, neg, mul, inv
+
+
+# every field with q <= 128
+SMALL_FIELDS = ([(p, 1) for p in range(2, 128) if is_prime(p)]
+                + [(p, r) for p in (2, 3, 5, 7, 11) for r in range(2, 8) if p ** r <= 128])
+
+
+@pytest.mark.parametrize("p,r", SMALL_FIELDS)
+def test_tables_equal_the_coefficient_loops(p, r):
+    F = build_field(p, r)
+    tables = (F.add_table, F.neg_table, F.mul_table, F.inv_table)
+    for got, expected in zip(tables, _loop_tables(p, r, F.modulus)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_a_field_of_512_elements_builds_in_under_a_second():
+    # the coefficient loops took about 8 s for F_{2^9}
+    start = time.perf_counter()
+    F = build_field(2, 9)
+    assert time.perf_counter() - start < 1.0
+    assert F.mul(F.inv(3), 3) == 1
 
 
 def test_coords_roundtrip():

@@ -1,14 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffmult.errors import BudgetError
 from ffmult.fields import build_field
 from ffmult.multiplicative import builtin
+from ffmult import polys
 from ffmult.polys import (NEG_INF, Poly, factor, g_n, irreducible_count,
                           irreducible_indices, irreducibles_of_degree,
-                          is_irreducible, monic_of_degree, p_k, poly_gcd)
+                          is_irreducible, monic_of_degree, p_k, poly_gcd, sieve_through)
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -131,6 +133,57 @@ def test_necklace_formula_matches_sieve_small():
     for F, dmax in ((F2, 10), (F3, 6), (F4, 5)):
         for d in range(1, dmax + 1):
             assert irreducible_count(F, d) == len(irreducibles_of_degree(F, d))
+
+
+# q -> (p, r); each field sieved through the largest top with q^top <= 2^16
+SIEVE_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
+
+
+@pytest.mark.parametrize("q", sorted(SIEVE_FIELDS))
+@pytest.mark.parametrize("cached", ["none", "degrees 1..3", "the top degree"])
+def test_sieve_through_equals_the_sieve_per_degree(q, cached):
+    top = max(d for d in range(1, 17) if q ** d <= 2 ** 16)
+    fresh = build_field(*SIEVE_FIELDS[q])
+    expected = {d: irreducible_indices(fresh, d) for d in range(1, top + 1)}
+    F = build_field(*SIEVE_FIELDS[q])
+    for d in {"none": [], "degrees 1..3": [1, 2, 3], "the top degree": [top]}[cached]:
+        irreducible_indices(F, d)
+    sieve_through(F, top)
+    assert sorted(F._irreducible_indices) == list(range(1, top + 1))
+    for d in range(1, top + 1):
+        got = irreducible_indices(F, d)
+        assert got.dtype == np.int64 and np.array_equal(got, expected[d]), d
+        assert len(got) == irreducible_count(F, d)
+
+
+def _count_engine_calls(monkeypatch) -> list:
+    calls = []
+    engine = polys.times_fixed_chunks
+
+    def spy(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(polys, "times_fixed_chunks", spy)
+    return calls
+
+
+def test_sieve_through_makes_one_engine_call_per_prime_degree_of_a_block(monkeypatch):
+    # blocks {1}, {2}, {3, 4}, {5..8}, {9..17}: 0 + 1 + 2 + 4 + 8 calls,
+    # where a sieve per degree makes sum(d // 2) = 72
+    calls = _count_engine_calls(monkeypatch)
+    sieve_through(build_field(2, 1), 17)
+    assert len(calls) == 15
+
+
+def test_sieve_through_charges_each_degree_before_sieving(monkeypatch):
+    calls = _count_engine_calls(monkeypatch)
+    with pytest.raises(BudgetError, match="sieve at degree 20 needs 1048576"):
+        sieve_through(build_field(2, 1, enumeration_budget=2 ** 20 - 1), 20)
+    assert calls == []
+    F = build_field(2, 1, enumeration_budget=2 ** 20)
+    sieve_through(F, 20)
+    assert len(irreducible_indices(F, 20)) == irreducible_count(F, 20)
 
 
 def test_known_irreducibles_degree_3_over_f2():
