@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import (DirichletCharacter, HayesCharacter, dirichlet_characters,
-                         short_interval_characters)
+from .characters import HayesCharacter, dirichlet_characters, short_interval_characters
 from .fields import Field
 from .gn import GnIndex, digit_matrix, times_fixed, times_fixed_chunks
 from .laurent import LaurentTruncation, linear_form_table
@@ -546,22 +545,13 @@ def min_distance_over_hayes(f, N: int, modulus_degree_bound: int,
     # q^{-d} f(p) per degree, rounded as Python's float * complex rounds it
     weighted = {d: _products(complex(float(field.q) ** -d), _at_primes(field, f, d))
                 for d in degrees}
-    chis = [DirichletCharacter.trivial(field)]
-    for deg in range(1, modulus_degree_bound + 1):
-        for modulus in monic_of_degree(field, deg):
-            chis.extend(dirichlet_characters(modulus))
+    # modulus 1 first: its one character is the trivial one
+    chis = [chi for deg in range(modulus_degree_bound + 1)
+            for modulus in monic_of_degree(field, deg) for chi in dirichlet_characters(modulus)]
     xis = short_interval_characters(field, length_bound)
     weight_total = math.fsum(float(field.q) ** -d for d in degrees for _ in primes[d])
-
-    def values(character, d: int) -> np.ndarray:
-        """character(p) at the primes of degree d, from its exponent table:
-        its root of unity, 0j off the units."""
-        num = character.exponents_at(primes[d])
-        roots = field.unit_roots(character.order)[np.maximum(num, 0)]
-        return _complex(np.where(num < 0, 0.0, roots.real), np.where(num < 0, 0.0, roots.imag))
-
-    chi_at = [{d: values(chi, d) for d in degrees} for chi in chis]
-    xi_at = [{d: values(xi, d) for d in degrees} for xi in xis]
+    chi_at = [{d: chi.values_at(primes[d]) for d in degrees} for chi in chis]
+    xi_at = [{d: xi.values_at(primes[d]) for d in degrees} for xi in xis]
     best = None
     tried = 0
     for chi, chi_d in zip(chis, chi_at):

@@ -12,17 +12,22 @@
 * Degree twists e_theta: g -> exp(2*pi*i*theta*deg g).
 
 Character values are exact exponents of a root of unity (exposed as
-Fraction "turns" in [0,1)); conversion to complex happens only when sums
-are formed.  Each component is an int table: a Dirichlet character holds
-an exponent per residue index (-1 off the units), a short-interval
-character one per top-coefficient code (`gn.top_codes`), a unit character
-one per leading coefficient; a degree twist is one exact Fraction per
-degree.  A Hayes product on an index array (`HayesCharacter.values_at`) reads
-those tables through the `gn` kernels and looks its values up in a table
-of the distinct (degree, exponent) pairs, each entry made by the scalar
-expression, so the array equals [H(g)] bit for bit.  Enumeration order is
-lexicographic over exponent vectors against the elementary-divisor
-generators, so character index 0 is always the principal character.
+Fraction "turns" in [0,1)); `turns_to_complex` of the exact turns is the
+one conversion to complex, whichever path reads a value.  Dirichlet,
+short-interval and unit characters share one table class: a character of
+a decomposed abelian group held as an int table of exponents, -1 at
+positions of no group element.  Each says only where its arguments land
+in the table: a Dirichlet character at residue indices (`gn.residues`), a
+short-interval character at top-coefficient codes (`gn.top_codes`), a
+unit character at leading coefficients.  A degree twist is one exact
+Fraction per degree.  A Hayes product on an index array
+(`HayesCharacter.values_at`) reads those tables through the `gn` kernels
+and looks its values up in a table of the distinct (degree, exponent)
+pairs, each entry made by the scalar expression, so the array equals
+[H(g)] bit for bit, and a component alone gives its one-component Hayes
+product bit for bit.  Enumeration order is lexicographic over exponent
+vectors against the elementary-divisor generators, so character index 0
+is always the principal character.
 """
 
 from __future__ import annotations
@@ -53,6 +58,15 @@ def turns_to_complex(t) -> complex:
     return cmath.exp(2j * cmath.pi * float(frac))
 
 
+def _lookup(code: np.ndarray, size: int, value) -> np.ndarray:
+    """[value(c) for c in code] as a complex array, for int codes in
+    [0, size): value is called once per distinct code, then gathered."""
+    present = np.flatnonzero(np.bincount(code, minlength=size))
+    slot = np.zeros(size, dtype=np.int64)
+    slot[present] = np.arange(len(present))
+    return np.array([value(c) for c in present.tolist()], dtype=np.complex128)[slot[code]]
+
+
 def _character_table(structure: AbelianGroupStructure, exponents: tuple, position, size: int):
     """(table, L): table[position(element)] is the numerator mod L of the
     character picked by `exponents`, -1 at positions of no element."""
@@ -67,65 +81,85 @@ def _character_table(structure: AbelianGroupStructure, exponents: tuple, positio
     return table, L
 
 
-class DirichletCharacter:
-    """A character of (F_q[x]/g)^*, zero off the units, periodic mod g."""
+class _TableCharacter:
+    """A character of a decomposed abelian group, read from its exponent table.
 
-    def __init__(self, field: Field, modulus: Poly, structure, exponents: tuple):
+    table[position(element)] is the numerator mod `order` of the value at
+    the group element, -1 at positions of no element (value 0).  A
+    subclass passes its element positions and table size, and says where a
+    scalar argument (`_position`) and an index array (`_positions`) land.
+    """
+
+    def __init__(self, field: Field, structure: AbelianGroupStructure, exponents: tuple,
+                 position, size: int):
         self.field = field
-        self.modulus = modulus
         self.structure = structure
         self.exponents = tuple(exponents)
-        if structure is None:                      # trivial modulus (deg 0)
-            self.order, self.table = 1, None
-        else:
-            # exponent per residue index, -1 off the units
-            self.table, self.order = _character_table(
-                structure, self.exponents, Poly.to_index, field.q ** int(modulus.degree))
-
-    @classmethod
-    def trivial(cls, field: Field):
-        """The character mod 1: identically one (the no-twist option)."""
-        return cls(field, Poly.one(field), None, ())
+        self.table, self.order = _character_table(structure, self.exponents, position, size)
 
     @property
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def exponent(self, h: Poly):
+    def exponent(self, arg):
         """Numerator of the value's turns (mod self.order); None when value is 0."""
-        if self.table is None:
-            return 0
-        num = int(self.table[(h % self.modulus).to_index()])
+        num = int(self.table[self._position(arg)])
         return None if num < 0 else num
 
     def exponents_at(self, idx) -> np.ndarray:
-        """exponent() at every index of `idx`, -1 off the units."""
-        if self.table is None:
-            return np.zeros(len(idx), dtype=np.int64)
-        return self.table[residues(self.field, self.modulus.coeffs, idx)]
+        """exponent() at the polynomial of every index of `idx`, -1 where
+        the value is 0."""
+        return self.table[self._positions(np.asarray(idx, dtype=np.int64))]
 
-    def turns(self, h: Poly):
-        num = self.exponent(h)
+    def turns(self, arg):
+        num = self.exponent(arg)
         return None if num is None else Fraction(num, self.order)
 
-    def __call__(self, h: Poly) -> complex:
-        num = self.exponent(h)
-        if num is None:
-            return 0j
-        return complex(self.field.unit_roots(self.order)[num])
+    def __call__(self, arg) -> complex:
+        t = self.turns(arg)
+        return 0j if t is None else turns_to_complex(t)
+
+    def values_at(self, idx) -> np.ndarray:
+        """The value at the polynomial of every index of `idx` as a complex
+        array, bit for bit the scalar one: turns_to_complex of each exponent
+        that occurs, 0j where exponents_at is -1."""
+        return _lookup(self.exponents_at(idx) + 1, self.order + 1,
+                       lambda c: turns_to_complex(Fraction(c - 1, self.order)) if c else 0j)
+
+
+class DirichletCharacter(_TableCharacter):
+    """A character of (F_q[x]/g)^*, zero off the units, periodic mod g."""
+
+    def __init__(self, field: Field, modulus: Poly, structure, exponents: tuple):
+        self.modulus = modulus
+        # exponent per residue index, -1 off the units
+        super().__init__(field, structure, exponents, Poly.to_index,
+                         field.q ** int(modulus.degree))
+
+    @classmethod
+    def trivial(cls, field: Field):
+        """The character mod 1: identically one (the no-twist option)."""
+        return dirichlet_character(Poly.one(field), 0)
+
+    def _position(self, h: Poly) -> int:
+        return (h % self.modulus).to_index()
+
+    def _positions(self, idx) -> np.ndarray:
+        return residues(self.field, self.modulus.coeffs, idx)
 
     def descriptor(self) -> dict:
         return {"modulus": list(self.modulus.coeffs), "index": list(self.exponents),
-                "orders": list(self.structure.orders) if self.structure else []}
+                "orders": list(self.structure.orders)}
 
     def __repr__(self):
         return f"DirichletCharacter(mod {self.modulus}, index {self.exponents})"
 
 
 def unit_group(field: Field, modulus: Poly) -> AbelianGroupStructure:
-    """(F_q[x]/g)^* as a decomposed abelian group, residues in index order."""
-    if modulus.is_zero() or modulus.degree < 1:
-        raise ValueError("modulus must have degree >= 1")
+    """(F_q[x]/g)^* as a decomposed abelian group, residues in index order;
+    mod 1 it is the one-element group of the residue 0."""
+    if modulus.is_zero():
+        raise ValueError("modulus must be nonzero")
     modulus = modulus.monic()
     field.charge(field.q ** int(modulus.degree), f"the residues mod {modulus}")
     units = [h for h in _residues(field, modulus)
@@ -204,54 +238,26 @@ def top_coefficient_tuple(field: Field, g: Poly, s: int) -> tuple:
     return tuple(mul[g.coeff(d - i)][inv] for i in range(1, s + 1))
 
 
-class ShortIntervalCharacter:
+class ShortIntervalCharacter(_TableCharacter):
     """Multiplicative, depends only on the s+1 highest coefficients, units -> 1."""
 
     def __init__(self, field: Field, s: int, structure, exponents: tuple):
-        self.field = field
         self.s = s
-        self.structure = structure
-        self.exponents = tuple(exponents)
         # exponent per top-coefficient code
-        self.table, self.order = _character_table(
-            structure, self.exponents, lambda a: _code(field, a), field.q ** s)
-        self._length = None
-
-    @property
-    def is_principal(self) -> bool:
-        return all(e == 0 for e in self.exponents)
+        super().__init__(field, structure, exponents, lambda a: _code(field, a), field.q ** s)
 
     @property
     def length(self) -> int:
-        """Effective length: least s' with triviality on the zero-prefix subgroup."""
-        if self._length is None:
-            self._length = self._effective_length()
-        return self._length
+        """Effective length: the least e <= s with the character trivial on
+        the tuples (0, ..., 0, a_{e+1}, ..., a_s), whose codes are the
+        multiples of q^e."""
+        return next(e for e in range(self.s + 1) if not self.table[::self.field.q ** e].any())
 
-    def _effective_length(self) -> int:
-        for s_eff in range(self.s + 1):
-            trivial = True
-            for tail in itertools.product(range(self.field.q), repeat=self.s - s_eff):
-                el = (0,) * s_eff + tail
-                if self.table[_code(self.field, el)] != 0:
-                    trivial = False
-                    break
-            if trivial:
-                return s_eff
-        return self.s
+    def _position(self, g: Poly) -> int:
+        return _code(self.field, top_coefficient_tuple(self.field, g, self.s))
 
-    def exponent(self, g: Poly) -> int:
-        return int(self.table[_code(self.field, top_coefficient_tuple(self.field, g, self.s))])
-
-    def exponents_at(self, idx) -> np.ndarray:
-        """exponent() at every nonzero index of `idx`."""
-        return self.table[top_codes(self.field, self.s, idx)]
-
-    def turns(self, g: Poly) -> Fraction:
-        return Fraction(self.exponent(g), self.order)
-
-    def __call__(self, g: Poly) -> complex:
-        return complex(self.field.unit_roots(self.order)[self.exponent(g)])
+    def _positions(self, idx) -> np.ndarray:
+        return top_codes(self.field, self.s, idx)
 
     def descriptor(self) -> dict:
         return {"s": self.s, "index": list(self.exponents),
@@ -290,54 +296,27 @@ class DegreeTwist:
         return turns_to_complex(self.turns(degree))
 
 
-class UnitCharacter:
-    """A character of F_q^* applied to the leading coefficient.
+class UnitCharacter(_TableCharacter):
+    """Character `index` of the cyclic group F_q^*, applied to the leading
+    coefficient (zero at 0).
 
     Covers the alternative multiplicative completion of short-interval
     characters; the default Hayes product leaves it out (units -> 1).
     """
 
     def __init__(self, field: Field, index: int):
-        self.field = field
-        self.index = index % (field.q - 1) if field.q > 1 else 0
-        self.order = field.q - 1
-        gen = self._least_generator(field)
-        self.dlog = {1: 0}
-        x = gen
-        t = 1
-        while x != 1:
-            self.dlog[x] = t
-            x = field.mul(x, gen)
-            t += 1
-        # exponent per leading coefficient (entry 0 unused)
-        self.table = np.zeros(field.q, dtype=np.int64)
-        if self.order > 1:
-            for c, e in self.dlog.items():
-                self.table[c] = (self.index * e) % self.order
+        mul = field.mul_py
+        structure = decompose_abelian_group(range(1, field.q), lambda a, b: mul[a][b])
+        self.index = index % (field.q - 1)
+        # exponent per field element, -1 at 0
+        super().__init__(field, structure, character_exponents(structure, self.index),
+                         lambda c: c, field.q)
 
-    @staticmethod
-    def _least_generator(field: Field) -> int:
-        target = field.q - 1
-        for c in range(1, field.q):
-            x, t = c, 1
-            while x != 1:
-                x = field.mul(x, c)
-                t += 1
-            if t == target:
-                return c
-        raise AssertionError("F_q^* has a generator")
+    def _position(self, c: int) -> int:
+        return c
 
-    def turns(self, c: int) -> Fraction:
-        return Fraction(int(self.table[c]), self.order)
-
-    def exponents_at(self, idx) -> np.ndarray:
-        """The exponent of turns() at the leading coefficient of every
-        nonzero index of `idx`."""
-        idx = np.asarray(idx, dtype=np.int64)
-        return self.table[idx // self.field.q ** np.maximum(degrees(self.field.q, idx), 0)]
-
-    def __call__(self, c: int) -> complex:
-        return complex(self.field.unit_roots(self.order)[self.table[c]])
+    def _positions(self, idx) -> np.ndarray:
+        return idx // self.field.q ** np.maximum(degrees(self.field.q, idx), 0)
 
 
 # -- Hayes products -------------------------------------------------------------
@@ -413,30 +392,24 @@ class HayesCharacter:
         entry, made by the scalar expression: turns_to_complex of the exact
         total turns, then op (say `**k` or `.conjugate()`), so the lookup
         equals the scalar value for float theta too (Fraction(float) is
-        exact).  Pairs are found by a bincount per degree present, not a sort.
+        exact).  The degrees present are found by a bincount, not a sort.
         """
         L, k = self.exponents_at(idx)
-        code = k + 1                        # 0 where the value is 0
         deg = np.maximum(degrees(self.field.q, idx), 0)
-        re, im = np.empty(len(k)), np.empty(len(k))
+        out = np.empty(len(k), dtype=np.complex128)
         for d in np.flatnonzero(np.bincount(deg)).tolist():     # the degrees present
             at = np.flatnonzero(deg == d)
-            present = np.flatnonzero(np.bincount(code[at], minlength=L + 1))
-            entries = []
-            for c in present.tolist():
+
+            def entry(c, d=d):
                 v = 0j
                 if c > 0:
                     t = Fraction(c - 1, L)
                     if self.twist is not None:
                         t += self.twist.turns(d)
                     v = turns_to_complex(t % 1)
-                entries.append(v if op is None else op(v))
-            slot = np.zeros(L + 1, dtype=np.int64)
-            slot[present] = np.arange(len(present))
-            re[at] = np.array([v.real for v in entries])[slot[code[at]]]
-            im[at] = np.array([v.imag for v in entries])[slot[code[at]]]
-        out = np.empty(len(k), dtype=np.complex128)
-        out.real, out.imag = re, im
+                return v if op is None else op(v)
+
+            out[at] = _lookup(k[at] + 1, L + 1, entry)      # code 0 where the value is 0
         return out
 
     def descriptor(self) -> dict:

@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 config validation failure, 2 budget refusal,
 3 internal error.  Flags override config-file keys; `--set a.b.c=value`
-patches arbitrary nested keys (values parsed as JSON when possible).
+patches arbitrary nested keys (values parsed as JSON when possible).  The
+order is the same for `run` and for every subcommand: the config file,
+then the flags (`--output` and `--format` last among them), then `--set`,
+so `--set` wins over a flag for the same key.
 """
 
 from __future__ import annotations
@@ -79,6 +82,11 @@ def _flags_to_config(args, kind: str) -> dict:
         cfg.setdefault("budget", {})["max_evals_per_n"] = args.budget
     if args.domain is not None:
         cfg["domain"] = args.domain
+    return _apply_output_and_set(cfg, args)
+
+
+def _apply_output_and_set(cfg: dict, args) -> dict:
+    """--output and --format, then --set: one order for every command."""
     if args.output is not None:
         cfg.setdefault("output", {})["path"] = args.output
     if args.out_format is not None:
@@ -136,12 +144,7 @@ def main(argv=None) -> int:
             parser.print_help()
             return EXIT_VALIDATION
         if args.command == "run":
-            cfg = _load_config(args.config_file)
-            _apply_set(cfg, args.assignments)
-            if args.output is not None:
-                cfg.setdefault("output", {})["path"] = args.output
-            if args.out_format is not None:
-                cfg.setdefault("output", {})["format"] = args.out_format
+            cfg = _apply_output_and_set(_load_config(args.config_file), args)
         else:
             cfg = _flags_to_config(args, args.command)
         return _execute(cfg)

@@ -15,6 +15,8 @@ coefficients), so a field is reproducible from (p, r) alone.
 Additive characters are t -> exp(2*pi*i*Tr(s*t)/p); their values are kept
 as exact exponents k mod p and converted to complex only at aggregation
 boundaries (the `roots` table maps exponents to floats deterministically).
+`roots` serves additive characters only: every multiplicative character
+value is `characters.turns_to_complex` of its exact turns.
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ class Field:
         self._build_tables()
         # exp(2*pi*i*k/p) for exponent->complex conversion at sum time
         self.roots = _exact_roots(p)
-        self._unit_roots: dict[int, np.ndarray] = {p: self.roots}
         # lazy caches owned by polys.py (irreducible tables) — see that module;
         # multiplicative.function_on_gn fills the index arrays from its own pass
         self._irreducibles: dict[int, tuple] = {}
@@ -203,12 +204,6 @@ class Field:
             return complex(roots[table[mul_row[t]]])
 
         return alpha
-
-    def unit_roots(self, order: int) -> np.ndarray:
-        """exp(2*pi*i*k/order) for k < order, cached for exact-exponent sums."""
-        if order not in self._unit_roots:
-            self._unit_roots[order] = _exact_roots(order)
-        return self._unit_roots[order]
 
     def charge(self, count: int, what: str):
         """Refuse `count` elements or operations of `what` over the budget."""

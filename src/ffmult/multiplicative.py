@@ -41,7 +41,7 @@ import random
 
 import numpy as np
 
-from .characters import HayesCharacter
+from .characters import DegreeTwist, HayesCharacter
 from .fields import Field
 from .gn import digit_matrix, leading_coefficients, times_fixed
 from .polys import Poly, factor, irreducible_indices, irreducibles_of_degree
@@ -280,10 +280,10 @@ def from_character(H: HayesCharacter) -> MultiplicativeFunction:
     """The Hayes product as a completely multiplicative function."""
     profile = None
     if H.dirichlet is None and H.short is None and H.unit is None:
-        theta = H.twist.theta if H.twist is not None else 0
+        twist = H.twist or DegreeTwist(0)
 
-        def profile(d, k, _theta=theta):
-            return cmath.exp(2j * cmath.pi * float(_theta) * d * k)
+        def profile(d, k):
+            return twist(d) ** k            # H(p) ** k, the prime-power rule
 
     f = MultiplicativeFunction(
         H.field, lambda p, k: H(p) ** k, name="hayes",

@@ -2,14 +2,15 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ffmult.characters import (DegreeTwist, DirichletCharacter, HayesCharacter,
-                               UnitCharacter, character_exponents, dirichlet_character,
+                               UnitCharacter, _code, character_exponents, dirichlet_character,
                                dirichlet_characters, r_s_group,
                                short_interval_character, short_interval_characters,
                                top_coefficient_tuple, unit_group)
-from ffmult.fields import build_field
+from ffmult.fields import build_field, is_prime
 from ffmult.polys import Poly, poly_gcd
 
 F2 = build_field(2, 1)
@@ -214,6 +215,24 @@ def test_effective_length():
     assert principal.length == 0
 
 
+def tuple_loop_length(xi):
+    """The least s' with xi trivial on every tuple (0, ..., 0, tail) with
+    s' leading zeros, by the tuples themselves."""
+    for s_eff in range(xi.s + 1):
+        if all(xi.table[_code(xi.field, (0,) * s_eff + tail)] == 0
+               for tail in itertools.product(range(xi.field.q), repeat=xi.s - s_eff)):
+            return s_eff
+    return xi.s
+
+
+@pytest.mark.parametrize("pr,top", [((2, 1), 4), ((3, 1), 3), ((2, 2), 2), ((5, 1), 2)])
+def test_effective_length_is_the_tuple_loop(pr, top):
+    field = build_field(*pr)
+    for s in range(top + 1):
+        for xi in short_interval_characters(field, s):
+            assert xi.length == tuple_loop_length(xi), xi
+
+
 def test_degree_twist():
     tw = DegreeTwist(Fraction(1, 2))
     assert tw(3) == -1 and tw(2) == 1
@@ -251,6 +270,7 @@ def test_hayes_multiplicativity_exact_turns():
 def test_unit_character():
     uc = UnitCharacter(F3, 1)
     assert uc(1) == 1 and uc(2) == -1
+    assert uc.values_at([2, 5, 0]).tolist() == [-1, 1, 0]     # lc 2, lc 1, zero
     H = HayesCharacter(F3, unit=uc)
     assert H(Poly.constant(F3, 2)) == -1
     assert H(Poly(F3, (0, 2))) == -1          # lc = 2
@@ -270,3 +290,65 @@ def test_descriptors_are_plain_records():
 def test_trivial_dirichlet_character():
     triv = DirichletCharacter.trivial(F2)
     assert triv(Poly.x(F2)) == 1 and triv.turns(Poly.x(F2)) == 0
+    # the one character of the one-element group of residues mod 1
+    assert triv.order == 1 and triv.table.tolist() == [0] and triv.is_principal
+    assert triv.descriptor() == {"modulus": [1], "index": [], "orders": []}
+    assert all(triv.exponent(Poly.from_index(F2, i)) == 0 for i in range(64))
+    assert triv.exponents_at(np.arange(64)).tolist() == [0] * 64
+    assert [c.exponents for c in dirichlet_characters(Poly.one(F3))] == [()]
+
+
+def generator_dlog_table(field, index):
+    """The unit character's table by its own least generator of F_q^* and a
+    dlog loop: entry c is index * log_gen(c) mod q - 1, for c >= 1."""
+    def order(c):
+        x, t = c, 1
+        while x != 1:
+            x, t = field.mul(x, c), t + 1
+        return t
+
+    gen = next(c for c in range(1, field.q) if order(c) == field.q - 1)
+    table, x = [0] * field.q, 1
+    for t in range(field.q - 1):
+        table[x] = index * t % (field.q - 1)
+        x = field.mul(x, gen)
+    return table[1:]
+
+
+def test_unit_character_table_is_the_generator_dlog_table():
+    # every field with q <= 512, at six indices each
+    fields = [(p, r) for p in range(2, 513) if is_prime(p)
+              for r in range(1, 10) if p ** r <= 512]
+    assert len(fields) == 117
+    for p, r in fields:
+        field = build_field(p, r)
+        for index in range(6):
+            u = UnitCharacter(field, index)
+            assert u.order == field.q - 1 and u.table[0] == -1
+            assert u.table[1:].tolist() == generator_dlog_table(field, index % (field.q - 1))
+
+
+def same_bits(got, expected) -> bool:
+    return np.asarray(got, dtype=complex).tobytes() == np.asarray(expected, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("pr,n,moduli,top", [((2, 1), 6, 2, 3), ((3, 1), 5, 2, 3),
+                                             ((2, 2), 3, 2, 2), ((5, 1), 3, 1, 2),
+                                             ((7, 1), 2, 1, 1), ((3, 2), 2, 1, 1)])
+def test_components_equal_their_hayes_products(pr, n, moduli, top):
+    # one conversion: a component alone is its one-component Hayes product
+    # bit for bit, and its array read is its scalar call bit for bit
+    field = build_field(*pr)
+    idx = np.arange(1, field.q ** n)
+    polys = [Poly.from_index(field, i) for i in idx.tolist()]
+    chis = [chi for chi_modulus in monic_moduli(field, moduli)
+            for chi in dirichlet_characters(chi_modulus)]
+    xis = [xi for s in range(top + 1) for xi in short_interval_characters(field, s)]
+    units = [UnitCharacter(field, i) for i in range(field.q - 1)]
+    cases = ([(chi, polys, HayesCharacter(field, dirichlet=chi)) for chi in chis]
+             + [(xi, polys, HayesCharacter(field, short=xi)) for xi in xis]
+             + [(u, [g.lc() for g in polys], HayesCharacter(field, unit=u)) for u in units])
+    for part, args, H in cases:
+        assert same_bits([part(a) for a in args], [H(g) for g in polys]), part
+    for part, args, _ in cases:
+        assert same_bits(part.values_at(idx), [part(a) for a in args]), part

@@ -199,6 +199,19 @@ def test_cli_run_umbrella_and_byte_identical_payload(tmp_path):
     assert payload(tmp_path / "a.csv") == payload(tmp_path / "b.csv")
 
 
+def test_cli_set_wins_over_the_format_flag_for_every_command(tmp_path):
+    # run and a subcommand apply --output and --format, then --set
+    cfg_path = tmp_path / "tk.json"
+    cfg_path.write_text(json.dumps({"kind": "tk-check", "field": {"p": 2},
+                                    "n": {"start": 4, "stop": 5}, "tk": {"W": 1, "H": 4}}))
+    flags = ("--set", "output.format=json", "--format", "csv")
+    r1 = run_cli("run", str(cfg_path), *flags)
+    r2 = run_cli("tk-check", "--config", str(cfg_path), *flags)
+    assert r1.returncode == 0 and r2.returncode == 0, (r1.stderr, r2.stderr)
+    assert r1.stdout == r2.stdout
+    assert json.loads(r1.stdout)["schema"] == "tk-check/v1"
+
+
 def test_cli_validation_exit_code(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"kind": "tk-check", "field": {"p": 2},

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from ffmult.characters import DegreeTwist, HayesCharacter, dirichlet_characters
 from ffmult.fields import build_field
 from ffmult.multiplicative import (builtin, from_character,
                                    random_on_irreducibles, twist)
-from ffmult.polys import Poly, g_n, poly_gcd
+from ffmult.polys import Poly, g_n, irreducibles_of_degree, poly_gcd
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -127,6 +128,20 @@ def test_from_character_matches_hayes():
     assert f.completely_multiplicative
     triv = from_character(HayesCharacter.trivial(F2))
     assert all(triv(Poly.from_index(F2, i)) == 1 for i in range(1, 32))
+
+
+@pytest.mark.parametrize("theta", [Fraction(1, 3), Fraction(1, 4), Fraction(2, 5), 0.7, None])
+def test_twist_profile_is_the_prime_power_rule(theta):
+    # the degree profile of a pure twist is f(p^k) by contract: bit for bit
+    # on_prime_power(p, k) = H(p) ** k at a prime of every degree d <= 8
+    H = HayesCharacter(F2, twist=None if theta is None else DegreeTwist(theta))
+    f = from_character(H)
+    for d in range(1, 9):
+        p = irreducibles_of_degree(F2, d)[0]
+        for k in range(1, 4):
+            got, expected = complex(f.degree_profile(d, k)), complex(f.on_prime_power(p, k))
+            assert struct.pack("<2d", got.real, got.imag) \
+                == struct.pack("<2d", expected.real, expected.imag), (d, k)
 
 
 def test_from_character_zero_off_units():
