@@ -410,9 +410,10 @@ def window_divisor_counts(field: Field, n: int, W: int, H: int) -> np.ndarray:
 
     The count of g does not depend on n, so the counts on G_m, m <= n, are
     the prefix [:q^m].  Every p divides g = 0.  G_n and the `tk_cost` rows
-    are charged to the field before any irreducible of the window is sieved.
-    The multiples are added a chunk at a time as the engine maps them, by
-    one `np.add.at`, which adds 1 per occurrence of an index: g = 0, a
+    are charged to the field before the irreducibles are sieved, by one
+    `sieve_through(field, H - 1)`.  The multiples of each window degree
+    are added a chunk at a time as the engine maps them, by one
+    `np.add.at`, which adds 1 per occurrence of an index: g = 0, a
     multiple of every prime, and a g divisible by two primes of one chunk
     are counted once per prime.
     """
@@ -420,6 +421,7 @@ def window_divisor_counts(field: Field, n: int, W: int, H: int) -> np.ndarray:
     size = field.q ** n
     field.charge(size, f"G_{n}")
     field.charge(tk_cost(field.q, n, W, H), f"the window's multiples on G_{n}")
+    sieve_through(field, H - 1)
     total = sum(irreducible_count(field, d) for d in degrees)      # counts[0]
     counts = np.zeros(size, dtype=np.min_scalar_type(total))
     one = counts.dtype.type(1)      # a 1-D index and a scalar of the dtype: add.at's fast path

@@ -159,7 +159,8 @@ def _linear_map(field: Field, images: np.ndarray, width: int, cofactors=None) ->
     to G_width and every cofactor h: the chunks of `_map_chunks` collected
     into one block."""
     cofactors = _cofactors(cofactors, field.p ** images.shape[0])
-    out = np.empty((images.shape[1], len(cofactors)), dtype=np.int64)
+    columns = sum(map(len, cofactors)) if isinstance(cofactors, tuple) else len(cofactors)
+    out = np.empty((images.shape[1], columns), dtype=np.int64)
     for row0, col0, idx in _map_chunks(field, images, width, cofactors):
         out[row0:row0 + idx.shape[0], col0:col0 + idx.shape[1]] = idx
     return out
@@ -167,23 +168,34 @@ def _linear_map(field: Field, images: np.ndarray, width: int, cofactors=None) ->
 
 def _cofactors(cofactors, size: int):
     """The cofactors of a map from G_m, |G_m| = size: an index array as
-    given, a range checked to have step 1 and lie in G_m, None as
-    range(size)."""
+    given, else a tuple of ranges, each checked to have step 1 and lie in
+    G_m, with the empty ones dropped and consecutive ones joined (a range
+    is the tuple of one, None that of range(size))."""
     if cofactors is None:
-        return range(size)
+        return (range(size),)
     if isinstance(cofactors, range):
-        first, stop = cofactors.start, cofactors.stop
-        if cofactors.step != 1 or (first < stop and not (0 <= first and stop <= size)):
+        cofactors = (cofactors,)
+    elif not isinstance(cofactors, tuple):
+        return cofactors
+    joined = []
+    for rows in cofactors:
+        first, stop = rows.start, rows.stop
+        if rows.step != 1 or (first < stop and not (0 <= first and stop <= size)):
             raise ValueError("a range of cofactors must have step 1 and lie in G_m")
-    return cofactors
+        if joined and first == joined[-1].stop:
+            joined[-1] = range(joined[-1].start, stop)
+        elif first < stop:
+            joined.append(rows)
+    return tuple(joined)
 
 
 def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None):
     """(row0, col0, idx) chunks of the int64 indices A_i h, i from row0 and
     h from column col0 on, for k F_p-linear maps A_i from G_m to G_width
-    and every cofactor h: an int64 index array, or a `range` of step 1
-    (default: range(q^m), all of G_m in index order).  Every chunk is a
-    fresh array, its digit slices summed.
+    and every cofactor h: an int64 index array, or a `range` of step 1 or
+    a tuple of them, mapped one after another (default: range(q^m), all of
+    G_m in index order).  Every chunk is a fresh array and lies in one
+    range.
 
     Field elements are encoded by their base-p coordinates, so an index of
     G_m is a base-p number with r*m digits.  `images` is the (r*m, k) int64
@@ -204,12 +216,21 @@ def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None):
     tables, each of which reduces a few lanes mod p and weights them by
     their powers of p.  In characteristic 2 the lanes are the bits of the
     index itself (b = 1), the sum is XOR and there is nothing to decode.
+    An index array decodes every digit of every sum.  A range in odd
+    characteristic sums and decodes per element only the overlap: the
+    digits [lo, hi) that the images of both the first part and the high
+    parts reach, d digits for the product by a polynomial of degree d when
+    r = 1.  Below lo a digit of the image of h is that of table0[lo] alone,
+    decoded once per table entry; from hi up it is that of image(hi*split)
+    alone, decoded once per high value.  So an element pays the packed
+    sum, the overlap's lookups and two broadcast adds.
+
     An image wider than one int64 of lanes is mapped in slices of its
     digits that each fit; a group of maps holds the tables of all its
-    slices, and each chunk is the sum of its slices' decoded indices.
-    Per slice, tables, decode tables and chunks of cofactor images hold at
-    most CHUNK_ELEMENTS int64 each (a table of one digit, p entries, or a
-    decode table of one lane, 2^b entries, where that alone is more).
+    slices, and each index is the sum of its slices' decoded indices.  Per
+    slice, tables, decode tables and chunks of cofactor images hold at most
+    CHUNK_ELEMENTS int64 each (a table of one digit, p entries, or a decode
+    table of one lane, 2^b entries, where that alone is more).
     """
     p = field.p
     bits, k = images.shape
@@ -222,60 +243,146 @@ def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None):
     # lane width: a lane holds the sum of `parts` digits (of two in _table)
     b = 1 if p == 2 else (max(parts, 2) * (p - 1)).bit_length()
     digits, lanes = field.r * width, 63 // b
-    combine = np.bitwise_xor if p == 2 else np.add
-    slices = []                         # (packed images, decode tables) per slice
-    for lo in range(0, digits, lanes):
-        count = min(lanes, digits - lo)
-        slices.append((_pack(images, p, b, lo, count),
-                       _decoders(p, b, lo, count, CHUNK_ELEMENTS)))
+    ranges = isinstance(cofactors, tuple)
+    lo, hi = _overlap(images, p, per, digits) if ranges and p > 2 else (0, digits)
+    slices = [_pack(images, p, b, first, min(lanes, digits - first))
+              for first in range(0, digits, lanes)]
+    # (slice, shift, mask, decode tables) of the digits below, in and above
+    # [lo, hi); in characteristic 2 one slice, its lanes the index's bits
+    below, summed, above = ([(s, shift, mask, _decoders(p, b, first, count, CHUNK_ELEMENTS))
+                             for s, shift, mask, first, count in reads]
+                            for reads in _reads(b, digits, lo, hi)) if p > 2 else \
+        ((), ((0, 0, None, ()),), ())
     group = max(1, CHUNK_ELEMENTS // split)
     for row0 in range(0, k, group):
         rows = slice(row0, min(row0 + group, k))
         step = max(1, CHUNK_ELEMENTS // (rows.stop - row0))
-        streams = [_chunks([_table(packed[i:i + per, rows], p, b)
-                            for i in range(0, max(bits, 1), per)],
-                           cofactors, step, p, per, combine)
-                   for packed, _ in slices]
-        for pieces in zip(*streams):
-            idx = _decode(pieces[0][1], slices[0][1])
-            for (_, acc), (_, decode) in zip(pieces[1:], slices[1:]):
-                idx += _decode(acc, decode)
-            yield row0, pieces[0][0], idx
+        tables = [[_table(packed[i:i + per, rows], p, b) for packed in slices]
+                  for i in range(0, max(bits, 1), per)]
+        if not ranges:
+            for c0, idx in _chunks(tables, cofactors, step, p, per, summed):
+                yield row0, c0, idx
+            continue
+        low = None
+        if below or above:
+            # the first part's indices of the digits below lo, once per
+            # entry, and its tables read to the summed lanes
+            first = list(tables[0])
+            for s, shift, mask, decode in below:
+                low = _sum(low, _decode(_read(first[s], shift, mask), decode))
+            for s, shift, mask, _ in summed:
+                first[s] = _read(first[s], shift, mask)
+            tables = [first] + tables[1:]
+        col0 = 0
+        for cols in cofactors:
+            for c0, idx in _chunks(tables, cols, step, p, per, summed, above, low):
+                yield row0, col0 + c0, idx
+            col0 += len(cols)
 
 
-def _chunks(tables: list, cofactors, step: int, p: int, per: int, combine):
-    """(first column, packed images) of the cofactors, a chunk of at most
-    max(step, split) columns at a time, split the first part's table size:
-    an index array by cutting every cofactor into its parts, a range as the
-    outer sum of the images of its high values and the first part's
-    table."""
+def _overlap(images: np.ndarray, p: int, per: int, digits: int) -> tuple:
+    """(lo, hi), 0 <= lo < hi <= digits: the images of the first part's
+    values (the rows of `images` below `per`) have no digit from hi up,
+    those of the high parts' values none below lo."""
+    top, reach = int(images[:per].max(initial=0)), 0
+    while p ** reach <= top:
+        reach += 1
+    high = images[per:][images[per:] != 0]
+    start = 0 if high.size else digits
+    while start < digits and not (high % p ** (start + 1)).any():
+        start += 1
+    lo = min(start, digits - 1)
+    return lo, max(reach, lo + 1)
+
+
+@functools.lru_cache(maxsize=256)
+def _reads(b: int, digits: int, lo: int, hi: int) -> tuple:
+    """Where the digits below, in and above [lo, hi) lie in the packed sums
+    of `digits` base-p digits in b-bit lanes, cut into slices of as many
+    lanes as an int64 holds: per range, (slice, shift, mask, first digit,
+    digits), where shift and mask (None for no mask: the slice has no lane
+    above) bring the lanes of the slice's digits in the range to the
+    bottom alone."""
+    lanes, reads = 63 // b, ([], [], [])
+    for s, first in enumerate(range(0, digits, lanes)):
+        stop = min(first + lanes, digits)
+        cuts = (first, min(max(lo, first), stop), min(max(hi, first), stop), stop)
+        for region, a, c in zip(reads, cuts, cuts[1:]):
+            if a < c:
+                region.append((s, b * (a - first), (1 << b * (c - a)) - 1 if c < stop else None,
+                               a, c - a))
+    return reads
+
+
+def _read(packed: np.ndarray, shift: int, mask) -> np.ndarray:
+    """(packed >> shift) & mask, either step left out where it does nothing."""
+    if shift:
+        packed = packed >> shift
+    return packed if mask is None else packed & mask
+
+
+def _chunks(tables: list, cofactors, step: int, p: int, per: int, summed: list,
+            above=(), low=None):
+    """(first column, indices) of the cofactors, a chunk of at most
+    max(step, split) columns at a time, split the first part's table size.
+
+    tables[i][s] holds the packed images of the values of part i in slice
+    s of the digits.  `summed` reads (slice, shift, mask, decode tables)
+    the digits summed per element.  An index array is cut into its parts,
+    and every digit is summed.  A range is the outer sum of the images of
+    its high values and the first part's table (read to the summed lanes);
+    the digits that `above` reads are decoded once per high value, and
+    `low` (None for none) holds the first part's indices of the digits
+    below."""
+    combine = np.bitwise_xor if p == 2 else np.add
     if not isinstance(cofactors, range):
         for c0 in range(0, len(cofactors), step):
-            yield c0, _gather(tables, cofactors[c0:c0 + step], p, per, combine)
-        return
-    if not cofactors:
+            sums = _gather(tables, _cut(cofactors[c0:c0 + step], p, per, len(tables)), combine)
+            idx = None
+            for s, _, _, decode in summed:
+                idx = _sum(idx, _decode(sums[s], decode))
+            yield c0, idx
         return
     start, stop = cofactors.start, cofactors.stop
-    k, split = tables[0].shape
+    k, split = tables[0][0].shape
     rows, last = max(1, step // split), -(-stop // split)     # high values per chunk
     for h0 in range(start // split, last, rows):
         highs = np.arange(h0, min(h0 + rows, last), dtype=np.int64)
         # the images of hi*split, the high parts' sums (0 if there are none)
-        high = (_gather(tables[1:], highs, p, per, combine) if len(tables) > 1
-                else np.zeros((k, 1), dtype=np.int64))
-        acc = combine(high[:, :, None], tables[0][:, None, :]).reshape(k, -1)
+        sums = (_gather(tables[1:], _cut(highs, p, per, len(tables) - 1), combine)
+                if len(tables) > 1 else [np.zeros((k, 1), dtype=np.int64)] * len(tables[0]))
+        idx = None
+        for s, shift, mask, decode in summed:
+            acc = combine(_read(sums[s], shift, mask)[:, :, None], tables[0][s][:, None, :])
+            idx = _sum(idx, _decode(acc.reshape(k, -1), decode))
+        if above or low is not None:
+            grid = idx.reshape(k, -1, split)        # a view: (k, high value, lo)
+            for s, shift, mask, decode in above:
+                grid += _decode(_read(sums[s], shift, mask), decode)[:, :, None]
+            if low is not None:
+                grid += low[:, None, :]
         c0, c1 = max(start, h0 * split), min(stop, (h0 + len(highs)) * split)
-        yield c0 - start, acc[:, c0 - h0 * split:c1 - h0 * split]
+        yield c0 - start, idx[:, c0 - h0 * split:c1 - h0 * split]
 
 
-def _gather(tables: list, values: np.ndarray, p: int, per: int, combine) -> np.ndarray:
-    """Packed images of the int64 indices `values`: the sum of their parts'
-    table entries."""
-    cut = _cut(values, p, per, len(tables))
-    acc = np.take(tables[0], cut[0], axis=1)
-    for table, part in zip(tables[1:], cut[1:]):
-        combine(acc, np.take(table, part, axis=1), out=acc)
-    return acc
+def _gather(tables: list, cut: list, combine) -> list:
+    """Per slice, the packed images of the values whose parts are `cut`:
+    the sum of their parts' table entries."""
+    sums = []
+    for s, table0 in enumerate(tables[0]):
+        acc = table0.take(cut[0], axis=1)
+        for table, part in zip(tables[1:], cut[1:]):
+            combine(acc, table[s].take(part, axis=1), out=acc)
+        sums.append(acc)
+    return sums
+
+
+def _sum(index, part: np.ndarray) -> np.ndarray:
+    """index + part, in place in index, or part where index is None."""
+    if index is None:
+        return part
+    index += part
+    return index
 
 
 def degrees(q: int, idx) -> np.ndarray:
@@ -392,9 +499,11 @@ def _decode(packed: np.ndarray, decode: list) -> np.ndarray:
     `decode` (the sums themselves when there are none)."""
     if not decode:
         return packed
-    index = np.take(decode[0][1], packed & (len(decode[0][1]) - 1))
-    for shift, table in decode[1:]:
-        index += np.take(table, (packed >> shift) & (len(table) - 1))
+    # no sum has bits above its slice's lanes: the top table needs no mask
+    *lower, (shift, table) = decode
+    index = table.take(packed >> shift if shift else packed)
+    for shift, table in lower:
+        index += table.take((packed >> shift if shift else packed) & (len(table) - 1))
     return index
 
 

@@ -363,40 +363,30 @@ def _sieve(field: Field, lo: int, hi: int):
     """Sieve the monic degrees lo..hi in one mask and cache the survivors of
     each degree that has no cache entry yet; each degree is charged q^d.
 
-    The mask holds the monic block [q^d, 2 q^d) of each degree one after
-    the other, sum of q^d over lo..hi <= q/(q-1) q^hi bools.  Every monic
-    of degree d that is a product p*h with p irreducible of degree e <= d/2
-    and h monic of degree d - e >= e is marked: one `times_fixed_chunks`
-    call per prime degree e <= hi/2 and cofactor degrees max(lo - e, e) ..
-    hi - e, whose monic blocks are one range when q = 2 (the indices
-    [2^m0, 2^(m1+1)) and their products are contiguous) and one range per
-    cofactor degree otherwise.  The products are marked a chunk at a time,
-    so no Poly and no whole block of products is built.
+    The mask is the index interval [q^lo, 2 q^hi), 2 q^hi - q^lo bools,
+    which holds the monic block [q^d, 2 q^d) of each degree d in place.
+    Every monic of degree d that is a product p*h with p irreducible of
+    degree e <= d/2 and h monic of degree d - e >= e is marked: one
+    `times_fixed_chunks` call per prime degree e <= hi/2, its cofactors the
+    tuple of the monic blocks of degrees max(lo - e, e) .. hi - e (one
+    range when q = 2, where they are contiguous).  The products are marked
+    a chunk at a time, so no Poly and no whole block of products is built.
     """
     q, cache = field.q, field._irreducible_indices
-    offset = {}                         # d -> where its monic block starts
-    size = 0
     for d in range(lo, hi + 1):
         field.charge(q ** d, f"the irreducible sieve at degree {d}")
-        offset[d], size = size, size + q ** d
-    composite = np.zeros(size, dtype=bool)
+    base = q ** lo                      # the index at the mask's start
+    composite = np.zeros(2 * q ** hi - base, dtype=bool)
     for e in range(1, hi // 2 + 1):
         primes = digit_matrix(q, e + 1, irreducible_indices(field, e))
-        low = max(lo - e, e)
-        spans = [(low, hi - e)] if q == 2 else [(m, m) for m in range(low, hi - e + 1)]
-        for m0, m1 in spans:
-            # the monic cofactors of degree m0..m1, [q^m0, 2 q^m1) when
-            # m0 = m1 or q = 2, whose products lie in the mask from the
-            # monic block of degree e + m0 on
-            shift = q ** (e + m0) - offset[e + m0]
-            for _, _, idx in times_fixed_chunks(field, primes, m1 + 1,
-                                                range(q ** m0, 2 * q ** m1)):
-                idx -= shift
-                composite[idx] = True
+        monics = tuple(range(q ** m, 2 * q ** m) for m in range(max(lo - e, e), hi - e + 1))
+        for _, _, idx in times_fixed_chunks(field, primes, hi - e + 1, monics):
+            idx -= base
+            composite[idx] = True
     np.logical_not(composite, out=composite)
     for d in range(lo, hi + 1):
         if d not in cache:
-            survivors = np.flatnonzero(composite[offset[d]:offset[d] + q ** d])
+            survivors = np.flatnonzero(composite[q ** d - base:2 * q ** d - base])
             survivors += q ** d
             cache[d] = survivors
 
