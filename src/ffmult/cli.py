@@ -39,8 +39,11 @@ def _apply_set(cfg: dict, assignments):
             pass  # keep the raw string
         node = cfg
         parts = key.split(".")
-        for part in parts[:-1]:
+        for depth, part in enumerate(parts[:-1]):
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError([f"--set {key}: {'.'.join(parts[:depth + 1])} is "
+                                   f"{json.dumps(node)}, not a section of keys"])
         node[parts[-1]] = value
     return cfg
 

@@ -8,7 +8,7 @@ nothing builds Poly objects.  The kernels:
 * `digit` / `digit_matrix`: base-q digits (= coefficients) of indices;
 * `leading_coefficients`: the leading coefficient of every index of G_n;
   `degrees`: the degree of every index of an array;
-* `times_fixed`: the indices of p*h for every h in G_m (or a range or
+* `times_fixed`: the indices of p*h for every h in G_m (or ranges or
   given rows of it) and every p of a stack of polynomials of one degree,
   as one block, for the prime-power sieve of multiplicative functions,
   the Katai inner sums and `GnIndex.smul`; `times_fixed_chunks`: the same
@@ -30,18 +30,25 @@ lane of an int64, sums tabulated images of a cofactor's digit parts as
 plain integers (b wide enough that no lane overflows) and decodes the sums
 to indices through small lookup tables that reduce each lane mod p.  In
 characteristic 2 (any r) the lanes are the index's own bits, the sum is
-XOR and nothing needs decoding.  Cofactors come as an index array or as a
-contiguous range of G_m (every caller's case but `residues` and
-`GnIndex.smul`); a range is mapped as an outer sum, the images of its high
-digit parts against the whole table of its lowest part, with no index
-array built.  All of it is int64 arithmetic, exact for every index int64
-holds.  The engine yields its products in chunks, each a fresh int64 array
-with every digit slice summed; `_linear_map` collects them into one block,
-the consumers of `times_fixed_chunks` scatter them.  Its memory per digit
-slice of the images (one slice unless an image has more base-p digits than
-an int64 has lanes), and that of `top_codes`, is bounded by the module
-constant CHUNK_ELEMENTS, whatever the size of G_m.  The decode tables are
-cached per (p, lane width, slice, CHUNK_ELEMENTS), built on first use.
+XOR and nothing needs decoding.  Cofactors come as an index array, or as
+contiguous ranges of G_m, one or a tuple mapped one after another (every
+caller's case but `residues` and `GnIndex.smul`); a range is mapped as an
+outer sum, the images of its high digit parts against the whole table of
+its lowest part, with no index array built.  An array decodes every digit
+of every sum.  A range in odd characteristic decodes per element only the
+overlap, the digits that the images of both its lowest part and its high
+parts reach (d of them for the product by a polynomial of degree d over
+F_p); the digits below are decoded once per entry of the lowest part's
+table, those above once per high value.  All of it is int64 arithmetic,
+exact for every index int64 holds.  The engine yields its products in
+chunks, each a fresh int64 array with every digit slice summed;
+`_linear_map` collects them into one block, the consumers of
+`times_fixed_chunks` scatter them.  Its memory per digit slice of the
+images (one slice unless an image has more base-p digits than an int64
+has lanes), and that of `top_codes`, is bounded by the module constant
+CHUNK_ELEMENTS, whatever the size of G_m.  The decode tables are cached
+per (p, lane width, first digit, lanes, CHUNK_ELEMENTS) and the packing
+table per (p, lane width, CHUNK_ELEMENTS), each built on first use.
 """
 
 from __future__ import annotations
@@ -90,8 +97,9 @@ def times_fixed(field: Field, polys, m: int, cofactors=None) -> np.ndarray:
     `polys` is a stack of k polynomials of one degree, as rows of
     coefficients lowest first.  `cofactors` are indices of G_m: an int64
     array, or a `range` of step 1 such as the monic block
-    range(q^(m-1), 2 q^(m-1)), which the engine maps as an outer sum;
-    default range(q^m), all of G_m in index order.  h -> p*h is F_p-linear
+    range(q^(m-1), 2 q^(m-1)), which the engine maps as an outer sum, or a
+    tuple of such ranges, whose columns follow one another; default
+    range(q^m), all of G_m in index order.  h -> p*h is F_p-linear
     on the base-p digits of h; the image of the basis vector u^t x^j is the
     index of p*u^t times q^j.
     """
@@ -102,8 +110,9 @@ def times_fixed_chunks(field: Field, polys, m: int, cofactors=None):
     """The products of `times_fixed`, a chunk at a time: (row0, col0, idx)
     with idx the block [row0:row0 + len(idx), col0:col0 + idx.shape[1]] of
     times_fixed(field, polys, m, cofactors), a fresh int64 array of at most
-    max(CHUNK_ELEMENTS, p) entries that the consumer may overwrite.
-    Column 0 of a group of rows comes only in its chunk with col0 == 0."""
+    max(CHUNK_ELEMENTS, p) entries that the consumer may overwrite.  A
+    chunk lies in one range of a tuple of cofactors.  Column 0 of a group
+    of rows comes only in its chunk with col0 == 0."""
     return _map_chunks(field, *_product_images(field, polys, m), cofactors)
 
 
@@ -247,12 +256,10 @@ def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None):
     lo, hi = _overlap(images, p, per, digits) if ranges and p > 2 else (0, digits)
     slices = [_pack(images, p, b, first, min(lanes, digits - first))
               for first in range(0, digits, lanes)]
-    # (slice, shift, mask, decode tables) of the digits below, in and above
-    # [lo, hi); in characteristic 2 one slice, its lanes the index's bits
-    below, summed, above = ([(s, shift, mask, _decoders(p, b, first, count, CHUNK_ELEMENTS))
-                             for s, shift, mask, first, count in reads]
-                            for reads in _reads(b, digits, lo, hi)) if p > 2 else \
-        ((), ((0, 0, None, ()),), ())
+    if p == 2:                          # one slice, its lanes the index's bits
+        below, summed, above = (), ((0, 0, None, ()),), ()
+    else:
+        below, summed, above = _reads(p, b, digits, lo, hi)
     group = max(1, CHUNK_ELEMENTS // split)
     for row0 in range(0, k, group):
         rows = slice(row0, min(row0 + group, k))
@@ -283,26 +290,27 @@ def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None):
 def _overlap(images: np.ndarray, p: int, per: int, digits: int) -> tuple:
     """(lo, hi), 0 <= lo < hi <= digits: the images of the first part's
     values (the rows of `images` below `per`) have no digit from hi up,
-    those of the high parts' values none below lo."""
+    those of the high parts' values none below lo (the p-adic valuation of
+    the gcd of their basis images)."""
     top, reach = int(images[:per].max(initial=0)), 0
     while p ** reach <= top:
         reach += 1
-    high = images[per:][images[per:] != 0]
-    start = 0 if high.size else digits
-    while start < digits and not (high % p ** (start + 1)).any():
-        start += 1
+    common, start = int(np.gcd.reduce(images[per:], axis=None)), digits
+    if common:
+        start = 0
+        while common % p == 0:
+            common, start = common // p, start + 1
     lo = min(start, digits - 1)
     return lo, max(reach, lo + 1)
 
 
-@functools.lru_cache(maxsize=256)
-def _reads(b: int, digits: int, lo: int, hi: int) -> tuple:
-    """Where the digits below, in and above [lo, hi) lie in the packed sums
-    of `digits` base-p digits in b-bit lanes, cut into slices of as many
-    lanes as an int64 holds: per range, (slice, shift, mask, first digit,
-    digits), where shift and mask (None for no mask: the slice has no lane
-    above) bring the lanes of the slice's digits in the range to the
-    bottom alone."""
+def _reads(p: int, b: int, digits: int, lo: int, hi: int) -> tuple:
+    """The reads (slice, shift, mask, decode tables) of the digits below, in
+    and above [lo, hi) from the packed sums of `digits` base-p digits in
+    b-bit lanes, cut into slices of as many lanes as an int64 holds: shift
+    and mask (None for no mask: the slice has no lane above) bring the
+    lanes of a slice's digits in the range to the bottom alone, and the
+    `_decoders` decode them."""
     lanes, reads = 63 // b, ([], [], [])
     for s, first in enumerate(range(0, digits, lanes)):
         stop = min(first + lanes, digits)
@@ -310,7 +318,7 @@ def _reads(b: int, digits: int, lo: int, hi: int) -> tuple:
         for region, a, c in zip(reads, cuts, cuts[1:]):
             if a < c:
                 region.append((s, b * (a - first), (1 << b * (c - a)) - 1 if c < stop else None,
-                               a, c - a))
+                               _decoders(p, b, a, c - a, CHUNK_ELEMENTS)))
     return reads
 
 
@@ -355,10 +363,14 @@ def _chunks(tables: list, cofactors, step: int, p: int, per: int, summed: list,
         for s, shift, mask, decode in summed:
             acc = combine(_read(sums[s], shift, mask)[:, :, None], tables[0][s][:, None, :])
             idx = _sum(idx, _decode(acc.reshape(k, -1), decode))
-        if above or low is not None:
+        # the digits outside the summed ones, by high value and by lo
+        high = None
+        for s, shift, mask, decode in above:
+            high = _sum(high, _decode(_read(sums[s], shift, mask), decode))
+        if high is not None or low is not None:
             grid = idx.reshape(k, -1, split)        # a view: (k, high value, lo)
-            for s, shift, mask, decode in above:
-                grid += _decode(_read(sums[s], shift, mask), decode)[:, :, None]
+            if high is not None:
+                grid += high[:, :, None]
             if low is not None:
                 grid += low[:, None, :]
         c0, c1 = max(start, h0 * split), min(stop, (h0 + len(highs)) * split)
@@ -434,15 +446,32 @@ def _cut(rest: np.ndarray, p: int, per: int, count: int) -> list:
 
 def _pack(images: np.ndarray, p: int, b: int, lo: int, count: int) -> np.ndarray:
     """The base-p digits lo .. lo+count-1 of the indices `images`, digit
-    lo + l in the b-bit lane l of an int64."""
+    lo + l in the b-bit lane l of an int64: a few digits at a time, by the
+    `_encoder` table."""
     if b == 1:                          # p = 2: the digits are the bits
         return (images >> lo) & ((1 << count) - 1)
+    per, encode = _encoder(p, b, CHUNK_ELEMENTS)
     packed, rest = np.zeros_like(images), images // p ** lo
-    for lane in range(count):
-        high = rest // p
-        packed |= (rest - high * p) << (b * lane)
+    for lane in range(0, count, per):
+        high = rest // p ** min(per, count - lane)
+        packed |= encode[rest - high * p ** min(per, count - lane)] << (b * lane)
         rest = high
     return packed
+
+
+@functools.lru_cache(maxsize=16)
+def _encoder(p: int, b: int, chunk: int) -> tuple:
+    """(digits, table): table[v] holds the base-p digits of v < p^digits,
+    digit l in the b-bit lane l, for as many digits as fit in `chunk` (the
+    engine's CHUNK_ELEMENTS) entries, at least one.  Cached, read-only."""
+    digits = 1
+    while p ** (digits + 1) <= chunk:
+        digits += 1
+    values, table = np.arange(p ** digits, dtype=np.int64), np.zeros(p ** digits, dtype=np.int64)
+    for lane in range(digits):
+        table |= values // p ** lane % p << (b * lane)
+    table.flags.writeable = False
+    return digits, table
 
 
 def _table(rows: np.ndarray, p: int, b: int) -> np.ndarray:

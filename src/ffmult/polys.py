@@ -16,10 +16,11 @@ product is a sorted int64 index array per degree (`irreducible_indices`),
 vectorized over the cofactor and batched over the primes of a degree, so
 desk-scale tables (q^d up to ~10^6) build in well under a second.  One
 sieve, `_sieve`, marks a block of consecutive degrees in one mask, one
-engine call per prime degree (and per cofactor degree when q > 2); a
-single degree is the block of one, and `sieve_through` sieves every
-degree up to N in blocks that halve, so F_2 through degree 17 takes 15
-engine calls where a sieve per degree takes 72.  Poly tuples of the
+engine call per prime degree for every q, its cofactors the tuple of the
+block's monic blocks; a single degree is the block of one, and
+`sieve_through` sieves every degree up to N in blocks that halve, so F_2
+through degree 17 takes 15 engine calls where a sieve per degree takes 72,
+and F_3 through degree 8 takes 7.  Poly tuples of the
 irreducibles are made on demand, on the first call of
 `irreducibles_of_degree`, for the scalar API.  Factorization is trial
 division against those tables up to half the degree of what is left,
@@ -344,9 +345,11 @@ def sieve_through(field: Field, top: int):
     Each uncached degree d is charged q^d, in ascending order, before any
     is sieved.  Then `sieve_through(field, top // 2)` caches the degrees
     that hold every prime of degree <= top/2, and the uncached degrees
-    above top // 2 are one `_sieve` block.  F_2 through degree 17 is the
-    blocks {1}, {2}, {3, 4}, {5..8}, {9..17} and 15 calls of
-    `times_fixed_chunks`, where a sieve per degree makes 72.
+    above top // 2 are one `_sieve` block, with one call of
+    `times_fixed_chunks` per prime degree of the block.  F_2 through
+    degree 17 is the blocks {1}, {2}, {3, 4}, {5..8}, {9..17} and 15
+    calls, where a sieve per degree makes 72; F_3 through degree 8 is
+    {1}, {2}, {3, 4}, {5..8} and 7 calls.
     """
     cache = field._irreducible_indices
     for d in range(1, top + 1):

@@ -62,7 +62,7 @@ from ffmult.gn import GnIndex, times_fixed
 from ffmult.laurent import linear_form, linear_form_table
 from ffmult.multiplicative import function_on_gn, prime_values
 from ffmult.polys import (irreducible_count, irreducible_indices, irreducibles_of_degree,
-                          sieve_through)
+                          necklace_count, sieve_through)
 
 # (p, r) -> largest n of the grid
 GRID = {(2, 1): 11, (3, 1): 7, (2, 2): 5, (5, 1): 4}
@@ -381,12 +381,79 @@ def test_times_fixed_equals_poly_products(q, chunk, monkeypatch):
         assert max(parts) >= 3
 
 
+def convolution_products(p: int, stack, cofactors) -> np.ndarray:
+    """The indices of P*h over the prime field F_p for every P of `stack`
+    and every cofactor h, by convolving coefficient rows mod p: an oracle
+    that shares no code with the engine."""
+    h = np.asarray(cofactors, dtype=np.int64)
+    m = 1
+    while p ** m <= int(h.max(initial=0)):
+        m += 1
+    digits = h[:, None] // p ** np.arange(m, dtype=np.int64) % p
+    out = []
+    for coeffs in stack:
+        prod = np.zeros((len(h), m + len(coeffs) - 1), dtype=np.int64)
+        for i, c in enumerate(coeffs):
+            prod[:, i:i + m] += c * digits
+        out.append(prod % p @ p ** np.arange(prod.shape[1], dtype=np.int64))
+    return np.array(out, dtype=np.int64).reshape(len(stack), len(h))
+
+
+# p, m: ranges of G_m in two parts at the default CHUNK_ELEMENTS, in more at 7
+# and 40, multiplied by primes of degree 3..5, whose d overlap digits run past
+# the first part's digits
+HIGH_DEGREE_GRID = [(3, 4), (3, 5), (5, 3)]
+
+
+@pytest.mark.parametrize("p,m", HIGH_DEGREE_GRID)
+@pytest.mark.parametrize("chunk", [None, 7, 40])
+def test_times_fixed_by_primes_above_the_first_part_equals_convolution(p, m, chunk, monkeypatch):
+    # a range decodes per element only the overlap; ranges that start and
+    # end off the parts' boundaries, alone, as a tuple and as adjacent ranges
+    if chunk is not None:
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    field = build_field(p, 1)
+    size = p ** m
+    ranges = [range(size), range(1, size - 1), range(p + 2, size // 2 + 5),
+              range(size // 3 + 4, size - p - 1)]
+    for d in (3, 4, 5):
+        stack = [prime.coeffs for prime in irreducibles_of_degree(field, d)]
+        expected = convolution_products(p, stack, range(size))
+        if d == 3:
+            assert np.array_equal(expected[:2, :3 * p], poly_products(field, stack[:2], range(3 * p)))
+        for cols in ranges:
+            assert np.array_equal(times_fixed(field, stack, m, cols),
+                                  expected[:, cols.start:cols.stop]), (d, cols)
+        for cols in [tuple(ranges[2:]), (range(0, 5), range(5, size - 7), range(3, 3))]:
+            assert np.array_equal(times_fixed(field, stack, m, cols), np.concatenate(
+                [expected[:, rows.start:rows.stop] for rows in cols], axis=1)), (d, cols)
+
+
+@pytest.mark.parametrize("p,d,m", [(3, 2, 25), (3, 14, 20), (17, 12, 2)])
+@pytest.mark.parametrize("chunk", [None, 7, 40])
+def test_times_fixed_maps_wide_ranges_in_slices(p, d, m, chunk, monkeypatch):
+    # ranges in odd characteristic whose digits below, in or above the
+    # overlap need more lanes than one int64 holds: a zero map beside two
+    # others, and multiples of x^d, whose high parts' images start d digits
+    # higher
+    if chunk is not None:
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    field = build_field(p, 1)
+    for stack in ([(1,) * (d + 1), (p - 1,) + (0,) * (d - 1) + (2,), (0,) * (d + 1)],
+                  [(0,) * d + (1,), (0,) * d + (p - 1,)]):
+        for cols in (range(p ** m - 30, p ** m), range(p ** (m - 1) + 3, p ** (m - 1) + 40)):
+            assert np.array_equal(times_fixed(field, stack, m, cols),
+                                  convolution_products(p, stack, cols)), (stack, cols)
+
+
 def test_times_fixed_refuses_a_range_with_steps_or_outside_g_m():
     field = build_field(2, 1)
     assert times_fixed(field, [(1, 1)], 3, range(9, 9)).shape == (1, 0)
     for rows in (range(0, 8, 2), range(-1, 3), range(4, 9), range(0, 1, -1)):
         with pytest.raises(ValueError, match="step 1 and lie in G_m"):
             times_fixed(field, [(1, 1)], 3, rows)
+        with pytest.raises(ValueError, match="step 1 and lie in G_m"):
+            times_fixed(field, [(1, 1)], 3, (range(2), rows))
 
 
 @pytest.mark.parametrize("pr,m", [((3, 1), 25), ((3, 2), 12), ((17, 1), 10)])
@@ -538,6 +605,35 @@ def test_tk_counts_are_unsigned_and_give_the_int32_bits(pr, n, W, H):
         a = turan_kubilius_from_squares(field, squares, m, A, W, H)
         b = turan_kubilius_from_squares(field, expected, m, A, W, H)
         assert struct.pack("<3d", a.A, a.lhs, a.ratio) == struct.pack("<3d", b.A, b.lhs, b.ratio)
+
+
+def tk_moments(q: int, n: int, W: int, H: int) -> tuple:
+    """(S1, S2), the sums over G_n of the window counts and of their
+    squares, by counting multiples: a prime of degree d divides
+    q^((n - d)+) of the g, and two distinct primes of degrees d and e,
+    being coprime, divide q^((n - d - e)+) of them together."""
+    degrees = range(max(W + 1, 1), H)
+    pi = {d: necklace_count(q, d) for d in degrees}
+    s1 = sum(pi[d] * q ** max(n - d, 0) for d in degrees)
+    pairs = sum((pi[d] * pi[e] - (pi[d] if d == e else 0)) * q ** max(n - d - e, 0)
+                for d in degrees for e in degrees)
+    return s1, s1 + pairs
+
+
+def test_tk_moments_of_the_benchmark_window():
+    assert tk_moments(3, 12, 1, 9) == (783_675, 3_399_041)
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 40])
+@pytest.mark.parametrize("pr,n,W,H", TK_GRID + [((3, 1), 12, 1, 9)])
+def test_tk_counts_have_the_moments_of_counting_multiples(pr, n, W, H, chunk, monkeypatch):
+    # an oracle that shares no code with the engine, the sieve or the
+    # decode; the last window is the benchmark's tk-f3
+    if chunk is not None:
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    field = build_field(*pr)
+    counts = window_divisor_counts(field, n, W, H).astype(np.int64)
+    assert (int(counts.sum()), int((counts * counts).sum())) == tk_moments(field.q, n, W, H)
 
 
 @pytest.mark.parametrize("pr,n,W,H", [((2, 1), 6, 5, 9), ((3, 1), 3, 2, 6), ((2, 2), 2, 3, 5)])

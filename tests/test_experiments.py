@@ -212,6 +212,18 @@ def test_cli_set_wins_over_the_format_flag_for_every_command(tmp_path):
     assert json.loads(r1.stdout)["schema"] == "tk-check/v1"
 
 
+def test_cli_set_through_a_scalar_is_a_config_error():
+    # a dotted key that descends into a number used to end in
+    # "internal error: TypeError" and exit 3
+    for sets, scalar in ((("tk=1", "tk.W=1"), "tk is 1"), (("field.p.x=1",), "field.p is 3")):
+        r = run_cli("tk-check", "--p", "3", "--n-start", "9", "--n-stop", "9",
+                    *(arg for item in sets for arg in ("--set", item)))
+        key = sets[-1].partition("=")[0]
+        assert r.returncode == 1, r.stderr
+        assert f"config error: --set {key}: {scalar}" in r.stderr, r.stderr
+        assert "internal error" not in r.stderr
+
+
 def test_cli_validation_exit_code(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"kind": "tk-check", "field": {"p": 2},

@@ -176,6 +176,22 @@ def test_sieve_through_makes_one_engine_call_per_prime_degree_of_a_block(monkeyp
     assert len(calls) == 15
 
 
+@pytest.mark.parametrize("p,top,calls", [(3, 8, 7), (5, 6, 4)])
+def test_sieve_through_over_odd_q_makes_one_engine_call_per_prime_degree(p, top, calls,
+                                                                          monkeypatch):
+    # the cofactors of a prime degree are the tuple of a block's monic blocks:
+    # F_3 through 8 is the blocks {1}, {2}, {3, 4}, {5..8} and 0 + 1 + 2 + 4
+    # calls, where a call per cofactor degree made 16; F_5 through 6 is {1},
+    # {2, 3}, {4, 5, 6} and 0 + 1 + 3 calls, where it made 9
+    engine = _count_engine_calls(monkeypatch)
+    F = build_field(p, 1)
+    sieve_through(F, top)
+    assert len(engine) == calls
+    assert all(isinstance(args[3], tuple) for args in engine)
+    for d in range(1, top + 1):
+        assert len(irreducible_indices(F, d)) == irreducible_count(F, d)
+
+
 def test_sieve_through_charges_each_degree_before_sieving(monkeypatch):
     calls = _count_engine_calls(monkeypatch)
     with pytest.raises(BudgetError, match="sieve at degree 20 needs 1048576"):
