@@ -41,15 +41,13 @@ from .multiplicative import (MultiplicativeFunction, builtin, from_character,
 from .phases import (BiasResult, MultilinearForm, PolynomialPhase, RankBounds,
                      ZeroCountResult, delta, derivative_form, diagonal,
                      eval_phase, iterated_difference, projective_common_zeros,
-                     rank_upper_bounds, verify_degree)
+                     rank_upper_bounds)
 from .analytics import (ApResult, GnIndex, MinDistanceResult, RBiasResult, TKResult,
-                        ap_correlation, composite_on_gn, correlate,
-                        fourier_coefficients, gowers_norm, halasz_product,
-                        hayes_on_gn, katai_statistic,
-                        linear_phase_sum, mean_value, min_distance_over_hayes,
-                        pretentious_distance, periodic_from_residues,
-                        phase_character_array, r_bias_statistic,
-                        sample_on_gn, turan_kubilius, u2_fourier)
+                        ap_correlation, correlate, gowers_norm, halasz_product,
+                        katai_statistic, linear_phase_sum, mean_value,
+                        min_distance_over_hayes, phase_character_array,
+                        pretentious_distance, r_bias_statistic, sample_on_gn,
+                        turan_kubilius, u2_fourier)
 from .experiments import (ExperimentConfig, ExperimentResult, list_builtins,
                           run_experiment, validate_config)
 

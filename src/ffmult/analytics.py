@@ -6,10 +6,11 @@ whose trends the theory predicts.  Conventions shared by all ops:
 
 * G_n is indexed canonically (polynomial <-> base-q index), so a function
   on G_n can be a callable on Poly or a complex array in index order.
-  `_on_gn` alone decides how a function reaches G_n: arrays, phases and
-  MultiplicativeFunctions become one whole array (`function_on_gn` for the
-  latter), a plain callable is called by `per_element` on exactly the
-  indices a statistic reads.  Every statistic reduces arrays from there.
+  `sample_on_gn` alone decides how a function reaches G_n: it makes an
+  array, a phase, a MultiplicativeFunction, a HayesCharacter or a plain
+  callable one whole array, and every statistic reduces (slices of) that
+  array.  At the primes, `_at_primes` reads a MultiplicativeFunction
+  (`prime_values`) or a HayesCharacter as arrays, never a plain callable.
 * Multiplicative inputs use f(0) = 0; the `domain` selector picks between
   all of G_n ("all"), G_n minus 0 ("nonzero"), and the monic top slice of
   degree n-1 ("monic").
@@ -40,70 +41,42 @@ from .fields import Field
 from .gn import GnIndex, digit_matrix, times_fixed, times_fixed_chunks
 from .laurent import LaurentTruncation, linear_form_table
 from .multiplicative import (MultiplicativeFunction, _complex, _prime_power_values, _products,
-                             from_character, function_on_gn, per_element, prime_values)
+                             from_character, function_on_gn, prime_values)
 from .phases import PolynomialPhase, derivative_form
 from .polys import (Poly, irreducible_count, irreducible_indices, monic_of_degree,
                     necklace_count, sieve_through)
 
 
-def _on_gn(field: Field, n: int, f, indices: range) -> np.ndarray:
-    """f at `indices` of G_n as a complex array.  An array, a phase (alpha_1
-    of it) or a MultiplicativeFunction (`function_on_gn`) is made whole on
-    G_n and sliced; a plain callable is called on exactly these indices."""
+def sample_on_gn(field: Field, n: int, f) -> np.ndarray:
+    """f on all of G_n as a complex array in index order.  `f` is an array in
+    index order, a phase (alpha_1 of it), a MultiplicativeFunction
+    (`function_on_gn`), a HayesCharacter (its function's array, 0 at g = 0)
+    or any other callable on Poly, called once per element of G_n after
+    q^n is charged to the field."""
     size = field.q ** n
     if isinstance(f, np.ndarray):
         if f.shape != (size,):
             raise ValueError(f"array has shape {f.shape}, expected ({size},)")
-        arr = f.astype(np.complex128)
-    elif isinstance(f, PolynomialPhase):
+        return f.astype(np.complex128)
+    if isinstance(f, PolynomialPhase):
         if f.n != n:
             raise ValueError(f"phase lives on G_{f.n}, asked to sample on G_{n}")
-        arr = phase_character_array(f)
-    elif isinstance(f, MultiplicativeFunction):
-        arr = function_on_gn(f, n)
-    else:
-        return per_element(field, f, indices)
-    return arr[indices.start:indices.stop]
-
-
-def sample_on_gn(field: Field, n: int, f) -> np.ndarray:
-    """Materialize a function on G_n to a complex array in index order."""
-    return _on_gn(field, n, f, range(field.q ** n))
+        return phase_character_array(f)
+    if isinstance(f, HayesCharacter):
+        f = from_character(f)
+    if isinstance(f, MultiplicativeFunction):
+        return function_on_gn(f, n)
+    field.charge(size, "calls of a plain callable")
+    out = np.empty(size, dtype=np.complex128)
+    for idx in range(size):
+        out[idx] = f(Poly.from_index(field, idx))
+    return out
 
 
 def phase_character_array(P: PolynomialPhase, s: int = 1) -> np.ndarray:
     """alpha_s(P(g)) over G_n as a complex array (exact exponents inside)."""
     F = P.field
     return F.roots[P.exponent_values_on_gn(s)]
-
-
-def hayes_on_gn(H, n: int) -> np.ndarray:
-    """A Hayes character on G_n (value 0 at g = 0), as the function array
-    of its completely multiplicative function."""
-    return function_on_gn(from_character(H), n)
-
-
-def periodic_from_residues(field: Field, modulus: Poly, values) -> callable:
-    """The periodic sequence g -> values[g mod modulus] (values by residue index)."""
-    values = list(values)
-
-    def t(g: Poly) -> complex:
-        return values[(g % modulus).to_index()]
-
-    return t
-
-
-def composite_on_gn(field: Field, n: int, func, phases) -> np.ndarray:
-    """func(P_1(g), ..., P_r(g)) over G_n, for any func on encoded values.
-
-    Covers test functions built from several polynomial phases at once.
-    """
-    value_arrays = [P.values_on_gn() for P in phases]
-    size = field.q ** n
-    out = np.empty(size, dtype=np.complex128)
-    for idx in range(size):
-        out[idx] = func(*(int(v[idx]) for v in value_arrays))
-    return out
 
 
 def _fsum_arrays(re: np.ndarray, im: np.ndarray) -> complex:
@@ -129,14 +102,16 @@ def domain_indices(field: Field, n: int, domain: str):
 def correlate(field: Field, nu, t, n: int, domain: str = "all") -> complex:
     """Mean of nu(g) * t(g) over the chosen slice of G_n.
 
-    `nu` and `t` are each a callable on Poly, an index-order array on G_n,
-    a MultiplicativeFunction or a PolynomialPhase (meaning alpha_1 applied
-    to it).  Both are read on the slice through `_on_gn` and multiplied as
-    arrays; a plain callable is called only on the slice.
+    `nu` and `t` are each in a form `sample_on_gn` reads: an index-order
+    array on G_n, a PolynomialPhase (meaning alpha_1 applied to it), a
+    MultiplicativeFunction, a HayesCharacter or a callable on Poly.  Both
+    are sampled on all of G_n (a plain callable is called q^n times, on
+    any domain), sliced and multiplied as arrays.
     """
     field.charge(field.q ** n, f"G_{n}")
     rng = domain_indices(field, n, domain)
-    re, im = _products(_on_gn(field, n, nu, rng), _on_gn(field, n, t, rng))
+    re, im = _products(sample_on_gn(field, n, nu)[rng.start:rng.stop],
+                       sample_on_gn(field, n, t)[rng.start:rng.stop])
     return _fsum_arrays(re, im) / len(rng)
 
 
@@ -189,13 +164,6 @@ def u2_fourier(field: Field, n: int, f) -> float:
     arr = sample_on_gn(field, n, f).reshape((field.p,) * (field.r * n))
     hat = np.fft.fftn(arr) / size
     return float(np.sum(np.abs(hat) ** 4) ** 0.25)
-
-
-def fourier_coefficients(field: Field, n: int, f) -> np.ndarray:
-    """All normalized character coefficients of f (for Parseval checks)."""
-    size = field.q ** n
-    arr = sample_on_gn(field, n, f).reshape((field.p,) * (field.r * n))
-    return (np.fft.fftn(arr) / size).ravel()
 
 
 # -- arithmetic-progression correlation ---------------------------------------------
@@ -290,13 +258,12 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
     pair_set "P_k" uses irreducibles of degree k and k+1; "G_{k+1}" uses all
     nonzero polynomials of degree <= k; both are index arrays (`_pair_set`).
 
-    `f` is a MultiplicativeFunction, an index-order array on G_n or any
-    callable on Poly; it is sampled once on all of G_n (a callable is called
-    q^n times; q^n and the `katai_cost` are charged to the field).  The pairs
-    whose larger degree is D share m = n - D, and f(a g) for the a of one
-    degree is read from that array through one `times_fixed` block per
-    (deg a, m).  Every inner sum and the total are fsums, so the order of
-    the pairs does not change the result.
+    `f` is in any form `sample_on_gn` reads; it is sampled once on all of
+    G_n (a plain callable is called q^n times; q^n and the `katai_cost` are
+    charged to the field).  The pairs whose larger degree is D share
+    m = n - D, and f(a g) for the a of one degree is read from that array
+    through one `times_fixed` block per (deg a, m).  Every inner sum and the
+    total are fsums, so the order of the pairs does not change the result.
     """
     q = field.q
     pairs = _pair_set(field, k, pair_set)
@@ -485,23 +452,32 @@ def turan_kubilius_from_squares(field: Field, squares: np.ndarray, n: int, A: fl
 # -- pretentious distance --------------------------------------------------------------
 
 
-def _at_primes(field: Field, f, d: int) -> np.ndarray:
+def _field_of(*fs) -> Field:
+    """The field of `fs[0]`; TypeError unless each of `fs` is a
+    MultiplicativeFunction or a HayesCharacter, the two forms that carry one."""
+    for f in fs:
+        if not isinstance(f, (MultiplicativeFunction, HayesCharacter)):
+            raise TypeError("expected a MultiplicativeFunction or a HayesCharacter, "
+                            f"got {type(f).__name__}")
+    return fs[0].field
+
+
+def _at_primes(f, d: int) -> np.ndarray:
     """f at the monic irreducibles of degree d, index order, without a
     factorization round trip: f(p) for a MultiplicativeFunction is
     on_prime_power(p, 1) (`prime_values`), a HayesCharacter is read as an
-    array, any other callable is called prime by prime."""
+    array."""
     if isinstance(f, MultiplicativeFunction):
         return prime_values(f, d)
-    if isinstance(f, HayesCharacter):
-        return f.values_at(irreducible_indices(field, d))
-    return per_element(field, f, irreducible_indices(field, d))
+    return f.values_at(irreducible_indices(f.field, d))
 
 
 def distance_terms(f, g, d: int) -> list:
     """The summands of D(f, g; N) at the monic irreducibles p of degree d:
-    q^{-d} max(1 - Re f(p) conj g(p), 0), in index order."""
-    field = f.field if isinstance(f, MultiplicativeFunction) else g.field
-    re, _ = _products(_at_primes(field, f, d), _at_primes(field, g, d), conjugate_b=True)
+    q^{-d} max(1 - Re f(p) conj g(p), 0), in index order.  f and g are each
+    a MultiplicativeFunction or a HayesCharacter."""
+    field = _field_of(f, g)
+    re, _ = _products(_at_primes(f, d), _at_primes(g, d), conjugate_b=True)
     return (float(field.q) ** -d * np.maximum(1.0 - re, 0.0)).tolist()
 
 
@@ -512,8 +488,9 @@ def distance_from_terms(terms) -> float:
 
 def pretentious_distance(f, g, N: int, window_low: int = 0) -> float:
     """D(f, g; N): sqrt of sum over irreducibles with window_low <= deg <= N
-    of q^{-deg p} (1 - Re f(p) conj g(p)), each summand clamped at >= 0."""
-    sieve_through(f.field if isinstance(f, MultiplicativeFunction) else g.field, N)
+    of q^{-deg p} (1 - Re f(p) conj g(p)), each summand clamped at >= 0.
+    f and g are each a MultiplicativeFunction or a HayesCharacter."""
+    sieve_through(_field_of(f, g), N)
     return distance_from_terms([t for d in range(max(window_low, 1), N + 1)
                                 for t in distance_terms(f, g, d)])
 
@@ -534,9 +511,10 @@ def min_distance_over_hayes(f, N: int, modulus_degree_bound: int,
 
     chi runs over all Dirichlet characters with deg(modulus) <= bound
     (modulus 1, i.e. no twist, included); xi over all characters of length
-    <= length_bound; theta over a uniform grid (or an explicit list).
+    <= length_bound; theta over a uniform grid (or an explicit list).  f is a
+    MultiplicativeFunction or a HayesCharacter.
     """
-    field = f.field
+    field = _field_of(f)
     thetas = ([j / theta_grid for j in range(theta_grid)]
               if isinstance(theta_grid, int) else list(theta_grid))
     if not thetas:
@@ -545,7 +523,7 @@ def min_distance_over_hayes(f, N: int, modulus_degree_bound: int,
     sieve_through(field, N)
     primes = {d: irreducible_indices(field, d) for d in degrees}
     # q^{-d} f(p) per degree, rounded as Python's float * complex rounds it
-    weighted = {d: _products(complex(float(field.q) ** -d), _at_primes(field, f, d))
+    weighted = {d: _products(complex(float(field.q) ** -d), _at_primes(f, d))
                 for d in degrees}
     # modulus 1 first: its one character is the trivial one
     chis = [chi for deg in range(modulus_degree_bound + 1)
@@ -641,13 +619,14 @@ def halasz_product(f: MultiplicativeFunction, n: int,
 
 
 def mean_value(f, n: int, domain: str = "monic") -> complex:
-    """Exhaustive average of f over degree-n polynomials (monic or all):
-    the index slice [q^n, 2 q^n) or [q^n, q^(n+1)) of G_{n+1}."""
-    field = f.field
+    """Exhaustive average of f, a MultiplicativeFunction or a HayesCharacter,
+    over degree-n polynomials (monic or all): the index slice [q^n, 2 q^n)
+    or [q^n, q^(n+1)) of f sampled on G_{n+1}."""
+    field = _field_of(f)
     if domain not in ("monic", "all"):
         raise ValueError("domain must be 'monic' or 'all'")
     top = 2 if domain == "monic" else field.q
-    values = _on_gn(field, n + 1, f, range(field.q ** n, top * field.q ** n))
+    values = sample_on_gn(field, n + 1, f)[field.q ** n:top * field.q ** n]
     return _fsum_arrays(values.real, values.imag) / len(values)
 
 

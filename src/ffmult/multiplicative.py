@@ -14,8 +14,7 @@ degree d in rounds, one vectorized scatter per round (the r-th prime of
 every g), and a single scatter when 2d >= n, where no g has two such
 primes; the irreducibles it needs are read from its own composite marks.
 Characters and twists are the Hayes arrays of `HayesCharacter.values_at`
-(times the base function's array).  `per_element` is the one loop that
-calls a function polynomial by polynomial; only plain callables reach it.
+(times the base function's array), on G_n and at the primes alike.
 
 Built-ins: moebius (mu(p) = -1, zero on non-squarefree), liouville
 (lambda(p^k) = (-1)^k), one.  Character-derived functions wrap a Hayes
@@ -110,7 +109,7 @@ def _products(a, b, conjugate_b: bool = False):
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(len(re), dtype=np.complex128)
+    out = np.empty(re.shape, dtype=np.complex128)
     out.real, out.imag = re, im        # keeps the signs of zeros
     return out
 
@@ -210,11 +209,21 @@ def _exact_powers(steps: np.ndarray, q: int, n: int, d: int, top: int):
 
 def _prime_power_values(f: MultiplicativeFunction, d: int, top: int) -> np.ndarray:
     """(top, primes) complex array of f.on_prime_power(p, k), k = 1..top, at
-    the irreducibles p of degree d in index order, bit for bit.  A degree
-    profile gives one value per k and a random function its drawn values
-    raised by its rule's own `** k`, neither building a Poly; any other
-    function calls its prime-power rule at the boxed primes."""
+    the irreducibles p of degree d in index order, bit for bit.  A character
+    reads H at the sieve's index array with the `** k` of its prime-power
+    rule applied to each table entry, and a twist takes its base's rows
+    times those (or their conjugates) by `_products`; a degree profile gives
+    one value per k and a random function its drawn values raised by its
+    rule's own `** k`.  None of these builds a Poly; any other function calls
+    its prime-power rule at the boxed primes."""
     ks = range(1, top + 1)
+    if f._character is not None:
+        base, H, conjugate = f._character
+        primes = irreducible_indices(f.field, d)
+        rows = np.array([H.values_at(primes, lambda v, k=k: v ** k) for k in ks])
+        if base is None:
+            return rows
+        return _complex(*_products(_prime_power_values(base, d, top), rows, conjugate))
     if f.degree_profile is not None:
         by_k = np.array([complex(f.degree_profile(d, k)) for k in ks])
         return np.repeat(by_k[:, None], len(irreducible_indices(f.field, d)), axis=1)
@@ -228,30 +237,8 @@ def _prime_power_values(f: MultiplicativeFunction, d: int, top: int) -> np.ndarr
 
 def prime_values(f: MultiplicativeFunction, d: int) -> np.ndarray:
     """[f.on_prime_power(p, 1) for p in irreducibles_of_degree(field, d)]
-    as a complex array, bit for bit.  A character or twist reads H at the
-    sieve's index array, with the `** 1` of its prime-power rule applied to
-    each table entry; any other function takes the k = 1 row of
-    `_prime_power_values`."""
-    if f._character is None:
-        return _prime_power_values(f, d, 1)[0]
-    base, H, conjugate = f._character
-    values = H.values_at(irreducible_indices(f.field, d), lambda v: v ** 1)
-    if base is None:
-        return values
-    return _complex(*_products(prime_values(base, d), values, conjugate))
-
-
-def per_element(field: Field, f, indices) -> np.ndarray:
-    """[f(g) for g at `indices`] as a complex array, one call per index.
-
-    Refused before the first call when there are more indices than the
-    field's enumeration budget allows.
-    """
-    field.charge(len(indices), "calls of a plain callable")
-    out = np.empty(len(indices), dtype=np.complex128)
-    for i, idx in enumerate(indices):
-        out[i] = f(Poly.from_index(field, idx))
-    return out
+    as a complex array, bit for bit: the k = 1 row of `_prime_power_values`."""
+    return _prime_power_values(f, d, 1)[0]
 
 
 # each built-in is its degree profile: f(p^k) from deg p and k alone, and

@@ -8,7 +8,7 @@ lower-degree polynomials), and discrete derivatives expand symbolically on
 it, so degree bookkeeping is exact.  Coordinate monomials are kept apart:
 an exponent >= char(F_q) makes the formal degree lie about the functional
 degree (x -> x^p is additive), so they are excluded from symbolic-degree
-shortcuts and checked by sampling instead.
+shortcuts.
 
 The m-fold derivative of a degree-m phase is the symmetric m-linear form
 d^mP; restricting it back to the diagonal multiplies by m!, which is why
@@ -309,26 +309,6 @@ def iterated_difference(P: PolynomialPhase, hs, g: Poly) -> int:
             v = neg[v]
         acc = add[acc][v]
     return acc
-
-
-def verify_degree(P: PolynomialPhase, m: int, trials: int = 32, rng=None) -> bool:
-    """Does Delta_{h_0}..Delta_{h_m} P vanish?  Exact via the structural bound
-    for purely structured phases, Monte Carlo otherwise (and for phases whose
-    structural degree overshoots m)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not P.monomial_terms and P.degree <= m:
-        return True
-    import random as _random
-    rng = rng or _random.Random(0)
-    F = P.field
-    size = F.q ** P.n
-    for _ in range(trials):
-        hs = [Poly.from_index(F, rng.randrange(size)) for _ in range(m + 1)]
-        g = Poly.from_index(F, rng.randrange(size))
-        if iterated_difference(P, hs, g) != 0:
-            return False
-    return True
 
 
 # -- multilinear forms ---------------------------------------------------------

@@ -14,14 +14,13 @@ from ffmult.laurent import LaurentTruncation
 from ffmult.multiplicative import builtin, from_character, random_on_irreducibles
 from ffmult.phases import PolynomialPhase
 from ffmult.polys import Poly, irreducibles_of_degree
-from ffmult import analytics
-from ffmult.analytics import (ap_correlation, correlate, fourier_coefficients,
-                              gowers_norm, halasz_product, hayes_on_gn,
-                              katai_statistic, linear_phase_sum, mean_value,
-                              min_distance_over_hayes, periodic_from_residues,
-                              phase_character_array, pretentious_distance,
-                              r_bias_statistic, sample_on_gn, turan_kubilius,
-                              u2_fourier)
+from ffmult import analytics, gn
+from ffmult.analytics import (ap_correlation, correlate, distance_terms,
+                              gowers_norm, halasz_product, katai_statistic,
+                              linear_phase_sum, mean_value,
+                              min_distance_over_hayes, phase_character_array,
+                              pretentious_distance, r_bias_statistic,
+                              sample_on_gn, turan_kubilius, u2_fourier)
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -72,16 +71,16 @@ def test_correlate_hayes_and_periodic_test_functions():
     one = builtin(F2, "one")
     chi = dirichlet_characters(Poly.x(F2) ** 2)[1]
     H = HayesCharacter(F2, dirichlet=chi)
-    t = hayes_on_gn(H, 5)
-    val = correlate(F2, one, t, 5)
+    val = correlate(F2, one, H, 5)
     assert abs(val) < 1e-12   # character orthogonal to constants
-    per = periodic_from_residues(F2, Poly.x(F2), [1.0, -1.0])
+    # the periodic sequence g -> values[g mod x], read by residue index
+    values = np.array([1.0, -1.0])
+    per = values[gn.residues(F2, Poly.x(F2).coeffs, np.arange(2 ** 5))]
     v2 = correlate(F2, lambda g: 1.0, per, 5)
     assert abs(v2) < 1e-12
 
 
 def test_correlate_composite_test_function():
-    from ffmult.analytics import composite_on_gn
     rng = random.Random(31)
     L1 = LaurentTruncation.random(F3, 4, rng)
     L2 = LaurentTruncation.random(F3, 4, rng)
@@ -93,7 +92,9 @@ def test_correlate_composite_test_function():
     def func(x, y):
         return complex(roots[F3.trace(x)]) * complex(roots[F3.trace(y)]).conjugate()
 
-    t = composite_on_gn(F3, 4, func, [P1, P2])
+    # the composite alpha_1(P1(g)) conj alpha_1(P2(g)) as arrays of the encoded values
+    v1, v2 = P1.values_on_gn(), P2.values_on_gn()
+    t = roots[F3.trace_table[v1]] * roots[F3.trace_table[v2]].conjugate()
     got = correlate(F3, lambda g: 1.0, t, 4)
     want = [func(P1.eval(Poly.from_index(F3, i)), P2.eval(Poly.from_index(F3, i)))
             for i in range(81)]
@@ -160,14 +161,6 @@ def test_u2_on_extension_field():
     rng = np.random.default_rng(8)
     f = random_bounded(rng, 4 ** 3)
     assert abs(gowers_norm(F4, 3, f, 2) - u2_fourier(F4, 3, f)) < 1e-10
-
-
-def test_parseval():
-    rng = np.random.default_rng(9)
-    for F, n in ((F2, 7), (F3, 4)):
-        f = random_bounded(rng, F.q ** n)
-        coeffs = fourier_coefficients(F, n, f)
-        assert abs(np.sum(np.abs(coeffs) ** 2) - np.mean(np.abs(f) ** 2)) < 1e-12
 
 
 def test_u2_single_character_and_zero():
@@ -369,6 +362,20 @@ def test_distance_monotone_in_n():
 def test_distance_empty_window():
     mu, one = builtin(F2, "moebius"), builtin(F2, "one")
     assert pretentious_distance(mu, one, 5, window_low=6) == 0.0
+
+
+def test_inputs_without_a_field_raise_type_error_before_any_sieve():
+    F = build_field(2, 1)               # fresh: no irreducible cached
+    one, plain = builtin(F, "one"), (lambda g: 1.0)
+    calls = [lambda: pretentious_distance(plain, plain, 3),
+             lambda: pretentious_distance(one, plain, 3),
+             lambda: distance_terms(plain, one, 1),
+             lambda: min_distance_over_hayes(plain, 3, 1, 1),
+             lambda: mean_value(plain, 3)]
+    for call in calls:
+        with pytest.raises(TypeError, match="MultiplicativeFunction or a HayesCharacter"):
+            call()
+    assert not F._irreducible_indices
 
 
 def test_min_distance_trivial_target():

@@ -20,16 +20,18 @@ in the field the irreducibles the standalone sieve gives;
 `prime_values` those of [f.on_prime_power(p, 1)], and `correlate` /
 `katai_statistic` must give the same floats whether the function arrives
 as a MultiplicativeFunction, as an array, or wrapped in a plain callable
-that is called polynomial by polynomial.  A plain callable is called
-exactly on the indices a statistic reads, and an over-budget one not at
-all; `mean_value` equals the scalar fsum over the degree-n slice;
+that is called polynomial by polynomial.  A plain callable is called once
+per element of G_n, and an over-budget one not at all; a bare
+HayesCharacter gives the bytes of its function on every statistic of G_n;
+`mean_value` equals the scalar fsum over the degree-n slice;
 `distance_terms` and `min_distance_over_hayes` equal their scalar loops.
 
 A built-in read once per degree from its profile must give the bytes of
 its per-prime rule, and the array paths of the built-ins and random
 functions (the sieve, the Turan-Kubilius counts, function and prime
 arrays, distance terms against a Hayes character, the Katai statistic on
-either pair set, the Euler product, a decay-table run) must build no Poly.
+either pair set, the Euler product of every function but a built-in
+without its profile, a run of every experiment kind) must build no Poly.
 The Katai and r-bias pair sets read as index arrays must be `p_k` and the
 nonzero G_{k+1} in order, `halasz_product` must give the bits of its
 per-prime loop, and a phase on G_{n_stop} must have the phase on each G_n
@@ -49,9 +51,9 @@ import pytest
 from ffmult import (BudgetError, DegreeTwist, HayesCharacter, LaurentTruncation,
                     MultiplicativeFunction, Poly, PolynomialPhase, UnitCharacter, build_field,
                     builtin, correlate, dirichlet_characters, from_character, halasz_product,
-                    hayes_on_gn, katai_statistic, mean_value, p_k, phase_character_array,
+                    gowers_norm, katai_statistic, mean_value, p_k, phase_character_array,
                     r_bias_statistic, random_on_irreducibles, run_experiment, sample_on_gn,
-                    short_interval_characters, twist)
+                    short_interval_characters, twist, u2_fourier)
 from ffmult import analytics, gn
 from ffmult.analytics import (distance_terms, min_distance_over_hayes, squared_deviations,
                               turan_kubilius, turan_kubilius_from_squares,
@@ -70,6 +72,8 @@ GRID = {(2, 1): 11, (3, 1): 7, (2, 2): 5, (5, 1): 4}
 FUNCTIONS = ("moebius", "liouville", "one", "random-pm1", "random-unit",
              "character", "twist", "unit-liouville", "dirichlet-unit", "float-theta",
              "twist-random-unit")
+# the FUNCTIONS that are from_character of a bare Hayes character
+CHARACTERS = ("character", "dirichlet-unit", "float-theta")
 
 
 def _quartic_dirichlet(field):
@@ -81,7 +85,18 @@ def _quartic_dirichlet(field):
                 if any(4 * e == 3 * c.order for e in c.table.tolist()))
 
 
+def make_character(field, name):
+    """The HayesCharacter of the function `name` of CHARACTERS."""
+    if name == "character":
+        return resolve_hayes(field, {"short": {"s": 1, "index": 1}, "theta": "1/5"})
+    if name == "dirichlet-unit":
+        return HayesCharacter(field, _quartic_dirichlet(field), unit=UnitCharacter(field, 1))
+    return resolve_hayes(field, {"theta": 0.3, "short": {"s": 1, "index": 1}})
+
+
 def make_function(field, name):
+    if name in CHARACTERS:
+        return from_character(make_character(field, name))
     if name in ("moebius", "liouville", "one"):
         return builtin(field, name)
     if name == "random-pm1":
@@ -93,14 +108,6 @@ def make_function(field, name):
         H = HayesCharacter(field, unit=UnitCharacter(field, 1))
         return MultiplicativeFunction(field, lambda p, k: complex((-1.0) ** k), name=name,
                                       unit_rule=lambda c: H(Poly.constant(field, c)))
-    if name == "character":
-        return from_character(resolve_hayes(field, {"short": {"s": 1, "index": 1},
-                                                    "theta": "1/5"}))
-    if name == "dirichlet-unit":
-        return from_character(HayesCharacter(field, _quartic_dirichlet(field),
-                                             unit=UnitCharacter(field, 1)))
-    if name == "float-theta":
-        return from_character(resolve_hayes(field, {"theta": 0.3, "short": {"s": 1, "index": 1}}))
     if name == "twist-random-unit":
         return twist(random_on_irreducibles(field, 29, "unit"),
                      HayesCharacter(field, _quartic_dirichlet(field),
@@ -250,14 +257,31 @@ def test_correlate_bit_equal_across_argument_forms(pr, n, name):
 
 @pytest.mark.parametrize("pr,n", [((2, 1), 9), ((3, 1), 5), ((2, 2), 4)])
 def test_bare_hayes_character_correlates_off_zero(pr, n):
-    # a HayesCharacter raises at g = 0, so on these domains it must never
-    # be called there
+    # H(0) raises: a bare character is read as its function's array, which
+    # is 0 at g = 0, and gives that function's bytes on every domain
     field = build_field(*pr)
-    H = resolve_hayes(field, {"short": {"s": 1, "index": 1}, "theta": "1/5"})
     t = phase_character_array(_phase(field, n, seed=n))
-    for domain in ("nonzero", "monic"):
-        assert bits(correlate(field, H, t, n, domain)) \
-            == bits(correlate(field, hayes_on_gn(H, n), t, n, domain)), domain
+    for name in CHARACTERS:
+        H, f = make_character(field, name), make_function(field, name)
+        for domain in ("all", "nonzero", "monic"):
+            assert bits(correlate(field, H, t, n, domain)) \
+                == bits(correlate(field, f, t, n, domain)), (name, domain)
+
+
+@pytest.mark.parametrize("pr,n,k", [((2, 1), 9, 3), ((3, 1), 5, 1), ((2, 2), 4, 1)])
+@pytest.mark.parametrize("name", CHARACTERS)
+def test_bare_hayes_character_equals_its_function_on_every_statistic(pr, n, k, name):
+    # correlate is test_bare_hayes_character_correlates_off_zero
+    field = build_field(*pr)
+    H, f = make_character(field, name), make_function(field, name)
+    for domain in ("monic", "all"):
+        assert bits(mean_value(H, n - 1, domain)) == bits(mean_value(f, n - 1, domain)), domain
+    stats = [lambda g: gowers_norm(field, n, g, 1), lambda g: gowers_norm(field, n, g, 2),
+             lambda g: u2_fourier(field, n, g)]
+    stats += [lambda g, pair_set=pair_set: katai_statistic(field, g, n, k, pair_set)
+              for pair_set in ("P_k", "G_{k+1}")]
+    for stat in stats:
+        assert struct.pack("<d", stat(H)) == struct.pack("<d", stat(f))
 
 
 @pytest.mark.parametrize("pr", sorted(GRID))
@@ -857,6 +881,7 @@ def test_array_paths_build_no_poly(pr, poly_constructions):
     target = from_character(resolve_hayes(field, {
         "theta": "1/3", "short": {"s": 1, "index": 1},
         "dirichlet": {"modulus": [1, 1, 1], "index": 1}}))
+    hayes_functions = [make_function(field, name) for name in ("character", "twist")]
     poly_constructions.clear()
     for d in range(1, n + 1):
         assert len(irreducible_indices(field, d)) == irreducible_count(field, d)
@@ -867,8 +892,8 @@ def test_array_paths_build_no_poly(pr, poly_constructions):
             prime_values(f, d)
             distance_terms(f, target, d)
     random_pm1, random_unit = functions[3:]
-    halasz_product(random_pm1, n)
-    halasz_product(random_unit, n)
+    for f in [random_pm1, random_unit] + hayes_functions:
+        halasz_product(f, n)
     katai_statistic(field, random_pm1, n, 2, "P_k")
     katai_statistic(field, random_unit, n, 1, "G_{k+1}", per_pair=True)
     run_experiment({"kind": "decay-table", "field": {"p": pr[0], "r": pr[1]}, "seed": 3,
@@ -881,6 +906,51 @@ def test_array_paths_build_no_poly(pr, poly_constructions):
     # the Poly API still boxes on demand
     assert len(irreducibles_of_degree(field, 2)) == irreducible_count(field, 2)
     assert poly_constructions
+
+
+_HAYES = {"theta": "1/3", "short": {"s": 1, "index": 1}}
+_LIOUVILLE = {"kind": "builtin", "name": "liouville"}
+# one small run of every experiment kind; the Hayes descriptors leave out
+# Dirichlet characters, whose unit groups still box residues as Poly
+# (ROADMAP item 10): modulus x^2 + 1 over F_3 builds 346
+KIND_RUNS = {
+    "decay-table": {
+        "kind": "decay-table", "field": {"p": 2}, "seed": 1, "n": {"start": 2, "stop": 5},
+        "function": {"kind": "random"},
+        "phase": {"terms": [{"coef": 1, "factors": [[1, 0, 1, 1, 0, 1], [0, 1, 1, 0, 1, 1]]}]}},
+    "distance-growth": {
+        "kind": "distance-growth", "field": {"p": 3}, "seed": 2, "n": {"start": 1, "stop": 4},
+        "function": {"kind": "random"}, "hayes": _HAYES},
+    "gowers-decay-2": {
+        "kind": "gowers-decay", "field": {"p": 3}, "n": {"start": 2, "stop": 3},
+        "function": _LIOUVILLE, "gowers": {"k": 2}},
+    "gowers-decay-3": {
+        "kind": "gowers-decay", "field": {"p": 2}, "n": {"start": 2, "stop": 3},
+        "function": _LIOUVILLE, "gowers": {"k": 3}},
+    "ap-decay": {
+        "kind": "ap-decay", "field": {"p": 5}, "n": {"start": 2, "stop": 2},
+        "function": _LIOUVILLE, "ap": {"k": 3}},
+    "katai-check-random": {
+        "kind": "katai-check", "field": {"p": 2}, "seed": 3, "n": {"start": 4, "stop": 5},
+        "function": {"kind": "random"}, "katai": {"k": 2}},
+    "katai-check-twist": {
+        "kind": "katai-check", "field": {"p": 3}, "seed": 3, "n": {"start": 3, "stop": 4},
+        "function": {"kind": "twist", "hayes": _HAYES,
+                     "base": {"kind": "random", "values": "unit"}},
+        "katai": {"k": 1, "pair_set": "G_{k+1}"}},
+    "tk-check": {"kind": "tk-check", "field": {"p": 3}, "n": {"start": 3, "stop": 5},
+                 "tk": {"W": 1, "H": 4}},
+    "bias-rank-demo": {"kind": "bias-rank-demo", "field": {"p": 2},
+                       "bias": {"r_values": [1, 2], "slot_dim": 3, "arity": 2}},
+    "zero-count-check": {"kind": "zero-count-check", "field": {"p": 3}, "seed": 5,
+                         "zero_count": {"dim": 3, "trials": 4, "max_total_degree": 2}},
+}
+
+
+@pytest.mark.parametrize("run", sorted(KIND_RUNS))
+def test_every_experiment_kind_builds_no_poly(run, poly_constructions):
+    assert run_experiment(KIND_RUNS[run]).rows
+    assert poly_constructions == []
 
 
 def scalar_distance_terms(f, g, d):

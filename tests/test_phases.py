@@ -11,7 +11,7 @@ from ffmult.laurent import LaurentTruncation
 from ffmult.phases import (MultilinearForm, PolynomialPhase, delta,
                            derivative_form, diagonal, eval_phase,
                            iterated_difference, projective_common_zeros,
-                           rank_upper_bounds, verify_degree)
+                           rank_upper_bounds)
 from ffmult.polys import Poly
 
 F2 = build_field(2, 1)
@@ -171,18 +171,6 @@ def test_monomial_lowering_in_derivative():
     bad = PolynomialPhase(F3, 2, monomial_terms=((1, ((0, 3),)),))
     with pytest.raises(ValueError, match="char"):
         derivative_form(bad, 3)
-
-
-def test_verify_degree():
-    L = LaurentTruncation(F5, (1, 0, 0))
-    lin = PolynomialPhase.from_linear(L, 3)
-    assert verify_degree(lin, 1)
-    sq = PolynomialPhase.from_product(3, [L, L])
-    assert not verify_degree(sq, 1, trials=64, rng=random.Random(3))
-    assert verify_degree(sq, 2)
-    # monomial phase with exponent >= char: x^2 over F_2 is actually linear
-    frob = PolynomialPhase(F2, 2, monomial_terms=((1, ((0, 2),)),))
-    assert verify_degree(frob, 1, trials=64, rng=random.Random(4))
 
 
 def test_diagonal_examples():
