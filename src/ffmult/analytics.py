@@ -621,12 +621,21 @@ def halasz_product(f: MultiplicativeFunction, n: int,
 def mean_value(f, n: int, domain: str = "monic") -> complex:
     """Exhaustive average of f, a MultiplicativeFunction or a HayesCharacter,
     over degree-n polynomials (monic or all): the index slice [q^n, 2 q^n)
-    or [q^n, q^(n+1)) of f sampled on G_{n+1}."""
+    or [q^n, q^(n+1)) of f sampled on G_{n+1}.  A character H (bare or
+    from_character(H)) is read on the slice alone, by `H.values_at`, and
+    only the slice is charged to the field."""
     field = _field_of(f)
     if domain not in ("monic", "all"):
         raise ValueError("domain must be 'monic' or 'all'")
-    top = 2 if domain == "monic" else field.q
-    values = sample_on_gn(field, n + 1, f)[field.q ** n:top * field.q ** n]
+    lo, hi = field.q ** n, (2 if domain == "monic" else field.q) * field.q ** n
+    if isinstance(f, MultiplicativeFunction) and f._character is not None \
+            and f._character[0] is None:
+        f = f._character[1]             # from_character(H): H itself
+    if isinstance(f, HayesCharacter):
+        field.charge(hi - lo, f"the degree-{n} slice")
+        values = f.values_at(np.arange(lo, hi, dtype=np.int64))
+    else:
+        values = sample_on_gn(field, n + 1, f)[lo:hi]
     return _fsum_arrays(values.real, values.imag) / len(values)
 
 

@@ -109,7 +109,7 @@ class Field:
         # exp(2*pi*i*k/p) for exponent->complex conversion at sum time
         self.roots = _exact_roots(p)
         # lazy caches owned by polys.py (irreducible tables) — see that module;
-        # multiplicative.function_on_gn fills the index arrays from its own pass
+        # multiplicative.function_on_gn fills the index arrays from its own sieve
         self._irreducibles: dict[int, tuple] = {}
         self._irreducible_indices: dict[int, np.ndarray] = {}
         self._factor_memo: dict = {}

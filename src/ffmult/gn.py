@@ -6,14 +6,13 @@ Everything here works on int index arrays and the field's add/mul tables;
 nothing builds Poly objects.  The kernels:
 
 * `digit` / `digit_matrix`: base-q digits (= coefficients) of indices;
-* `leading_coefficients`: the leading coefficient of every index of G_n;
-  `degrees`: the degree of every index of an array;
+* `degrees`: the degree of every index of an array;
 * `times_fixed`: the indices of p*h for every h in G_m (or ranges or
   given rows of it) and every p of a stack of polynomials of one degree,
-  as one block, for the prime-power sieve of multiplicative functions,
-  the Katai inner sums and `GnIndex.smul`; `times_fixed_chunks`: the same
-  products a chunk at a time, for the irreducible sieve and the
-  Turan-Kubilius counts, which scatter each chunk and never hold the
+  as one block, for the Katai inner sums and `GnIndex.smul`;
+  `times_fixed_chunks`: the same products a chunk at a time, for the
+  irreducible sieve, the sieve of `function_on_gn` and the
+  Turan-Kubilius counts, which consume each chunk and never hold the
   block;
 * `residues`: the indices of h mod g for a fixed modulus g (Dirichlet
   characters);
@@ -74,14 +73,6 @@ def digit_matrix(q: int, m: int, idx=None) -> np.ndarray:
     out = np.empty((len(idx), m), dtype=np.int16)
     for j in range(m):
         out[:, j] = digit(idx, q, j)
-    return out
-
-
-def leading_coefficients(q: int, n: int) -> np.ndarray:
-    """int16 leading coefficient of every index of G_n (0 at the index 0)."""
-    out = np.zeros(q ** n, dtype=np.int16)
-    for j in range(n):
-        out[q ** j:q ** (j + 1)] = np.repeat(np.arange(1, q, dtype=np.int16), q ** j)
     return out
 
 

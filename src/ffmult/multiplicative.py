@@ -8,11 +8,10 @@ or, for a character or a twist, from its Hayes product H(g), times the
 base function's f(g).  A whole array on G_n comes from `function_on_gn`,
 and the values at the irreducibles of one degree from `prime_values`,
 both bit for bit equal to the scalar path.
-`function_on_gn` is one Eratosthenes pass over index space that needs no
-factor(): per degree d it multiplies each g by f(p^k) for its primes p of
-degree d in rounds, one vectorized scatter per round (the r-th prime of
-every g), and a single scatter when 2d >= n, where no g has two such
-primes; the irreducibles it needs are read from its own composite marks.
+`function_on_gn` needs no factor(): one chunked sieve pass over index
+space finds the last prime p of every g (and the irreducibles), and one
+gather-multiply per degree block sets f(g) = f(g/p^k) f(p^k), p^k || g,
+the scalar path's product in its order.
 Characters and twists are the Hayes arrays of `HayesCharacter.values_at`
 (times the base function's array), on G_n and at the primes alike.
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from .characters import DegreeTwist, HayesCharacter
 from .fields import Field
-from .gn import digit_matrix, leading_coefficients, times_fixed
+from .gn import digit_matrix, times_fixed_chunks
 from .polys import Poly, factor, irreducible_indices, irreducibles_of_degree
 
 
@@ -114,37 +113,18 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scatter(out: np.ndarray, targets: np.ndarray, values: np.ndarray):
-    """out[targets] *= values (targets distinct), each product rounded as
-    Python's complex product rounds it (`_products`)."""
-    part = out[targets]
-    part.real, part.imag = _products(part, values)      # keeps the signs of zeros
-    out[targets] = part
-
-
 def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
     """f on all of G_n as a complex array in index order, bit-identical to
     [f(g) for g in G_n].
 
-    Functions other than characters and twists are sieved over index space
-    in one Eratosthenes pass: every nonzero index starts at unit_rule(lc),
-    and each degree d < n multiplies every g by f(p^k) for the primes p of
-    degree d with p^k || g, p in index order, which is the order factor()
-    returns, so each value sees the same roundings as the scalar path.  A degree is
-    applied in rounds, one vectorized `_scatter` per round: the (g, p, k)
-    of the degree are sorted by (g, p) and round r takes the r-th prime of
-    every g, so at most floor((n-1)/d) rounds.  When 2d >= n no g has two
-    primes of degree d (nor p^2 | g), and the degree is one scatter of its
-    products p*h, h != 0, with no sort.
-    The irreducibles of each degree are read from the pass's own marks:
-    the multiples p*h with deg h >= 1 of the primes of degree d < n/2 mark
-    every composite of G_n, so the unmarked monic indices of degree d are
-    its primes.  They fill the field's irreducible cache where it has no
-    entry yet (the sieve of `irreducible_indices` and `sieve_through` gives
-    the same arrays).
-    A character is its Hayes array; a twist is its base's array times the
-    Hayes array (or its conjugate), by the separate float64 products of
-    `_products`.
+    Other functions than characters and twists take two passes over index
+    space and no factor().  `_last_primes` gives each g of degree >= 1 its
+    last prime p in index order (factor()'s order) and h = g/p.  Then per
+    degree block [q^D, q^(D+1)), f(g) = f(c) f(p^k) for p^k || g and
+    c = g/p^k (c(h) and k(h) + 1 where p | h, else h and 1): f(c) is the
+    scalar path's running product over the earlier primes, and `_products`
+    rounds as it does.  A character is its Hayes array; a twist is its
+    base's array times the Hayes array (or its conjugate), by `_products`.
     """
     field = f.field
     q = field.q
@@ -157,54 +137,68 @@ def function_on_gn(f: MultiplicativeFunction, n: int) -> np.ndarray:
             return values
         # at the index 0 both factors are +0, and so is the product
         return _complex(*_products(function_on_gn(base, n), values, conjugate))
-    units = np.array([0j] + [complex(f.unit_rule(c)) for c in range(1, q)])
-    out = units[leading_coefficients(q, n)]
-    cache = field._irreducible_indices
-    composite = np.zeros(size, dtype=bool)
-    for d in range(1, n):
-        if d not in cache:
-            cache[d] = np.flatnonzero(~composite[q ** d:2 * q ** d]) + q ** d
-        primes = cache[d]
-        steps = times_fixed(field, digit_matrix(q, d + 1, primes), n - d)
-        values = _prime_power_values(f, d, (n - 1) // d)
-        if 2 * d >= n:
-            _scatter(out, steps[:, 1:], values[0][:, None])
-            continue
-        composite[steps[:, q:]] = True
-        g, slot = _exact_powers(steps, q, n, d, len(values))
-        del steps                       # the rounds below hold the peak memory
-        flat = values.T.ravel()
-        # round r takes the r-th prime (in index order) of every g
-        at = np.flatnonzero(np.diff(g, prepend=-1))
-        while len(at):
-            _scatter(out, g[at], flat[slot[at]])
-            at = at[at + 1 < len(g)] + 1
-            at = at[g[at] == g[at - 1]]
+    rank, h, table, starts = _last_primes(f, n)
+    out = np.empty(size, dtype=np.complex128)
+    out[:q] = np.array([0j] + [complex(f.unit_rule(c)) for c in range(1, q)])[:size]
+    # c(g) and k(g) are read only at cofactors h = g/p, which lie in G_{n-1}
+    c = np.zeros(size // q, dtype=h.dtype)
+    k = np.zeros(size // q, dtype=np.uint8)
+    for D in range(1, n):
+        block = slice(q ** D, q ** (D + 1))
+        r, hb = rank[block], h[block].astype(np.intp)
+        same = rank[hb] == r            # p | h (a unit h has rank 0)
+        cb = np.where(same, c[hb], hb)
+        kb = np.where(same, k[hb] + 1, 1)
+        if D < n - 1:
+            c[block], k[block] = cb, kb
+        part = out[block]               # a view
+        part.real, part.imag = _products(out[cb], table[starts[kb] + r])
     return out
 
 
-def _exact_powers(steps: np.ndarray, q: int, n: int, d: int, top: int):
-    """(g, slot) for every g of G_n and prime p_i of degree d with p_i^k || g,
-    k <= top, sorted by (g, i), with slot = i * top + k - 1.
+def _last_primes(f: MultiplicativeFunction, n: int) -> tuple:
+    """(rank, h, table, starts) of the sieve of `function_on_gn` on G_n.
 
-    `steps` are the `times_fixed` rows p_i * h, h in G_{n-d}.  On the k-th
-    rung of the ladder mult[i, h] is the index of p_i^k h, h in G_{n-kd};
-    the h divisible by p_i are the columns steps[i, :q^(n-(k+1)d)] (h = 0
-    always is), and taking those columns gives the next rung.
+    The primes are ranked 1, 2, ... in (degree, index) order.  rank[g] is
+    the rank of the last prime p of g and h[g] = g/p, for every g of
+    degree >= 1 (rank 0 at the units; the index 0 is never read), in the
+    narrowest dtypes that hold them.  f(p^k) at the rank r is
+    table[starts[k] + r].
+
+    Degree d = 1..n-1 in turn is one `times_fixed_chunks` call over its
+    primes, the monic indices of degree d that no smaller prime has marked
+    (they fill the field's irreducible cache where it has no entry yet).
+    Each product p*h, h in G_{n-d}, keeps rank * q^n + h at its index if
+    larger (`np.maximum.at`, which does not depend on the order of the
+    chunks or of repeated indices).
     """
-    span = len(steps) * top
-    mult, keys = steps, []
-    for k in range(1, top + 1):
-        divisible = steps[:, :q ** max(n - (k + 1) * d, 0)]
-        exact = np.ones(mult.shape, dtype=bool)
-        np.put_along_axis(exact, divisible, False, axis=1)
-        keys.append(mult[exact] * span + np.nonzero(exact)[0] * top + (k - 1))
-        mult = np.take_along_axis(mult, divisible, axis=1)
-    keys = np.concatenate(keys)
-    keys.sort()
-    g = keys // span
-    keys -= g * span
-    return g, keys
+    field = f.field
+    q = field.q
+    size = q ** n
+    cache = field._irreducible_indices
+    key = np.zeros(size, dtype=np.int64)
+    rows = [[] for _ in range(n)]       # rows[k]: f(p^k), degrees <= (n-1)/k
+    ranked = 0
+    for d in range(1, n):
+        if d not in cache:
+            cache[d] = np.flatnonzero(key[q ** d:2 * q ** d] == 0) + q ** d
+        primes = cache[d]
+        for k, values in enumerate(_prime_power_values(f, d, (n - 1) // d), 1):
+            rows[k].append(values)
+        for row0, col0, idx in times_fixed_chunks(field, digit_matrix(q, d + 1, primes), n - d):
+            ranks = np.arange(ranked + 1 + row0, ranked + 1 + row0 + len(idx))
+            keys = ranks[:, None] * size + np.arange(col0, col0 + idx.shape[1])
+            np.maximum.at(key, idx.ravel(), keys.ravel())     # 1-D: the fast path
+        ranked += len(primes)
+    h = np.empty(size, dtype=np.min_scalar_type(size - 1))
+    np.remainder(key, size, out=h, casting="unsafe")
+    key //= size
+    rank = key.astype(np.min_scalar_type(ranked))
+    del key
+    # row k begins at starts[k] + 1, after table[0], which no rank reads
+    table = np.concatenate([np.zeros(1, dtype=np.complex128)] + sum(rows, []))
+    starts = np.cumsum([0, 0] + [sum(map(len, row)) for row in rows[1:-1]])
+    return rank, h, table, starts
 
 
 def _prime_power_values(f: MultiplicativeFunction, d: int, top: int) -> np.ndarray:

@@ -329,8 +329,8 @@ def irreducible_indices(field: Field, d: int) -> np.ndarray:
     """Sorted int64 indices of the monic irreducibles of degree d, cached
     on the field: the survivors of `_sieve` of the one degree d.
     `sieve_through` fills the same cache a block of degrees at a time, and
-    `multiplicative.function_on_gn` from the marks of its own pass, both
-    with the same arrays."""
+    `multiplicative.function_on_gn` degree by degree from its own sieve,
+    both with the same arrays."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     cache = field._irreducible_indices

@@ -15,15 +15,17 @@ where the prime-power rule applies it.
 `function_on_gn` (the prime-power sieve, or the Hayes arrays for
 characters and twists) must give exactly the bytes of [f(g) for g in G_n],
 and, at sizes where that scalar path is too slow, of a per-prime reference
-loop; the sieve scatters once per round within a memory bound and leaves
-in the field the irreducibles the standalone sieve gives;
+loop; the sieve makes one chunked engine call per degree and no block,
+stays within a memory bound, gives the same bytes at every chunk size and
+leaves in the field the irreducibles the standalone sieve gives;
 `prime_values` those of [f.on_prime_power(p, 1)], and `correlate` /
 `katai_statistic` must give the same floats whether the function arrives
 as a MultiplicativeFunction, as an array, or wrapped in a plain callable
 that is called polynomial by polynomial.  A plain callable is called once
 per element of G_n, and an over-budget one not at all; a bare
 HayesCharacter gives the bytes of its function on every statistic of G_n;
-`mean_value` equals the scalar fsum over the degree-n slice;
+`mean_value` equals the scalar fsum over the degree-n slice, and for a
+character reads and charges that slice alone;
 `distance_terms` and `min_distance_over_hayes` equal their scalar loops.
 
 A built-in read once per degree from its profile must give the bytes of
@@ -156,7 +158,9 @@ def per_prime_sieve(f, n):
     field = f.field
     q = field.q
     units = [0j] + [complex(f.unit_rule(c)) for c in range(1, q)]
-    lc = gn.leading_coefficients(q, n)
+    lc = np.zeros(q ** n, dtype=np.intp)          # the leading coefficient of each index
+    for j in range(n):
+        lc[q ** j:q ** (j + 1)] = np.repeat(np.arange(1, q), q ** j)
     re = np.array([u.real for u in units])[lc]
     im = np.array([u.imag for u in units])[lc]
     for d in range(1, n):
@@ -209,29 +213,51 @@ def test_function_on_gn_equals_the_per_prime_sieve(pr, n, name):
         assert np.array_equal(cached, irreducible_indices(fresh, d)), d
 
 
-def test_function_on_gn_scatters_once_per_round_within_a_memory_bound(monkeypatch):
+def test_function_on_gn_sieves_by_one_chunked_call_per_degree_within_a_memory_bound(
+        monkeypatch):
     from ffmult import multiplicative
 
-    scatter, calls = multiplicative._scatter, []
+    degrees, blocks = [], []
+    chunks, linear_map = multiplicative.times_fixed_chunks, gn._linear_map
 
-    def counted(*args):
-        calls.append(args)
-        scatter(*args)
+    def chunks_spy(field, polys, m, *args):
+        degrees.append(len(polys[0]) - 1)
+        return chunks(field, polys, m, *args)
 
-    monkeypatch.setattr(multiplicative, "_scatter", counted)
-    mu = builtin(build_field(2, 1), "moebius")
-    function_on_gn(mu, 13)
-    # one scatter per round, at most floor(12 / d) rounds at degree d
-    assert len(calls) <= sum(12 // d for d in range(1, 13)) == 35
+    def block_spy(*args):               # every times_fixed block is collected here
+        blocks.append(args)
+        return linear_map(*args)
+
+    monkeypatch.setattr(multiplicative, "times_fixed_chunks", chunks_spy)
+    monkeypatch.setattr(gn, "_linear_map", block_spy)
+    for pr, n in (((2, 1), 13), ((3, 1), 9)):
+        degrees.clear()
+        function_on_gn(builtin(build_field(*pr), "moebius"), n)
+        assert degrees == list(range(1, n)), pr
+    assert not blocks
     monkeypatch.undo()
-    mu = builtin(build_field(2, 1), "moebius")
-    tracemalloc.start()
-    try:
-        out = function_on_gn(mu, 16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * out.nbytes
+    for pr, n in (((2, 1), 16), ((3, 1), 9)):
+        for name in ("moebius", "random-pm1"):
+            f = make_function(build_field(*pr), name)
+            out, peak = _traced_peak(lambda: function_on_gn(f, n))
+            assert peak <= 8 * out.nbytes, (pr, name)
+
+
+@pytest.mark.parametrize("pr,n", [((2, 1), 10), ((3, 1), 7), ((2, 2), 5), ((5, 1), 5)])
+def test_function_on_gn_is_independent_of_the_chunk_size(pr, n, monkeypatch):
+    # chunks of 7 and 40 cut the sieve's stores inside rows of primes and
+    # of cofactors: the same bytes and irreducibles as one chunk per degree
+    for name in ("prime-rule", "random-unit"):
+        got = []
+        for chunk in (None, 7, 40):
+            if chunk is not None:
+                monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+            field = build_field(*pr)
+            f = prime_rule(field) if name == "prime-rule" else make_function(field, name)
+            got.append((function_on_gn(f, n).tobytes(),
+                        [field._irreducible_indices[d].tobytes() for d in range(1, n)]))
+        monkeypatch.undo()
+        assert got[0] == got[1] == got[2], name
 
 
 def _phase(field, n, seed):
@@ -297,6 +323,29 @@ def test_mean_value_equals_the_scalar_fsum(pr, name):
                                 math.fsum(z.imag for z in values)) / len(values)
             got = mean_value(make_function(field, name), n, domain)
             assert bits(got) == bits(reference), (n, domain)
+
+
+@pytest.mark.parametrize("pr", sorted(GRID))
+@pytest.mark.parametrize("name", CHARACTERS)
+def test_mean_value_of_a_character_reads_its_slice_alone(pr, name):
+    # H and from_character(H) give the bits of the fsum over sample_on_gn's
+    # slice of G_{n+1}, and a budget of the slice's size is enough
+    field = build_field(*pr)
+    q, n = field.q, GRID[pr] - 2
+    for domain, top in (("monic", 2), ("all", q)):
+        size = (top - 1) * q ** n
+        values = sample_on_gn(field, n + 1, make_character(field, name))[q ** n:top * q ** n]
+        reference = complex(math.fsum(values.real.tolist()),
+                            math.fsum(values.imag.tolist())) / size
+        for budget in (size, size - 1):
+            H = make_character(build_field(*pr), name)
+            H.field.enumeration_budget = budget
+            for f in (H, from_character(H)):
+                if budget < size:
+                    with pytest.raises(BudgetError):
+                        mean_value(f, n, domain)
+                else:
+                    assert bits(mean_value(f, n, domain)) == bits(reference), (domain, f)
 
 
 def test_correlate_keeps_signs_of_zero():
