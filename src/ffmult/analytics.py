@@ -19,7 +19,13 @@ whose trends the theory predicts.  Conventions shared by all ops:
   Array products there use separate float64 ufuncs (re = ar*br - ai*bi,
   im = ar*bi + ai*br), which round exactly as Python's complex product
   does; numpy's complex `*` may fuse the multiply-add and is not used.  So
-  a sum equals the scalar sum of the same products, bit for bit.  Gowers
+  a sum equals the scalar sum of the same products, bit for bit.  When
+  every value is a Gaussian integer with both parts in [-1, 1] (mu,
+  lambda, 1, random +-1, every F_2 phase, the quarter-turn characters;
+  `_unit_integer_parts`), the same sums are taken exactly in int64 (dots,
+  sums, and integer Gram matrices for the Katai inner sums): every product
+  is then an exact integer and the fsum of integers below 2^53 is that
+  integer (+0.0 when it is 0), so the bits are those of the fsum.  Gowers
   and progression averages use numpy's mean and complex products:
   deterministic, with no scalar twin.
 * Gowers norms: the U^k brute-force cube average is computed by iterating
@@ -49,15 +55,16 @@ from .polys import (Poly, irreducible_count, irreducible_indices, monic_of_degre
 
 def sample_on_gn(field: Field, n: int, f) -> np.ndarray:
     """f on all of G_n as a complex array in index order.  `f` is an array in
-    index order, a phase (alpha_1 of it), a MultiplicativeFunction
-    (`function_on_gn`), a HayesCharacter (its function's array, 0 at g = 0)
-    or any other callable on Poly, called once per element of G_n after
-    q^n is charged to the field."""
-    size = field.q ** n
+    index order (a complex128 one is returned as it is, not copied), a phase
+    (alpha_1 of it), a MultiplicativeFunction (`function_on_gn`), a
+    HayesCharacter (its function's array, 0 at g = 0) or any other callable
+    on Poly, called once per element of G_n after q^n is charged to the
+    field.  A negative n is a ValueError."""
+    size = _gn_size(field, n)
     if isinstance(f, np.ndarray):
         if f.shape != (size,):
             raise ValueError(f"array has shape {f.shape}, expected ({size},)")
-        return f.astype(np.complex128)
+        return np.asarray(f, dtype=np.complex128)
     if isinstance(f, PolynomialPhase):
         if f.n != n:
             raise ValueError(f"phase lives on G_{f.n}, asked to sample on G_{n}")
@@ -79,18 +86,43 @@ def phase_character_array(P: PolynomialPhase, s: int = 1) -> np.ndarray:
     return F.roots[P.exponent_values_on_gn(s)]
 
 
+def _gn_size(field: Field, n: int) -> int:
+    """|G_n| = q^n; ValueError for a negative n."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    return field.q ** n
+
+
 def _fsum_arrays(re: np.ndarray, im: np.ndarray) -> complex:
     return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+
+
+def _unit_integer_parts(values: np.ndarray):
+    """The real and imaginary parts of `values` as int64 arrays when every
+    value is a Gaussian integer with both parts in [-1, 1] (0, +-1, +-i,
+    +-1+-i), else None.  Both parts are read at once, as the float64 pairs
+    of the complex values; the bound is tested before anything is cast, so
+    NaN, infinities and huge values never reach `astype`."""
+    pairs = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    if pairs.size and not (pairs.min() >= -1.0 and pairs.max() <= 1.0):
+        return None
+    ints = pairs.astype(np.int64)
+    if not np.array_equal(ints, pairs):
+        return None
+    return ints[..., 0::2], ints[..., 1::2]
 
 
 # -- correlation ----------------------------------------------------------------
 
 
 def domain_indices(field: Field, n: int, domain: str):
-    """Index iterator for the chosen slice of G_n."""
-    size = field.q ** n
+    """Index range of the chosen slice of G_n; ValueError for a negative n
+    and for the empty slices "nonzero" and "monic" of G_0."""
+    size = _gn_size(field, n)
     if domain == "all":
         return range(size)
+    if domain in ("nonzero", "monic") and n == 0:
+        raise ValueError(f"the {domain} slice of G_0 is empty")
     if domain == "nonzero":
         return range(1, size)
     if domain == "monic":
@@ -106,13 +138,24 @@ def correlate(field: Field, nu, t, n: int, domain: str = "all") -> complex:
     array on G_n, a PolynomialPhase (meaning alpha_1 applied to it), a
     MultiplicativeFunction, a HayesCharacter or a callable on Poly.  Both
     are sampled on all of G_n (a plain callable is called q^n times, on
-    any domain), sliced and multiplied as arrays.
+    any domain), sliced and multiplied as arrays.  When both slices are
+    read by `_unit_integer_parts`, the sum of products is two exact int64
+    dots (re = ar.br - ai.bi, im = ar.bi + ai.br); otherwise it is the
+    fsum of the `_products`.  A negative n or an empty slice is a
+    ValueError, raised before the charge.
     """
-    field.charge(field.q ** n, f"G_{n}")
     rng = domain_indices(field, n, domain)
-    re, im = _products(sample_on_gn(field, n, nu)[rng.start:rng.stop],
-                       sample_on_gn(field, n, t)[rng.start:rng.stop])
-    return _fsum_arrays(re, im) / len(rng)
+    field.charge(field.q ** n, f"G_{n}")
+    a = sample_on_gn(field, n, nu)[rng.start:rng.stop]
+    b = sample_on_gn(field, n, t)[rng.start:rng.stop]
+    exact_a = _unit_integer_parts(a)
+    exact_b = None if exact_a is None else _unit_integer_parts(b)
+    if exact_b is None:
+        total = _fsum_arrays(*_products(a, b))
+    else:
+        (ar, ai), (br, bi) = exact_a, exact_b
+        total = complex(float(ar @ br - ai @ bi), float(ar @ bi + ai @ br))
+    return total / len(rng)
 
 
 # -- Gowers norms -----------------------------------------------------------------
@@ -132,7 +175,7 @@ def gowers_norm(field: Field, n: int, f, k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    size = field.q ** n
+    size = _gn_size(field, n)
     field.charge(gowers_cost(field.q, n, k), f"U^{k} on G_{n}")
     arr = sample_on_gn(field, n, f)
     idx = np.arange(size, dtype=np.int64)
@@ -159,7 +202,7 @@ def u2_fourier(field: Field, n: int, f) -> float:
     re-indexed through the F_p-coordinate dual basis they become the
     standard multidimensional length-p DFT, which is what numpy computes.
     """
-    size = field.q ** n
+    size = _gn_size(field, n)
     field.charge(size, f"the transform on G_{n}")
     arr = sample_on_gn(field, n, f).reshape((field.p,) * (field.r * n))
     hat = np.fft.fftn(arr) / size
@@ -194,7 +237,7 @@ def ap_correlation(field: Field, n: int, fs, tolerance: float = 1e-9) -> ApResul
         raise ValueError("need at least two functions")
     if k >= field.p:
         raise ValueError(f"k = {k} >= char = {field.p}: torsion condition fails")
-    size = field.q ** n
+    size = _gn_size(field, n)
     field.charge(ap_cost(field.q, n, k), f"the {k}-term progressions on G_{n}")
     arrays = [sample_on_gn(field, n, f) for f in fs]
     G = GnIndex(field, n)
@@ -264,6 +307,10 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
     m = n - D, and f(a g) for the a of one degree is read from that array
     through one `times_fixed` block per (deg a, m).  Every inner sum and the
     total are fsums, so the order of the pairs does not change the result.
+    When `_unit_integer_parts` reads the rows of one D, their inner sums S
+    are instead exact int64 Gram matrices of the rows' parts R and I,
+    Re S = R R^T + I I^T and Im S = I R^T - R I^T, which give the fsums'
+    bits; the total is still an fsum.
     """
     q = field.q
     pairs = _pair_set(field, k, pair_set)
@@ -277,10 +324,20 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
         rows = np.concatenate([f_arr[times_fixed(field, digit_matrix(q, d + 1, idx), m)]
                                for d, idx in pairs.items() if d <= top])
         below = len(rows) - len(members)      # rows of degree < top pair with degree top only
-        for a, row in enumerate(rows):
-            re, im = _products(row, rows[below:] if a < below else rows, conjugate_b=True)
-            parts += [abs(complex(math.fsum(x), math.fsum(y))) / scale
-                      for x, y in zip(re.tolist(), im.tolist())]
+        exact = _unit_integer_parts(rows)
+        if exact is None:
+            for a, row in enumerate(rows):
+                re, im = _products(row, rows[below:] if a < below else rows, conjugate_b=True)
+                parts += [abs(complex(math.fsum(x), math.fsum(y))) / scale
+                          for x, y in zip(re.tolist(), im.tolist())]
+            continue
+        R, I = exact
+        # the rows of degree top against every row, the lower rows against those of degree top
+        for a, b in ((slice(below, None), slice(None)), (slice(below), slice(below, None))):
+            re = R[a] @ R[b].T + I[a] @ I[b].T
+            im = I[a] @ R[b].T - R[a] @ I[b].T
+            parts += [abs(complex(x, y)) / scale
+                      for x, y in zip(re.ravel().tolist(), im.ravel().tolist())]
     size = sum(len(idx) for idx in pairs.values())
     total = math.fsum(parts)
     if per_pair:
@@ -623,11 +680,14 @@ def mean_value(f, n: int, domain: str = "monic") -> complex:
     over degree-n polynomials (monic or all): the index slice [q^n, 2 q^n)
     or [q^n, q^(n+1)) of f sampled on G_{n+1}.  A character H (bare or
     from_character(H)) is read on the slice alone, by `H.values_at`, and
-    only the slice is charged to the field."""
+    only the slice is charged to the field.  The sum is the fsum of the
+    values, or an exact int64 sum when `_unit_integer_parts` reads them; a
+    negative n is a ValueError, raised before the charge."""
     field = _field_of(f)
     if domain not in ("monic", "all"):
         raise ValueError("domain must be 'monic' or 'all'")
-    lo, hi = field.q ** n, (2 if domain == "monic" else field.q) * field.q ** n
+    lo = _gn_size(field, n)
+    hi = (2 if domain == "monic" else field.q) * lo
     if isinstance(f, MultiplicativeFunction) and f._character is not None \
             and f._character[0] is None:
         f = f._character[1]             # from_character(H): H itself
@@ -636,7 +696,10 @@ def mean_value(f, n: int, domain: str = "monic") -> complex:
         values = f.values_at(np.arange(lo, hi, dtype=np.int64))
     else:
         values = sample_on_gn(field, n + 1, f)[lo:hi]
-    return _fsum_arrays(values.real, values.imag) / len(values)
+    exact = _unit_integer_parts(values)
+    if exact is None:
+        return _fsum_arrays(values.real, values.imag) / len(values)
+    return complex(*(float(x.sum()) for x in exact)) / len(values)
 
 
 # -- exact linear-phase sums ------------------------------------------------------

@@ -463,3 +463,23 @@ def test_sample_on_gn_shapes():
     assert arr.shape == (8,) and arr.dtype == np.complex128
     with pytest.raises(ValueError):
         sample_on_gn(F2, 3, np.ones(7, dtype=complex))
+
+
+def test_negative_n_and_empty_domains_are_value_errors_before_any_charge():
+    # a budget of 0 refuses every charge: the ValueError must come first
+    F = build_field(2, 1, enumeration_budget=0)
+    mu = builtin(F, "moebius")
+    for n, domain in ((0, "nonzero"), (0, "monic"), (-1, "all"), (-1, "monic")):
+        with pytest.raises(ValueError):
+            correlate(F, mu, mu, n, domain)
+    with pytest.raises(ValueError):
+        sample_on_gn(F, -1, mu)
+    for domain in ("monic", "all"):
+        with pytest.raises(ValueError):
+            mean_value(mu, -1, domain)
+    for stat in (lambda: gowers_norm(F, -1, mu, 1), lambda: u2_fourier(F, -1, mu),
+                 lambda: ap_correlation(build_field(3, 1, enumeration_budget=0), -1, [mu, mu])):
+        with pytest.raises(ValueError):
+            stat()
+    # G_0 = {0} is the one nonempty domain of G_0
+    assert correlate(F2, builtin(F2, "moebius"), lambda g: 1.0, 0, "all") == 0j

@@ -27,6 +27,11 @@ HayesCharacter gives the bytes of its function on every statistic of G_n;
 `mean_value` equals the scalar fsum over the degree-n slice, and for a
 character reads and charges that slice alone;
 `distance_terms` and `min_distance_over_hayes` equal their scalar loops.
+The exact integer route of `katai_statistic`, `correlate` and `mean_value`
+(int64 Gram matrices, dots and sums for values in {0, +-1, +-i, +-1+-i})
+must give the bits of the fsum route, call no fsum but the Katai total,
+leave NaN, infinities and non-integers to the fsum route without a
+RuntimeWarning, and read array inputs in place without changing them.
 
 A built-in read once per degree from its profile must give the bytes of
 its per-prime rule, and the array paths of the built-ins and random
@@ -51,11 +56,11 @@ import numpy as np
 import pytest
 
 from ffmult import (BudgetError, DegreeTwist, HayesCharacter, LaurentTruncation,
-                    MultiplicativeFunction, Poly, PolynomialPhase, UnitCharacter, build_field,
-                    builtin, correlate, dirichlet_characters, from_character, halasz_product,
-                    gowers_norm, katai_statistic, mean_value, p_k, phase_character_array,
-                    r_bias_statistic, random_on_irreducibles, run_experiment, sample_on_gn,
-                    short_interval_characters, twist, u2_fourier)
+                    MultiplicativeFunction, Poly, PolynomialPhase, UnitCharacter, ap_correlation,
+                    build_field, builtin, correlate, dirichlet_characters, from_character,
+                    halasz_product, gowers_norm, katai_statistic, mean_value, p_k,
+                    phase_character_array, r_bias_statistic, random_on_irreducibles,
+                    run_experiment, sample_on_gn, short_interval_characters, twist, u2_fourier)
 from ffmult import analytics, gn
 from ffmult.analytics import (distance_terms, min_distance_over_hayes, squared_deviations,
                               turan_kubilius, turan_kubilius_from_squares,
@@ -64,7 +69,7 @@ from ffmult.characters import DirichletCharacter, top_coefficient_tuple
 from ffmult.experiments import resolve_hayes
 from ffmult.gn import GnIndex, times_fixed
 from ffmult.laurent import linear_form, linear_form_table
-from ffmult.multiplicative import function_on_gn, prime_values
+from ffmult.multiplicative import _products, function_on_gn, prime_values
 from ffmult.polys import (irreducible_count, irreducible_indices, irreducibles_of_degree,
                           necklace_count, sieve_through)
 
@@ -1146,3 +1151,174 @@ def test_katai_and_r_bias_read_the_pair_sets_in_order(pr, monkeypatch):
                 assert [Poly.from_index(field, i) for members in by_degree.values()
                         for i in members.tolist()] == polys, (k, pair_set)
             read.clear()
+
+
+# -- exact integer reductions ----------------------------------------------------------
+
+
+def fsum_katai(field, f, n, k, pair_set, per_pair):
+    """katai_statistic with every inner sum the fsum of its `_products`,
+    pair by pair, for every input (the float route)."""
+    q = field.q
+    pairs = analytics._pair_set(field, k, pair_set)
+    f_arr = sample_on_gn(field, n, f)
+    parts = []
+    for top, members in pairs.items():
+        m, scale = n - top, q ** (n - top) if per_pair else 1
+        rows = np.concatenate([f_arr[times_fixed(field, gn.digit_matrix(q, d + 1, idx), m)]
+                               for d, idx in pairs.items() if d <= top])
+        below = len(rows) - len(members)
+        for a, row in enumerate(rows):
+            re, im = _products(row, rows[below:] if a < below else rows, conjugate_b=True)
+            parts += [abs(complex(math.fsum(x), math.fsum(y))) / scale
+                      for x, y in zip(re.tolist(), im.tolist())]
+    size = sum(len(idx) for idx in pairs.values())
+    total = math.fsum(parts)
+    if per_pair:
+        return total / size ** 2
+    return total / (size ** 2 * q ** (n - k))
+
+
+def fsum_correlate(field, nu, t, n, domain):
+    rng = analytics.domain_indices(field, n, domain)
+    re, im = _products(sample_on_gn(field, n, nu)[rng.start:rng.stop],
+                       sample_on_gn(field, n, t)[rng.start:rng.stop])
+    return complex(math.fsum(re.tolist()), math.fsum(im.tolist())) / len(rng)
+
+
+def fsum_mean_value(f, n, domain):
+    q = f.field.q
+    values = sample_on_gn(f.field, n + 1, f)[q ** n:(2 if domain == "monic" else q) * q ** n]
+    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist())) / len(values)
+
+
+# (p, r) -> (n, k) of the Katai statistic
+KATAI_GRID = {(2, 1): (11, 3), (3, 1): (7, 2), (2, 2): (5, 1), (5, 1): (4, 1)}
+
+
+def make_input(field, name):
+    """A FUNCTIONS name as its MultiplicativeFunction; a CHARACTERS name
+    prefixed with "bare " as its HayesCharacter."""
+    if name.startswith("bare "):
+        return make_character(field, name[len("bare "):])
+    return make_function(field, name)
+
+
+@pytest.mark.parametrize("pr", sorted(GRID))
+@pytest.mark.parametrize("name", FUNCTIONS + tuple(f"bare {c}" for c in CHARACTERS))
+def test_exact_reductions_give_the_bits_of_the_fsums(pr, name):
+    field = build_field(*pr)
+    n, k = KATAI_GRID[pr]
+    f = make_input(field, name)
+    for pair_set in ("P_k", "G_{k+1}"):
+        for per_pair in (False, True):
+            assert struct.pack("<d", katai_statistic(field, f, n, k, pair_set, per_pair)) \
+                == struct.pack("<d", fsum_katai(field, f, n, k, pair_set, per_pair)), \
+                (pair_set, per_pair)
+    # against a phase (integer values when p = 2) and against f itself
+    for t in (phase_character_array(_phase(field, n, seed=n)), f):
+        for domain in ("all", "nonzero", "monic"):
+            assert bits(correlate(field, f, t, n, domain)) \
+                == bits(fsum_correlate(field, f, t, n, domain)), domain
+    for m in range(GRID[pr]):
+        for domain in ("monic", "all"):
+            assert bits(mean_value(f, m, domain)) == bits(fsum_mean_value(f, m, domain)), \
+                (m, domain)
+
+
+class FsumCalls:
+    def __init__(self, monkeypatch):
+        self.calls, real = 0, math.fsum
+
+        def spy(values):
+            self.calls += 1
+            return real(values)
+
+        monkeypatch.setattr(math, "fsum", spy)
+
+
+@pytest.mark.parametrize("name,exact", [("moebius", True), ("liouville", True), ("one", True),
+                                        ("random-pm1", True), ("random-unit", False),
+                                        ("float-theta", False)])
+def test_integer_route_calls_no_fsum(name, exact, monkeypatch):
+    field = build_field(2, 1)
+    n, k = 9, 3
+    f = sample_on_gn(field, n, make_function(field, name))
+    t = phase_character_array(_phase(field, n, seed=n))
+    fsum = FsumCalls(monkeypatch)
+    correlate(field, f, t, n, "nonzero")
+    mean_value(make_function(field, name), n, "all")
+    assert (fsum.calls == 0) == exact
+    katai_statistic(field, f, n, k, "G_{k+1}")
+    assert (fsum.calls == 1) == exact           # only the total is an fsum
+
+
+def with_value(values, at, value):
+    out = values.copy()
+    out[at] = value
+    return out
+
+
+EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.5, 2.0, 1e300)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", EDGE_VALUES)
+def test_values_off_the_gaussian_units_take_the_fsum_route(value, monkeypatch):
+    field = build_field(2, 1)
+    n = 7
+    rng = np.random.default_rng(5)
+    pm1 = rng.choice([-1.0, 1.0], field.q ** n).astype(np.complex128)
+    # both parts of b nonzero: no inf * 0 in the products
+    b = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], field.q ** n)
+    a = with_value(pm1, 100, value)        # inside every domain's slice
+    assert analytics._unit_integer_parts(a) is None
+    assert analytics._unit_integer_parts(with_value(pm1, 100, complex(0.0, value))) is None
+    references = [bits(fsum_correlate(field, a, b, n, d)) for d in ("all", "nonzero", "monic")]
+    fsum = FsumCalls(monkeypatch)
+    assert [bits(correlate(field, a, b, n, d)) for d in ("all", "nonzero", "monic")] \
+        == references
+    assert fsum.calls == 6
+    monkeypatch.undo()
+    if value in (0.5, 2.0) or math.isnan(value):
+        # f(x) = value at the prime x: f(x h) = value f(h), and no product overflows
+        f = MultiplicativeFunction(field, lambda p, k: value if (p.to_index(), k) == (2, 1)
+                                   else (-1.0) ** k, name="edge")
+        assert bits(mean_value(f, n, "all")) == bits(fsum_mean_value(f, n, "all"))
+        assert struct.pack("<d", katai_statistic(field, f, n, 2)) \
+            == struct.pack("<d", fsum_katai(field, f, n, 2, "P_k", False))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", (complex(-0.0, 0.0), complex(0.0, -0.0), 1j, -1j))
+def test_signed_zeros_and_quarter_turns_take_the_integer_route(value, monkeypatch):
+    field = build_field(2, 1)
+    n = 7
+    rng = np.random.default_rng(6)
+    a = with_value(rng.choice([-1, 1, 1j, -1j, 0], field.q ** n).astype(np.complex128), 100, value)
+    b = rng.choice([1, -1, 1 + 1j, -1j], field.q ** n).astype(np.complex128)
+    assert analytics._unit_integer_parts(a) is not None
+    references = [bits(fsum_correlate(field, a, b, n, d)) for d in ("all", "nonzero", "monic")]
+    katai_reference = struct.pack("<d", fsum_katai(field, a, n, 2, "G_{k+1}", True))
+    fsum = FsumCalls(monkeypatch)
+    assert [bits(correlate(field, a, b, n, d)) for d in ("all", "nonzero", "monic")] \
+        == references
+    assert struct.pack("<d", katai_statistic(field, a, n, 2, "G_{k+1}", True)) \
+        == katai_reference
+    assert fsum.calls == 1
+
+
+def test_array_inputs_are_read_in_place_and_left_unchanged():
+    field = build_field(3, 1)
+    n = 4
+    arr = sample_on_gn(field, n, make_function(field, "random-unit"))
+    arr.setflags(write=False)
+    before = arr.tobytes()
+    assert sample_on_gn(field, n, arr) is arr
+    correlate(field, arr, arr, n, "monic")
+    katai_statistic(field, arr, n, 1, "G_{k+1}")
+    gowers_norm(field, n, arr, 1)
+    gowers_norm(field, n, arr, 2)
+    u2_fourier(field, n, arr)
+    ap_correlation(field, n, [arr, arr])
+    assert arr.tobytes() == before
