@@ -44,7 +44,7 @@ import numpy as np
 
 from .characters import HayesCharacter, dirichlet_characters, short_interval_characters
 from .fields import Field
-from .gn import GnIndex, digit_matrix, times_fixed, times_fixed_chunks
+from .gn import GnIndex, times_fixed, times_fixed_chunks
 from .laurent import LaurentTruncation, linear_form_table
 from .multiplicative import (MultiplicativeFunction, _complex, _prime_power_values, _products,
                              from_character, function_on_gn, prime_values)
@@ -148,14 +148,37 @@ def correlate(field: Field, nu, t, n: int, domain: str = "all") -> complex:
     field.charge(field.q ** n, f"G_{n}")
     a = sample_on_gn(field, n, nu)[rng.start:rng.stop]
     b = sample_on_gn(field, n, t)[rng.start:rng.stop]
+    return _product_sum(a, b, _exact_pair(a, b)) / len(rng)
+
+
+def correlate_prefixes(field: Field, nu: np.ndarray, t: np.ndarray, ns, domain: str = "all"):
+    """correlate(field, nu[:q^n], t[:q^n], n, domain) for every n of `ns` in
+    turn, bit for bit, from index-order arrays `nu` and `t` on G_N, N the
+    largest n: `_unit_integer_parts` reads the whole arrays once, and each
+    n takes its slice of them (the integer and fsum routes give the same
+    bits, so a prefix read by either gives its `correlate`)."""
+    exact = _exact_pair(nu, t)
+    for n in ns:
+        rng = domain_indices(field, n, domain)
+        field.charge(field.q ** n, f"G_{n}")
+        yield _product_sum(nu, t, exact, slice(rng.start, rng.stop)) / len(rng)
+
+
+def _exact_pair(a: np.ndarray, b: np.ndarray):
+    """The int64 parts (ar, ai, br, bi) of a and b when `_unit_integer_parts`
+    reads both, else None."""
     exact_a = _unit_integer_parts(a)
     exact_b = None if exact_a is None else _unit_integer_parts(b)
-    if exact_b is None:
-        total = _fsum_arrays(*_products(a, b))
-    else:
-        (ar, ai), (br, bi) = exact_a, exact_b
-        total = complex(float(ar @ br - ai @ bi), float(ar @ bi + ai @ br))
-    return total / len(rng)
+    return None if exact_b is None else exact_a + exact_b
+
+
+def _product_sum(a: np.ndarray, b: np.ndarray, exact, cut: slice = slice(None)) -> complex:
+    """The sum of a*b over `cut`: two int64 dots of the `_exact_pair` parts,
+    or the fsum of the `_products` where they are None."""
+    if exact is None:
+        return _fsum_arrays(*_products(a[cut], b[cut]))
+    ar, ai, br, bi = (part[cut] for part in exact)
+    return complex(float(ar @ br - ai @ bi), float(ar @ bi + ai @ br))
 
 
 # -- Gowers norms -----------------------------------------------------------------
@@ -321,7 +344,7 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
     parts = []
     for top, members in pairs.items():
         m, scale = n - top, q ** (n - top) if per_pair else 1
-        rows = np.concatenate([f_arr[times_fixed(field, digit_matrix(q, d + 1, idx), m)]
+        rows = np.concatenate([f_arr[times_fixed(field, idx, m)]
                                for d, idx in pairs.items() if d <= top])
         below = len(rows) - len(members)      # rows of degree < top pair with degree top only
         exact = _unit_integer_parts(rows)
@@ -452,7 +475,7 @@ def window_divisor_counts(field: Field, n: int, W: int, H: int) -> np.ndarray:
     for d in degrees:
         # multiples of p in G_n are p*h, h in G_{n-d}; a prime of degree
         # >= n divides only g = 0
-        primes = digit_matrix(field.q, d + 1, irreducible_indices(field, d))
+        primes = irreducible_indices(field, d)
         for _, _, multiples in times_fixed_chunks(field, primes, max(n - d, 0)):
             np.add.at(counts, multiples.ravel(), one)
     return counts

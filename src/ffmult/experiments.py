@@ -572,10 +572,9 @@ def _rows_decay_table(cfg: ExperimentConfig, field: Field):
     # the prefix (validation keeps monomial coordinates below n.start)
     t = analytics.phase_character_array(
         PolynomialPhase(field, cfg.n_stop, P.product_terms, P.monomial_terms))
-    for n in range(cfg.n_start, cfg.n_stop + 1):
-        size = field.q ** n
-        mean = analytics.correlate(field, nu[:size], t[:size], n, cfg.domain)
-        yield (n, abs(mean), mean.real, mean.imag, size)
+    ns = range(cfg.n_start, cfg.n_stop + 1)
+    for n, mean in zip(ns, analytics.correlate_prefixes(field, nu, t, ns, cfg.domain)):
+        yield (n, abs(mean), mean.real, mean.imag, field.q ** n)
 
 
 def _rows_distance_growth(cfg: ExperimentConfig, field: Field):

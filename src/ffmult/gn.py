@@ -8,8 +8,8 @@ nothing builds Poly objects.  The kernels:
 * `digit` / `digit_matrix`: base-q digits (= coefficients) of indices;
 * `degrees`: the degree of every index of an array;
 * `times_fixed`: the indices of p*h for every h in G_m (or ranges or
-  given rows of it) and every p of a stack of polynomials of one degree,
-  as one block, for the Katai inner sums and `GnIndex.smul`;
+  given rows of it) and every p of an int64 index array of polynomials of
+  one degree, as one block, for the Katai inner sums and `GnIndex.smul`;
   `times_fixed_chunks`: the same products a chunk at a time, for the
   irreducible sieve, the sieve of `function_on_gn` and the
   Turan-Kubilius counts, which consume each chunk and never hold the
@@ -24,10 +24,17 @@ nothing builds Poly objects.  The kernels:
 `_map_chunks`, built on the base-p view of an index: field elements are
 encoded by their F_p coordinates, so an index of G_m is a base-p number
 with r*m digits, and h -> p*h and h -> h mod g are F_p-linear on those
-digits.  The engine holds an image with each base-p digit in its own b-bit
+digits.  The images of the basis vectors of a product map are outer
+products of the polynomials' indices and powers of q (for r > 1, of the
+indices of u^t*p), so no call cuts its polynomials into coefficients.
+The engine holds an image with each base-p digit in its own b-bit
 lane of an int64, sums tabulated images of a cofactor's digit parts as
 plain integers (b wide enough that no lane overflows) and decodes the sums
-to indices through small lookup tables that reduce each lane mod p.  In
+to indices through small lookup tables that reduce each lane mod p.  A
+part whose basis images are the first part's shifted by whole lanes takes
+the first part's table shifted alike, so a product map whose images fit
+in one int64 of lanes builds one table per group of rows (for r > 1,
+where its parts hold whole coefficients).  In
 characteristic 2 (any r) the lanes are the index's own bits, the sum is
 XOR and nothing needs decoding.  Cofactors come as an index array, or as
 contiguous ranges of G_m, one or a tuple mapped one after another (every
@@ -85,14 +92,15 @@ CHUNK_ELEMENTS = 1 << 14
 def times_fixed(field: Field, polys, m: int, cofactors=None) -> np.ndarray:
     """(k, rows) int64 indices of p*h for every p in `polys` and every cofactor h.
 
-    `polys` is a stack of k polynomials of one degree, as rows of
-    coefficients lowest first.  `cofactors` are indices of G_m: an int64
-    array, or a `range` of step 1 such as the monic block
+    `polys` is the int64 index array of k polynomials, as every caller
+    holds its primes, of one degree d (the products are taken to m + d
+    coefficients, d the degree of the largest).  `cofactors` are indices
+    of G_m: an int64 array, or a `range` of step 1 such as the monic block
     range(q^(m-1), 2 q^(m-1)), which the engine maps as an outer sum, or a
     tuple of such ranges, whose columns follow one another; default
-    range(q^m), all of G_m in index order.  h -> p*h is F_p-linear
-    on the base-p digits of h; the image of the basis vector u^t x^j is the
-    index of p*u^t times q^j.
+    range(q^m), all of G_m in index order.  h -> p*h is F_p-linear on the
+    base-p digits of h; the image of the basis vector u^t x^j is the index
+    of p*u^t times q^j.
     """
     return _linear_map(field, *_product_images(field, polys, m), cofactors)
 
@@ -108,19 +116,26 @@ def times_fixed_chunks(field: Field, polys, m: int, cofactors=None):
 
 
 def _product_images(field: Field, polys, m: int) -> tuple:
-    """(images, width) of the maps h -> p*h from G_m, p in `polys`, for
-    the engine: the images of the basis vectors u^t x^j, row j*r + t."""
+    """(images, width) of the maps h -> p*h from G_m, p in `polys` (int64
+    indices), for the engine: the images of the basis vectors u^t x^j, row
+    j*r + t, the index of u^t*p times q^j.  Over a prime field that is the
+    outer product q^j * p; for r > 1 the index of u^t*p is read first from
+    the field's multiplication table, a coefficient at a time."""
     p, r, q = field.p, field.r, field.q
-    polys = np.asarray(polys, dtype=np.intp)
-    k, length = polys.shape
+    polys = np.asarray(polys, dtype=np.int64).reshape(-1)
+    length, top = 1, int(polys.max(initial=0))
+    while q ** length <= top:           # coefficients of the widest p
+        length += 1
     width = max(m + length - 1, 1)      # coefficients of p*h
     if q ** width > 2 ** 63:
         raise BudgetError(f"products of {width} coefficients exceed int64 indices")
-    # lows[i, t]: the index of (polynomial i) * u^t
-    codes = field.mul_table[polys[:, :, None], p ** np.arange(r)].astype(np.int64)
-    lows = np.einsum("ijt,j->it", codes, q ** np.arange(length, dtype=np.int64))
-    images = q ** np.arange(m, dtype=np.int64)[:, None, None] * lows.T
-    return images.reshape(r * m, k), width
+    lows = polys[None, :]               # lows[t]: the indices of u^t * p
+    if r > 1:
+        powers = q ** np.arange(length, dtype=np.int64)
+        codes = field.mul_table[polys // powers[:, None] % q, p ** np.arange(r)[:, None, None]]
+        lows = powers @ codes.astype(np.int64)
+    images = q ** np.arange(m, dtype=np.int64)[:, None, None] * lows
+    return images.reshape(r * m, len(polys)), width
 
 
 def residues(field: Field, modulus, idx) -> np.ndarray:
@@ -202,7 +217,12 @@ def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None):
     array of the indices of A_i u^t x^j, row j*r + t, the images of those
     digits' basis vectors.  The digits of a cofactor are cut into a few
     parts; the images of every value of one part are tabulated by
-    linearity, and the image of h is the sum of its parts' images.  A range
+    linearity, and the image of h is the sum of its parts' images.  The
+    tables are built per group of maps (`_tables`): a part whose packed
+    basis images are the first part's shifted up by whole lanes, as is
+    every part of a product map in one slice cut on whole coefficients,
+    takes the first part's table
+    shifted alike, and only the other parts build their own.  A range
     is mapped as an outer sum: the cofactor hi*split + lo, lo below the
     first part's size split, maps to image(hi*split) + table0[lo], so a
     chunk of the range is one broadcast of the images of its consecutive
@@ -255,8 +275,9 @@ def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None):
     for row0 in range(0, k, group):
         rows = slice(row0, min(row0 + group, k))
         step = max(1, CHUNK_ELEMENTS // (rows.stop - row0))
-        tables = [[_table(packed[i:i + per, rows], p, b) for packed in slices]
-                  for i in range(0, max(bits, 1), per)]
+        # tables[i][s]: the table of part i in slice s
+        tables = [list(parts) for parts in zip(*(_tables(packed[:, rows], p, b, per)
+                                                for packed in slices))]
         if not ranges:
             for c0, idx in _chunks(tables, cofactors, step, p, per, summed):
                 yield row0, c0, idx
@@ -465,6 +486,28 @@ def _encoder(p: int, b: int, chunk: int) -> tuple:
     return digits, table
 
 
+def _tables(packed: np.ndarray, p: int, b: int, per: int) -> list:
+    """The `_table` of every part of `per` rows of the packed basis images
+    `packed` (one part for no rows).  A part whose rows are those of the
+    first part shifted up by whole lanes, with no lane pushed out of the
+    int64, takes the first part's table shifted alike (its prefix, for a
+    shorter last part).  Every part of a product map whose images fit in
+    one slice is such a shift when the parts hold whole coefficients (r
+    divides `per`): part i's basis images are the first part's times
+    p^(i*per)."""
+    first = _table(packed[:per], p, b)
+    tables = [first]
+    for i in range(per, len(packed), per):
+        rows = packed[i:i + per]
+        base, shift = packed[:len(rows)], b * i
+        if (shift < 63 and np.array_equal(rows >> shift, base)
+                and np.array_equal(base << shift, rows)):
+            tables.append(first[:, :p ** len(rows)] << shift)
+        else:
+            tables.append(_table(rows, p, b))
+    return tables
+
+
 def _table(rows: np.ndarray, p: int, b: int) -> np.ndarray:
     """(k, p^len(rows)) packed images of every index in [0, p^len(rows)),
     index order, from the (len(rows), k) packed images of its digits'
@@ -547,4 +590,4 @@ class GnIndex:
     def smul(self, c: int, a):
         """c*g for every index g of `a`: the product by the degree-0 polynomial c."""
         a = np.asarray(a, dtype=np.int64)
-        return times_fixed(self.field, [[c]], self.n, a.ravel())[0].reshape(a.shape)
+        return times_fixed(self.field, [c], self.n, a.ravel())[0].reshape(a.shape)

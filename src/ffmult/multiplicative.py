@@ -41,7 +41,7 @@ import numpy as np
 
 from .characters import DegreeTwist, HayesCharacter
 from .fields import Field
-from .gn import digit_matrix, times_fixed_chunks
+from .gn import times_fixed_chunks
 from .polys import Poly, factor, irreducible_indices, irreducibles_of_degree
 
 
@@ -185,7 +185,7 @@ def _last_primes(f: MultiplicativeFunction, n: int) -> tuple:
         primes = cache[d]
         for k, values in enumerate(_prime_power_values(f, d, (n - 1) // d), 1):
             rows[k].append(values)
-        for row0, col0, idx in times_fixed_chunks(field, digit_matrix(q, d + 1, primes), n - d):
+        for row0, col0, idx in times_fixed_chunks(field, primes, n - d):
             ranks = np.arange(ranked + 1 + row0, ranked + 1 + row0 + len(idx))
             keys = ranks[:, None] * size + np.arange(col0, col0 + idx.shape[1])
             np.maximum.at(key, idx.ravel(), keys.ravel())     # 1-D: the fast path
@@ -281,8 +281,9 @@ def random_on_irreducibles(field: Field, seed: int,
     """Seeded i.i.d. values on irreducibles, extended completely multiplicatively.
 
     value_set: "pm1" for uniform {+1, -1}, "unit" for uniform on the circle.
-    Values are drawn per degree block in index order into an array, so they
-    do not depend on evaluation order; the prime-power rule finds a prime's
+    Values are drawn per degree block in index order into an array (the
+    +-1 values by one bulk draw, `_pm1_draws`), so they do not depend on
+    evaluation order; the prime-power rule finds a prime's
     value by its index, and the array paths read the blocks directly.
     """
     if value_set not in ("pm1", "unit"):
@@ -297,10 +298,10 @@ def random_on_irreducibles(field: Field, seed: int,
             rng = random.Random(key + (1 if value_set == "unit" else 0))
             count = len(irreducible_indices(field, d))
             if value_set == "pm1":
-                block = [rng.choice((1.0, -1.0)) for _ in range(count)]
+                blocks[d] = _pm1_draws(rng, count).astype(np.complex128)
             else:
-                block = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(count)]
-            blocks[d] = np.array(block, dtype=np.complex128)
+                blocks[d] = np.array([cmath.exp(2j * cmath.pi * rng.random())
+                                      for _ in range(count)], dtype=np.complex128)
         return blocks[d]
 
     def value_of(p: Poly) -> complex:
@@ -316,6 +317,22 @@ def random_on_irreducibles(field: Field, seed: int,
         descriptor={"kind": "random", "seed": seed, "values": value_set})
     f._drawn = drawn
     return f
+
+
+def _pm1_draws(rng: random.Random, count: int) -> np.ndarray:
+    """[rng.choice((1.0, -1.0)) for _ in range(count)] as a float64 array,
+    bit for bit, drawn in bulk.  Each try of `choice` takes one 32-bit word
+    of the generator and keeps its top two bits, rejecting 2 and 3; the
+    words of getrandbits(32 * tries) are those of `tries` calls, lowest
+    first.  Words drawn past the last value needed change only the state
+    of `rng`."""
+    values = np.empty(0, dtype=np.uint32)
+    while len(values) < count:
+        tries = 2 * (count - len(values)) + 64
+        words = rng.getrandbits(32 * tries).to_bytes(4 * tries, "little")
+        top = np.frombuffer(words, dtype="<u4") >> 30
+        values = np.concatenate([values, top[top < 2]])
+    return 1.0 - 2.0 * values[:count]
 
 
 def twist(f: MultiplicativeFunction, H: HayesCharacter,

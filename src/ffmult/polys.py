@@ -381,7 +381,7 @@ def _sieve(field: Field, lo: int, hi: int):
     base = q ** lo                      # the index at the mask's start
     composite = np.zeros(2 * q ** hi - base, dtype=bool)
     for e in range(1, hi // 2 + 1):
-        primes = digit_matrix(q, e + 1, irreducible_indices(field, e))
+        primes = irreducible_indices(field, e)
         monics = tuple(range(q ** m, 2 * q ** m) for m in range(max(lo - e, e), hi - e + 1))
         for _, _, idx in times_fixed_chunks(field, primes, hi - e + 1, monics):
             idx -= base

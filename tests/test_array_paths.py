@@ -170,7 +170,7 @@ def per_prime_sieve(f, n):
     im = np.array([u.imag for u in units])[lc]
     for d in range(1, n):
         primes = irreducibles_of_degree(field, d)
-        for p, step in zip(primes, times_fixed(field, [p.coeffs for p in primes], n - d)):
+        for p, step in zip(primes, times_fixed(field, [p.to_index() for p in primes], n - d)):
             mult, k = step, 1
             while True:
                 rest = n - (k + 1) * d
@@ -226,7 +226,10 @@ def test_function_on_gn_sieves_by_one_chunked_call_per_degree_within_a_memory_bo
     chunks, linear_map = multiplicative.times_fixed_chunks, gn._linear_map
 
     def chunks_spy(field, polys, m, *args):
-        degrees.append(len(polys[0]) - 1)
+        # the primes arrive as an index array of one degree
+        assert polys.dtype == np.int64
+        (degree,) = set(gn.degrees(field.q, polys).tolist())
+        degrees.append(degree)
         return chunks(field, polys, m, *args)
 
     def block_spy(*args):               # every times_fixed block is collected here
@@ -401,20 +404,29 @@ KERNEL_GRID = {2: ((2, 1), 7), 3: ((3, 1), 4), 4: ((2, 2), 3), 5: ((5, 1), 3),
 
 
 def poly_products(field, stack, cofactors):
-    return np.array([[(Poly(field, coeffs) * Poly.from_index(field, int(h))).to_index()
-                      for h in cofactors] for coeffs in stack], dtype=np.int64)
+    """The indices of the Poly products a*h, a in the index stack `stack`."""
+    return np.array([[(Poly.from_index(field, int(a)) * Poly.from_index(field, int(h))).to_index()
+                      for h in cofactors] for a in stack], dtype=np.int64)
+
+
+def as_indices(q: int, stack) -> np.ndarray:
+    """The int64 indices of a stack of coefficient rows, lowest first."""
+    return np.array([sum(c * q ** j for j, c in enumerate(row)) for row in stack],
+                    dtype=np.int64)
 
 
 def kernel_stacks(field):
-    """One prime (k = 1), every prime of degree 1 and 2, every nonzero
-    constant and every nonzero polynomial of degree 1 (leading coefficients
-    other than 1)."""
+    """Index stacks: one prime (k = 1), every prime of degree 1 and 2,
+    every nonzero constant, the constants 0 and q - 1 alone as lists (the
+    [c] of `GnIndex.smul`) and every nonzero polynomial of degree 1
+    (leading coefficients other than 1)."""
     q = field.q
-    return [[irreducibles_of_degree(field, 2)[-1].coeffs],
-            [p.coeffs for p in irreducibles_of_degree(field, 1)],
-            [p.coeffs for p in irreducibles_of_degree(field, 2)],
-            [(c,) for c in range(1, q)],
-            [(c0, c1) for c1 in range(1, q) for c0 in range(q)]]
+    return [irreducible_indices(field, 2)[-1:],
+            irreducible_indices(field, 1),
+            irreducible_indices(field, 2),
+            np.arange(1, q, dtype=np.int64),
+            [0], [q - 1],
+            np.arange(q, q * q, dtype=np.int64)]
 
 
 @pytest.mark.parametrize("q", sorted(KERNEL_GRID))
@@ -496,14 +508,15 @@ def test_times_fixed_by_primes_above_the_first_part_equals_convolution(p, m, chu
               range(size // 3 + 4, size - p - 1)]
     for d in (3, 4, 5):
         stack = [prime.coeffs for prime in irreducibles_of_degree(field, d)]
+        primes = irreducible_indices(field, d)
         expected = convolution_products(p, stack, range(size))
         if d == 3:
-            assert np.array_equal(expected[:2, :3 * p], poly_products(field, stack[:2], range(3 * p)))
+            assert np.array_equal(expected[:2, :3 * p], poly_products(field, primes[:2], range(3 * p)))
         for cols in ranges:
-            assert np.array_equal(times_fixed(field, stack, m, cols),
+            assert np.array_equal(times_fixed(field, primes, m, cols),
                                   expected[:, cols.start:cols.stop]), (d, cols)
         for cols in [tuple(ranges[2:]), (range(0, 5), range(5, size - 7), range(3, 3))]:
-            assert np.array_equal(times_fixed(field, stack, m, cols), np.concatenate(
+            assert np.array_equal(times_fixed(field, primes, m, cols), np.concatenate(
                 [expected[:, rows.start:rows.stop] for rows in cols], axis=1)), (d, cols)
 
 
@@ -520,18 +533,19 @@ def test_times_fixed_maps_wide_ranges_in_slices(p, d, m, chunk, monkeypatch):
     for stack in ([(1,) * (d + 1), (p - 1,) + (0,) * (d - 1) + (2,), (0,) * (d + 1)],
                   [(0,) * d + (1,), (0,) * d + (p - 1,)]):
         for cols in (range(p ** m - 30, p ** m), range(p ** (m - 1) + 3, p ** (m - 1) + 40)):
-            assert np.array_equal(times_fixed(field, stack, m, cols),
+            assert np.array_equal(times_fixed(field, as_indices(p, stack), m, cols),
                                   convolution_products(p, stack, cols)), (stack, cols)
 
 
 def test_times_fixed_refuses_a_range_with_steps_or_outside_g_m():
     field = build_field(2, 1)
-    assert times_fixed(field, [(1, 1)], 3, range(9, 9)).shape == (1, 0)
+    one_plus_x = [3]
+    assert times_fixed(field, one_plus_x, 3, range(9, 9)).shape == (1, 0)
     for rows in (range(0, 8, 2), range(-1, 3), range(4, 9), range(0, 1, -1)):
         with pytest.raises(ValueError, match="step 1 and lie in G_m"):
-            times_fixed(field, [(1, 1)], 3, rows)
+            times_fixed(field, one_plus_x, 3, rows)
         with pytest.raises(ValueError, match="step 1 and lie in G_m"):
-            times_fixed(field, [(1, 1)], 3, (range(2), rows))
+            times_fixed(field, one_plus_x, 3, (range(2), rows))
 
 
 @pytest.mark.parametrize("pr,m", [((3, 1), 25), ((3, 2), 12), ((17, 1), 10)])
@@ -542,7 +556,7 @@ def test_times_fixed_maps_wide_images_in_slices(pr, m, chunk, monkeypatch):
         monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
     field = build_field(*pr)
     q = field.q
-    stack = [(1, q - 1, 2), (q - 1, 0, 1)]
+    stack = as_indices(q, [(1, q - 1, 2), (q - 1, 0, 1)])
     rng = np.random.default_rng(m)
     cofactors = np.array([0, 1, q ** m - 1, q ** m // 3]
                          + [int(h) for h in rng.integers(0, q ** m, 4)], dtype=np.int64)
@@ -558,7 +572,7 @@ def test_times_fixed_refuses_products_past_int64_indices(pr, widest):
     field = build_field(*pr)
     q = field.q
     assert q ** widest <= 2 ** 63 < q ** (widest + 1)
-    stack = [(1, q - 1)]
+    stack = as_indices(q, [(1, q - 1)])
     cofactors = np.array([0, 1, q ** (widest - 1) - 1, q ** (widest - 1) // 3], dtype=np.int64)
     assert np.array_equal(times_fixed(field, stack, widest - 1, cofactors),
                           poly_products(field, stack, cofactors))
@@ -587,17 +601,78 @@ def test_linear_map_blocks_hold_at_most_chunk_elements(monkeypatch):
     for pr, m, wide in [((2, 1), 14, 40), ((2, 3), 5, 12), ((3, 1), 9, 25), ((17, 1), 4, 12),
                         ((3, 3), 3, 8)]:
         field = build_field(*pr)
-        q, primes = field.q, [prime.coeffs for prime in irreducibles_of_degree(field, 1)]
+        q, primes = field.q, irreducible_indices(field, 1)
         # the outer sums of ranges (G_m by default, the monic block, ends off
         # the parts) and the same rows as an array
         times_fixed(field, primes, m)
         times_fixed(field, primes, m + 1, range(q ** m, 2 * q ** m))
         times_fixed(field, primes, m, range(3, q ** m - 3))
         times_fixed(field, primes, m, np.arange(q ** m, dtype=np.int64))
-        times_fixed(field, [(1, 1, 1)], wide, np.arange(5, dtype=np.int64))
+        times_fixed(field, [1 + q + q * q], wide, np.arange(5, dtype=np.int64))
         gn.residues(field, (1, 0, 0, 0, 0, 0, 1), np.arange(field.q ** m, dtype=np.int64))
     assert {name for name, _ in sizes} == {"_table", "_decoders", "_decode"}
     assert max(size for _, size in sizes) <= gn.CHUNK_ELEMENTS
+
+
+# (p, r), m, CHUNK_ELEMENTS: G_m in two or more digit parts, each part
+# whole coefficients, and products by degree-2 primes in one slice
+ONE_TABLE_GRID = [((2, 1), 12, None), ((2, 1), 12, 7), ((2, 1), 12, 40),
+                  ((3, 1), 9, None), ((3, 1), 9, 7), ((3, 1), 9, 40),
+                  ((5, 1), 5, None), ((5, 1), 5, 7), ((2, 2), 6, None), ((2, 2), 6, 7),
+                  ((3, 2), 4, None)]
+
+
+@pytest.mark.parametrize("pr,m,chunk", ONE_TABLE_GRID)
+def test_a_product_map_builds_one_table_per_group_of_rows(pr, m, chunk, monkeypatch):
+    # part i of a product map's images is its first part shifted up by
+    # whole lanes, so its table is the first part's table shifted: one
+    # `_table` per group of rows.  The residues mod x + 1 lie in one
+    # coefficient, no part is a shift, and they build one table per part,
+    # which shows that G_m has more than one.
+    if chunk is not None:
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    built = []
+    table = gn._table
+
+    def spy(rows, p, b):
+        built.append(rows.shape)
+        return table(rows, p, b)
+
+    monkeypatch.setattr(gn, "_table", spy)
+    field = build_field(*pr)
+    q, primes = field.q, irreducible_indices(field, 2)
+    cofactors = np.arange(q ** m, dtype=np.int64)
+    for cols in (None, range(q ** (m - 1), q ** m), cofactors):
+        built.clear()
+        out = times_fixed(field, primes, m, cols)
+        rows = range(q ** m) if cols is None else cols
+        picks = np.linspace(0, len(rows) - 1, 12).astype(np.int64)
+        assert np.array_equal(out[:, picks], poly_products(field, primes, np.asarray(rows)[picks]))
+        assert sum(maps for _, maps in built) == len(primes), cols
+    built.clear()
+    g = Poly.from_index(field, q + 1)
+    assert np.array_equal(gn.residues(field, g.coeffs, cofactors[::7]),
+                          [(Poly.from_index(field, int(h)) % g).to_index() for h in cofactors[::7]])
+    assert len(built) >= 2 and sum(digits for digits, _ in built) == field.r * m
+
+
+def test_a_part_shifted_out_of_its_slice_builds_its_own_table():
+    # over F_17 with m = 6 (parts of 3 digits, 6-bit lanes, 10 lanes a
+    # slice) the images of 1 + 16x^5 span two slices.  In the first, the
+    # second part's rows are the first part's shifted by 3 lanes, except
+    # that the digit 16 of x^2 (1 + 16x^5) goes to lane 10, out of the
+    # slice; at bits 64..69 the shift drops it, so the shifted rows alone
+    # would match, but a table entry 16a mod 17 there (a = 2..16) has bits
+    # left at 60..63, above the slice's lanes
+    field = build_field(17, 1)
+    m, rows = 6, [(1, 0, 0, 0, 0, 16), (3, 0, 0, 0, 0, 16)]
+    stack = as_indices(17, rows)
+    rng = np.random.default_rng(6)
+    cofactors = np.array([0, 3 * 17 ** 5 + 5, 17 ** m - 1]
+                         + [int(h) for h in rng.integers(0, 17 ** m, 12)], dtype=np.int64)
+    for cols in (cofactors, range(17 ** m - 40, 17 ** m)):
+        assert np.array_equal(times_fixed(field, stack, m, cols),
+                              convolution_products(17, rows, cols)), cols
 
 
 @pytest.mark.parametrize("q", sorted(KERNEL_GRID))
@@ -607,7 +682,7 @@ def test_smul_is_the_product_by_a_constant(q):
     G = GnIndex(field, m_max)
     idx = np.arange(q ** m_max, dtype=np.int64).reshape(q, -1)
     for c in range(q):
-        expected = poly_products(field, [(c,)], idx.ravel()).reshape(idx.shape)
+        expected = poly_products(field, [c], idx.ravel()).reshape(idx.shape)
         assert np.array_equal(G.smul(c, idx), expected)
 
 
@@ -635,7 +710,7 @@ def per_prime_counts(field, n, W, H):
     counts = np.zeros(field.q ** n, dtype=np.int32)
     for d in range(max(W + 1, 1), H):
         for prime in irreducibles_of_degree(field, d):
-            counts[times_fixed(field, [prime.coeffs], max(n - d, 0))[0]] += 1
+            counts[times_fixed(field, [prime.to_index()], max(n - d, 0))[0]] += 1
     return counts
 
 
@@ -1165,7 +1240,7 @@ def fsum_katai(field, f, n, k, pair_set, per_pair):
     parts = []
     for top, members in pairs.items():
         m, scale = n - top, q ** (n - top) if per_pair else 1
-        rows = np.concatenate([f_arr[times_fixed(field, gn.digit_matrix(q, d + 1, idx), m)]
+        rows = np.concatenate([f_arr[times_fixed(field, idx, m)]
                                for d, idx in pairs.items() if d <= top])
         below = len(rows) - len(members)
         for a, row in enumerate(rows):
@@ -1251,6 +1326,39 @@ def test_integer_route_calls_no_fsum(name, exact, monkeypatch):
     assert (fsum.calls == 0) == exact
     katai_statistic(field, f, n, k, "G_{k+1}")
     assert (fsum.calls == 1) == exact           # only the total is an fsum
+
+
+@pytest.mark.parametrize("pr,n_stop", [((2, 1), 9), ((3, 1), 6)])
+def test_correlate_prefixes_give_the_bits_of_correlate_per_n(pr, n_stop, monkeypatch):
+    # +-1 values read by the integer route; the same with one value of
+    # G_{n_stop} past the prefixes set to 0.5, so the whole arrays take the
+    # fsum route where each prefix alone takes the integer route
+    field = build_field(*pr)
+    q = field.q
+    nu = sample_on_gn(field, n_stop, make_function(field, "moebius"))
+    t = phase_character_array(_phase(field, n_stop, seed=n_stop))
+    ns = range(1, n_stop)
+    for a in (nu, with_value(nu, q ** n_stop - 1, 0.5)):
+        for domain in ("all", "nonzero", "monic"):
+            expected = [bits(correlate(field, a[:q ** n], t[:q ** n], n, domain)) for n in ns]
+            checks = []
+            real = analytics._unit_integer_parts
+            monkeypatch.setattr(analytics, "_unit_integer_parts",
+                                lambda v: checks.append(len(v)) or real(v))
+            got = [bits(mean) for mean in analytics.correlate_prefixes(field, a, t, ns, domain)]
+            monkeypatch.undo()
+            assert got == expected, domain
+            assert checks[0] == q ** n_stop and len(checks) <= 2, checks
+
+
+def test_decay_table_checks_its_values_once(monkeypatch):
+    checks = []
+    real = analytics._unit_integer_parts
+    monkeypatch.setattr(analytics, "_unit_integer_parts",
+                        lambda v: checks.append(len(v)) or real(v))
+    # n = 2..5 over F_2, Moebius against a phase of values +-1
+    run_experiment(dict(KIND_RUNS["decay-table"], function={"kind": "builtin", "name": "moebius"}))
+    assert checks == [2 ** 5, 2 ** 5]
 
 
 def with_value(values, at, value):

@@ -3,11 +3,12 @@ import random
 import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ffmult.characters import DegreeTwist, HayesCharacter, dirichlet_characters
 from ffmult.fields import build_field
-from ffmult.multiplicative import (builtin, from_character,
+from ffmult.multiplicative import (_pm1_draws, builtin, from_character,
                                    random_on_irreducibles, twist)
 from ffmult.polys import Poly, g_n, irreducibles_of_degree, poly_gcd
 
@@ -117,6 +118,18 @@ def test_random_function_value_sets():
     assert abs(f(p * p) - f(p) ** 2) < 1e-12
     with pytest.raises(ValueError):
         random_on_irreducibles(F3, 1, "gauss")
+
+
+@pytest.mark.parametrize("key", [1, 12345, 99, 2 ** 40 + 7])
+def test_bulk_pm1_draws_are_those_of_rng_choice(key):
+    # count 0, short counts and the 747 primes of F_2 of degrees 1..12; at
+    # the key 2^40 + 7, 5000 values take a second bulk draw
+    for count in (0, 1, 5, 63, 64, 747, 5000):
+        rng = random.Random(key)
+        expected = [rng.choice((1.0, -1.0)) for _ in range(count)]
+        got = _pm1_draws(random.Random(key), count)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert struct.pack(f"<{count}d", *got.tolist()) == struct.pack(f"<{count}d", *expected)
 
 
 def test_from_character_matches_hayes():
