@@ -221,13 +221,12 @@ def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None):
     tables are built per group of maps (`_tables`): a part whose packed
     basis images are the first part's shifted up by whole lanes, as is
     every part of a product map in one slice cut on whole coefficients,
-    takes the first part's table
-    shifted alike, and only the other parts build their own.  A range
-    is mapped as an outer sum: the cofactor hi*split + lo, lo below the
-    first part's size split, maps to image(hi*split) + table0[lo], so a
-    chunk of the range is one broadcast of the images of its consecutive
-    high values (cut and taken like an array) against the whole first
-    table.
+    takes the first part's table shifted alike, and only the other parts
+    build their own.  A range is mapped as an outer sum: the cofactor
+    hi*split + lo, lo below the first part's size split, maps to
+    image(hi*split) + table0[lo], so a chunk of the range is one broadcast
+    of the images of its consecutive high values (cut and taken like an
+    array) against the whole first table.
 
     An image is held packed: each of its r*width base-p digits sits in its
     own b-bit lane of an int64, reduced mod p in the tables.  The parts'
