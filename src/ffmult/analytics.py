@@ -80,10 +80,9 @@ def sample_on_gn(field: Field, n: int, f) -> np.ndarray:
     return out
 
 
-def phase_character_array(P: PolynomialPhase, s: int = 1) -> np.ndarray:
-    """alpha_s(P(g)) over G_n as a complex array (exact exponents inside)."""
-    F = P.field
-    return F.roots[P.exponent_values_on_gn(s)]
+def phase_character_array(P: PolynomialPhase) -> np.ndarray:
+    """alpha_1(P(g)) over G_n as a complex array (exact exponents inside)."""
+    return P.field.roots[P.exponent_values_on_gn()]
 
 
 def _gn_size(field: Field, n: int) -> int:
@@ -248,8 +247,9 @@ def ap_cost(q: int, n: int, k: int) -> int:
     return max(q ** (2 * n), gowers_cost(q, n, k - 1))
 
 
-def ap_correlation(field: Field, n: int, fs, tolerance: float = 1e-9) -> ApResult:
-    """E_{x,y in G_n} prod_j f_j(x + (j-1)y), checked against U^{k-1}(f_k).
+def ap_correlation(field: Field, n: int, fs) -> ApResult:
+    """E_{x,y in G_n} prod_j f_j(x + (j-1)y), checked against U^{k-1}(f_k)
+    up to 1e-9.
 
     Requires k < char(F_q), so that j*y = 0 has only the trivial solution
     for every j < k.  The field is charged the `ap_cost` up front.
@@ -271,7 +271,7 @@ def ap_correlation(field: Field, n: int, fs, tolerance: float = 1e-9) -> ApResul
         prod = prod * arrays[j][pos]
     mean = complex(prod.mean())
     bound = gowers_norm(field, n, arrays[-1], k - 1)
-    return ApResult(mean, bound, abs(mean) <= bound + tolerance, k)
+    return ApResult(mean, bound, abs(mean) <= bound + 1e-9, k)
 
 
 # -- Katai statistic -------------------------------------------------------------
@@ -333,7 +333,8 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
     When `_unit_integer_parts` reads the rows of one D, their inner sums S
     are instead exact int64 Gram matrices of the rows' parts R and I,
     Re S = R R^T + I I^T and Im S = I R^T - R I^T, which give the fsums'
-    bits; the total is still an fsum.
+    bits; the total is still an fsum.  |S| is `np.hypot` over each block,
+    which gives the bits of abs(complex).
     """
     q = field.q
     pairs = _pair_set(field, k, pair_set)
@@ -351,16 +352,15 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
         if exact is None:
             for a, row in enumerate(rows):
                 re, im = _products(row, rows[below:] if a < below else rows, conjugate_b=True)
-                parts += [abs(complex(math.fsum(x), math.fsum(y))) / scale
-                          for x, y in zip(re.tolist(), im.tolist())]
+                sums = [[math.fsum(x) for x in part.tolist()] for part in (re, im)]
+                parts += (np.hypot(*sums) / scale).tolist()
             continue
         R, I = exact
         # the rows of degree top against every row, the lower rows against those of degree top
         for a, b in ((slice(below, None), slice(None)), (slice(below), slice(below, None))):
             re = R[a] @ R[b].T + I[a] @ I[b].T
             im = I[a] @ R[b].T - R[a] @ I[b].T
-            parts += [abs(complex(x, y)) / scale
-                      for x, y in zip(re.ravel().tolist(), im.ravel().tolist())]
+            parts += (np.hypot(re, im) / scale).ravel().tolist()
     size = sum(len(idx) for idx in pairs.values())
     total = math.fsum(parts)
     if per_pair:

@@ -1,11 +1,14 @@
 """Command-line entry point: one subcommand per experiment kind plus `run`.
 
 Exit codes: 0 success, 1 config validation failure, 2 budget refusal,
-3 internal error.  Flags override config-file keys; `--set a.b.c=value`
-patches arbitrary nested keys (values parsed as JSON when possible).  The
-order is the same for `run` and for every subcommand: the config file,
-then the flags (`--output` and `--format` last among them), then `--set`,
-so `--set` wins over a flag for the same key.
+3 internal error.  Every flag names one config key (`_FLAGS`) and is set
+through the path setter of `--set a.b.c=value`, which patches arbitrary
+nested keys (values parsed as JSON when possible); a path through a value
+that is not an object, the config file's root included, is a config error.
+The order is the same for `run` and for every subcommand: the config file,
+then the flags in the order of `_FLAGS` (`--output` and `--format`, the two
+`run` takes, last), then `--set`, so `--set` wins over a flag for the same
+key.
 """
 
 from __future__ import annotations
@@ -20,6 +23,22 @@ from .fields import DEFAULT_BUDGET
 
 EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET, EXIT_INTERNAL = 0, 1, 2, 3
 
+# each flag, the config key it sets (also its argparse dest) and its options,
+# in the order the flags apply; `run` takes the last two
+_FLAGS = (
+    ("--p", "field.p", {"type": int, "help": "field characteristic"}),
+    ("--r", "field.r", {"type": int, "help": "field extension degree"}),
+    ("--seed", "seed", {"type": int}),
+    ("--n-start", "n.start", {"type": int}),
+    ("--n-stop", "n.stop", {"type": int}),
+    ("--budget", "budget.max_evals_per_n",
+     {"type": int, "help": "the run field's cap on every set and kernel cost "
+                           f"(default {DEFAULT_BUDGET})"}),
+    ("--domain", "domain", {"choices": ["all", "nonzero", "monic"]}),
+    ("--output", "output.path", {"help": "output file path"}),
+    ("--format", "output.format", {"choices": ["csv", "json"]}),
+)
+
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -28,73 +47,37 @@ def _load_config(path: str | None) -> dict:
         return json.load(fh)
 
 
-def _apply_set(cfg: dict, assignments):
-    for item in assignments or ():
-        if "=" not in item:
-            raise ConfigError([f"--set {item!r}: expected key=value"])
-        key, _, value = item.partition("=")
-        try:
-            value = json.loads(value)
-        except json.JSONDecodeError:
-            pass  # keep the raw string
-        node = cfg
-        parts = key.split(".")
-        for depth, part in enumerate(parts[:-1]):
+def _assign(cfg, key: str, value, source: str) -> None:
+    """cfg[a][b][c] = value for the key "a.b.c", creating missing sections;
+    a node on the path that is not an object is a config error."""
+    node, parts = cfg, key.split(".")
+    for depth, part in enumerate(parts):
+        if not isinstance(node, dict):
+            at = ".".join(parts[:depth]) or "config"
+            raise ConfigError([f"{source}: {at} is {json.dumps(node)}, not a section of keys"])
+        if depth < len(parts) - 1:
             node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError([f"--set {key}: {'.'.join(parts[:depth + 1])} is "
-                                   f"{json.dumps(node)}, not a section of keys"])
-        node[parts[-1]] = value
-    return cfg
+    node[parts[-1]] = value
 
 
-def _common_flags(sub):
-    sub.add_argument("--config", help="JSON config file to start from")
-    sub.add_argument("--p", type=int, help="field characteristic")
-    sub.add_argument("--r", type=int, help="field extension degree")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--n-start", type=int, dest="n_start")
-    sub.add_argument("--n-stop", type=int, dest="n_stop")
-    sub.add_argument("--budget", type=int, help="budget.max_evals_per_n, the run field's cap "
-                     f"on every set and kernel cost (default {DEFAULT_BUDGET})")
-    sub.add_argument("--domain", choices=["all", "nonzero", "monic"])
-    sub.add_argument("--output", help="output file path")
-    sub.add_argument("--format", choices=["csv", "json"], dest="out_format")
-    sub.add_argument("--set", action="append", dest="assignments",
-                     metavar="KEY=VALUE", help="override any config key (dotted path)")
-
-
-def _flags_to_config(args, kind: str) -> dict:
+def _build_config(args) -> dict:
+    """The config file, then the subcommand's kind, the flags and --set."""
     cfg = _load_config(args.config)
-    cfg["kind"] = kind
-    if args.p is not None or args.r is not None:
-        fsec = cfg.setdefault("field", {})
-        if args.p is not None:
-            fsec["p"] = args.p
-        if args.r is not None:
-            fsec["r"] = args.r
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.n_start is not None or args.n_stop is not None:
-        nsec = cfg.setdefault("n", {})
-        if args.n_start is not None:
-            nsec["start"] = args.n_start
-        if args.n_stop is not None:
-            nsec["stop"] = args.n_stop
-    if args.budget is not None:
-        cfg.setdefault("budget", {})["max_evals_per_n"] = args.budget
-    if args.domain is not None:
-        cfg["domain"] = args.domain
-    return _apply_output_and_set(cfg, args)
-
-
-def _apply_output_and_set(cfg: dict, args) -> dict:
-    """--output and --format, then --set: one order for every command."""
-    if args.output is not None:
-        cfg.setdefault("output", {})["path"] = args.output
-    if args.out_format is not None:
-        cfg.setdefault("output", {})["format"] = args.out_format
-    return _apply_set(cfg, args.assignments)
+    if args.command != "run":
+        _assign(cfg, "kind", args.command, args.command)
+    for flag, key, _ in _FLAGS:
+        if getattr(args, key, None) is not None:
+            _assign(cfg, key, getattr(args, key), flag)
+    for item in args.assignments or ():
+        key, eq, text = item.partition("=")
+        if not eq:
+            raise ConfigError([f"--set {item!r}: expected key=value"])
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text  # keep the raw string
+        _assign(cfg, key, value, f"--set {key}")
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,14 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print available functions, descriptors and kinds")
     subs = parser.add_subparsers(dest="command")
     run = subs.add_parser("run", help="run an experiment from a config file")
-    run.add_argument("config_file")
-    run.add_argument("--set", action="append", dest="assignments",
-                     metavar="KEY=VALUE")
-    run.add_argument("--output")
-    run.add_argument("--format", choices=["csv", "json"], dest="out_format")
+    run.add_argument("config", metavar="config_file")
+    commands = [(run, _FLAGS[-2:])]
     for kind in KINDS:
         sub = subs.add_parser(kind, help=f"run a {kind} experiment")
-        _common_flags(sub)
+        sub.add_argument("--config", help="JSON config file to start from")
+        commands.append((sub, _FLAGS))
+    for sub, flags in commands:
+        for flag, key, options in flags:
+            sub.add_argument(flag, dest=key, **options)
+        sub.add_argument("--set", action="append", dest="assignments",
+                         metavar="KEY=VALUE", help="override any config key (dotted path)")
     return parser
 
 
@@ -146,11 +132,7 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_help()
             return EXIT_VALIDATION
-        if args.command == "run":
-            cfg = _apply_output_and_set(_load_config(args.config_file), args)
-        else:
-            cfg = _flags_to_config(args, args.command)
-        return _execute(cfg)
+        return _execute(_build_config(args))
     except ConfigError as e:
         budget_only = all(p.startswith("budget:") for p in e.problems)
         for p in e.problems:

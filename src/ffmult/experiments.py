@@ -3,7 +3,10 @@
 Configs are JSON objects with nested sections; unknown keys anywhere are
 errors (no silent typo tolerance), every violation is reported at once,
 and a seed is mandatory as soon as any randomized object is referenced.
-The same config and seed always produce a byte-identical numeric payload;
+`_SECTIONS` declares each section's keys and defaults once; the checks,
+the budget estimate and the runners all read the sections validate_config
+fills in, so the estimate reads exactly the values the run reads.  The
+same config and seed always produce a byte-identical numeric payload;
 output files carry no timestamps.
 
 CSV layout is fixed per experiment kind and versioned in a header comment,
@@ -13,6 +16,7 @@ resumed by splitting the n-range.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -48,9 +52,28 @@ COLUMNS = {
                          "passes", "total_degree", "forms"),
 }
 
-_TOP_KEYS = {"kind", "field", "seed", "n", "budget", "domain", "function",
-             "phase", "hayes", "gowers", "ap", "katai", "tk", "bias",
-             "zero_count", "output"}
+# every section's keys.  A value section maps each key to the default that
+# validate_config fills in, or to None: required, or its absence defers
+# (n.stop to n.start, output.path to stdout).  A descriptor section is a set
+# of keys; its resolver holds its defaults (values, conjugate, index), and
+# function.seed defers to the config seed and phase.n to n.stop.
+_SECTIONS = {
+    "field": {"p": None, "r": 1},
+    "n": {"start": None, "stop": None},
+    "budget": {"max_evals_per_n": DEFAULT_BUDGET},
+    "function": {"kind", "name", "seed", "values", "hayes", "base", "conjugate"},
+    "phase": {"n", "terms", "monomials"},
+    "hayes": {"dirichlet", "short", "theta", "unit_index"},
+    "gowers": {"k": 2},
+    "ap": {"k": 3},
+    "katai": {"k": 2, "pair_set": "P_k", "per_pair": False},
+    "tk": {"W": None, "H": None},
+    "bias": {"r_values": [1, 2, 3], "slot_dim": 3, "arity": 2},
+    "zero_count": {"dim": 3, "trials": 20, "max_total_degree": 3},
+    "output": {"path": None, "format": "csv"},
+}
+
+_TOP_KEYS = {"kind", "seed", "domain", *_SECTIONS}
 
 # the sections each kind requires; the kinds that require "function" resolve it
 _NEEDS = {
@@ -155,8 +178,7 @@ def _unit_count(p: int, r: int, modulus: list) -> int:
                      for P, k in parts)
 
 
-def _check_index(problems, obj, count: int, where: str):
-    index = obj.get("index", 0)
+def _check_index(problems, index, count: int, where: str):
     if not _is_int(index) or not 0 <= index < count:
         problems.append(f"{where}.index: must be an integer in [0, {count})")
 
@@ -164,7 +186,7 @@ def _check_index(problems, obj, count: int, where: str):
 def _check_hayes(problems, desc, where: str, p: int, r: int):
     """The problems of one Hayes descriptor over F_{p^r}: character indices
     in range, a modulus of degree >= 1, a parsable theta."""
-    if not _check_keys(problems, desc, {"dirichlet", "short", "theta", "unit_index"}, where):
+    if not _check_keys(problems, desc, _SECTIONS["hayes"], where):
         return
     q = p ** r
     chi = desc.get("dirichlet")
@@ -178,15 +200,16 @@ def _check_hayes(problems, desc, where: str, p: int, r: int):
                 modulus = modulus[:-1]
             if len(modulus) < 2:
                 problems.append(f"{where}.dirichlet.modulus: degree must be >= 1")
-            else:
-                _check_index(problems, chi, _unit_count(p, r, modulus), f"{where}.dirichlet")
+            elif "index" in chi:
+                _check_index(problems, chi["index"], _unit_count(p, r, modulus),
+                             f"{where}.dirichlet")
     xi = desc.get("short")
     if xi is not None and _check_keys(problems, xi, {"s", "index"}, f"{where}.short"):
         length = xi.get("s")
         if not _is_int(length) or length < 0:
             problems.append(f"{where}.short.s: required integer >= 0")
-        else:
-            _check_index(problems, xi, q ** length, f"{where}.short")
+        elif "index" in xi:
+            _check_index(problems, xi["index"], q ** length, f"{where}.short")
     theta = desc.get("theta")
     if theta is not None:
         try:
@@ -199,16 +222,17 @@ def _check_hayes(problems, desc, where: str, p: int, r: int):
 
 
 def _check_function(problems, desc, where: str, field_pr, seeded: bool):
-    """The problems of a function descriptor and of a twist's base: a known
-    kind, a builtin name, a random value set and seed (its own, or the
-    config's when `seeded`), and the Hayes descriptors over F_{p^r} when
-    field_pr = (p, r) (None when the field is invalid)."""
+    """The problems of a function descriptor and of a twist's base (whose
+    keys are the function section's): a known kind, a builtin name, a given
+    random value set and conjugate flag, a seed (its own, or the config's
+    when `seeded`), and the Hayes descriptors over F_{p^r} when field_pr =
+    (p, r) (None when the field is invalid)."""
     kind = desc.get("kind")
     if kind == "builtin":
         if not isinstance(desc.get("name"), str) or desc["name"] not in _BUILTINS:
             problems.append(f"{where}.name: required, one of {', '.join(_BUILTINS)}")
     elif kind == "random":
-        if desc.get("values", "pm1") not in ("pm1", "unit"):
+        if "values" in desc and desc["values"] not in ("pm1", "unit"):
             problems.append(f"{where}.values: must be pm1 or unit")
         if "seed" in desc and not _is_int(desc["seed"]):
             problems.append(f"{where}.seed: must be an integer")
@@ -223,10 +247,11 @@ def _check_function(problems, desc, where: str, field_pr, seeded: bool):
             if not isinstance(desc.get("base"), dict):
                 problems.append(f"{where}.base: required object for kind twist")
             else:
+                _check_keys(problems, desc["base"], _SECTIONS["function"], f"{where}.base")
                 _check_function(problems, desc["base"], f"{where}.base", field_pr, seeded)
     else:
         problems.append(f"{where}.kind: must be one of builtin, random, character, twist")
-    if not isinstance(desc.get("conjugate", False), bool):
+    if "conjugate" in desc and not isinstance(desc["conjugate"], bool):
         problems.append(f"{where}.conjugate: must be true or false")
 
 
@@ -301,8 +326,8 @@ def _check_values(problems, kind: str, sections: dict, p, n_start: int):
     at most slot_dim), and the zero-count dim, trials and degree bound.
     Integers exclude booleans."""
     if kind == "katai-check":
-        sec = sections.get("katai", {})
-        k, pair_set, sets = sec.get("k", 2), sec.get("pair_set", "P_k"), analytics._PAIR_SETS
+        sec, sets = sections["katai"], analytics._PAIR_SETS
+        k, pair_set = sec["k"], sec["pair_set"]
         known = isinstance(pair_set, str) and pair_set in sets
         if not known:
             problems.append(f"katai.pair_set: must be one of {', '.join(sets)}")
@@ -310,17 +335,18 @@ def _check_values(problems, kind: str, sections: dict, p, n_start: int):
             problems.append("katai.k: must be an integer >= 1")
         elif known and n_start < max(sets[pair_set][0](k)):
             problems.append("n.start: n too small for the chosen pair degrees")
-        if not isinstance(sec.get("per_pair", False), bool):
+        if not isinstance(sec["per_pair"], bool):
             problems.append("katai.per_pair: must be true or false")
     elif kind == "gowers-decay":
-        k = sections.get("gowers", {}).get("k", 2)
+        k = sections["gowers"]["k"]
         if not _is_int(k) or k < 1:
             problems.append("gowers.k: must be an integer >= 1")
     elif kind == "ap-decay":
-        k = sections.get("ap", {}).get("k", 3)
+        k = sections["ap"]["k"]
         if p is not None and not (_is_int(k) and 2 <= k < p):
-            problems.append(f"ap.k: must be an integer with 2 <= k < p = {p} (default 3)")
-    elif kind == "tk-check" and "tk" in sections:
+            problems.append(f"ap.k: must be an integer with 2 <= k < p = {p} "
+                            f"(default {_SECTIONS['ap']['k']})")
+    elif kind == "tk-check":
         W, H = sections["tk"].get("W"), sections["tk"].get("H")
         if not (_is_int(W) and _is_int(H)):
             problems.append("tk.W, tk.H: required integers")
@@ -328,9 +354,8 @@ def _check_values(problems, kind: str, sections: dict, p, n_start: int):
             problems.append(f"tk.H: the window W < deg p < H holds no degree >= 1 "
                             f"(W={W}, H={H})")
     elif kind == "bias-rank-demo":
-        sec = sections.get("bias", {})
-        dim, arity = sec.get("slot_dim", 3), sec.get("arity", 2)
-        r_values = sec.get("r_values", [1, 2, 3])
+        sec = sections["bias"]
+        dim, arity, r_values = sec["slot_dim"], sec["arity"], sec["r_values"]
         if not (_is_int(dim) and dim >= 1):
             problems.append("bias.slot_dim: must be an integer >= 1")
         if not (_is_int(arity) and arity >= 1):
@@ -341,9 +366,8 @@ def _check_values(problems, kind: str, sections: dict, p, n_start: int):
             for r in r_values:
                 if r > dim:
                     problems.append(f"bias.r_values: r={r} above slot_dim={dim}")
-    elif kind == "zero-count-check" and "zero_count" in sections:
-        for key, default in (("dim", 3), ("trials", 20), ("max_total_degree", 3)):
-            value = sections["zero_count"].get(key, default)
+    elif kind == "zero-count-check":
+        for key, value in sections["zero_count"].items():
             if not (_is_int(value) and value >= 1):
                 problems.append(f"zero_count.{key}: must be an integer >= 1")
 
@@ -352,7 +376,7 @@ def _character_exponents(kind: str, sections: dict) -> list:
     """e of the q^e residues mod each Dirichlet modulus (`unit_group`) and of
     each R_s (`r_s_group`) in the Hayes descriptors the run of `kind` resolves."""
     descriptors = [sections["hayes"]] if kind == "distance-growth" else []
-    desc = sections.get("function", {}) if "function" in _NEEDS[kind] else {}
+    desc = sections["function"] if "function" in _NEEDS[kind] else {}
     while desc.get("kind") in ("character", "twist"):
         descriptors.append(desc["hayes"])
         desc = desc.get("base", {})
@@ -366,20 +390,20 @@ def _estimated_cost(kind: str, n: int, q: int, sections: dict) -> int:
     without an n-range): G_n, also for the arrays on G_{n.stop} and the sieve
     at degree n, the Hayes sets, and the kernel's declared cost."""
     if kind == "bias-rank-demo":
-        sec = sections.get("bias", {})
-        return bias_cost(q, (sec.get("slot_dim", 3),) * sec.get("arity", 2))
+        sec = sections["bias"]
+        return bias_cost(q, (sec["slot_dim"],) * sec["arity"])
     if kind == "zero-count-check":
-        return q ** sections["zero_count"].get("dim", 3)     # projective_common_zeros
+        return q ** sections["zero_count"]["dim"]     # projective_common_zeros
     costs = [q ** n] + [q ** e for e in _character_exponents(kind, sections)]
     if kind == "katai-check":
-        sec = sections.get("katai", {})
-        costs.append(analytics.katai_cost(q, n, sec.get("k", 2), sec.get("pair_set", "P_k")))
+        sec = sections["katai"]
+        costs.append(analytics.katai_cost(q, n, sec["k"], sec["pair_set"]))
     elif kind == "gowers-decay":
         # k = 2 runs u2_fourier, one transform of G_n
-        k = sections.get("gowers", {}).get("k", 2)
+        k = sections["gowers"]["k"]
         costs.append(q ** n if k == 2 else analytics.gowers_cost(q, n, k))
     elif kind == "ap-decay":
-        costs.append(analytics.ap_cost(q, n, sections.get("ap", {}).get("k", 3)))
+        costs.append(analytics.ap_cost(q, n, sections["ap"]["k"]))
     elif kind == "tk-check":
         # the window's counts, and the sieve of its top degree H - 1
         W, H = sections["tk"]["W"], sections["tk"]["H"]
@@ -392,7 +416,9 @@ def validate_config(source) -> ExperimentConfig:
 
     Returns the normalized ExperimentConfig or raises ConfigError carrying
     every violation found.  Budget overruns are reported with a 'budget:'
-    prefix so the CLI can map them to their own exit code.
+    prefix so the CLI can map them to their own exit code.  cfg.sections
+    holds fresh dicts, the defaults of `_SECTIONS` under the config's keys;
+    the config itself is never changed.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -410,24 +436,33 @@ def validate_config(source) -> ExperimentConfig:
     if kind not in KINDS:
         problems.append(f"kind: must be one of {', '.join(KINDS)} (got {kind!r})")
 
-    fsec = raw.get("field", {})
-    if _check_keys(problems, fsec, {"p", "r"}, "field"):
-        p = fsec.get("p")
-        r = fsec.get("r", 1)
-        if not (_is_int(p) and is_prime(p)):
-            problems.append("field.p: required prime")
-        if not _is_int(r) or r < 1:
-            problems.append("field.r: must be a positive integer")
-    field_params = {"p": fsec.get("p", 2), "r": fsec.get("r", 1)}
+    sections = {}
+    for name, keys in _SECTIONS.items():
+        given = name in raw and _check_keys(problems, raw[name], keys, name)
+        if isinstance(keys, dict):      # a value section: always there
+            defaults = {key: copy.copy(value) for key, value in keys.items() if value is not None}
+            sections[name] = {**defaults, **(raw[name] if given else {})}
+        elif given:                     # a descriptor: when the config gives it
+            sections[name] = dict(raw[name])
+    for req in _NEEDS.get(kind, ()):
+        if not isinstance(raw.get(req), dict):
+            problems.append(f"{req}: required for kind {kind}")
 
-    nsec = raw.get("n", {})
+    p, r = sections["field"].get("p"), sections["field"]["r"]
+    p_ok, r_ok = _is_int(p) and is_prime(p), _is_int(r) and r >= 1
+    if not p_ok:
+        problems.append("field.p: required prime")
+    if not r_ok:
+        problems.append("field.r: must be a positive integer")
+    field_ok = p_ok and r_ok
+
     n_start = n_stop = 0
     if kind in ("bias-rank-demo", "zero-count-check"):
         if "n" in raw:
             problems.append("n: not used by this experiment kind")
-    elif _check_keys(problems, nsec, {"start", "stop"}, "n"):
-        n_start = nsec.get("start")
-        n_stop = nsec.get("stop", n_start)
+    else:
+        n_start = sections["n"].get("start")
+        n_stop = sections["n"].get("stop", n_start)
         if not _is_int(n_start) or n_start < 1:
             problems.append("n.start: required positive integer")
             n_start = n_stop = 1
@@ -435,42 +470,14 @@ def validate_config(source) -> ExperimentConfig:
             problems.append("n.stop: must be an integer >= n.start")
             n_stop = n_start
 
-    bsec = raw.get("budget", {})
-    budget = DEFAULT_BUDGET
-    if _check_keys(problems, bsec, {"max_evals_per_n"}, "budget"):
-        budget = bsec.get("max_evals_per_n", DEFAULT_BUDGET)
-        if not _is_int(budget) or budget < 1:
-            problems.append("budget.max_evals_per_n: must be a positive integer")
-            budget = DEFAULT_BUDGET
+    budget = sections["budget"]["max_evals_per_n"]
+    if not _is_int(budget) or budget < 1:
+        problems.append("budget.max_evals_per_n: must be a positive integer")
 
     domain = raw.get("domain", "all")
     if domain not in ("all", "nonzero", "monic"):
         problems.append("domain: must be all | nonzero | monic")
 
-    sections = {}
-    section_keys = {
-        "function": {"kind", "name", "seed", "values", "hayes", "base", "conjugate"},
-        "phase": {"n", "terms", "monomials"},
-        "hayes": {"dirichlet", "short", "theta", "unit_index"},
-        "gowers": {"k"},
-        "ap": {"k"},
-        "katai": {"k", "pair_set", "per_pair"},
-        "tk": {"W", "H"},
-        "bias": {"r_values", "slot_dim", "arity"},
-        "zero_count": {"dim", "trials", "max_total_degree"},
-        "output": {"path", "format"},
-    }
-    for name, allowed in section_keys.items():
-        if name in raw:
-            if _check_keys(problems, raw[name], allowed, name):
-                sections[name] = raw[name]
-
-    for req in _NEEDS.get(kind, ()):
-        if req not in sections:
-            problems.append(f"{req}: required for kind {kind}")
-
-    p, r = field_params["p"], field_params["r"]
-    field_ok = isinstance(p, int) and is_prime(p) and isinstance(r, int) and r >= 1
     if field_ok and "hayes" in sections:
         _check_hayes(problems, sections["hayes"], "hayes", p, r)
     seed = raw.get("seed")
@@ -486,14 +493,14 @@ def validate_config(source) -> ExperimentConfig:
     if seed is not None and not _is_int(seed):
         problems.append("seed: must be an integer")
 
-    out = sections.get("output", {})
-    output_path = out.get("path")
-    output_format = out.get("format", "csv")
+    output_path, output_format = sections["output"].get("path"), sections["output"]["format"]
+    if output_path is not None and not isinstance(output_path, str):
+        problems.append("output.path: must be a string")
     if output_format not in ("csv", "json"):
         problems.append("output.format: must be csv or json")
 
     # the cost is estimated for an otherwise valid config only
-    if kind in KINDS and field_ok and not problems:
+    if kind in KINDS and not problems:
         # the kinds without an n-range have n.start = n.stop = 0
         for n in range(n_start, n_stop + 1):
             cost = _estimated_cost(kind, n, p ** r, sections)
@@ -505,7 +512,7 @@ def validate_config(source) -> ExperimentConfig:
 
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(kind=kind, field_params=field_params, seed=seed,
+    return ExperimentConfig(kind=kind, field_params={"p": p, "r": r}, seed=seed,
                             n_start=n_start, n_stop=n_stop, budget=budget,
                             domain=domain, sections=sections,
                             output_path=output_path, output_format=output_format,
@@ -590,7 +597,7 @@ def _rows_distance_growth(cfg: ExperimentConfig, field: Field):
 
 def _rows_gowers_decay(cfg: ExperimentConfig, field: Field):
     f = _function_on_prefixes(cfg, field)
-    k = cfg.sections.get("gowers", {}).get("k", 2)
+    k = cfg.sections["gowers"]["k"]
     for n in range(cfg.n_start, cfg.n_stop + 1):
         if k == 2:
             norm = analytics.u2_fourier(field, n, f[:field.q ** n])
@@ -601,7 +608,7 @@ def _rows_gowers_decay(cfg: ExperimentConfig, field: Field):
 
 def _rows_ap_decay(cfg: ExperimentConfig, field: Field):
     f = _function_on_prefixes(cfg, field)
-    k = cfg.sections.get("ap", {}).get("k", 3)
+    k = cfg.sections["ap"]["k"]
     for n in range(cfg.n_start, cfg.n_stop + 1):
         res = analytics.ap_correlation(field, n, [f[:field.q ** n]] * k)
         yield (n, abs(res.mean), res.gowers_bound, res.satisfied)
@@ -609,12 +616,10 @@ def _rows_ap_decay(cfg: ExperimentConfig, field: Field):
 
 def _rows_katai(cfg: ExperimentConfig, field: Field):
     f = _function_on_prefixes(cfg, field)
-    sec = cfg.sections.get("katai", {})
-    k = sec.get("k", 2)
+    sec = cfg.sections["katai"]
     for n in range(cfg.n_start, cfg.n_stop + 1):
-        stat = analytics.katai_statistic(field, f[:field.q ** n], n, k,
-                                         sec.get("pair_set", "P_k"),
-                                         sec.get("per_pair", False))
+        stat = analytics.katai_statistic(field, f[:field.q ** n], n, sec["k"],
+                                         sec["pair_set"], sec["per_pair"])
         yield (n, stat)
 
 
@@ -630,11 +635,10 @@ def _rows_tk(cfg: ExperimentConfig, field: Field):
 
 
 def _rows_bias_rank(cfg: ExperimentConfig, field: Field):
-    sec = cfg.sections.get("bias", {})
-    dim = sec.get("slot_dim", 3)
-    arity = sec.get("arity", 2)
+    sec = cfg.sections["bias"]
+    dim, arity = sec["slot_dim"], sec["arity"]
     coords = [LaurentTruncation.coordinate(field, j, dim) for j in range(dim)]
-    for r in sec.get("r_values", [1, 2, 3]):
+    for r in sec["r_values"]:
         terms = [(1, tuple(coords[i] for _ in range(arity))) for i in range(r)]
         Q = MultilinearForm(field, (dim,) * arity, terms, block_count=r)
         res = Q.bias()
@@ -644,9 +648,7 @@ def _rows_bias_rank(cfg: ExperimentConfig, field: Field):
 
 def _rows_zero_count(cfg: ExperimentConfig, field: Field):
     sec = cfg.sections["zero_count"]
-    dim = sec.get("dim", 3)
-    trials = sec.get("trials", 20)
-    max_total = sec.get("max_total_degree", 3)
+    dim, trials, max_total = sec["dim"], sec["trials"], sec["max_total_degree"]
     rng = random.Random(cfg.seed)
     done = 0
     while done < trials:

@@ -213,9 +213,6 @@ class Field:
 
     # -- misc ---------------------------------------------------------------
 
-    def elements(self):
-        return range(self.q)
-
     def coords(self, a: int) -> tuple[int, ...]:
         return tuple((a // self.p ** i) % self.p for i in range(self.r))
 

@@ -72,11 +72,8 @@ def digit(idx, q: int, j: int):
     return (idx // q ** j) % q
 
 
-def digit_matrix(q: int, m: int, idx=None) -> np.ndarray:
-    """(len(idx), m) int16 coefficient rows of the indices `idx`
-    (default: all of G_m, in index order; one empty row for G_0 = {0})."""
-    if idx is None:
-        idx = np.arange(q ** m, dtype=np.int64)
+def digit_matrix(q: int, m: int, idx) -> np.ndarray:
+    """(len(idx), m) int16 coefficient rows of the indices `idx`."""
     out = np.empty((len(idx), m), dtype=np.int16)
     for j in range(m):
         out[:, j] = digit(idx, q, j)

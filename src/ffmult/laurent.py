@@ -62,12 +62,6 @@ class LaurentTruncation:
         quo = scaled // b
         return cls(field, [quo.coeff(depth - i) for i in range(1, depth + 1)])
 
-    def coefficient(self, i: int) -> int:
-        """beta_{-i} for 1 <= i <= depth."""
-        if not 1 <= i <= self.depth:
-            raise ValueError(f"coefficient index {i} outside stored depth {self.depth}")
-        return self.coeffs[i - 1]
-
     def vanishes_through(self, n: int) -> bool:
         """True when beta_{-1} ... beta_{-n} are all zero."""
         if n > self.depth:

@@ -188,10 +188,9 @@ class PolynomialPhase:
                 acc = add_t[acc, v]
         return acc
 
-    def exponent_values_on_gn(self, s: int = 1) -> np.ndarray:
-        """Trace exponents of alpha_s(P(g)) over G_n."""
-        F = self.field
-        return F.trace_table[F.mul_table[s, self.values_on_gn()]]
+    def exponent_values_on_gn(self) -> np.ndarray:
+        """Trace exponents of alpha_1(P(g)) over G_n."""
+        return self.field.trace_table[self.values_on_gn()]
 
     # -- algebra ---------------------------------------------------------------
 
@@ -505,8 +504,7 @@ class MultilinearForm:
 # -- derivative form and diagonal ------------------------------------------------
 
 
-def derivative_form(P: PolynomialPhase, m: int, verify: bool = True,
-                    rng=None) -> MultilinearForm:
+def derivative_form(P: PolynomialPhase, m: int, verify: bool = True) -> MultilinearForm:
     """d^mP as a symmetric m-linear form; requires m < char and deg P <= m.
 
     Terms of structural degree < m are killed by m derivatives; each
@@ -541,7 +539,7 @@ def derivative_form(P: PolynomialPhase, m: int, verify: bool = True,
                                 "schmidt_upper": _schmidt_upper(P)})
     if verify and F.q ** P.n <= 4096:
         import random as _random
-        rng = rng or _random.Random(1)
+        rng = _random.Random(1)
         size = F.q ** P.n
         hs = [Poly.from_index(F, rng.randrange(size)) for _ in range(m)]
         for g in (Poly.zero(F), Poly.from_index(F, rng.randrange(size))):

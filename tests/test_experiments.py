@@ -33,6 +33,22 @@ def test_minimal_valid_config_normalizes():
     assert cfg.n_start == 4 and cfg.n_stop == 7
 
 
+def test_validation_fills_defaults_into_fresh_sections_and_leaves_the_config_alone():
+    raw = {"kind": "bias-rank-demo", "field": {"p": 3}, "bias": {"arity": 1}}
+    before = json.dumps(raw)
+    cfg = validate_config(raw)
+    assert cfg.raw is raw and json.dumps(raw) == before
+    assert cfg.sections["bias"] == {"r_values": [1, 2, 3], "slot_dim": 3, "arity": 1}
+    assert cfg.sections["field"] == {"p": 3, "r": 1}
+    assert cfg.sections["output"] == {"format": "csv"}       # no path: stdout
+    cfg.sections["bias"]["r_values"].append(4)
+    assert validate_config(raw).sections["bias"]["r_values"] == [1, 2, 3]
+    # keys whose absence defers to another value are not filled in
+    cfg = validate_config(decay_config(n={"start": 4}))
+    assert cfg.sections["n"] == {"start": 4} and cfg.n_stop == 4
+    assert "seed" not in cfg.sections["function"] and "n" not in cfg.sections["phase"]
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as e:
         validate_config({"kind": "tk-check", "fieldd": {"p": 2},
@@ -224,6 +240,45 @@ def test_cli_set_through_a_scalar_is_a_config_error():
         assert "internal error" not in r.stderr
 
 
+_TK_FILE = {"kind": "tk-check", "field": {"p": 2}, "n": {"start": 4}, "tk": {"W": 1, "H": 4}}
+
+
+def _cli_config_error(r, message):
+    assert r.returncode == 1, r.stderr
+    assert f"config error: {message}" in r.stderr, r.stderr
+    assert "internal error" not in r.stderr
+
+
+def test_cli_flag_through_a_scalar_section_is_a_config_error(tmp_path):
+    # a flag set its key by hand: a number where its section belongs ended in
+    # "internal error: TypeError" and exit 3, where --set field.p=3 exits 1
+    cfg_path = tmp_path / "f.json"
+    cfg_path.write_text(json.dumps({**_TK_FILE, "field": 5}))
+    r = run_cli("tk-check", "--config", str(cfg_path), "--p", "3")
+    _cli_config_error(r, "--p: field is 5, not a section of keys")
+
+
+def test_cli_output_flags_through_a_scalar_output_are_a_config_error(tmp_path):
+    # run applied --output and --format by hand too: exit 3
+    cfg_path = tmp_path / "f.json"
+    cfg_path.write_text(json.dumps({**_TK_FILE, "output": "x.csv"}))
+    for flag, value in (("--format", "json"), ("--output", str(tmp_path / "y.csv"))):
+        r = run_cli("run", str(cfg_path), flag, value)
+        _cli_config_error(r, f'{flag}: output is "x.csv", not a section of keys')
+
+
+def test_cli_config_file_that_is_not_an_object_is_a_config_error(tmp_path):
+    # a JSON array read as the config: setting the kind, a flag or a --set
+    # key in it ended in exit 3
+    cfg_path = tmp_path / "f.json"
+    cfg_path.write_text("[1, 2]")
+    for args, source in ((("tk-check", "--config", str(cfg_path)), "tk-check"),
+                         (("run", str(cfg_path), "--output", str(tmp_path / "x.csv")),
+                          "--output"),
+                         (("run", str(cfg_path), "--set", "a=1"), "--set a")):
+        _cli_config_error(run_cli(*args), f"{source}: config is [1, 2], not a section of keys")
+
+
 def test_cli_validation_exit_code(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"kind": "tk-check", "field": {"p": 2},
@@ -306,10 +361,13 @@ def test_katai_estimate_counts_inner_terms():
         base = (list(p_k(field, k)) if pair_set == "P_k"
                 else [Poly.from_index(field, i) for i in range(1, q ** (k + 1))])
         actual = sum(q ** (n - int(max(a.degree, b.degree))) for a in base for b in base)
-        sections = {"katai": {"k": k, "pair_set": pair_set}}
-        assert _estimated_cost("katai-check", n, q, sections) == actual
-    assert _estimated_cost("katai-check", 13, 2, {"katai": {"k": 5}}) == 33_408
-    assert _estimated_cost("katai-check", 15, 2, {"katai": {"k": 7}}) == 336_384
+        # the estimate reads the sections validation fills in
+        cfg = {**_katai_config(k, n), "field": {"p": p, "r": r},
+               "katai": {"k": k, "pair_set": pair_set}}
+        assert _estimated_cost("katai-check", n, q, validate_config(cfg).sections) == actual
+    for k, n, cost in ((5, 13, 33_408), (7, 15, 336_384)):
+        sections = validate_config(_katai_config(k, n)).sections
+        assert _estimated_cost("katai-check", n, 2, sections) == cost
 
 
 def test_katai_budget_refusal_uses_the_exact_estimate():
@@ -579,6 +637,22 @@ INVALID_CONFIGS = {
     # no runner makes a scalar f(g) call, so the key changed no row
     "field-factor-degree-bound": ({**_tk(), "field": {"p": 2, "factor_degree_bound": 1}},
                                   "field.factor_degree_bound: unknown key"),
+    # output.path = 2 wrote the payload to stderr and closed it, true wrote it
+    # to stdout and then failed with EBADF, a list ended in exit 3
+    "output-path-a-number": ({**_tk(), "output": {"path": 2}}, "output.path: must be a string"),
+    "output-path-true": ({**_tk(), "output": {"path": True}}, "output.path: must be a string"),
+    # a twist's base was never key-checked, at any depth
+    "twist-base-unknown-key": (
+        _decay(function={"kind": "twist", "hayes": {"theta": "1/3"},
+                         "base": {"kind": "builtin", "name": "moebius", "nmae": "liouville"}}),
+        "function.base.nmae: unknown key"),
+    "twist-base-of-base-unknown-key": (
+        _decay(function={"kind": "twist", "hayes": {"theta": "1/3"},
+                         "base": {"kind": "twist", "hayes": {"theta": "1/5"},
+                                  "base": {"kind": "builtin", "name": "one", "seeds": 1}}}),
+        "function.base.base.seeds: unknown key"),
+    # validation itself ended in AttributeError (exit 3)
+    "field-not-an-object": ({**_tk(), "field": 5}, "field: expected an object"),
 }
 
 
