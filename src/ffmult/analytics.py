@@ -445,9 +445,12 @@ class TKResult:
 
 
 def tk_cost(q: int, n: int, W: int, H: int) -> int:
-    """Index rows window_divisor_counts marks on G_n: q^(n-d) multiples of
-    each window prime of degree d < n, and the single index 0 for d >= n."""
-    return sum(necklace_count(q, d) * q ** max(n - d, 0) for d in range(max(W + 1, 1), H))
+    """Index rows window_divisor_counts marks on G_n: the (q-1) q^(n-d-1)
+    multiples p*h with h(0) != 0 of each window prime p of degree d < n,
+    p != x.  The multiples of x and the index 0 are copied or set, not
+    marked."""
+    return sum((necklace_count(q, d) - (d == 1)) * (q - 1) * q ** (n - d - 1)
+               for d in range(max(W + 1, 1), min(H, n)))
 
 
 def window_divisor_counts(field: Field, n: int, W: int, H: int) -> np.ndarray:
@@ -456,28 +459,40 @@ def window_divisor_counts(field: Field, n: int, W: int, H: int) -> np.ndarray:
     dtype that holds the number of window primes (`np.min_scalar_type`).
 
     The count of g does not depend on n, so the counts on G_m, m <= n, are
-    the prefix [:q^m].  Every p divides g = 0.  G_n and the `tk_cost` rows
-    are charged to the field before the irreducibles are sieved, by one
-    `sieve_through(field, H - 1)`.  The multiples of each window degree
-    are added a chunk at a time as the engine maps them, by one
-    `np.add.at`, which adds 1 per occurrence of an index: g = 0, a
-    multiple of every prime, and a g divisible by two primes of one chunk
-    are counted once per prime.
+    the prefix [:q^m].  Every p divides g = 0, so counts[0] is the number
+    of window primes.  G_n and the `tk_cost` rows are charged to the field
+    before the irreducibles are sieved, by one `sieve_through(field,
+    H - 1)`.  A window prime p != x of degree d < n divides g with g(0) != 0
+    exactly when g = p*h with h(0) != 0: the engine maps those h of G_{n-d}
+    alone, and each chunk is added by one `np.add.at`, which adds 1 per
+    occurrence of an index (g divisible by two primes of one chunk is
+    counted once per prime).  A multiple x*h, index q*h, has the primes
+    p != x of h, so the counts of the multiples of x are copied from those
+    of their cofactors a degree block at a time, in ascending order; x
+    itself, when in the window (W <= 0), then adds 1 to each of them.
     """
     degrees = _tk_degrees(W, H)
-    size = field.q ** n
+    q = field.q
+    size = q ** n
     field.charge(size, f"G_{n}")
-    field.charge(tk_cost(field.q, n, W, H), f"the window's multiples on G_{n}")
+    field.charge(tk_cost(q, n, W, H), f"the window's multiples on G_{n}")
     sieve_through(field, H - 1)
-    total = sum(irreducible_count(field, d) for d in degrees)      # counts[0]
+    total = sum(irreducible_count(field, d) for d in degrees)
     counts = np.zeros(size, dtype=np.min_scalar_type(total))
     one = counts.dtype.type(1)      # a 1-D index and a scalar of the dtype: add.at's fast path
     for d in degrees:
-        # multiples of p in G_n are p*h, h in G_{n-d}; a prime of degree
-        # >= n divides only g = 0
+        if d >= n:                  # a prime of degree >= n divides only g = 0
+            break
         primes = irreducible_indices(field, d)
-        for _, _, multiples in times_fixed_chunks(field, primes, max(n - d, 0)):
+        if d == 1:
+            primes = primes[1:]     # x, the first prime of degree 1
+        for _, _, multiples in times_fixed_chunks(field, primes, n - d, nonzero_constant=True):
             np.add.at(counts, multiples.ravel(), one)
+    for k in range(1, n):
+        counts[q ** k:q ** (k + 1):q] = counts[q ** (k - 1):q ** k]
+    if degrees[0] == 1:
+        counts[q::q] += one
+    counts[0] = total
     return counts
 
 

@@ -184,10 +184,9 @@ def _check_index(problems, index, count: int, where: str):
 
 
 def _check_hayes(problems, desc, where: str, p: int, r: int):
-    """The problems of one Hayes descriptor over F_{p^r}: character indices
-    in range, a modulus of degree >= 1, a parsable theta."""
-    if not _check_keys(problems, desc, _SECTIONS["hayes"], where):
-        return
+    """The problems of one Hayes descriptor over F_{p^r}, an object whose
+    keys the caller has checked: character indices in range, a modulus of
+    degree >= 1, a parsable theta."""
     q = p ** r
     chi = desc.get("dirichlet")
     if chi is not None and _check_keys(problems, chi, {"modulus", "index"}, f"{where}.dirichlet"):
@@ -241,7 +240,8 @@ def _check_function(problems, desc, where: str, field_pr, seeded: bool):
     elif kind in ("character", "twist"):
         if "hayes" not in desc:
             problems.append(f"{where}.hayes: required for kind {kind}")
-        elif field_pr is not None:
+        elif (_check_keys(problems, desc["hayes"], _SECTIONS["hayes"], f"{where}.hayes")
+              and field_pr is not None):
             _check_hayes(problems, desc["hayes"], f"{where}.hayes", *field_pr)
         if kind == "twist":
             if not isinstance(desc.get("base"), dict):

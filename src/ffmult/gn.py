@@ -13,7 +13,9 @@ nothing builds Poly objects.  The kernels:
   `times_fixed_chunks`: the same products a chunk at a time, for the
   irreducible sieve, the sieve of `function_on_gn` and the
   Turan-Kubilius counts, which consume each chunk and never hold the
-  block;
+  block.  The sieve and the counts ask it for the cofactors h with
+  h(0) != 0 alone (`nonzero_constant`): x*g has the index q*g, so they
+  read the multiples of x off index arithmetic;
 * `residues`: the indices of h mod g for a fixed modulus g (Dirichlet
   characters);
 * `top_codes`: the normalized top-s coefficients of every index as one
@@ -33,23 +35,25 @@ plain integers (b wide enough that no lane overflows) and decodes the sums
 to indices through small lookup tables that reduce each lane mod p.  A
 part whose basis images are the first part's shifted by whole lanes takes
 the first part's table shifted alike, so a product map whose images fit
-in one int64 of lanes builds one table per group of rows (for r > 1,
-where its parts hold whole coefficients).  In
+in one int64 of lanes builds one table per group of rows (every part
+holds whole coefficients, a multiple of r base-p digits).  In
 characteristic 2 (any r) the lanes are the index's own bits, the sum is
 XOR and nothing needs decoding.  Cofactors come as an index array, or as
 contiguous ranges of G_m, one or a tuple mapped one after another (every
 caller's case but `residues` and `GnIndex.smul`); a range is mapped as an
 outer sum, the images of its high digit parts against the whole table of
-its lowest part, with no index array built.  An array decodes every digit
-of every sum.  A range in odd characteristic decodes per element only the
-overlap, the digits that the images of both its lowest part and its high
-parts reach (d of them for the product by a polynomial of degree d over
-F_p); the digits below are decoded once per entry of the lowest part's
-table, those above once per high value.  All of it is int64 arithmetic,
-exact for every index int64 holds.  The engine yields its products in
-chunks, each a fresh int64 array with every digit slice summed;
-`_linear_map` collects them into one block, the consumers of
-`times_fixed_chunks` scatter them.  Its memory per digit slice of the
+its lowest part, with no index array built; the lowest part holds the
+constant coefficient, so mapping only the h with h(0) != 0 is the same
+outer sum against the table's columns of nonzero constant term.  An
+array decodes every digit of every sum.  A range in odd characteristic
+decodes per element only the overlap, the digits that the images of both
+its lowest part and its high parts reach (d of them for the product by a
+polynomial of degree d over F_p); the digits below are decoded once per
+entry of the lowest part's table, those above once per high value.  All
+of it is int64 arithmetic, exact for every index int64 holds.  The engine
+yields its products in chunks, each a fresh int64 array with every digit
+slice summed; `_linear_map` collects them into one block, the consumers
+of `times_fixed_chunks` scatter them.  Its memory per digit slice of the
 images (one slice unless an image has more base-p digits than an int64
 has lanes), and that of `top_codes`, is bounded by the module constant
 CHUNK_ELEMENTS, whatever the size of G_m.  The decode tables are cached
@@ -102,14 +106,23 @@ def times_fixed(field: Field, polys, m: int, cofactors=None) -> np.ndarray:
     return _linear_map(field, *_product_images(field, polys, m), cofactors)
 
 
-def times_fixed_chunks(field: Field, polys, m: int, cofactors=None):
+def times_fixed_chunks(field: Field, polys, m: int, cofactors=None, *,
+                       nonzero_constant: bool = False):
     """The products of `times_fixed`, a chunk at a time: (row0, col0, idx)
     with idx the block [row0:row0 + len(idx), col0:col0 + idx.shape[1]] of
     times_fixed(field, polys, m, cofactors), a fresh int64 array of at most
-    max(CHUNK_ELEMENTS, p) entries that the consumer may overwrite.  A
+    max(CHUNK_ELEMENTS, q) entries that the consumer may overwrite.  A
     chunk lies in one range of a tuple of cofactors.  Column 0 of a group
-    of rows comes only in its chunk with col0 == 0."""
-    return _map_chunks(field, *_product_images(field, polys, m), cofactors)
+    of rows comes only in its chunk with col0 == 0.
+
+    With `nonzero_constant` the cofactors must be ranges, and only those h
+    of them with h(0) != 0 (index not divisible by q) are mapped, in
+    order: the columns are those of times_fixed over these cofactors
+    alone.  The others are the multiples x*h', whose products p*x*h' have
+    the index q times that of p*h', so a consumer that needs them reads
+    them off the products it has; the sieve and the Turan-Kubilius counts
+    do."""
+    return _map_chunks(field, *_product_images(field, polys, m), cofactors, nonzero_constant)
 
 
 def _product_images(field: Field, polys, m: int) -> tuple:
@@ -201,13 +214,15 @@ def _cofactors(cofactors, size: int):
     return tuple(joined)
 
 
-def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None):
+def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None,
+                nonzero_constant: bool = False):
     """(row0, col0, idx) chunks of the int64 indices A_i h, i from row0 and
     h from column col0 on, for k F_p-linear maps A_i from G_m to G_width
     and every cofactor h: an int64 index array, or a `range` of step 1 or
     a tuple of them, mapped one after another (default: range(q^m), all of
     G_m in index order).  Every chunk is a fresh array and lies in one
-    range.
+    range.  With `nonzero_constant` (ranges only) a range maps only its
+    cofactors h with h(0) != 0, h mod q != 0, and col0 counts those alone.
 
     Field elements are encoded by their base-p coordinates, so an index of
     G_m is a base-p number with r*m digits.  `images` is the (r*m, k) int64
@@ -219,11 +234,15 @@ def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None):
     basis images are the first part's shifted up by whole lanes, as is
     every part of a product map in one slice cut on whole coefficients,
     takes the first part's table shifted alike, and only the other parts
-    build their own.  A range is mapped as an outer sum: the cofactor
-    hi*split + lo, lo below the first part's size split, maps to
+    build their own.  A part holds whole coefficients: `per`, its number of
+    digits, is a multiple of r.  A range is mapped as an outer sum: the
+    cofactor hi*split + lo, lo below the first part's size split, maps to
     image(hi*split) + table0[lo], so a chunk of the range is one broadcast
     of the images of its consecutive high values (cut and taken like an
-    array) against the whole first table.
+    array) against the whole first table.  The first part holds the
+    constant coefficient h(0) = lo mod q, so `nonzero_constant` drops the
+    table's columns lo = 0 mod q once per group of rows, and a chunk is
+    image(hi*split) + table0[kept lo], with no other work per element.
 
     An image is held packed: each of its r*width base-p digits sits in its
     own b-bit lane of an int64, reduced mod p in the tables.  The parts'
@@ -245,21 +264,29 @@ def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None):
     digits that each fit; a group of maps holds the tables of all its
     slices, and each index is the sum of its slices' decoded indices.  Per
     slice, tables, decode tables and chunks of cofactor images hold at most
-    CHUNK_ELEMENTS int64 each (a table of one digit, p entries, or a decode
-    table of one lane, 2^b entries, where that alone is more).
+    CHUNK_ELEMENTS int64 each (a table of one coefficient, q entries, or a
+    decode table of one lane, 2^b entries, where that alone is more).
     """
-    p = field.p
+    p, r, q = field.p, field.r, field.q
     bits, k = images.shape
     cofactors = _cofactors(cofactors, p ** bits)
-    # digits per part: about half of them, as far as a part's table fits
+    ranges = isinstance(cofactors, tuple)
+    if nonzero_constant:
+        if not ranges:
+            raise ValueError("only ranges of cofactors map their nonzero constant terms alone")
+        cofactors = tuple(c for c in cofactors if _kept(c.stop, q) > _kept(c.start, q))
+    if ranges and not cofactors:
+        return
+    # digits per part: about half of them, as far as a part's table fits,
+    # cut on whole coefficients
     per = 1
     while per < (bits + 1) // 2 and p ** (per + 1) <= CHUNK_ELEMENTS:
         per += 1
+    per = max(r, per - per % r)
     split, parts = p ** per, -(-max(bits, 1) // per)
     # lane width: a lane holds the sum of `parts` digits (of two in _table)
     b = 1 if p == 2 else (max(parts, 2) * (p - 1)).bit_length()
-    digits, lanes = field.r * width, 63 // b
-    ranges = isinstance(cofactors, tuple)
+    digits, lanes = r * width, 63 // b
     lo, hi = _overlap(images, p, per, digits) if ranges and p > 2 else (0, digits)
     slices = [_pack(images, p, b, first, min(lanes, digits - first))
               for first in range(0, digits, lanes)]
@@ -278,21 +305,30 @@ def _map_chunks(field: Field, images: np.ndarray, width: int, cofactors=None):
             for c0, idx in _chunks(tables, cofactors, step, p, per, summed):
                 yield row0, c0, idx
             continue
+        # the first part's table at the kept values (lo mod q != 0 when
+        # skip = q), its indices of the digits below lo, once per entry, and
+        # its tables read to the summed lanes
+        skip, first = q if nonzero_constant else 0, list(tables[0])
+        if skip:
+            first = [table.reshape(len(table), -1, q)[:, :, 1:].reshape(len(table), -1)
+                     for table in first]
         low = None
-        if below or above:
-            # the first part's indices of the digits below lo, once per
-            # entry, and its tables read to the summed lanes
-            first = list(tables[0])
-            for s, shift, mask, decode in below:
-                low = _sum(low, _decode(_read(first[s], shift, mask), decode))
-            for s, shift, mask, _ in summed:
-                first[s] = _read(first[s], shift, mask)
-            tables = [first] + tables[1:]
+        for s, shift, mask, decode in below:
+            low = _sum(low, _decode(_read(first[s], shift, mask), decode))
+        for s, shift, mask, _ in summed:
+            first[s] = _read(first[s], shift, mask)
+        tables = [first] + tables[1:]
         col0 = 0
         for cols in cofactors:
-            for c0, idx in _chunks(tables, cols, step, p, per, summed, above, low):
+            for c0, idx in _chunks(tables, cols, step, p, per, summed, above, low, skip):
                 yield row0, col0 + c0, idx
-            col0 += len(cols)
+            col0 += _kept(cols.stop, skip) - _kept(cols.start, skip)
+
+
+def _kept(c: int, skip: int) -> int:
+    """The number of cofactors in [0, c) a range maps: all of them, or with
+    skip = q those with a nonzero constant term, not divisible by q."""
+    return c - -(-c // skip) if skip else c
 
 
 def _overlap(images: np.ndarray, p: int, per: int, digits: int) -> tuple:
@@ -338,7 +374,7 @@ def _read(packed: np.ndarray, shift: int, mask) -> np.ndarray:
 
 
 def _chunks(tables: list, cofactors, step: int, p: int, per: int, summed: list,
-            above=(), low=None):
+            above=(), low=None, skip=0):
     """(first column, indices) of the cofactors, a chunk of at most
     max(step, split) columns at a time, split the first part's table size.
 
@@ -349,7 +385,9 @@ def _chunks(tables: list, cofactors, step: int, p: int, per: int, summed: list,
     its high values and the first part's table (read to the summed lanes);
     the digits that `above` reads are decoded once per high value, and
     `low` (None for none) holds the first part's indices of the digits
-    below."""
+    below.  With skip = q the first table and `low` hold only the values
+    not divisible by q (split a multiple of q), and the range maps only
+    its cofactors not divisible by q, counted by `_kept`."""
     combine = np.bitwise_xor if p == 2 else np.add
     if not isinstance(cofactors, range):
         for c0 in range(0, len(cofactors), step):
@@ -360,8 +398,10 @@ def _chunks(tables: list, cofactors, step: int, p: int, per: int, summed: list,
             yield c0, idx
         return
     start, stop = cofactors.start, cofactors.stop
-    k, split = tables[0][0].shape
-    rows, last = max(1, step // split), -(-stop // split)     # high values per chunk
+    k, kept = tables[0][0].shape
+    split = kept // (skip - 1) * skip if skip else kept
+    rows, last = max(1, step // kept), -(-stop // split)      # high values per chunk
+    offset = _kept(start, skip)
     for h0 in range(start // split, last, rows):
         highs = np.arange(h0, min(h0 + rows, last), dtype=np.int64)
         # the images of hi*split, the high parts' sums (0 if there are none)
@@ -376,13 +416,14 @@ def _chunks(tables: list, cofactors, step: int, p: int, per: int, summed: list,
         for s, shift, mask, decode in above:
             high = _sum(high, _decode(_read(sums[s], shift, mask), decode))
         if high is not None or low is not None:
-            grid = idx.reshape(k, -1, split)        # a view: (k, high value, lo)
+            grid = idx.reshape(k, -1, kept)         # a view: (k, high value, lo)
             if high is not None:
                 grid += high[:, :, None]
             if low is not None:
                 grid += low[:, None, :]
-        c0, c1 = max(start, h0 * split), min(stop, (h0 + len(highs)) * split)
-        yield c0 - start, idx[:, c0 - h0 * split:c1 - h0 * split]
+        c0 = _kept(max(start, h0 * split), skip)
+        c1 = _kept(min(stop, (h0 + len(highs)) * split), skip)
+        yield c0 - offset, idx[:, c0 - h0 * kept:c1 - h0 * kept]
 
 
 def _gather(tables: list, cut: list, combine) -> list:

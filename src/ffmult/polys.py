@@ -17,7 +17,9 @@ vectorized over the cofactor and batched over the primes of a degree, so
 desk-scale tables (q^d up to ~10^6) build in well under a second.  One
 sieve, `_sieve`, marks a block of consecutive degrees in one mask, one
 engine call per prime degree for every q, its cofactors the tuple of the
-block's monic blocks; a single degree is the block of one, and
+block's monic blocks, of which only those with a nonzero constant term
+are mapped (the multiples of x, the indices divisible by q, are one
+strided slice of the mask); a single degree is the block of one, and
 `sieve_through` sieves every degree up to N in blocks that halve, so F_2
 through degree 17 takes 15 engine calls where a sieve per degree takes 72,
 and F_3 through degree 8 takes 7.  Poly tuples of the
@@ -349,7 +351,10 @@ def sieve_through(field: Field, top: int):
     `times_fixed_chunks` per prime degree of the block.  F_2 through
     degree 17 is the blocks {1}, {2}, {3, 4}, {5..8}, {9..17} and 15
     calls, where a sieve per degree makes 72; F_3 through degree 8 is
-    {1}, {2}, {3, 4}, {5..8} and 7 calls.
+    {1}, {2}, {3, 4}, {5..8} and 7 calls.  Each call maps only the monic
+    cofactors with a nonzero constant term, and the multiples of x are one
+    strided slice of the block's mask: over F_2 the block {9..17} marks
+    226,768 product rows, where mapping every cofactor marked 584,352.
     """
     cache = field._irreducible_indices
     for d in range(1, top + 1):
@@ -368,22 +373,31 @@ def _sieve(field: Field, lo: int, hi: int):
 
     The mask is the index interval [q^lo, 2 q^hi), 2 q^hi - q^lo bools,
     which holds the monic block [q^d, 2 q^d) of each degree d in place.
-    Every monic of degree d that is a product p*h with p irreducible of
-    degree e <= d/2 and h monic of degree d - e >= e is marked: one
+    A monic g with g(0) = 0 is x times a monic, composite unless g = x: the
+    indices divisible by q, marked by one strided slice of the mask (x, at
+    its start when lo = 1, left out).  Every other composite monic of
+    degree d is a product p*h with p irreducible of degree e <= d/2, p != x,
+    and h monic of degree d - e >= e with h(0) != 0, and is marked: one
     `times_fixed_chunks` call per prime degree e <= hi/2, its cofactors the
     tuple of the monic blocks of degrees max(lo - e, e) .. hi - e (one
-    range when q = 2, where they are contiguous).  The products are marked
-    a chunk at a time, so no Poly and no whole block of products is built.
+    range when q = 2, where they are contiguous), of which the engine maps
+    only those with a nonzero constant term.  The products are marked a
+    chunk at a time, so no Poly and no whole block of products is built.
     """
     q, cache = field.q, field._irreducible_indices
     for d in range(lo, hi + 1):
         field.charge(q ** d, f"the irreducible sieve at degree {d}")
-    base = q ** lo                      # the index at the mask's start
+    base = q ** lo                      # the index at the mask's start, x^lo
     composite = np.zeros(2 * q ** hi - base, dtype=bool)
+    composite[::q] = True
+    composite[0] = lo > 1
     for e in range(1, hi // 2 + 1):
         primes = irreducible_indices(field, e)
+        if e == 1:
+            primes = primes[1:]         # x, the first prime of degree 1
         monics = tuple(range(q ** m, 2 * q ** m) for m in range(max(lo - e, e), hi - e + 1))
-        for _, _, idx in times_fixed_chunks(field, primes, hi - e + 1, monics):
+        for _, _, idx in times_fixed_chunks(field, primes, hi - e + 1, monics,
+                                            nonzero_constant=True):
             idx -= base
             composite[idx] = True
     np.logical_not(composite, out=composite)

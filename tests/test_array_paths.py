@@ -225,12 +225,13 @@ def test_function_on_gn_sieves_by_one_chunked_call_per_degree_within_a_memory_bo
     degrees, blocks = [], []
     chunks, linear_map = multiplicative.times_fixed_chunks, gn._linear_map
 
-    def chunks_spy(field, polys, m, *args):
-        # the primes arrive as an index array of one degree
-        assert polys.dtype == np.int64
+    def chunks_spy(field, polys, m, *args, **kwargs):
+        # the primes arrive as an index array of one degree, and every
+        # cofactor is mapped
+        assert polys.dtype == np.int64 and not kwargs
         (degree,) = set(gn.degrees(field.q, polys).tolist())
         degrees.append(degree)
-        return chunks(field, polys, m, *args)
+        return chunks(field, polys, m, *args, **kwargs)
 
     def block_spy(*args):               # every times_fixed block is collected here
         blocks.append(args)
@@ -466,6 +467,11 @@ def test_times_fixed_equals_poly_products(q, chunk, monkeypatch):
                     out = times_fixed(field, stack[:k], width, cofactors)
                     assert out.shape == (len(stack[:k]), len(rows))
                     assert np.array_equal(out, expected[:k, rows.start:rows.stop]), (stack, rows)
+    # the top of G_{m_max + 2}: three coefficients or more, so three parts or
+    # more at chunk 7 for every q (a part holds whole coefficients)
+    stack, m = kernel_stacks(field)[0], m_max + 2
+    rows = range(q ** m - 30, q ** m)
+    assert np.array_equal(times_fixed(field, stack, m, rows), poly_products(field, stack, rows))
     assert min(parts) == 1
     if chunk == 7:
         assert max(parts) >= 3
@@ -548,6 +554,46 @@ def test_times_fixed_refuses_a_range_with_steps_or_outside_g_m():
             times_fixed(field, one_plus_x, 3, (range(2), rows))
 
 
+# q -> (p, r), m: G_m in two or more parts at every chunk size
+NONZERO_CONSTANT_GRID = {2: ((2, 1), 9), 3: ((3, 1), 6), 4: ((2, 2), 5), 5: ((5, 1), 4),
+                         9: ((3, 2), 3)}
+
+
+@pytest.mark.parametrize("q", sorted(NONZERO_CONSTANT_GRID))
+def test_chunks_with_nonzero_constant_are_the_products_by_those_cofactors(q, monkeypatch):
+    # each chunk is image(hi) + table0[kept lo]: the products p*h for the h of
+    # the ranges with h(0) != 0 alone, in order, as a multiset and by
+    # (row0, col0); ranges and tuples whose ends are off the parts, and a
+    # range of x-multiples alone, which maps nothing
+    (p, r), m = NONZERO_CONSTANT_GRID[q]
+    field = build_field(p, r)
+    size = q ** m
+    stack = np.concatenate([irreducible_indices(field, 1), irreducible_indices(field, 2)[:4]])
+    everything = poly_products(field, stack, range(size))
+    for chunk in (7, 40, gn.CHUNK_ELEMENTS):
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+        monic = range(q ** (m - 1) + 1, 2 * q ** (m - 1))
+        for cofactors in (range(size), range(3, size - 2), monic,
+                          (range(q, 2 * q + 1), range(size - 2 * q - 1, size - 1)),
+                          range(q, q + 1)):
+            kept = [h for rows in (cofactors if isinstance(cofactors, tuple) else (cofactors,))
+                    for h in rows if h % q]
+            expected = everything[:, kept]
+            got = np.full_like(expected, -1)
+            chunks = []
+            for row0, col0, idx in gn.times_fixed_chunks(field, stack, m, cofactors,
+                                                          nonzero_constant=True):
+                block = got[row0:row0 + idx.shape[0], col0:col0 + idx.shape[1]]
+                assert block.shape == idx.shape and (block == -1).all(), (chunk, cofactors)
+                block[:] = idx
+                chunks.append(idx.ravel())
+            assert np.array_equal(np.sort(np.concatenate(chunks + [np.zeros(0, np.int64)])),
+                                  np.sort(expected.ravel())), (chunk, cofactors)
+            assert np.array_equal(got, expected), (chunk, cofactors)
+    with pytest.raises(ValueError, match="only ranges"):
+        list(gn.times_fixed_chunks(field, stack, m, np.arange(size), nonzero_constant=True))
+
+
 @pytest.mark.parametrize("pr,m", [((3, 1), 25), ((3, 2), 12), ((17, 1), 10)])
 @pytest.mark.parametrize("chunk", [None, 7, 40])
 def test_times_fixed_maps_wide_images_in_slices(pr, m, chunk, monkeypatch):
@@ -615,11 +661,12 @@ def test_linear_map_blocks_hold_at_most_chunk_elements(monkeypatch):
 
 
 # (p, r), m, CHUNK_ELEMENTS: G_m in two or more digit parts, each part
-# whole coefficients, and products by degree-2 primes in one slice
+# whole coefficients (at 40, F_4's 12 digits are cut 4 + 4 + 4, not
+# 5 + 5 + 2), and products by degree-2 primes in one slice
 ONE_TABLE_GRID = [((2, 1), 12, None), ((2, 1), 12, 7), ((2, 1), 12, 40),
                   ((3, 1), 9, None), ((3, 1), 9, 7), ((3, 1), 9, 40),
                   ((5, 1), 5, None), ((5, 1), 5, 7), ((2, 2), 6, None), ((2, 2), 6, 7),
-                  ((3, 2), 4, None)]
+                  ((3, 2), 4, None), ((2, 2), 6, 40)]
 
 
 @pytest.mark.parametrize("pr,m,chunk", ONE_TABLE_GRID)

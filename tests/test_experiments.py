@@ -389,26 +389,33 @@ def test_tk_estimate_equals_the_rows_the_kernel_marks(monkeypatch):
             yield chunk
 
     monkeypatch.setattr(analytics, "times_fixed_chunks", counting)
-    # three of the windows hold primes of degree >= n (one row each, the index
-    # 0); the estimate charges the kernel's declared rows, and also G_n and the
-    # sieve of the top window degree, which here may be larger
+    # three of the windows hold primes of degree >= n, which mark no row (the
+    # index 0 is set); three hold x (W = 0), whose multiples are copied, not
+    # marked.  The estimate charges the kernel's declared rows, and also G_n
+    # and the sieve of the top window degree, which here may be larger
     for (p, r), n, W, H in (((3, 1), 8, 1, 9), ((2, 1), 14, 1, 12), ((2, 1), 5, 1, 8),
-                            ((2, 2), 5, 0, 7), ((5, 1), 4, 1, 4)):
+                            ((2, 2), 5, 0, 7), ((5, 1), 4, 1, 4), ((2, 1), 14, 0, 14),
+                            ((3, 1), 6, 0, 8)):
         field = build_field(p, r)
         marked.clear()
         analytics.turan_kubilius(field, n, W, H)
         assert analytics.tk_cost(field.q, n, W, H) == sum(marked)
-    # the benchmark's tk-f3 at n = 12, and a window that q^n under-estimated
-    assert _estimated_cost("tk-check", 12, 3, {"tk": {"W": 1, "H": 9}}) == 783_675
-    assert _estimated_cost("tk-check", 14, 2, {"tk": {"W": 1, "H": 12}}) == 25_728
+    # the benchmark's tk-f3 at n = 12 and F_2 at n = 14, each with 2/3 and
+    # 1/2 of the rows of mapping every cofactor (783,675 and 25,728), now
+    # below q^n; and a window whose rows q^n under-estimates
+    assert analytics.tk_cost(3, 12, 1, 9) == 522_450
+    assert analytics.tk_cost(2, 14, 1, 12) == 12_864
+    assert _estimated_cost("tk-check", 12, 3, {"tk": {"W": 1, "H": 9}}) == 3 ** 12
+    assert _estimated_cost("tk-check", 14, 2, {"tk": {"W": 0, "H": 14}}) == 18_260
 
 
 def test_tk_budget_refusal_uses_the_exact_estimate():
     cfg = {"kind": "tk-check", "field": {"p": 2, "r": 1}, "n": {"start": 14, "stop": 14},
-           "tk": {"W": 1, "H": 12}, "budget": {"max_evals_per_n": 20_000}}
+           "tk": {"W": 0, "H": 14}, "budget": {"max_evals_per_n": 18_259}}
     with pytest.raises(ConfigError) as e:
         validate_config(cfg)
-    assert any(p.startswith("budget:") and "25728" in p for p in e.value.problems)
+    assert any(p.startswith("budget:") and "18260" in p for p in e.value.problems)
+    validate_config({**cfg, "budget": {"max_evals_per_n": 18_260}})
     validate_config({"kind": "tk-check", "field": {"p": 3, "r": 1},
                      "n": {"start": 9, "stop": 12}, "tk": {"W": 1, "H": 9}})
 
@@ -653,6 +660,12 @@ INVALID_CONFIGS = {
         "function.base.base.seeds: unknown key"),
     # validation itself ended in AttributeError (exit 3)
     "field-not-an-object": ({**_tk(), "field": 5}, "field: expected an object"),
+    # reported twice: by the section-key pass and again by the Hayes check
+    "hayes-unknown-key": (distance_config({"theta": 0.5, "thetaa": 1}),
+                          "hayes.thetaa: unknown key"),
+    "function-hayes-unknown-key": (
+        distance_config({"theta": "1/3"}, {"kind": "character", "hayes": {"thetaa": 1}}),
+        "function.hayes.thetaa: unknown key"),
 }
 
 
@@ -661,7 +674,7 @@ def test_invalid_section_values_are_validation_problems(case):
     cfg, problem = INVALID_CONFIGS[case]
     with pytest.raises(ConfigError) as e:
         validate_config(cfg)
-    assert [p for p in e.value.problems if p.startswith(problem)], e.value.problems
+    assert len([p for p in e.value.problems if p.startswith(problem)]) == 1, e.value.problems
     assert not any(p.startswith("budget:") for p in e.value.problems)
 
 

@@ -156,15 +156,16 @@ def test_sieve_through_equals_the_sieve_per_degree(q, cached):
         assert len(got) == irreducible_count(F, d)
 
 
-def _count_engine_calls(monkeypatch) -> list:
+def _count_engine_calls(monkeypatch, module=polys) -> list:
+    """The (args, kwargs) of every `times_fixed_chunks` call `module` makes."""
     calls = []
-    engine = polys.times_fixed_chunks
+    engine = module.times_fixed_chunks
 
-    def spy(*args):
-        calls.append(args)
-        return engine(*args)
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return engine(*args, **kwargs)
 
-    monkeypatch.setattr(polys, "times_fixed_chunks", spy)
+    monkeypatch.setattr(module, "times_fixed_chunks", spy)
     return calls
 
 
@@ -187,9 +188,26 @@ def test_sieve_through_over_odd_q_makes_one_engine_call_per_prime_degree(p, top,
     F = build_field(p, 1)
     sieve_through(F, top)
     assert len(engine) == calls
-    assert all(isinstance(args[3], tuple) for args in engine)
+    assert all(isinstance(args[3], tuple) for args, _ in engine)
     for d in range(1, top + 1):
         assert len(irreducible_indices(F, d)) == irreducible_count(F, d)
+
+
+def test_only_the_sieve_and_the_tk_counts_skip_the_multiples_of_x(monkeypatch):
+    # the sieve and the Turan-Kubilius counts map the cofactors with h(0) != 0
+    # and read the multiples of x off index arithmetic; the sieve of
+    # function_on_gn maps full ranges
+    from ffmult import analytics, multiplicative
+    sieve = _count_engine_calls(monkeypatch)
+    tk = _count_engine_calls(monkeypatch, analytics)
+    last = _count_engine_calls(monkeypatch, multiplicative)
+    F = build_field(3, 1)
+    sieve_through(F, 8)
+    analytics.window_divisor_counts(F, 7, 0, 9)
+    multiplicative.function_on_gn(builtin(F, "moebius"), 7)
+    assert (len(sieve), len(tk), len(last)) == (7, 6, 6)
+    assert all(kwargs == {"nonzero_constant": True} for _, kwargs in sieve + tk)
+    assert all(kwargs == {} for _, kwargs in last)
 
 
 def test_sieve_through_charges_each_degree_before_sieving(monkeypatch):
