@@ -48,7 +48,7 @@ from .gn import GnIndex, times_fixed, times_fixed_chunks
 from .laurent import LaurentTruncation, linear_form_table
 from .multiplicative import (MultiplicativeFunction, _complex, _prime_power_values, _products,
                              from_character, function_on_gn, prime_values)
-from .phases import PolynomialPhase, derivative_form
+from .phases import PolynomialPhase, _counts_mean, _form_counts, derivative_form
 from .polys import (Poly, irreducible_count, irreducible_indices, monic_of_degree,
                     necklace_count, sieve_through)
 
@@ -381,6 +381,16 @@ class RBiasResult:
     stderr: float | None = None
 
 
+def _dilated_rows(field: Field, functionals, base: dict, m: int) -> dict:
+    """{L: rows}: row i is g -> L(a_i g) on G_m, a_i the i-th member of
+    `base` ({degree: int64 indices}), read from linear_form_table(L, m + the
+    largest degree) at one `times_fixed` block per degree, since
+    (beta (a g))_{-1} = ((beta a) g)_{-1}."""
+    products = np.concatenate([times_fixed(field, members, m) for members in base.values()])
+    width = m + max(base)
+    return {L: linear_form_table(L, width)[products] for L in functionals}
+
+
 def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
                      base_set: str = "G_{k+1}", mode: str = "exhaustive",
                      max_pairs: int = 2000,
@@ -393,20 +403,26 @@ def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
     statistic a modulus-squared average: real and nonnegative.  Declaring
     m above the structural degree makes d^mP vanish and the statistic is
     exactly 1.  The pairs' inner evaluations are charged to the field.
+
+    A pair's inner mean is the exponent counts of the terms (c, rows of a)
+    and (-c, rows of b) of `_dilated_rows`.  Sampled, the stderr is that of
+    the pairs' real parts.
     """
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError("mode must be 'exhaustive' or 'sampled'")
     field = P.field
     if m is None:
         m = P.degree
     if m < 1:
         raise ValueError("phase must have degree >= 1")
-    dQ = derivative_form(P, m, verify=False)
-    base = [Poly.from_index(field, i)
-            for members in _pair_set(field, k, base_set).values() for i in members.tolist()]
     inner_dim = n - k
     if inner_dim < 1:
         raise ValueError("n - k must be >= 1")
+    dQ = derivative_form(P, m, verify=False)
+    base = _pair_set(field, k, base_set)
+    size = sum(len(members) for members in base.values())
     inner_size = field.q ** (inner_dim * m)
-    pairs = [(a, b) for a in base for b in base]
+    pairs = [(a, b) for a in range(size) for b in range(size)]
     mode_used = mode
     rng = np.random.default_rng(seed)
     if mode == "sampled" or len(pairs) > max_pairs:
@@ -414,20 +430,20 @@ def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
         pairs = [pairs[i] for i in sorted(sel)]
         mode_used = "sampled"
     field.charge(len(pairs) * inner_size, f"the inner means of {len(pairs)} pairs")
-    scaled = {}
-    for a in base:
-        if a.coeffs not in scaled:
-            scaled[a.coeffs] = dQ.scaled_by(a, (inner_dim,) * m)
+    rows = _dilated_rows(field, dict.fromkeys(L for _, funcs in dQ.terms for L in funcs),
+                         base, inner_dim)
+    neg = field.neg_py
     parts = []
     for a, b in pairs:
-        diff = scaled[a.coeffs].minus(scaled[b.coeffs])
-        counts = diff.exponent_counts()
-        parts.append(complex(np.sum(counts * field.roots) / inner_size))
+        terms = [(c, [rows[L][a] for L in funcs]) for c, funcs in dQ.terms]
+        terms += [(neg[c], [rows[L][b] for L in funcs]) for c, funcs in dQ.terms]
+        counts = _form_counts(field, terms, (field.q ** inner_dim,) * m)
+        parts.append(_counts_mean(field, counts, inner_size))
     vals = np.array(parts)
     mean = _fsum_arrays(vals.real, vals.imag) / len(parts)
     stderr = None
     if mode_used == "sampled":
-        stderr = float(np.abs(vals - vals.mean()).std() / math.sqrt(len(parts)))
+        stderr = float(vals.real.std() / math.sqrt(len(parts)))
     return RBiasResult(mean.real, abs(mean.imag), len(pairs),
                        len(pairs) * inner_size, mode_used, stderr)
 
@@ -752,7 +768,5 @@ def linear_phase_sum(field: Field, beta: LaurentTruncation, n: int) -> complex:
     acceptance suite checks against this computation.
     """
     field.charge(field.q ** n, f"G_{n}")
-    vals = linear_form_table(beta, n)
-    exps = field.trace_table[vals]
-    counts = np.bincount(exps, minlength=field.p)
-    return complex(np.sum(counts * field.roots))
+    counts = _form_counts(field, [(1, [linear_form_table(beta, n)])], (field.q ** n,))
+    return _counts_mean(field, counts, 1)

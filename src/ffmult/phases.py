@@ -18,6 +18,10 @@ Bias of a multilinear form is the mean of the additive character alpha_1
 over all slot tuples, computed by counting trace exponents (exact integer
 counts; floats appear only in the final root-of-unity sum), and
 analytic rank is -log_q of it.
+
+One kernel, `_term_values`, evaluates phases and forms (at a point, on
+G_n, at sampled slot tuples) from tables of field codes, one per factor;
+`_form_counts` counts its trace exponents over all slot tuples.
 """
 
 from __future__ import annotations
@@ -28,10 +32,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gn
 from .fields import Field
-from .gn import digit
 from .laurent import LaurentTruncation, linear_form, linear_form_table
 from .polys import Poly
+
+
+def _term_values(field: Field, terms, shape) -> np.ndarray:
+    """sum_t c_t prod_s tables_ts as int16 field codes of `shape`: `terms`
+    is (c, tables) pairs, tables of field codes that broadcast to `shape`
+    (no tables: the constant c)."""
+    add_t, mul_t = field.add_table, field.mul_table
+    acc = np.zeros(shape, dtype=np.int16)
+    for c, tables in terms:
+        v = c
+        for table in tables:
+            v = mul_t[v, table]
+        acc = add_t[acc, v]
+    return acc
+
+
+def _form_counts(field: Field, terms, sizes) -> np.ndarray:
+    """Counts of each trace exponent of sum_t c_t prod_s tables_ts[x_s] over
+    every slot tuple x of prod range(sizes): `terms` is (c, tables) pairs,
+    one 1-D table per slot.  The rows of slot 0 go a block of
+    max(1, CHUNK_ELEMENTS // |other slots|) at a time."""
+    rest = tuple(sizes[1:])
+    block = max(1, gn.CHUNK_ELEMENTS // math.prod(rest))
+    # the table of slot s on axis s; leading axes broadcast
+    shaped = [(c, [t.reshape((-1,) + (1,) * (len(rest) - s)) for s, t in enumerate(tabs)])
+              for c, tabs in terms]
+    counts = np.zeros(field.p, dtype=np.int64)
+    for lo in range(0, sizes[0], block):
+        hi = min(lo + block, sizes[0])
+        rows = [(c, [tabs[0][lo:hi]] + tabs[1:]) for c, tabs in shaped]
+        acc = _term_values(field, rows, (hi - lo,) + rest)
+        counts += np.bincount(field.trace_table[acc].ravel(), minlength=field.p)
+    return counts
+
+
+def _counts_mean(field: Field, counts, total: int) -> complex:
+    """The mean of alpha_1 from its exponent counts over `total` points."""
+    return complex(np.sum(counts * field.roots) / total)
 
 
 def _merge_product_terms(field: Field, raw):
@@ -147,23 +189,10 @@ class PolynomialPhase:
 
     def eval(self, g: Poly) -> int:
         F = self.field
-        add, mul = F.add_py, F.mul_py
-        acc = 0
-        for c, factors in self.product_terms:
-            v = c
-            for L in factors:
-                v = mul[v][linear_form(L, g)]
-                if v == 0:
-                    break
-            acc = add[acc][v]
-        for c, powers in self.monomial_terms:
-            v = c
-            for j, e in powers:
-                v = mul[v][F.pow_(g.coeff(j), e)]
-                if v == 0:
-                    break
-            acc = add[acc][v]
-        return acc
+        terms = [(c, [linear_form(L, g) for L in factors]) for c, factors in self.product_terms]
+        terms += [(c, [F.pow_(g.coeff(j), e) for j, e in powers])
+                  for c, powers in self.monomial_terms]
+        return int(_term_values(F, terms, ()))
 
     def values_on_gn(self) -> np.ndarray:
         """Encoded values over all of G_n, index order (vectorized)."""
@@ -171,22 +200,14 @@ class PolynomialPhase:
         q = F.q
         size = q ** self.n
         F.charge(size, f"G_{self.n}")
-        add_t, mul_t = F.add_table, F.mul_table
-        acc = np.zeros(size, dtype=np.int16)
-        for c, factors in self.product_terms:
-            v = np.full(size, c, dtype=np.int16)
-            for L in factors:
-                v = mul_t[v, linear_form_table(L, self.n)]
-            acc = add_t[acc, v]
-        if self.monomial_terms:
-            idx = np.arange(size, dtype=np.int64)
-            for c, powers in self.monomial_terms:
-                v = np.full(size, c, dtype=np.int16)
-                for j, e in powers:
-                    pow_col = np.array([F.pow_(a, e) for a in range(q)], dtype=np.int16)
-                    v = mul_t[v, pow_col[digit(idx, q, j)]]
-                acc = add_t[acc, v]
-        return acc
+        idx = np.arange(size, dtype=np.int64) if self.monomial_terms else None
+        # generators: each table is built when the kernel reaches it
+        products = ((c, (linear_form_table(L, self.n) for L in factors))
+                    for c, factors in self.product_terms)
+        monomials = ((c, (np.array([F.pow_(a, e) for a in range(q)], dtype=np.int16)
+                          [gn.digit(idx, q, j)] for j, e in powers))
+                     for c, powers in self.monomial_terms)
+        return _term_values(F, itertools.chain(products, monomials), (size,))
 
     def exponent_values_on_gn(self) -> np.ndarray:
         """Trace exponents of alpha_1(P(g)) over G_n."""
@@ -402,70 +423,28 @@ class MultilinearForm:
     def eval(self, *polys) -> int:
         if len(polys) != self.arity:
             raise ValueError("one argument per slot")
-        F = self.field
-        add, mul = F.add_py, F.mul_py
-        acc = 0
-        for c, funcs in self.terms:
-            v = c
-            for L, g in zip(funcs, polys):
-                v = mul[v][linear_form(L, g)]
-                if v == 0:
-                    break
-            acc = add[acc][v]
-        return acc
-
-    def scaled_by(self, a: Poly, new_dims) -> "MultilinearForm":
-        """The form (x_1..x_m) -> Q(a*x_1, ..., a*x_m) on smaller slots."""
-        new_dims = tuple(new_dims)
-        terms = []
-        for c, funcs in self.terms:
-            terms.append((c, tuple(L.scale(a, d) for L, d in zip(funcs, new_dims))))
-        return MultilinearForm(self.field, new_dims, terms,
-                               block_count=self.block_count, source=self.source)
-
-    def minus(self, other: "MultilinearForm") -> "MultilinearForm":
-        if other.dims != self.dims:
-            raise ValueError("dimension mismatch")
-        neg = self.field.neg_py
-        return MultilinearForm(self.field, self.dims,
-                               self.terms + tuple((neg[c], f) for c, f in other.terms))
+        return int(_term_values(self.field, [
+            (c, [linear_form(L, g) for L, g in zip(funcs, polys)]) for c, funcs in self.terms], ()))
 
     # -- bias ------------------------------------------------------------------
 
     def exponent_counts(self) -> np.ndarray:
         """Counts of each trace exponent of Q over all slot tuples (exact ints)."""
-        F = self.field
-        q = F.q
-        sizes = [q ** d for d in self.dims]
-        total = math.prod(sizes)
-        add_t, mul_t, trace_t = F.add_table, F.mul_table, F.trace_table
-        tables = [[linear_form_table(L, d) for L, d in zip(funcs, self.dims)]
-                  for _, funcs in self.terms]
-        counts = np.zeros(F.p, dtype=np.int64)
-        rest_shape = tuple(sizes[1:])
-        for i0 in range(sizes[0]):
-            acc = np.zeros(rest_shape, dtype=np.int16)
-            for (c, _), tabs in zip(self.terms, tables):
-                v0 = int(mul_t[c, tabs[0][i0]])
-                if v0 == 0:
-                    continue
-                term = np.array(v0, dtype=np.int16)
-                for s in range(1, self.arity):
-                    term = mul_t[term[..., None], tabs[s]]
-                acc = add_t[acc, term]
-            counts += np.bincount(trace_t[acc].ravel(), minlength=F.p)
-        assert counts.sum() == total
+        counts = _form_counts(self.field, [
+            (c, [linear_form_table(L, d) for L, d in zip(funcs, self.dims)])
+            for c, funcs in self.terms], [self.field.q ** d for d in self.dims])
+        assert counts.sum() == bias_cost(self.field.q, self.dims)
         return counts
 
     def bias(self, mode: str = "exhaustive", samples: int = 10000,
              seed: int = 0) -> BiasResult:
-        """E over slot tuples of alpha_1(Q(x)); real and >= q^{-partition rank}."""
+        """E over slot tuples of alpha_1(Q(x)); real and >= q^{-partition rank}.
+        Sampled, the stderr is that of the real part, the reported bias."""
         F = self.field
         total = bias_cost(F.q, self.dims)
         if mode == "exhaustive":
             F.charge(total, f"the exhaustive bias over {len(self.dims)} slots")
-            counts = self.exponent_counts()
-            val = complex(np.sum(counts * F.roots) / total)
+            val = _counts_mean(F, self.exponent_counts(), total)
             imag = abs(val.imag)
             bias = val.real
             if bias < 0 and bias > -1e-9:
@@ -476,16 +455,12 @@ class MultilinearForm:
             raise ValueError("mode must be 'exhaustive' or 'sampled'")
         rng = np.random.default_rng(seed)
         idx = [rng.integers(0, F.q ** d, size=samples) for d in self.dims]
-        add_t, mul_t, trace_t = F.add_table, F.mul_table, F.trace_table
-        acc = np.zeros(samples, dtype=np.int16)
-        for c, funcs in self.terms:
-            term = np.full(samples, c, dtype=np.int16)
-            for s, L in enumerate(funcs):
-                term = mul_t[term, linear_form_table(L, self.dims[s])[idx[s]]]
-            acc = add_t[acc, term]
-        vals = F.roots[trace_t[acc]]
+        acc = _term_values(F, [
+            (c, [linear_form_table(L, d)[i] for L, d, i in zip(funcs, self.dims, idx)])
+            for c, funcs in self.terms], (samples,))
+        vals = F.roots[F.trace_table[acc]]
         mean = complex(vals.mean())
-        stderr = float(np.abs(vals - mean).std() / math.sqrt(samples))
+        stderr = float(vals.real.std() / math.sqrt(samples))
         bias = mean.real
         rank = -math.log(bias, F.q) if bias > 0 else math.inf
         return BiasResult(bias, rank, "sampled", samples, stderr, abs(mean.imag))
@@ -634,18 +609,12 @@ def projective_common_zeros(phases, dim: int,
         if P.is_zero() or not P.is_homogeneous() or P.degree < 1:
             raise ValueError("system members must be homogeneous of degree >= 1")
         D += P.degree
-    idx = np.arange(size, dtype=np.int64)
-    first_nonzero = np.zeros(size, dtype=np.int16)
-    found = np.zeros(size, dtype=bool)
-    for j in range(dim):
-        coeff = digit(idx, q, j)
-        newly = ~found & (coeff != 0)
-        first_nonzero[newly] = coeff[newly]
-        found |= newly
-    reps = found & (first_nonzero == 1)
-    zero_mask = reps
+    # the representatives, lowest nonzero coefficient 1: x^j + x^(j+1) t
+    reps = np.concatenate([q ** j + q ** (j + 1) * np.arange(q ** (dim - j - 1), dtype=np.int64)
+                           for j in range(dim)])
+    zero_mask = np.ones(len(reps), dtype=bool)
     for P in phases:
-        zero_mask = zero_mask & (P.values_on_gn() == 0)
+        zero_mask &= P.values_on_gn()[reps] == 0
     count = int(np.count_nonzero(zero_mask))
     bound = proj_size / (2 * q ** (D + 1))
     return ZeroCountResult(count, proj_size, bound, count >= bound, D)

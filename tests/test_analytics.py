@@ -1,6 +1,8 @@
 import cmath
+import functools
 import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +12,9 @@ from ffmult.characters import (DegreeTwist, HayesCharacter,
                                dirichlet_characters, short_interval_characters)
 from ffmult.errors import BudgetError
 from ffmult.fields import build_field
-from ffmult.laurent import LaurentTruncation
+from ffmult.laurent import LaurentTruncation, linear_form
 from ffmult.multiplicative import builtin, from_character, random_on_irreducibles
-from ffmult.phases import PolynomialPhase
+from ffmult.phases import PolynomialPhase, _form_counts, derivative_form
 from ffmult.polys import Poly, irreducibles_of_degree
 from ffmult import analytics, gn
 from ffmult.analytics import (ap_correlation, correlate, distance_terms,
@@ -268,13 +270,100 @@ def test_r_bias_diagonal_pairs_give_one():
     rng = random.Random(16)
     L1 = LaurentTruncation.random(F5, 6, rng)
     L2 = LaurentTruncation.random(F5, 6, rng)
-    from ffmult.phases import derivative_form
     P = PolynomialPhase(F5, 6, ((1, (L1, L2)),))
     dQ = derivative_form(P, 2, verify=False)
-    a = Poly.from_index(F5, 7)
-    diff = dQ.scaled_by(a, (2, 2)).minus(dQ.scaled_by(a, (2, 2)))
-    counts = diff.exponent_counts()
-    assert counts[0] == counts.sum()          # alpha(0) everywhere
+    base = analytics._pair_set(F5, 1, "G_{k+1}")
+    rows = analytics._dilated_rows(F5, (L1, L2), base, 2)
+    a = 6                                     # the base member of index 7
+    assert np.concatenate(list(base.values()))[a] == 7
+    terms = [(c, [rows[L][a] for L in funcs]) for c, funcs in dQ.terms]
+    terms += [(F5.neg_py[c], [rows[L][a] for L in funcs]) for c, funcs in dQ.terms]
+    counts = _form_counts(F5, terms, (25, 25))
+    assert counts[0] == counts.sum() == 25 ** 2      # alpha(0) everywhere
+
+
+def test_dilated_rows_match_pointwise():
+    rng = random.Random(23)
+    for pair_set in ("G_{k+1}", "P_k"):
+        base = analytics._pair_set(F3, 2, pair_set)
+        members = np.concatenate(list(base.values())).tolist()
+        funcs = [LaurentTruncation.random(F3, 8, rng) for _ in range(3)]
+        inner = 8 - max(base)
+        rows = analytics._dilated_rows(F3, funcs, base, inner)
+        for L in funcs:
+            assert rows[L].shape == (len(members), 3 ** inner)
+            for i, a in enumerate(members):
+                a = Poly.from_index(F3, a)
+                for g in rng.sample(range(3 ** inner), 10):
+                    assert rows[L][i, g] == linear_form(L, a * Poly.from_index(F3, g))
+    with pytest.raises(ValueError):           # depth 8 < 6 + the largest degree 3
+        analytics._dilated_rows(F3, funcs, analytics._pair_set(F3, 2, "P_k"), 6)
+
+
+# (q, n, k, base set, mode): struct.pack("<dd", value, imag_residual).hex(),
+# pairs, mode used, recorded with the per-a scaled forms r_bias_statistic had
+# before it read dilated tables (mode "sampled" with max_pairs 300,
+# "exhaustive" with the default 2000, seed 5); None: over the budget
+R_BIAS_PINS = {
+    (3, 3, 1, "G_{k+1}", "exhaustive"): ("555555555555d53f682fa1bd84f6923c", 64, "exhaustive"),
+    (3, 3, 1, "G_{k+1}", "sampled"): ("555555555555d53f682fa1bd84f6923c", 64, "sampled"),
+    (3, 4, 2, "G_{k+1}", "exhaustive"): ("e3f4615a5789d03fd33d46f44a18953c", 676, "exhaustive"),
+    (3, 4, 2, "G_{k+1}", "sampled"): ("00d4fb784b73d03fc6a173581722953c", 300, "sampled"),
+    (3, 4, 1, "P_k", "exhaustive"): ("222ac8360414cf3ffc319f1096ba923c", 36, "exhaustive"),
+    (3, 4, 1, "P_k", "sampled"): ("222ac8360414cf3ffc319f1096ba923c", 36, "sampled"),
+    (5, 3, 1, "G_{k+1}", "exhaustive"): ("ea51b81e85ebc13f840a21fac8c0743c", 576, "exhaustive"),
+    (5, 3, 1, "G_{k+1}", "sampled"): ("b721b3a01d5dc23fa89edf0a3b9f743c", 300, "sampled"),
+    (5, 4, 2, "G_{k+1}", "exhaustive"): ("087bdae1afc9ba3fc5bf19468b7d733c", 2000, "sampled"),
+    (5, 4, 2, "G_{k+1}", "sampled"): ("03f0164850fcb83f8617576fe7d5733c", 300, "sampled"),
+    (5, 4, 1, "P_k", "exhaustive"): None,
+    (5, 4, 1, "P_k", "sampled"): None,
+    (7, 3, 1, "G_{k+1}", "exhaustive"): None,
+    (7, 3, 1, "G_{k+1}", "sampled"): ("e522113e9fd6b53ff4b6e42a6c9b733c", 300, "sampled"),
+    (7, 4, 2, "G_{k+1}", "exhaustive"): None,
+    (7, 4, 2, "G_{k+1}", "sampled"): ("a1f7e75a65c3a13fc4088119c484763c", 300, "sampled"),
+    (7, 4, 1, "P_k", "exhaustive"): None,
+    (7, 4, 1, "P_k", "sampled"): None,
+}
+
+
+def pin_phase(q):
+    """A degree-2 phase on G_5 with product, linear and monomial terms."""
+    F = build_field(q, 1)
+    rng = random.Random(q)
+    L = [LaurentTruncation.random(F, 7, rng) for _ in range(3)]
+    return PolynomialPhase(F, 5, ((1, (L[0], L[1])), (q - 1, (L[2], L[2])), (2, (L[0],))),
+                           ((1, ((0, 1), (3, 1))),))
+
+
+@pytest.mark.parametrize("case", sorted(R_BIAS_PINS))
+def test_r_bias_matches_pin(case):
+    q, n, k, base_set, mode = case
+    run = functools.partial(r_bias_statistic, pin_phase(q), n=n, k=k, base_set=base_set,
+                            mode=mode, max_pairs=300 if mode == "sampled" else 2000, seed=5)
+    if R_BIAS_PINS[case] is None:
+        with pytest.raises(BudgetError):
+            run()
+        return
+    res = run()
+    assert (struct.pack("<dd", res.value, res.imag_residual).hex(), res.pairs,
+            res.mode) == R_BIAS_PINS[case]
+
+
+def test_r_bias_checks_its_arguments_first(monkeypatch):
+    def no_form(*args, **kwargs):
+        raise AssertionError("derivative_form called")
+
+    monkeypatch.setattr(analytics, "derivative_form", no_form)
+    P = pin_phase(3)
+    for kwargs in ({"mode": "typo"}, {"mode": "Sampled"}, {"m": 0}, {"m": -1},
+                   {"n": 4, "k": 4}, {"n": 2, "k": 3}):
+        args = {"n": 4, "k": 1, **kwargs}
+        with pytest.raises(ValueError):
+            r_bias_statistic(P, **args)
+    tiny = PolynomialPhase.from_linear(LaurentTruncation.random(
+        build_field(3, 1, enumeration_budget=1), 5, random.Random(2)), 5)
+    with pytest.raises(ValueError):               # not the BudgetError of the charge
+        r_bias_statistic(tiny, n=4, k=1, mode="typo")
 
 
 def test_r_bias_base_sets():

@@ -1058,6 +1058,10 @@ def test_array_paths_build_no_poly(pr, poly_constructions):
         "theta": "1/3", "short": {"s": 1, "index": 1},
         "dirichlet": {"modulus": [1, 1, 1], "index": 1}}))
     hayes_functions = [make_function(field, name) for name in ("character", "twist")]
+    tails = [LaurentTruncation.random(field, 5, random.Random(j)) for j in range(3)]
+    deg = min(2, field.p - 1)           # d^mP needs m < char
+    phase = PolynomialPhase(field, 4, ((1, tails[:deg]), (1, tails[2:])),
+                            ((1, ((0, 1), (2, 1))[:deg]),))
     poly_constructions.clear()
     for d in range(1, n + 1):
         assert len(irreducible_indices(field, d)) == irreducible_count(field, d)
@@ -1072,6 +1076,9 @@ def test_array_paths_build_no_poly(pr, poly_constructions):
         halasz_product(f, n)
     katai_statistic(field, random_pm1, n, 2, "P_k")
     katai_statistic(field, random_unit, n, 1, "G_{k+1}", per_pair=True)
+    for base_set in ("G_{k+1}", "P_k"):
+        for mode in ("exhaustive", "sampled"):
+            r_bias_statistic(phase, n=3, k=1, base_set=base_set, mode=mode, max_pairs=20)
     run_experiment({"kind": "decay-table", "field": {"p": pr[0], "r": pr[1]}, "seed": 3,
                     "n": {"start": 2, "stop": n},
                     "function": {"kind": "random", "values": "unit"},
