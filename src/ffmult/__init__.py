@@ -6,9 +6,10 @@ Layers, bottom to top:
 
 * fields / polys / laurent -- exact F_q and F_q[x] arithmetic, enumeration,
   irreducibles and factorization, Laurent-tail linear forms.
-* gn -- index-space kernels on G_n (digits, leading coefficients, "G_m
-  times a fixed polynomial" as an index map, additive-group arithmetic)
-  that every array path reads.
+* gn -- index-space kernels on G_n (digits, degrees, top-coefficient
+  codes, and "G_m times a fixed polynomial", "reduction mod a fixed g" and
+  G_n's addition x + c*y as F_p-linear index maps of one engine) that
+  every array path reads.
 * groups / characters -- a generic finite-abelian character engine and the
   three families built on it (Dirichlet, short-interval, degree twists),
   combined into Hayes products.
@@ -42,7 +43,7 @@ from .phases import (BiasResult, MultilinearForm, PolynomialPhase, RankBounds,
                      ZeroCountResult, delta, derivative_form, diagonal,
                      eval_phase, iterated_difference, projective_common_zeros,
                      rank_upper_bounds)
-from .analytics import (ApResult, GnIndex, MinDistanceResult, RBiasResult, TKResult,
+from .analytics import (ApResult, MinDistanceResult, RBiasResult, TKResult,
                         ap_correlation, correlate, gowers_norm, halasz_product,
                         katai_statistic, linear_phase_sum, mean_value,
                         min_distance_over_hayes, phase_character_array,

@@ -31,7 +31,9 @@ whose trends the theory predicts.  Conventions shared by all ops:
 * Gowers norms: the U^k brute-force cube average is computed by iterating
   multiplicative derivatives (an exact regrouping of the sum over
   (x, h_1..h_k)); the independent U^2 route goes through the additive
-  character transform (multidimensional length-p DFT) and Parseval.
+  character transform (multidimensional length-p DFT) and Parseval.  The
+  shifts x + h of the cube and the positions x + j*y of the progressions
+  are G_n's addition, each one table of `gn.translates`.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from .characters import HayesCharacter, dirichlet_characters, short_interval_characters
 from .fields import Field
-from .gn import GnIndex, times_fixed, times_fixed_chunks
+from .gn import times_fixed, times_fixed_chunks, translates
 from .laurent import LaurentTruncation, linear_form_table
 from .multiplicative import (MultiplicativeFunction, _complex, _prime_power_values, _products,
                              from_character, function_on_gn, prime_values)
@@ -200,9 +202,8 @@ def gowers_norm(field: Field, n: int, f, k: int) -> float:
     size = _gn_size(field, n)
     field.charge(gowers_cost(field.q, n, k), f"U^{k} on G_{n}")
     arr = sample_on_gn(field, n, f)
-    idx = np.arange(size, dtype=np.int64)
     # shift[h] holds the indices of x + h; U^1 = |E f| reads no row of it
-    shift = GnIndex(field, n).add(idx[:, None], idx[None, :]) if k >= 2 else None
+    shift = translates(field, n, 1) if k >= 2 else None
 
     def cube_mean(v: np.ndarray, kk: int) -> float:
         if kk == 1:
@@ -263,12 +264,9 @@ def ap_correlation(field: Field, n: int, fs) -> ApResult:
     size = _gn_size(field, n)
     field.charge(ap_cost(field.q, n, k), f"the {k}-term progressions on G_{n}")
     arrays = [sample_on_gn(field, n, f) for f in fs]
-    G = GnIndex(field, n)
-    idx = np.arange(size, dtype=np.int64)
     prod = np.repeat(arrays[0][:, None], size, axis=1)
     for j in range(1, k):
-        pos = G.add(idx[:, None], G.smul(j % field.p, idx)[None, :])
-        prod = prod * arrays[j][pos]
+        prod = prod * arrays[j][translates(field, n, j)]     # f_j(x + j y) at [x, y]
     mean = complex(prod.mean())
     bound = gowers_norm(field, n, arrays[-1], k - 1)
     return ApResult(mean, bound, abs(mean) <= bound + 1e-9, k)
@@ -402,11 +400,16 @@ def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
     computation.  The (a,b) average of the difference structure makes the
     statistic a modulus-squared average: real and nonnegative.  Declaring
     m above the structural degree makes d^mP vanish and the statistic is
-    exactly 1.  The pairs' inner evaluations are charged to the field.
+    exactly 1.  The pairs' inner evaluations are charged to the field, and
+    so are the entries of the `_dilated_rows` tables, (distinct functionals)
+    * |base| * q^(n-k).
 
     A pair's inner mean is the exponent counts of the terms (c, rows of a)
-    and (-c, rows of b) of `_dilated_rows`.  Sampled, the stderr is that of
-    the pairs' real parts.
+    and (-c, rows of b) of `_dilated_rows`.  Sampled, the N pairs are drawn
+    without replacement as pair numbers a*|base| + b in [0, M), M = |base|^2,
+    and the stderr is that of the mean of their real parts, with the finite
+    population correction sqrt((M - N) / (M - 1)): 0 when every pair is
+    drawn.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
@@ -422,30 +425,33 @@ def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
     base = _pair_set(field, k, base_set)
     size = sum(len(members) for members in base.values())
     inner_size = field.q ** (inner_dim * m)
-    pairs = [(a, b) for a in range(size) for b in range(size)]
-    mode_used = mode
-    rng = np.random.default_rng(seed)
-    if mode == "sampled" or len(pairs) > max_pairs:
-        sel = rng.choice(len(pairs), size=min(max_pairs, len(pairs)), replace=False)
-        pairs = [pairs[i] for i in sorted(sel)]
-        mode_used = "sampled"
-    field.charge(len(pairs) * inner_size, f"the inner means of {len(pairs)} pairs")
-    rows = _dilated_rows(field, dict.fromkeys(L for _, funcs in dQ.terms for L in funcs),
-                         base, inner_dim)
+    total = size * size
+    mode_used = "sampled" if mode == "sampled" or total > max_pairs else "exhaustive"
+    chosen = range(total)
+    if mode_used == "sampled":
+        rng = np.random.default_rng(seed)
+        chosen = np.sort(rng.choice(total, size=min(max_pairs, total), replace=False)).tolist()
+    pairs = len(chosen)
+    field.charge(pairs * inner_size, f"the inner means of {pairs} pairs")
+    functionals = dict.fromkeys(L for _, funcs in dQ.terms for L in funcs)
+    field.charge(len(functionals) * size * field.q ** inner_dim,
+                 f"the dilated tables of {len(functionals)} functionals")
+    rows = _dilated_rows(field, functionals, base, inner_dim)
     neg = field.neg_py
     parts = []
-    for a, b in pairs:
+    for pair in chosen:
+        a, b = divmod(pair, size)
         terms = [(c, [rows[L][a] for L in funcs]) for c, funcs in dQ.terms]
         terms += [(neg[c], [rows[L][b] for L in funcs]) for c, funcs in dQ.terms]
         counts = _form_counts(field, terms, (field.q ** inner_dim,) * m)
         parts.append(_counts_mean(field, counts, inner_size))
     vals = np.array(parts)
-    mean = _fsum_arrays(vals.real, vals.imag) / len(parts)
+    mean = _fsum_arrays(vals.real, vals.imag) / pairs
     stderr = None
     if mode_used == "sampled":
-        stderr = float(vals.real.std() / math.sqrt(len(parts)))
-    return RBiasResult(mean.real, abs(mean.imag), len(pairs),
-                       len(pairs) * inner_size, mode_used, stderr)
+        correction = (total - pairs) / (total - 1) if total > pairs else 0.0
+        stderr = float(vals.real.std() / math.sqrt(pairs) * math.sqrt(correction))
+    return RBiasResult(mean.real, abs(mean.imag), pairs, pairs * inner_size, mode_used, stderr)
 
 
 # -- Turan-Kubilius ------------------------------------------------------------------

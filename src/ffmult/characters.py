@@ -388,29 +388,27 @@ class HayesCharacter:
         """[op(H(g)) for g at the index array `idx`] as a complex array, bit
         for bit (op(0j) at the index 0; op defaults to the identity).
 
-        Each (degree, exponent) pair of `exponents_at` that occurs gets one
+        Each (degree, exponent) pair of `exponents_at` that occurs, coded
+        deg * (L + 1) + k + 1 (k + 1 = 0 where the value is 0), gets one
         entry, made by the scalar expression: turns_to_complex of the exact
         total turns, then op (say `**k` or `.conjugate()`), so the lookup
         equals the scalar value for float theta too (Fraction(float) is
-        exact).  The degrees present are found by a bincount, not a sort.
+        exact).  The codes present are found by a bincount, not a sort.
         """
         L, k = self.exponents_at(idx)
         deg = np.maximum(degrees(self.field.q, idx), 0)
-        out = np.empty(len(k), dtype=np.complex128)
-        for d in np.flatnonzero(np.bincount(deg)).tolist():     # the degrees present
-            at = np.flatnonzero(deg == d)
 
-            def entry(c, d=d):
-                v = 0j
-                if c > 0:
-                    t = Fraction(c - 1, L)
-                    if self.twist is not None:
-                        t += self.twist.turns(d)
-                    v = turns_to_complex(t % 1)
-                return v if op is None else op(v)
+        def entry(code):
+            d, c = divmod(code, L + 1)
+            v = 0j
+            if c > 0:
+                t = Fraction(c - 1, L)
+                if self.twist is not None:
+                    t += self.twist.turns(d)
+                v = turns_to_complex(t % 1)
+            return v if op is None else op(v)
 
-            out[at] = _lookup(k[at] + 1, L + 1, entry)      # code 0 where the value is 0
-        return out
+        return _lookup(deg * (L + 1) + k + 1, (int(deg.max(initial=0)) + 1) * (L + 1), entry)
 
     def descriptor(self) -> dict:
         theta = None

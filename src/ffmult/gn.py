@@ -9,7 +9,7 @@ nothing builds Poly objects.  The kernels:
 * `degrees`: the degree of every index of an array;
 * `times_fixed`: the indices of p*h for every h in G_m (or ranges or
   given rows of it) and every p of an int64 index array of polynomials of
-  one degree, as one block, for the Katai inner sums and `GnIndex.smul`;
+  one degree, as one block, for the Katai inner sums;
   `times_fixed_chunks`: the same products a chunk at a time, for the
   irreducible sieve, the sieve of `function_on_gn` and the
   Turan-Kubilius counts, which consume each chunk and never hold the
@@ -20,15 +20,18 @@ nothing builds Poly objects.  The kernels:
   characters);
 * `top_codes`: the normalized top-s coefficients of every index as one
   code (short-interval characters);
-* `GnIndex`: additive-group arithmetic (g + h, c*g) on index arrays.
+* `translates`: the index of x + c*y for every pair (x, y) of G_n and a
+  fixed c in F_p, G_n's addition (the Gowers shifts, the progression
+  positions).
 
-`times_fixed`, `times_fixed_chunks` and `residues` share one engine,
-`_map_chunks`, built on the base-p view of an index: field elements are
-encoded by their F_p coordinates, so an index of G_m is a base-p number
-with r*m digits, and h -> p*h and h -> h mod g are F_p-linear on those
-digits.  The images of the basis vectors of a product map are outer
-products of the polynomials' indices and powers of q (for r > 1, of the
-indices of u^t*p), so no call cuts its polynomials into coefficients.
+`times_fixed`, `times_fixed_chunks`, `residues` and `translates` share one
+engine, `_map_chunks`, built on the base-p view of an index: field
+elements are encoded by their F_p coordinates, so an index of G_m is a
+base-p number with r*m digits, and h -> p*h, h -> h mod g and, on
+G_n x G_n = G_2n, (x, y) -> x + c*y are F_p-linear on those digits.
+The images of the basis vectors of a product map are outer products of
+the polynomials' indices and powers of q (for r > 1, of the indices of
+u^t*p), so no call cuts its polynomials into coefficients.
 The engine holds an image with each base-p digit in its own b-bit
 lane of an int64, sums tabulated images of a cofactor's digit parts as
 plain integers (b wide enough that no lane overflows) and decodes the sums
@@ -40,12 +43,12 @@ holds whole coefficients, a multiple of r base-p digits).  In
 characteristic 2 (any r) the lanes are the index's own bits, the sum is
 XOR and nothing needs decoding.  Cofactors come as an index array, or as
 contiguous ranges of G_m, one or a tuple mapped one after another (every
-caller's case but `residues` and `GnIndex.smul`); a range is mapped as an
-outer sum, the images of its high digit parts against the whole table of
-its lowest part, with no index array built; the lowest part holds the
-constant coefficient, so mapping only the h with h(0) != 0 is the same
-outer sum against the table's columns of nonzero constant term.  An
-array decodes every digit of every sum.  A range in odd characteristic
+caller's case but `residues`); a range is mapped as an outer sum, the
+images of its high digit parts against the whole table of its lowest
+part, with no index array built; the lowest part holds the constant
+coefficient, so mapping only the h with h(0) != 0 is the same outer sum
+against the table's columns of nonzero constant term.  An array decodes
+every digit of every sum.  A range in odd characteristic
 decodes per element only the overlap, the digits that the images of both
 its lowest part and its high parts reach (d of them for the product by a
 polynomial of degree d over F_p); the digits below are decoded once per
@@ -177,6 +180,18 @@ def residues(field: Field, modulus, idx) -> np.ndarray:
                             (p ** np.arange(r))[:, None]].astype(np.int64)
     images = codes @ q ** np.arange(width, dtype=np.int64)
     return _linear_map(field, images.reshape(r * m, 1), width, idx)[0]
+
+
+def translates(field: Field, n: int, c: int) -> np.ndarray:
+    """(q^n, q^n) int64 array whose entry [x, y] is the index of x + c*y,
+    for c in F_p and x, y in G_n: one F_p-linear map from G_n x G_n = G_2n,
+    the pair (x, y) at the index y + q^n x.  The basis images are c*p^i for
+    the r*n base-p digits of y and p^i for those of x.  The engine maps into
+    at least one coefficient, so G_0 (the one pair (0, 0)) takes width 1."""
+    powers = field.p ** np.arange(field.r * n, dtype=np.int64)
+    images = np.concatenate([c * powers, powers])[:, None]
+    size = field.q ** n
+    return _linear_map(field, images, max(n, 1), range(size * size))[0].reshape(size, size)
 
 
 def _linear_map(field: Field, images: np.ndarray, width: int, cofactors=None) -> np.ndarray:
@@ -605,26 +620,3 @@ def _decode(packed: np.ndarray, decode: list) -> np.ndarray:
     for shift, table in lower:
         index += table.take((packed >> shift if shift else packed) & (len(table) - 1))
     return index
-
-
-class GnIndex:
-    """Vectorized additive-group arithmetic on G_n index arrays."""
-
-    def __init__(self, field: Field, n: int):
-        self.field = field
-        self.n = n
-        self.size = field.q ** n
-        field.charge(self.size, f"G_{n}")
-
-    def add(self, a, b):
-        q = self.field.q
-        add_t = self.field.add_table
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for j in range(self.n):
-            out += add_t[digit(a, q, j), digit(b, q, j)].astype(np.int64) * q ** j
-        return out
-
-    def smul(self, c: int, a):
-        """c*g for every index g of `a`: the product by the degree-0 polynomial c."""
-        a = np.asarray(a, dtype=np.int64)
-        return times_fixed(self.field, [c], self.n, a.ravel())[0].reshape(a.shape)

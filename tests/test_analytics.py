@@ -3,6 +3,7 @@ import functools
 import math
 import random
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,133 @@ def test_gowers_monotonicity_random():
         u2 = gowers_norm(F3, 4, f, 2)
         u3 = gowers_norm(F3, 4, f, 3)
         assert u1 <= u2 + 1e-9 and u2 <= u3 + 1e-9
+
+
+# (q, n, function): struct.pack("<d", U^k).hex() for k = 1, 2, 3, recorded
+# with the digit-by-digit G_n addition gowers_norm and ap_correlation read
+# before G_n's addition became one engine map; None: over the budget
+GOWERS_PINS = {
+    (2, 0, 'moebius'): ('0000000000000000', '0000000000000000', '0000000000000000'),
+    (2, 0, 'unit'): ('0000000000000000', '0000000000000000', '0000000000000000'),
+    (2, 1, 'moebius'): ('000000000000e03f', '15b7310afe06e33f', 'cd3b7f669ea0e63f'),
+    (2, 1, 'unit'): ('000000000000e03f', '15b7310afe06e33f', 'cd3b7f669ea0e63f'),
+    (2, 2, 'moebius'): ('000000000000d03f', 'd6e6b58b1d38e83f', '951068e7e9bfe93f'),
+    (2, 2, 'unit'): ('50f7282436fcd63f', '38ff29797e76e63f', '09770e1cf80be93f'),
+    (2, 3, 'moebius'): ('000000000000c03f', 'd6744dafcf05e13f', '8e60fb6a0534e73f'),
+    (2, 3, 'unit'): ('23d80694d6bad23f', 'bc14e6888c67e53f', '31cdf71ed462ea3f'),
+    (3, 0, 'moebius'): ('0000000000000000', '0000000000000000', '0000000000000000'),
+    (3, 0, 'unit'): ('0000000000000000', '0000000000000000', '0000000000000000'),
+    (3, 1, 'moebius'): ('555555555555e53f', '9a335a9889f8e53f', '21cb7b039af5e73f'),
+    (3, 1, 'unit'): ('555555555555e53f', '9a335a9889f8e53f', '21cb7b039af5e73f'),
+    (3, 2, 'moebius'): ('1cc7711cc771dc3f', '71eb4990e82be63f', 'ca08c770db53eb3f'),
+    (3, 2, 'unit'): ('51c0aa5841f3d43f', 'd5dd1785384fe33f', '53fcbf83c1a1eb3f'),
+    (3, 3, 'moebius'): ('682fa1bd84f6c23f', '001e0a9ff275d83f', 'd0860ac8dcdbe63f'),
+    (3, 3, 'unit'): ('8b1b59638bd7b93f', 'e8d9a911ecb3dc3f', 'ad918145b409e83f'),
+    (4, 0, 'moebius'): ('0000000000000000', '0000000000000000', '0000000000000000'),
+    (4, 0, 'unit'): ('0000000000000000', '0000000000000000', '0000000000000000'),
+    (4, 1, 'moebius'): ('000000000000e83f', 'd6e6b58b1d38e83f', '951068e7e9bfe93f'),
+    (4, 1, 'unit'): ('000000000000e83f', 'd6e6b58b1d38e83f', '951068e7e9bfe93f'),
+    (4, 2, 'moebius'): ('000000000000e23f', '36def4bbe7aae53f', 'd42020da5e04ee3f'),
+    (4, 2, 'unit'): ('af67c1684c38c83f', '67c96017549adf3f', 'f1be4758e4e5ea3f'),
+    (4, 3, 'moebius'): ('000000000000c23f', 'c9f3aa35d66ed63f', '8eb91d39e6afe43f'),
+    (4, 3, 'unit'): ('328fc0955f91c63f', 'a41dda8c52fdd73f', '086c7313bd4de63f'),
+    (5, 0, 'moebius'): ('0000000000000000', '0000000000000000', '0000000000000000'),
+    (5, 0, 'unit'): ('0000000000000000', '0000000000000000', '0000000000000000'),
+    (5, 1, 'moebius'): ('9a9999999999e93f', '2cda72250db3e93f', 'd34a1920063fea3f'),
+    (5, 1, 'unit'): ('9a9999999999e93f', '2cda72250db3e93f', 'd34a1920063fea3f'),
+    (5, 2, 'moebius'): ('7b14ae47e17ae43f', '169b476ac047e63f', 'f07690929ffbeb3f'),
+    (5, 2, 'unit'): ('ef8edc951e8adf3f', '81beedf2b89fe13f', 'f0db38afab73e83f'),
+    (5, 3, 'moebius'): ('fca9f1d24d62c03f', '5b3ea00d329ad53f', '1e23703fd45fe33f'),
+    (5, 3, 'unit'): ('a499e3498df1be3f', '570a99df2aabd53f', '1c9fce5ebcb4e43f'),
+    (7, 0, 'moebius'): ('0000000000000000', '0000000000000000', '0000000000000000'),
+    (7, 0, 'unit'): ('0000000000000000', '0000000000000000', '0000000000000000'),
+    (7, 1, 'moebius'): ('dbb66ddbb66deb3f', 'a58547c3d375eb3f', '181b1ad1fea3eb3f'),
+    (7, 1, 'unit'): ('dbb66ddbb66deb3f', 'a58547c3d375eb3f', '181b1ad1fea3eb3f'),
+    (7, 2, 'moebius'): ('e0e514bc9c82e73f', '4e1cd9969d16e83f', 'f9acaccd9c39eb3f'),
+    (7, 2, 'unit'): ('d481256a76fad53f', '2bda00b8321cdb3f', '8648657642bce63f'),
+    (7, 3, 'moebius'): ('019985fb69deba3f', 'e5f06d9e7c06d43f', None),
+    (7, 3, 'unit'): ('d77069eab961a43f', '8432d6609edbd03f', None),
+    (9, 0, 'moebius'): ('0000000000000000', '0000000000000000', '0000000000000000'),
+    (9, 0, 'unit'): ('0000000000000000', '0000000000000000', '0000000000000000'),
+    (9, 1, 'moebius'): ('1cc7711cc771ec3f', 'b060dcaa5475ec3f', '4a9708975189ec3f'),
+    (9, 1, 'unit'): ('1cc7711cc771ec3f', 'b060dcaa5475ec3f', '4a9708975189ec3f'),
+    (9, 2, 'moebius'): ('e0e9d6fcb048e93f', 'df9c66de3388e93f', 'e49e522ee122eb3f'),
+    (9, 2, 'unit'): ('a21499d8efddc23f', '089aec6a0d91d53f', '111168c3bfffe53f'),
+    (9, 3, 'moebius'): ('c708bfe08079b63f', 'e620a2c0498cd23f', None),
+    (9, 3, 'unit'): ('435bdb1f3daeb33f', '37e730741775cc3f', None),
+}
+
+# (q, n, function): struct.pack("<3d?", mean.real, mean.imag, gowers_bound,
+# satisfied).hex() of ap_correlation for k = 2 and, where 3 < p, k = 3,
+# recorded with GOWERS_PINS
+AP_PINS = {
+    (3, 0, 'moebius'): ('00000000000000000000000000000000000000000000000001',),
+    (3, 0, 'unit'): ('00000000000000000000000000000000000000000000000001',),
+    (3, 1, 'moebius'): ('1cc7711cc771dc3f0000000000000000555555555555e53f01',),
+    (3, 1, 'unit'): ('1cc7711cc771dc3f0000000000000000555555555555e53f01',),
+    (3, 2, 'moebius'): ('e0e9d6fcb048c93f00000000000000001cc7711cc771dc3f01',),
+    (3, 2, 'unit'): ('604fe8bcd85cc3bf65010c935746c4bf35819f1c3869e53f01',),
+    (3, 3, 'moebius'): ('c708bfe08079963f0000000000000000682fa1bd84f6c23f01',),
+    (3, 3, 'unit'): ('0a75ecb09662abbf622d1876229d943f55f16bb0d71de23f01',),
+    (5, 0, 'moebius'): ('00000000000000000000000000000000000000000000000001', '00000000000000000000000000000000000000000000000001'),
+    (5, 0, 'unit'): ('00000000000000000000000000000000000000000000000001', '00000000000000000000000000000000000000000000000001'),
+    (5, 1, 'moebius'): ('7b14ae47e17ae43f00000000000000009a9999999999e93f01', 'b81e85eb51b8de3f00000000000000002cda72250db3e93f01'),
+    (5, 1, 'unit'): ('7b14ae47e17ae43f00000000000000009a9999999999e93f01', 'b81e85eb51b8de3f00000000000000002cda72250db3e93f01'),
+    (5, 2, 'moebius'): ('2d431cebe236da3f00000000000000007b14ae47e17ae43f01', '623255302aa9b3bf0000000000000000169b476ac047e63f01'),
+    (5, 2, 'unit'): ('e66fe34311abd23fcdb55e7da72896bfdbe4c5632afee23f01', '3e68b95d1f31983f1867efd3d14168bfb5f474bcff49dd3f01'),
+    (5, 3, 'moebius'): ('8dedb5a0f7c6903f0000000000000000fca9f1d24d62c03f01', '230f441669e2ad3f00000000000000005b3ea00d329ad53f01'),
+    (5, 3, 'unit'): ('ca97f773636da53f28aa043206fc823f3ea2bd2827b2d63f01', 'd444f25c29586abfdcd17f3fa6c95fbff33f90458958d63f01'),
+    (7, 0, 'moebius'): ('00000000000000000000000000000000000000000000000001', '00000000000000000000000000000000000000000000000001'),
+    (7, 0, 'unit'): ('00000000000000000000000000000000000000000000000001', '00000000000000000000000000000000000000000000000001'),
+    (7, 1, 'moebius'): ('e0e514bc9c82e73f0000000000000000dbb66ddbb66deb3f01', 'e514bc9c8297e33f0000000000000000a58547c3d375eb3f01'),
+    (7, 1, 'unit'): ('e0e514bc9c82e73f0000000000000000dbb66ddbb66deb3f01', 'e514bc9c8297e33f0000000000000000a58547c3d375eb3f01'),
+    (7, 2, 'moebius'): ('5ce2d56ad645e13f0000000000000000e0e514bc9c82e73f01', 'd3a71ac67e3bd2bf00000000000000004e1cd9969d16e83f01'),
+    (7, 2, 'unit'): ('2f194278918eb4bfcbe22cb62cdab33f19da0769edcdd43f01', '15d10aae944b80bfa2e6879807b8a53ffbf603d29bf4de3f01'),
+    (7, 3, 'moebius'): ('a2f89918768f863f0000000000000000019985fb69deba3f01', '33271165010fb03f0000000000000000e5f06d9e7c06d43f01'),
+    (7, 3, 'unit'): ('4ca669e2d1696a3f11d07d7f16c9483fda3e28dc3e4cb53f01', '82c02241a0b07cbfa1a4bfa60e2084bf4004c69f61a8d13f01'),
+    (9, 0, 'moebius'): ('00000000000000000000000000000000000000000000000001',),
+    (9, 0, 'unit'): ('00000000000000000000000000000000000000000000000001',),
+    (9, 1, 'moebius'): ('e0e9d6fcb048e93f00000000000000001cc7711cc771ec3f01',),
+    (9, 1, 'unit'): ('e0e9d6fcb048e93f00000000000000001cc7711cc771ec3f01',),
+    (9, 2, 'moebius'): ('957954ab39fae33f0000000000000000e0e9d6fcb048e93f01',),
+    (9, 2, 'unit'): ('4d5d0aee03d5a03f0687019038ad87bfb44f4e643343ce3f01',),
+    (9, 3, 'moebius'): ('cfb9621bbd917f3f0000000000000000c708bfe08079b63f01',),
+    (9, 3, 'unit'): ('1af8c845c0448d3ffd268ac6016258bf5f095e0a6aecc73f01',),
+}
+
+
+PIN_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2)}
+
+
+def pin_functions(field, name, count):
+    """`count` functions: Moebius in every slot, or seeded random units on
+    the irreducibles, one seed a slot."""
+    if name == "moebius":
+        return [builtin(field, "moebius")] * count
+    return [random_on_irreducibles(field, field.q + j, "unit") for j in range(count)]
+
+
+@pytest.mark.parametrize("case", sorted(GOWERS_PINS))
+def test_gowers_norm_matches_pin(case):
+    q, n, name = case
+    field = build_field(*PIN_FIELDS[q])
+    for k, pin in zip((1, 2, 3), GOWERS_PINS[case]):
+        run = functools.partial(gowers_norm, field, n, pin_functions(field, name, 1)[0], k)
+        if pin is None:
+            with pytest.raises(BudgetError):
+                run()
+            continue
+        assert struct.pack("<d", run()).hex() == pin, k
+
+
+@pytest.mark.parametrize("case", sorted(AP_PINS))
+def test_ap_correlation_matches_pin(case):
+    q, n, name = case
+    field = build_field(*PIN_FIELDS[q])
+    for k, pin in zip((2, 3), AP_PINS[case]):
+        res = ap_correlation(field, n, pin_functions(field, name, k))
+        assert struct.pack("<3d?", res.mean.real, res.mean.imag, res.gowers_bound,
+                           res.satisfied).hex() == pin, k
 
 
 # -- AP correlation ------------------------------------------------------------------
@@ -375,6 +503,57 @@ def test_r_bias_base_sets():
     r2 = r_bias_statistic(P, n=3, k=1, base_set="P_k")
     assert r1.value >= -1e-9 and r2.value >= -1e-9
     assert r2.pairs == len(list(__import__("ffmult.polys", fromlist=["p_k"]).p_k(F3, 1))) ** 2
+
+
+def test_sampled_r_bias_over_every_pair_is_exhaustive_with_no_stderr():
+    # drawn without replacement, a sample of all M pairs is the population
+    exhaustive = r_bias_statistic(pin_phase(3), n=4, k=1)
+    sampled = r_bias_statistic(pin_phase(3), n=4, k=1, mode="sampled", max_pairs=64, seed=3)
+    assert (exhaustive.pairs, exhaustive.mode, sampled.pairs) == (64, "exhaustive", 64)
+    assert struct.pack("<dd", sampled.value, sampled.imag_residual) == struct.pack(
+        "<dd", exhaustive.value, exhaustive.imag_residual)
+    assert sampled.stderr == 0.0
+
+
+def test_sampled_r_bias_stderr_is_the_spread_of_the_estimate():
+    # 40 of the 64 pairs: the stderr needs the finite population correction
+    runs = [r_bias_statistic(pin_phase(3), n=4, k=1, mode="sampled", max_pairs=40, seed=seed)
+            for seed in range(100)]
+    spread = np.std([r.value for r in runs], ddof=1)
+    ratio = np.mean([r.stderr for r in runs]) / spread
+    assert 0.75 <= ratio <= 1.33, ratio
+
+
+def test_sampled_r_bias_holds_no_list_of_the_pairs():
+    # |G_7 - 0|^2 = 4,778,596 pairs over F_3, 200 of them sampled
+    rng = random.Random(3)
+    L = [LaurentTruncation.random(F3, 8, rng) for _ in range(3)]
+    P = PolynomialPhase(F3, 8, ((1, (L[0], L[1])), (2, (L[2],))))
+    tracemalloc.start()
+    try:
+        res = r_bias_statistic(P, n=8, k=6, mode="sampled", max_pairs=200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.pairs, res.mode) == (200, "sampled")
+    assert peak < 8 * 2 ** 20, peak
+
+
+def test_r_bias_charges_its_dilated_tables():
+    # 2 functionals x 728 members of G_6 - 0 x 3^2 entries of G_2 = 13,104,
+    # where the one pair's inner means are 81
+    rng = random.Random(4)
+    tails = [LaurentTruncation.random(F3, 7, rng) for _ in range(2)]
+    for budget in (13103, 13104):
+        F = build_field(3, 1, enumeration_budget=budget)
+        L1, L2 = (LaurentTruncation(F, tail.coeffs) for tail in tails)
+        run = functools.partial(r_bias_statistic, PolynomialPhase(F, 7, ((1, (L1, L2)),)),
+                                n=7, k=5, max_pairs=1)
+        if budget < 13104:
+            with pytest.raises(BudgetError, match="13104"):
+                run()
+        else:
+            assert run().inner_evaluations == 81
 
 
 # -- Turan-Kubilius --------------------------------------------------------------------

@@ -46,6 +46,7 @@ as its prefix.
 """
 
 import cmath
+import functools
 import math
 import random
 import struct
@@ -67,7 +68,7 @@ from ffmult.analytics import (distance_terms, min_distance_over_hayes, squared_d
                               window_divisor_counts, window_mass)
 from ffmult.characters import DirichletCharacter, top_coefficient_tuple
 from ffmult.experiments import resolve_hayes
-from ffmult.gn import GnIndex, times_fixed
+from ffmult.gn import times_fixed, translates
 from ffmult.laurent import linear_form, linear_form_table
 from ffmult.multiplicative import _products, function_on_gn, prime_values
 from ffmult.polys import (irreducible_count, irreducible_indices, irreducibles_of_degree,
@@ -418,8 +419,8 @@ def as_indices(q: int, stack) -> np.ndarray:
 
 def kernel_stacks(field):
     """Index stacks: one prime (k = 1), every prime of degree 1 and 2,
-    every nonzero constant, the constants 0 and q - 1 alone as lists (the
-    [c] of `GnIndex.smul`) and every nonzero polynomial of degree 1
+    every nonzero constant, the constants 0 and q - 1 alone as lists (a
+    product by one constant) and every nonzero polynomial of degree 1
     (leading coefficients other than 1)."""
     q = field.q
     return [irreducible_indices(field, 2)[-1:],
@@ -723,14 +724,56 @@ def test_a_part_shifted_out_of_its_slice_builds_its_own_table():
 
 
 @pytest.mark.parametrize("q", sorted(KERNEL_GRID))
-def test_smul_is_the_product_by_a_constant(q):
+def test_times_fixed_by_a_constant_on_an_index_array(q):
+    # the engine's index-array path, on every constant and all of G_m
     (p, r), m_max = KERNEL_GRID[q]
     field = build_field(p, r)
-    G = GnIndex(field, m_max)
-    idx = np.arange(q ** m_max, dtype=np.int64).reshape(q, -1)
+    idx = np.arange(q ** m_max, dtype=np.int64)[::-1].copy()
     for c in range(q):
-        expected = poly_products(field, [c], idx.ravel()).reshape(idx.shape)
-        assert np.array_equal(G.smul(c, idx), expected)
+        expected = poly_products(field, [c], idx)
+        assert np.array_equal(times_fixed(field, [c], m_max, idx), expected), c
+
+
+TRANSLATE_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+                    9: (3, 2)}
+
+
+@functools.lru_cache(maxsize=None)
+def poly_translates(q: int, n: int, c: int, rows=None) -> np.ndarray:
+    """The indices of the Poly sums x + c*y, row x (every x of G_n, or those
+    of `rows`) and column y of G_n."""
+    field = build_field(*TRANSLATE_FIELDS[q])
+    polys = [Poly.from_index(field, i) for i in range(q ** n)]
+    scaled = [g.scalar_mul(c) for g in polys]
+    xs = polys if rows is None else [polys[x] for x in rows]
+    return np.array([[(x + y).to_index() for y in scaled] for x in xs], dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", sorted(TRANSLATE_FIELDS))
+@pytest.mark.parametrize("chunk", [None, 7, 40])
+def test_translates_are_poly_sums(q, chunk, monkeypatch):
+    # G_n's addition x + c*y, c in F_p, is one engine map from G_2n: the
+    # table must hold the Poly sum at every entry, whatever the chunk size.
+    # Over F_7, F_8 and F_9 the Poly sums of all of G_3 x G_3 take seconds,
+    # so there n = 3 is checked at the default chunk size, on every entry of
+    # eight rows and eight columns
+    if chunk is not None:
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    field = build_field(*TRANSLATE_FIELDS[q])
+    for n in range(4):
+        for c in range(field.p):
+            if q ** n > 125 and chunk is not None:
+                continue
+            table = translates(field, n, c)
+            assert table.dtype == np.int64 and table.shape == (q ** n, q ** n)
+            if q ** n <= 125:
+                assert np.array_equal(table, poly_translates(q, n, c)), (n, c)
+                continue
+            lines = sorted(random.Random(q * 10 + c).sample(range(q ** n), 8))
+            assert np.array_equal(table[lines], poly_translates(q, n, c, tuple(lines))), (n, c)
+            columns = [[(Poly.from_index(field, x) + Poly.from_index(field, y).scalar_mul(c))
+                        .to_index() for y in lines] for x in range(q ** n)]
+            assert np.array_equal(table[:, lines], np.array(columns)), (n, c)
 
 
 @pytest.mark.parametrize("pr,n_stop,W,H", [((2, 1), 9, 1, 11), ((3, 1), 6, 1, 8),
