@@ -413,6 +413,8 @@ def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    if max_pairs < 1:
+        raise ValueError("max_pairs must be >= 1")
     field = P.field
     if m is None:
         m = P.degree
@@ -629,7 +631,9 @@ def min_distance_over_hayes(f, N: int, modulus_degree_bound: int,
     chi runs over all Dirichlet characters with deg(modulus) <= bound
     (modulus 1, i.e. no twist, included); xi over all characters of length
     <= length_bound; theta over a uniform grid (or an explicit list).  f is a
-    MultiplicativeFunction or a HayesCharacter.
+    MultiplicativeFunction or a HayesCharacter.  The sieve, the unit groups,
+    the R_s and the |chi| * |xi| * |theta| candidates are charged to the
+    field.
     """
     field = _field_of(f)
     thetas = ([j / theta_grid for j in range(theta_grid)]
@@ -646,6 +650,7 @@ def min_distance_over_hayes(f, N: int, modulus_degree_bound: int,
     chis = [chi for deg in range(modulus_degree_bound + 1)
             for modulus in monic_of_degree(field, deg) for chi in dirichlet_characters(modulus)]
     xis = short_interval_characters(field, length_bound)
+    field.charge(len(chis) * len(xis) * len(thetas), "the (chi, xi, theta) candidates")
     weight_total = math.fsum(float(field.q) ** -d for d in degrees for _ in primes[d])
     chi_at = [{d: chi.values_at(primes[d]) for d in degrees} for chi in chis]
     xi_at = [{d: xi.values_at(primes[d]) for d in degrees} for xi in xis]

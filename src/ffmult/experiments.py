@@ -29,7 +29,7 @@ from . import analytics
 from .characters import (DegreeTwist, HayesCharacter, UnitCharacter, dirichlet_character,
                          short_interval_character)
 from .errors import ConfigError
-from .fields import DEFAULT_BUDGET, Field, build_field, is_prime
+from .fields import DEFAULT_BUDGET, MAX_Q, Field, build_field, is_prime, within_table_limit
 from .laurent import LaurentTruncation
 from .multiplicative import _BUILTINS, builtin, from_character, random_on_irreducibles, twist
 from .phases import MultilinearForm, PolynomialPhase, bias_cost, projective_common_zeros
@@ -56,13 +56,13 @@ COLUMNS = {
 # validate_config fills in, or to None: required, or its absence defers
 # (n.stop to n.start, output.path to stdout).  A descriptor section is a set
 # of keys; its resolver holds its defaults (values, conjugate, index), and
-# function.seed defers to the config seed and phase.n to n.stop.
+# function.seed defers to the config seed.
 _SECTIONS = {
     "field": {"p": None, "r": 1},
     "n": {"start": None, "stop": None},
     "budget": {"max_evals_per_n": DEFAULT_BUDGET},
     "function": {"kind", "name", "seed", "values", "hayes", "base", "conjugate"},
-    "phase": {"n", "terms", "monomials"},
+    "phase": {"terms", "monomials"},
     "hayes": {"dirichlet", "short", "theta", "unit_index"},
     "gowers": {"k": 2},
     "ap": {"k": 3},
@@ -143,8 +143,8 @@ def resolve_function(field: Field, desc: dict, default_seed: int | None):
     raise ConfigError([f"function.kind: unknown kind {kind!r}"])
 
 
-def resolve_phase(field: Field, desc: dict, min_depth: int) -> PolynomialPhase:
-    n = desc.get("n", min_depth)
+def resolve_phase(field: Field, desc: dict, n: int) -> PolynomialPhase:
+    """The phase of a phase descriptor on G_n."""
     terms = []
     for t in desc.get("terms", ()):
         factors = tuple(LaurentTruncation(field, f) for f in t["factors"])
@@ -152,7 +152,7 @@ def resolve_phase(field: Field, desc: dict, min_depth: int) -> PolynomialPhase:
     monomials = []
     for t in desc.get("monomials", ()):
         monomials.append((t["coef"], tuple((j, e) for j, e in t["powers"])))
-    return PolynomialPhase(field, max(n, min_depth), terms, monomials)
+    return PolynomialPhase(field, n, terms, monomials)
 
 
 # -- validation ---------------------------------------------------------------------
@@ -285,22 +285,17 @@ def _phase_entries(problems, desc, name: str, parts: str, q: int):
 
 def _check_phase(problems, desc, q: int, n_start: int, n_stop: int):
     """The problems of a decay-table phase over F_q: coefficients and tail
-    entries in [0, q), factor tails at least max(phase.n, n.stop) deep, and
-    monomials in distinct coordinates below n.start with exponents >= 1 (so
-    the phase on G_n is the prefix of the phase on G_{n.stop})."""
-    depth = desc.get("n", n_stop)
-    if not _is_int(depth):
-        problems.append("phase.n: must be an integer")
-        depth = n_stop
-    depth = max(depth, n_stop)
+    entries in [0, q), factor tails at least n.stop deep, and monomials in
+    distinct coordinates below n.start with exponents >= 1 (so the phase on
+    G_n is the prefix of the phase on G_{n.stop})."""
     for where, factors in _phase_entries(problems, desc, "terms", "factors", q):
         for j, tail in enumerate(factors):
             if not (isinstance(tail, list) and all(_is_coefficient(c, q) for c in tail)):
                 problems.append(f"{where}.factors[{j}]: must be a list of coefficients "
                                 f"in [0, {q})")
-            elif len(tail) < depth:
+            elif len(tail) < n_stop:
                 problems.append(f"{where}.factors[{j}]: factor depth {len(tail)} too "
-                                f"shallow for G_{depth}")
+                                f"shallow for G_{n_stop}")
     for where, powers in _phase_entries(problems, desc, "monomials", "powers", q):
         seen = set()
         for power in powers:
@@ -449,9 +444,16 @@ def validate_config(source) -> ExperimentConfig:
             problems.append(f"{req}: required for kind {kind}")
 
     p, r = sections["field"].get("p"), sections["field"]["r"]
-    p_ok, r_ok = _is_int(p) and is_prime(p), _is_int(r) and r >= 1
-    if not p_ok:
+    p_ok, r_ok = _is_int(p) and p >= 2, _is_int(r) and r >= 1
+    # the table limit before primality, whose trial division of a huge p
+    # does not end; no huge p^r is formed
+    if p_ok and not within_table_limit(p, r if r_ok else 1):
+        problems.append(f"field.p, field.r: q = p^r is over {MAX_Q}, too large for "
+                        f"table-driven arithmetic")
+        p_ok = False
+    elif not (p_ok and is_prime(p)):
         problems.append("field.p: required prime")
+        p_ok = False
     if not r_ok:
         problems.append("field.r: must be a positive integer")
     field_ok = p_ok and r_ok
@@ -574,11 +576,9 @@ def _function_on_prefixes(cfg: ExperimentConfig, field: Field):
 
 def _rows_decay_table(cfg: ExperimentConfig, field: Field):
     nu = _function_on_prefixes(cfg, field)
-    P = resolve_phase(field, cfg.sections["phase"], cfg.n_stop)
-    # alpha_1 of the phase once on G_{n_stop}, not on G_{phase.n}; G_n reads
-    # the prefix (validation keeps monomial coordinates below n.start)
-    t = analytics.phase_character_array(
-        PolynomialPhase(field, cfg.n_stop, P.product_terms, P.monomial_terms))
+    # alpha_1 of the phase once on G_{n_stop}; G_n reads the prefix
+    # (validation keeps monomial coordinates below n.start)
+    t = analytics.phase_character_array(resolve_phase(field, cfg.sections["phase"], cfg.n_stop))
     ns = range(cfg.n_start, cfg.n_stop + 1)
     for n, mean in zip(ns, analytics.correlate_prefixes(field, nu, t, ns, cfg.domain)):
         yield (n, abs(mean), mean.real, mean.imag, field.q ** n)

@@ -10,7 +10,10 @@ modules.
 
 The defining polynomial is the lexicographically least monic irreducible
 of degree r over F_p (least = smallest base-p encoding of the non-leading
-coefficients), so a field is reproducible from (p, r) alone.
+coefficients), so a field is reproducible from (p, r) alone: the least
+index p^r + sum_j c_j p^j the F_p[x] sieve `polys.irreducible_indices`
+leaves at degree r.  q is at most MAX_Q = 512.  `factor_int` (integer
+trial division) and `power` (square and multiply) serve the whole package.
 
 Additive characters are t -> exp(2*pi*i*Tr(s*t)/p); their values are kept
 as exact exponents k mod p and converted to complex only at aggregation
@@ -30,80 +33,68 @@ from .errors import BudgetError
 # the default of Field.enumeration_budget and of budget.max_evals_per_n
 DEFAULT_BUDGET = 2_000_000
 
+# the largest q with table-driven arithmetic: each table is q x q
+MAX_Q = 512
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+
+def factor_int(n: int) -> list[tuple[int, int]]:
+    """The prime factorization [(prime, exponent), ...] of n >= 1 by trial
+    division, primes ascending ([] for n = 1)."""
+    out, f = [], 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _fp_poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+            k = 0
+            while n % f == 0:
+                n //= f
+                k += 1
+            out.append((f, k))
+        f += 1
+    if n > 1:
+        out.append((n, 1))
     return out
 
 
-def _least_irreducible(p: int, r: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible of degree r over F_p.
+def is_prime(n: int) -> bool:
+    return n >= 2 and factor_int(n) == [(n, 1)]
 
-    Found by marking every product of two lower-degree monic polynomials;
-    survivors are irreducible.  r is tiny here (field construction), so the
-    p^r sweep is immediate.
-    """
-    if r == 1:
-        return (0, 1)
-    # candidate low-coefficient vectors, indexed by their base-p encoding
-    composite = [False] * (p ** r)
 
-    def monics(d):
-        for idx in range(p ** d):
-            coeffs, t = [], idx
-            for _ in range(d):
-                coeffs.append(t % p)
-                t //= p
-            yield coeffs + [1]
+def power(op, one, a, e: int):
+    """a^e for e >= 0 under the associative `op` with identity `one`."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    acc = one
+    while e:
+        if e & 1:
+            acc = op(acc, a)
+        a = op(a, a)
+        e >>= 1
+    return acc
 
-    for d1 in range(1, r // 2 + 1):
-        for a in monics(d1):
-            for b in monics(r - d1):
-                prod = _fp_poly_mul(a, b, p)
-                composite[sum(c * p ** i for i, c in enumerate(prod[:r]))] = True
-    for idx in range(p ** r):
-        if not composite[idx]:
-            coeffs, t = [], idx
-            for _ in range(r):
-                coeffs.append(t % p)
-                t //= p
-            return tuple(coeffs) + (1,)
-    raise AssertionError("no irreducible of degree %d over F_%d" % (r, p))
+
+def within_table_limit(p: int, r: int) -> bool:
+    """q = p^r <= MAX_Q for p >= 2 and r >= 1, with no huge p^r formed:
+    q >= 2^r, so an r of MAX_Q's bit length or more is already over."""
+    return r < MAX_Q.bit_length() and p ** r <= MAX_Q
 
 
 class Field:
     """F_{p^r} with table-driven arithmetic on int-encoded elements."""
 
     def __init__(self, p: int, r: int, enumeration_budget: int = DEFAULT_BUDGET):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if r < 1:
             raise ValueError(f"extension degree r = {r} must be >= 1")
-        self.p = p
-        self.r = r
-        self.q = p ** r
-        if self.q > 512:
-            raise ValueError(f"q = {self.q} too large for table-driven arithmetic")
-        self.modulus = _least_irreducible(p, r)
+        # the limit before primality, which is trial division
+        if not within_table_limit(p, r):
+            raise ValueError(f"q = {p}^{r} is over {MAX_Q}, too large for "
+                             f"table-driven arithmetic")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        self.p, self.r, self.q = p, r, p ** r
+        least = p                   # the index of x, the modulus of F_p
+        if r > 1:                   # polys imports this module
+            from .polys import irreducible_indices
+            least = int(irreducible_indices(Field(p, 1), r)[0])
+        self.modulus = tuple(least // p ** j % p for j in range(r + 1))
         self.enumeration_budget = enumeration_budget
         self._build_tables()
         # exp(2*pi*i*k/p) for exponent->complex conversion at sum time
@@ -144,13 +135,13 @@ class Field:
         inv[rows] = cols
         self.inv_table = inv
 
+        # Tr(a) = a + a^p + ... + a^(p^(r-1)), with a -> a^p one array
+        codes = np.arange(q)
+        frobenius = power(lambda x, y: mul[x, y], np.ones(q, dtype=np.int16), codes, p)
         trace = np.zeros(q, dtype=np.int16)
-        for a in range(q):
-            acc, x = 0, a
-            for _ in range(r):
-                acc = add[acc, x]
-                x = _pow_int(mul, x, p)
-            trace[a] = acc
+        for _ in range(r):
+            trace = add[trace, codes]
+            codes = frobenius[codes]
         self.trace_table = trace
         if not np.all(trace < self.p):
             raise AssertionError("trace values must lie in the prime field")
@@ -183,7 +174,7 @@ class Field:
         return int(self.inv_table[a])
 
     def pow_(self, a: int, e: int) -> int:
-        return _pow_int(self.mul_table, a, e)
+        return power(lambda x, y: self.mul_py[x][y], 1, a, e)
 
     def trace(self, a: int) -> int:
         """Tr(a) = sum of a^(p^i), returned as an integer in [0, p)."""
@@ -242,16 +233,6 @@ def _exact_roots(order: int) -> np.ndarray:
     return roots
 
 
-def _pow_int(mul_table, a: int, e: int) -> int:
-    acc, base = 1, a
-    while e:
-        if e & 1:
-            acc = int(mul_table[acc, base])
-        base = int(mul_table[base, base])
-        e >>= 1
-    return acc
-
-
 @dataclass(frozen=True)
 class FieldElement:
     """Operator sugar over an encoded element; handy in demos and axiom tests."""
@@ -295,7 +276,6 @@ class FieldElement:
     def __repr__(self):
         if self.field.r == 1:
             return str(self.code)
-        names = {0: "", 1: "u"}
         parts = []
         for i, c in enumerate(self.field.coords(self.code)):
             if c == 0:

@@ -11,18 +11,17 @@ The discrete-log table is built by enumerating every product of generator
 powers; a collision there would mean the decomposition failed, so the
 reconstruction doubles as verification.  Non-group inputs (no identity,
 missing inverses, closure failures) are detected during order computation
-and rejected.  The callers charge the size of the universe to their
-field's budget before they build it; nothing here is capped.
+and rejected.  `fields.factor_int` and `fields.power` do the arithmetic.
+The callers charge the size of the universe to their field's budget
+before they build it; nothing here is capped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import gcd
 
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+from .fields import factor_int, power
 
 
 @dataclass(frozen=True)
@@ -63,13 +62,7 @@ class _GroupView:
         raise ValueError("universe has no identity element: not a group")
 
     def power(self, a, e: int):
-        acc, base = self.identity, a
-        while e:
-            if e & 1:
-                acc = self.op(acc, base)
-            base = self.op(base, base)
-            e >>= 1
-        return acc
+        return power(self.op, self.identity, a, e)
 
     def order_by_cycling(self, a) -> int:
         x, k = a, 1
@@ -88,30 +81,17 @@ class _GroupView:
         lam = 1
         for a in self.elements:
             if self.power(a, lam) != self.identity:
-                lam = _lcm(lam, self.order_by_cycling(a))
+                lam = math.lcm(lam, self.order_by_cycling(a))
         return lam
 
     def max_order_element(self, lam: int):
-        primes = _prime_factors(lam)
+        primes = [pr for pr, _ in factor_int(lam)]
         for a in self.elements:
             if self.power(a, lam) != self.identity:
                 raise AssertionError("exponent was not an exponent")
             if all(self.power(a, lam // pr) != self.identity for pr in primes):
                 return a
         raise AssertionError("abelian group without an element of maximal order")
-
-
-def _prime_factors(n: int) -> tuple:
-    out, f = [], 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def _decompose(view: _GroupView):
@@ -167,10 +147,7 @@ def decompose_abelian_group(elements, op) -> AbelianGroupStructure:
     view = _GroupView(elements, op)
     gens, orders = _decompose(view)
 
-    size = 1
-    for d in orders:
-        size *= d
-    if size != len(elements):
+    if math.prod(orders) != len(elements):
         raise AssertionError("generator orders do not multiply to the group size")
     for a, b in zip(orders, orders[1:]):
         if a % b != 0:

@@ -21,7 +21,8 @@ analytic rank is -log_q of it.
 
 One kernel, `_term_values`, evaluates phases and forms (at a point, on
 G_n, at sampled slot tuples) from tables of field codes, one per factor;
-`_form_counts` counts its trace exponents over all slot tuples.
+`_form_counts` counts its trace exponents over all slot tuples.  Like
+terms, product and monomial alike, combine through one `_merge_terms`.
 """
 
 from __future__ import annotations
@@ -76,25 +77,16 @@ def _counts_mean(field: Field, counts, total: int) -> complex:
     return complex(np.sum(counts * field.roots) / total)
 
 
-def _merge_product_terms(field: Field, raw):
-    """Combine like product terms; factors sorted to a canonical order."""
+def _merge_terms(field: Field, raw, key):
+    """Combine like terms (c, parts): parts sorted by `key` to a canonical
+    tuple, the coefficients of equal tuples summed, zero sums dropped."""
     acc: dict = {}
-    for c, factors in raw:
+    for c, parts in raw:
         if c == 0:
             continue
-        key = tuple(sorted(factors, key=lambda L: L.coeffs))
-        acc[key] = field.add_py[acc.get(key, 0)][c]
+        canon = tuple(sorted(parts, key=key))
+        acc[canon] = field.add_py[acc.get(canon, 0)][c]
     return tuple((c, k) for k, c in acc.items() if c != 0)
-
-
-def _merge_monomial_terms(field: Field, raw):
-    acc: dict = {}
-    for c, powers in raw:
-        if c == 0:
-            continue
-        key = tuple(sorted(powers))
-        acc[key] = field.add_py[acc.get(key, 0)][c]
-    return tuple((c, k) for k, c in acc.items() if c != 0 and k)
 
 
 class PolynomialPhase:
@@ -133,8 +125,9 @@ class PolynomialPhase:
             mt.append((c, powers))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "product_terms", _merge_product_terms(field, pt))
-        object.__setattr__(self, "monomial_terms", _merge_monomial_terms(field, mt))
+        object.__setattr__(self, "product_terms", _merge_terms(field, pt, lambda L: L.coeffs))
+        object.__setattr__(self, "monomial_terms",
+                           tuple(t for t in _merge_terms(field, mt, None) if t[1]))
 
     def __setattr__(self, *a):
         raise AttributeError("PolynomialPhase is immutable")
@@ -439,7 +432,8 @@ class MultilinearForm:
     def bias(self, mode: str = "exhaustive", samples: int = 10000,
              seed: int = 0) -> BiasResult:
         """E over slot tuples of alpha_1(Q(x)); real and >= q^{-partition rank}.
-        Sampled, the stderr is that of the real part, the reported bias."""
+        Charged: the slot tuples, or the `samples`.  Sampled, the stderr is
+        that of the real part, the reported bias."""
         F = self.field
         total = bias_cost(F.q, self.dims)
         if mode == "exhaustive":
@@ -453,6 +447,9 @@ class MultilinearForm:
             return BiasResult(bias, rank, "exhaustive", total, None, imag)
         if mode != "sampled":
             raise ValueError("mode must be 'exhaustive' or 'sampled'")
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
+        F.charge(samples, f"the sampled bias over {len(self.dims)} slots")
         rng = np.random.default_rng(seed)
         idx = [rng.integers(0, F.q ** d, size=samples) for d in self.dims]
         acc = _term_values(F, [

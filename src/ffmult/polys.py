@@ -28,14 +28,14 @@ irreducibles are made on demand, on the first call of
 division against those tables up to half the degree of what is left,
 since a composite always has a factor of at most half its degree; the
 only limit on it is the sieve's charge against the field's enumeration
-budget.
+budget.  Over F_p its least survivor of degree r is the modulus of F_{p^r}.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, factor_int, power
 from .gn import digit_matrix, times_fixed_chunks
 
 NEG_INF = float("-inf")
@@ -210,15 +210,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        acc, base = Poly.one(self.field), self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return power(Poly.__mul__, Poly.one(self.field), self, e)
 
     def __call__(self, a: int) -> int:
         """Evaluate at an encoded field element (Horner)."""
@@ -296,20 +288,6 @@ def p_k(field: Field, k: int):
 # -- irreducibles ------------------------------------------------------------
 
 
-def _mobius_int(n: int) -> int:
-    res, m, f = 1, n, 2
-    while f * f <= m:
-        if m % f == 0:
-            m //= f
-            if m % f == 0:
-                return 0
-            res = -res
-        f += 1
-    if m > 1:
-        res = -res
-    return res
-
-
 def irreducible_count(field: Field, d: int) -> int:
     """Exact count of monic irreducibles of degree d (necklace formula)."""
     return necklace_count(field.q, d)
@@ -322,7 +300,10 @@ def necklace_count(q: int, d: int) -> int:
     total = 0
     for e in range(1, d + 1):
         if d % e == 0:
-            total += _mobius_int(e) * q ** (d // e)
+            # mu(e): 0 unless e is squarefree, else (-1)^(its prime count)
+            parts = factor_int(e)
+            if all(k == 1 for _, k in parts):
+                total += (-1) ** len(parts) * q ** (d // e)
     assert total % d == 0
     return total // d
 

@@ -110,6 +110,19 @@ def test_min_distance_empty_grid_rejected():
         min_distance_over_hayes(one, 3, 1, 1, [])
 
 
+def test_min_distance_charges_its_candidates():
+    # F_2, N = 5: moduli of degree <= 1 (1, x and x + 1, one character each),
+    # lengths <= 1 (two characters) and 16 thetas make 3 * 2 * 16 = 96
+    # candidates, which the default budget never saw
+    def search(budget):
+        mu = builtin(build_field(2, 1, enumeration_budget=budget), "moebius")
+        return min_distance_over_hayes(mu, 5, 1, 1, 16)
+
+    with pytest.raises(BudgetError, match="needs 96"):
+        search(95)
+    assert search(96).candidates == 96
+
+
 def test_correlate_partition_invariance():
     mu = builtin(F2, "moebius")
     t = lambda g: 1.0
@@ -492,6 +505,17 @@ def test_r_bias_checks_its_arguments_first(monkeypatch):
         build_field(3, 1, enumeration_budget=1), 5, random.Random(2)), 5)
     with pytest.raises(ValueError):               # not the BudgetError of the charge
         r_bias_statistic(tiny, n=4, k=1, mode="typo")
+
+
+def test_r_bias_refuses_max_pairs_below_one_before_any_charge():
+    # max_pairs = 0 ended in ZeroDivisionError and -1 in numpy's "negative
+    # dimensions", each after the charges and the dilated tables
+    tiny = PolynomialPhase.from_linear(LaurentTruncation.random(
+        build_field(3, 1, enumeration_budget=1), 5, random.Random(2)), 5)
+    for P in (pin_phase(3), tiny):
+        for max_pairs in (0, -1):
+            with pytest.raises(ValueError, match="max_pairs"):
+                r_bias_statistic(P, n=4, k=1, mode="sampled", max_pairs=max_pairs)
 
 
 def test_r_bias_base_sets():

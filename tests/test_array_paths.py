@@ -1125,8 +1125,7 @@ def test_array_paths_build_no_poly(pr, poly_constructions):
     run_experiment({"kind": "decay-table", "field": {"p": pr[0], "r": pr[1]}, "seed": 3,
                     "n": {"start": 2, "stop": n},
                     "function": {"kind": "random", "values": "unit"},
-                    "phase": {"n": n + 1,
-                              "terms": [{"coef": 1, "factors": [[1] * (n + 1), [0, 1] * n]}],
+                    "phase": {"terms": [{"coef": 1, "factors": [[1] * (n + 1), [0, 1] * n]}],
                               "monomials": [{"coef": 1, "powers": [[0, 2], [1, 1]]}]}})
     assert poly_constructions == []
     # the Poly API still boxes on demand

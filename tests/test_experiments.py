@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -540,9 +541,6 @@ INVALID_CONFIGS = {
     "phase-tail-shorter-than-n-stop": (
         _decay({"terms": [{"coef": 1, "factors": [[1, 0, 1]]}]}),
         "phase.terms[0].factors[0]: factor depth 3 too shallow for G_6"),
-    "phase-tail-shorter-than-phase-n": (
-        _decay({"n": 9, "terms": [{"coef": 1, "factors": [_TAIL]}]}),
-        "phase.terms[0].factors[0]: factor depth 7 too shallow for G_9"),
     "phase-coef-out-of-range": (
         _decay({"terms": [{"coef": 2, "factors": [_TAIL]}]}), "phase.terms[0].coef"),
     "phase-tail-entry-out-of-range": (
@@ -556,8 +554,10 @@ INVALID_CONFIGS = {
         _monomial((0, 0)), "phase.monomials[0].powers: exponent 0"),
     "phase-monomial-repeated-coordinate": (
         _monomial((0, 1), (0, 2)), "phase.monomials[0].powers: repeated coordinate 0"),
-    "phase-n-not-an-integer": (
-        _decay({"n": "7", "terms": [{"coef": 1, "factors": [_TAIL]}]}), "phase.n"),
+    # phase.n only deepened the tails validation demanded: the run re-wrapped
+    # the phase on G_{n.stop}, so no row depended on it
+    "phase-n-unknown-key": (
+        _decay({"n": 7, "terms": [{"coef": 1, "factors": [_TAIL]}]}), "phase.n: unknown key"),
     "phase-term-unknown-key": (
         _decay({"terms": [{"coef": 1, "factors": [_TAIL], "coeff": 1}]}),
         "phase.terms[0].coeff: unknown key"),
@@ -627,8 +627,6 @@ INVALID_CONFIGS = {
     "function-seed-true": (_decay(function={"kind": "random", "seed": True}), "function.seed"),
     "budget-true": ({**_tk(), "budget": {"max_evals_per_n": True}},
                     "budget.max_evals_per_n"),
-    "phase-n-true": (_decay({"n": True, "terms": [{"coef": 1, "factors": [_TAIL]}]}),
-                     "phase.n"),
     "phase-coef-true": (_decay({"terms": [{"coef": True, "factors": [_TAIL]}]}),
                         "phase.terms[0].coef"),
     "phase-monomial-powers-true": (_monomial((True, 1)), "phase.monomials[0].powers"),
@@ -681,7 +679,6 @@ def test_invalid_section_values_are_validation_problems(case):
 # the valid boundary of each rule above
 VALID_BOUNDARIES = {
     "phase-tail-of-depth-n-stop": _decay({"terms": [{"coef": 1, "factors": [_TAIL[:6]]}]}),
-    "phase-tail-of-depth-phase-n": _decay({"n": 7, "terms": [{"coef": 1, "factors": [_TAIL]}]}),
     "phase-largest-coef-and-entry": _decay({"terms": [{"coef": 1, "factors": [[1] * 6]}]}),
     "phase-monomial-coordinate-n-start-minus-1": _monomial((2, 1), (0, 3)),
     "builtin-liouville": _decay(function={"kind": "builtin", "name": "liouville"}),
@@ -716,6 +713,25 @@ def test_section_value_boundaries_are_valid_and_run(case):
     cfg = VALID_BOUNDARIES[case]
     validate_config(cfg)
     assert run_experiment(cfg).rows
+
+
+# each passed validation and ended in exit 3: F_1021 and F_{2^10} on the
+# table limit, r = 100000 on printing 2^100000, and the primality test of
+# p = 10^18 + 3 did not end
+OVERSIZED_FIELDS = [(1021, 1), (2, 10), (2, 100000), (10 ** 18 + 3, 1)]
+
+
+@pytest.mark.parametrize("p,r", OVERSIZED_FIELDS)
+def test_fields_over_the_table_limit_are_one_validation_problem(p, r):
+    problem = "field.p, field.r: q = p^r is over 512, too large for table-driven arithmetic"
+    start = time.perf_counter()
+    with pytest.raises(ConfigError) as e:
+        validate_config({**_one("gowers-decay"), "field": {"p": p, "r": r}})
+    assert time.perf_counter() - start < 1.0
+    assert e.value.problems == [problem]
+    _cli_config_error(run_cli("gowers-decay", "--p", str(p), "--r", str(r), "--n-start", "1",
+                              "--set", "function.kind=builtin", "--set", "function.name=one"),
+                      problem)
 
 
 def test_cli_section_value_problems_exit_1():

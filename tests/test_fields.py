@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import time
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import ffmult
-from ffmult.fields import FieldElement, build_field, is_prime
+from ffmult.fields import FieldElement, build_field, factor_int, is_prime
+from ffmult.polys import Poly
 
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
@@ -44,6 +46,88 @@ def test_construction_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_field(2, 0)
     assert not is_prime(1) and is_prime(2) and is_prime(97) and not is_prime(91)
+
+
+@pytest.mark.parametrize("p,r", [(1021, 1), (2, 10), (2, 100000), (10 ** 18 + 3, 1)])
+def test_construction_refuses_fields_over_the_table_limit_at_once(p, r):
+    # F_1021 and F_{2^10} were refused only after p^r was formed; 2^100000
+    # then failed to print, and the primality test of 10^18 + 3 did not end
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="over 512"):
+        build_field(p, r)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_negative_exponents_are_refused():
+    # e >>= 1 keeps a negative e at -1: F.pow_(2, -1) and u ** -1 did not end
+    F = build_field(5, 1)
+    for call in (lambda: F.pow_(2, -1), lambda: F.element(2) ** -1,
+                 lambda: Poly.x(F) ** -1):
+        with pytest.raises(ValueError, match="negative exponent"):
+            call()
+    assert F.pow_(2, 0) == 1 and F.pow_(2, 3) == 3
+
+
+def test_factor_int_and_is_prime_equal_brute_force():
+    N = 10_000
+    sieve = [False, False] + [True] * (N - 2)
+    for a in range(2, N):
+        if sieve[a]:
+            sieve[a * a::a] = [False] * len(range(a * a, N, a))
+    assert factor_int(1) == []
+    for n in range(1, N):
+        parts = factor_int(n)
+        assert math.prod(pr ** k for pr, k in parts) == n
+        assert all(sieve[pr] and k >= 1 for pr, k in parts)
+        assert [pr for pr, _ in parts] == sorted({pr for pr, _ in parts})
+        assert is_prime(n) == sieve[n]
+
+
+# the moduli of the 20 extension fields with q <= 512, as the product sieve
+# private to fields.py chose them before the modulus came from polys
+EXTENSION_MODULI = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1), (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1), (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1), (3, 5): (1, 2, 0, 0, 0, 1), (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1), (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1), (11, 2): (1, 0, 1),
+    (13, 2): (2, 0, 1), (17, 2): (3, 0, 1), (19, 2): (1, 0, 1),
+}
+
+
+def test_extension_moduli_are_the_recorded_ones():
+    assert len(EXTENSION_MODULI) == len([(p, r) for p in range(2, 513) if is_prime(p)
+                                         for r in range(2, 10) if p ** r <= 512])
+    for (p, r), modulus in EXTENSION_MODULI.items():
+        # the modulus search runs on a fresh F_p: no budget of F_{p^r} refuses it
+        F = build_field(p, r, enumeration_budget=1)
+        assert F.modulus == modulus and F.enumeration_budget == 1
+
+
+def _monics(F, d):
+    """Every monic of degree d over F, least coefficients of x^0 first."""
+    for low in itertools.product(range(F.q), repeat=d):
+        yield Poly(F, low[::-1] + (1,))
+
+
+def _has_monic_factor(g):
+    """Trial division by every monic of degree 1..deg(g)/2."""
+    return any((g % h).is_zero() for e in range(1, g.degree // 2 + 1)
+               for h in _monics(g.field, e))
+
+
+@pytest.mark.parametrize("p,r", sorted(EXTENSION_MODULI))
+def test_recorded_modulus_is_the_least_irreducible(p, r):
+    # an oracle of Poly division alone, no sieve: every monic of degree r
+    # before the modulus has a factor, the modulus has none
+    F = build_field(p, 1)
+    modulus = Poly(F, EXTENSION_MODULI[p, r])
+    for g in _monics(F, r):
+        if g == modulus:
+            break
+        assert _has_monic_factor(g), g
+    assert not _has_monic_factor(modulus)
 
 
 @pytest.mark.parametrize("p,r", FIELDS)

@@ -241,16 +241,32 @@ def test_block_forms_meet_partition_rank_bound():
         assert rank_upper_bounds(Q).partition_upper == r
 
 
+def _coordinate_form(F):
+    """x_0 * y_0 on G_3 x G_3: bias 1/q."""
+    e0 = LaurentTruncation.coordinate(F, 0, 3)
+    return MultilinearForm.rank_one(F, (3, 3), (e0, e0))
+
+
 def test_bias_budget_and_sampled():
-    F = build_field(3, 1, enumeration_budget=10)
-    Q = MultilinearForm.rank_one(
-        F, (3, 3), (LaurentTruncation.coordinate(F, 0, 3),
-                    LaurentTruncation.coordinate(F, 0, 3)))
     with pytest.raises(BudgetError):
-        Q.bias()
+        _coordinate_form(build_field(3, 1, enumeration_budget=10)).bias()
+    # the sampled bias charges its samples, so it runs under a budget of them
+    Q = _coordinate_form(build_field(3, 1, enumeration_budget=30000))
     s = Q.bias(mode="sampled", samples=30000, seed=4)
     assert abs(s.bias - 1 / 3) < 1.75 * max(s.stderr, 1e-3)
     assert s.mode == "sampled" and s.stderr is not None
+
+
+def test_sampled_bias_charges_its_samples_and_needs_one():
+    # a budget of 100 ran 100,000 samples, and samples = 0 returned a bias
+    # of nan with RuntimeWarnings
+    Q = _coordinate_form(build_field(3, 1, enumeration_budget=100))
+    assert Q.bias(mode="sampled", samples=100).evaluations == 100
+    with pytest.raises(BudgetError, match="needs 101"):
+        Q.bias(mode="sampled", samples=101)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples"):
+            Q.bias(mode="sampled", samples=samples)
 
 
 def test_sampled_bias_stderr_is_the_spread_of_the_estimate():

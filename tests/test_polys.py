@@ -10,7 +10,8 @@ from ffmult.multiplicative import builtin
 from ffmult import polys
 from ffmult.polys import (NEG_INF, Poly, factor, g_n, irreducible_count,
                           irreducible_indices, irreducibles_of_degree,
-                          is_irreducible, monic_of_degree, p_k, poly_gcd, sieve_through)
+                          is_irreducible, monic_of_degree, necklace_count, p_k, poly_gcd,
+                          sieve_through)
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -133,6 +134,32 @@ def test_necklace_formula_matches_sieve_small():
     for F, dmax in ((F2, 10), (F3, 6), (F4, 5)):
         for d in range(1, dmax + 1):
             assert irreducible_count(F, d) == len(irreducibles_of_degree(F, d))
+
+
+# necklace_count(q, d) for d = 1..12, recorded with the Moebius function
+# necklace_count had before it read the factorization of fields.factor_int
+NECKLACE_GRID = {
+    2: [2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335],
+    3: [3, 3, 8, 18, 48, 116, 312, 810, 2184, 5880, 16104, 44220],
+    4: [4, 6, 20, 60, 204, 670, 2340, 8160, 29120, 104754, 381300, 1397740],
+    5: [5, 10, 40, 150, 624, 2580, 11160, 48750, 217000, 976248, 4438920, 20343700],
+    7: [7, 21, 112, 588, 3360, 19544, 117648, 720300, 4483696, 28245840, 179756976,
+        1153430600],
+    8: [8, 28, 168, 1008, 6552, 43596, 299592, 2096640, 14913024, 107370900, 780903144,
+        5726600880],
+    9: [9, 36, 240, 1620, 11808, 88440, 683280, 5380020, 43046640, 348672528, 2852823600,
+        23535749880],
+    25: [25, 300, 5200, 97500, 1953120, 40687400, 871930800, 19073437500, 423855250000,
+         9536742187440, 216744162819600, 4967053710905000],
+}
+
+
+def test_necklace_count_equals_the_recorded_grid():
+    for q, counts in NECKLACE_GRID.items():
+        assert [necklace_count(q, d) for d in range(1, 13)] == counts
+    # degrees with three distinct primes, and squares of primes, among their divisors
+    assert necklace_count(2, 30) == 35790267 and necklace_count(2, 36) == 1908866960
+    assert necklace_count(3, 24) == 11767874940 and necklace_count(512, 6) == 3002399729167104
 
 
 # q -> (p, r); each field sieved through the largest top with q^top <= 2^16
