@@ -723,6 +723,6 @@ def list_builtins() -> str:
     lines.append("function descriptor kinds: builtin, random, character, twist")
     lines.append("hayes descriptor: {dirichlet: {modulus, index}, short: {s, index}, "
                  "theta: float|'a/b', unit_index}")
-    lines.append("phase descriptor: {n, terms: [{coef, factors: [[b_-1..b_-M], ...]}], "
+    lines.append("phase descriptor: {terms: [{coef, factors: [[b_-1..b_-M], ...]}], "
                  "monomials: [{coef, powers: [[j, e], ...]}]}")
     return "\n".join(lines)

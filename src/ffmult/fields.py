@@ -152,7 +152,6 @@ class Field:
         self.mul_py = mul.tolist()
         self.neg_py = self.neg_table.tolist()
         self.inv_py = inv.tolist()
-        self.trace_py = trace.tolist()
 
     # -- scalar operations on encoded elements -----------------------------
 

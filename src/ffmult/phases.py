@@ -1,14 +1,14 @@
 """Polynomial phases on G_n, discrete derivatives, multilinear forms, bias.
 
 A phase P: G_n -> F_q is stored in structured form: a sum of terms
-c * L_1(g) * ... * L_k(g) where each L_i is a Laurent linear form, plus
-optional sparse monomials in the coordinates of g.  The structured part
+c * L_1(g) * ... * L_k(g) where each L_i is a Laurent linear form.  This
 mirrors rank decompositions (each term of degree >= 2 is a product of two
 lower-degree polynomials), and discrete derivatives expand symbolically on
-it, so degree bookkeeping is exact.  Coordinate monomials are kept apart:
-an exponent >= char(F_q) makes the formal degree lie about the functional
-degree (x -> x^p is additive), so they are excluded from symbolic-degree
-shortcuts.
+it, so degree bookkeeping is exact.  A coordinate power g_j^e is e copies
+of the coordinate functional g -> g_j, so it is a term like any other; a
+run of e >= char(F_q) equal factors has formal degree e but is not of
+functional degree e (x -> x^p is additive), and no shortcut reads it as
+such: derivative_form needs m < char(F_q) whatever the factors.
 
 The m-fold derivative of a degree-m phase is the symmetric m-linear form
 d^mP; restricting it back to the diagonal multiplies by m!, which is why
@@ -22,7 +22,8 @@ analytic rank is -log_q of it.
 One kernel, `_term_values`, evaluates phases and forms (at a point, on
 G_n, at sampled slot tuples) from tables of field codes, one per factor;
 `_form_counts` counts its trace exponents over all slot tuples.  Like
-terms, product and monomial alike, combine through one `_merge_terms`.
+terms combine through one `_merge_terms`, and `_runs` groups a term's
+equal factors for Delta_h's binomial expansion and G_n's power tables.
 """
 
 from __future__ import annotations
@@ -89,16 +90,38 @@ def _merge_terms(field: Field, raw, key):
     return tuple((c, k) for k, c in acc.items() if c != 0)
 
 
+def _runs(factors):
+    """(L, e) for each run of e equal factors; a merged term keeps equal
+    factors adjacent."""
+    return [(L, len(list(run))) for L, run in itertools.groupby(factors)]
+
+
 class PolynomialPhase:
     """Structured polynomial map G_n -> F_q."""
 
-    __slots__ = ("field", "n", "product_terms", "monomial_terms")
+    __slots__ = ("field", "n", "product_terms")
+    # always empty (monomials are lowered to product terms); read by
+    # perfbench/worker.py `_replay_decay`
+    monomial_terms = ()
 
     def __init__(self, field: Field, n: int, product_terms=(), monomial_terms=()):
         if n < 1:
             raise ValueError("ambient n must be >= 1")
+        lowered = []
+        for c, powers in monomial_terms:
+            powers = tuple((int(j), int(e)) for j, e in powers)
+            for j, e in powers:
+                if not 0 <= j < n:
+                    raise ValueError(f"coordinate {j} outside G_{n}")
+                if e < 1:
+                    raise ValueError("monomial exponents must be >= 1")
+            if len({j for j, _ in powers}) != len(powers):
+                raise ValueError("repeated coordinate in monomial")
+            # g_j^e is e copies of the coordinate functional g -> g_j
+            lowered.append((c, [LaurentTruncation.coordinate(field, j, n)
+                                for j, e in powers for _ in range(e)]))
         pt = []
-        for c, factors in product_terms:
+        for c, factors in itertools.chain(product_terms, lowered):
             c = int(c)
             if not 0 <= c < field.q:
                 raise ValueError("coefficient out of range")
@@ -109,25 +132,9 @@ class PolynomialPhase:
                 if L.depth < n:
                     raise ValueError(f"factor depth {L.depth} too shallow for G_{n}")
             pt.append((c, factors))
-        mt = []
-        for c, powers in monomial_terms:
-            c = int(c)
-            if not 0 <= c < field.q:
-                raise ValueError("coefficient out of range")
-            powers = tuple((int(j), int(e)) for j, e in powers)
-            for j, e in powers:
-                if not 0 <= j < n:
-                    raise ValueError(f"coordinate {j} outside G_{n}")
-                if e < 1:
-                    raise ValueError("monomial exponents must be >= 1")
-            if len({j for j, _ in powers}) != len(powers):
-                raise ValueError("repeated coordinate in monomial")
-            mt.append((c, powers))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "product_terms", _merge_terms(field, pt, lambda L: L.coeffs))
-        object.__setattr__(self, "monomial_terms",
-                           tuple(t for t in _merge_terms(field, mt, None) if t[1]))
 
     def __setattr__(self, *a):
         raise AttributeError("PolynomialPhase is immutable")
@@ -156,51 +163,43 @@ class PolynomialPhase:
     @property
     def degree(self) -> int:
         """Structural (declared) degree; 0 for the zero phase and constants."""
-        deg = 0
-        for _, factors in self.product_terms:
-            deg = max(deg, len(factors))
-        for _, powers in self.monomial_terms:
-            deg = max(deg, sum(e for _, e in powers))
-        return deg
+        return max((len(f) for _, f in self.product_terms), default=0)
 
     def is_zero(self) -> bool:
-        return not self.product_terms and not self.monomial_terms
+        return not self.product_terms
 
     def is_homogeneous(self) -> bool:
-        degs = {len(f) for _, f in self.product_terms}
-        degs |= {sum(e for _, e in p) for _, p in self.monomial_terms}
-        return len(degs) == 1
+        return len({len(f) for _, f in self.product_terms}) == 1
 
     def top_term_count(self) -> int:
         """Number of stored terms of full structural degree."""
         deg = self.degree
-        return (sum(1 for _, f in self.product_terms if len(f) == deg)
-                + sum(1 for _, pw in self.monomial_terms
-                      if sum(e for _, e in pw) == deg))
+        return sum(1 for _, f in self.product_terms if len(f) == deg)
 
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, g: Poly) -> int:
-        F = self.field
-        terms = [(c, [linear_form(L, g) for L in factors]) for c, factors in self.product_terms]
-        terms += [(c, [F.pow_(g.coeff(j), e) for j, e in powers])
-                  for c, powers in self.monomial_terms]
-        return int(_term_values(F, terms, ()))
+        return int(_term_values(self.field, [
+            (c, [linear_form(L, g) for L in factors]) for c, factors in self.product_terms], ()))
 
     def values_on_gn(self) -> np.ndarray:
-        """Encoded values over all of G_n, index order (vectorized)."""
+        """Encoded values over all of G_n, index order (vectorized): one
+        engine table per distinct factor, raised to each run's power."""
         F = self.field
-        q = F.q
-        size = q ** self.n
+        size = F.q ** self.n
         F.charge(size, f"G_{self.n}")
-        idx = np.arange(size, dtype=np.int64) if self.monomial_terms else None
-        # generators: each table is built when the kernel reaches it
-        products = ((c, (linear_form_table(L, self.n) for L in factors))
-                    for c, factors in self.product_terms)
-        monomials = ((c, (np.array([F.pow_(a, e) for a in range(q)], dtype=np.int16)
-                          [gn.digit(idx, q, j)] for j, e in powers))
-                     for c, powers in self.monomial_terms)
-        return _term_values(F, itertools.chain(products, monomials), (size,))
+        tables: dict = {}
+
+        def run_table(L, e):
+            if L not in tables:
+                tables[L] = linear_form_table(L, self.n)
+            if e == 1:
+                return tables[L]
+            return np.array([F.pow_(a, e) for a in range(F.q)], dtype=np.int16)[tables[L]]
+
+        # generators: a factor's table is built when the kernel first reaches it
+        return _term_values(F, ((c, (run_table(L, e) for L, e in _runs(factors)))
+                                for c, factors in self.product_terms), (size,))
 
     def exponent_values_on_gn(self) -> np.ndarray:
         """Trace exponents of alpha_1(P(g)) over G_n."""
@@ -211,16 +210,12 @@ class PolynomialPhase:
     def __add__(self, other: "PolynomialPhase") -> "PolynomialPhase":
         if other.field != self.field or other.n != self.n:
             raise ValueError("phases over different domains")
-        return PolynomialPhase(self.field, self.n,
-                               self.product_terms + other.product_terms,
-                               self.monomial_terms + other.monomial_terms)
+        return PolynomialPhase(self.field, self.n, self.product_terms + other.product_terms)
 
     def scalar_mul(self, c: int) -> "PolynomialPhase":
         mul = self.field.mul_py
-        return PolynomialPhase(
-            self.field, self.n,
-            tuple((mul[c][tc], f) for tc, f in self.product_terms),
-            tuple((mul[c][tc], p) for tc, p in self.monomial_terms))
+        return PolynomialPhase(self.field, self.n,
+                               tuple((mul[c][tc], f) for tc, f in self.product_terms))
 
     def __neg__(self):
         return self.scalar_mul(self.field.neg_py[1])
@@ -229,16 +224,14 @@ class PolynomialPhase:
         return bool(np.array_equal(self.values_on_gn(), other.values_on_gn()))
 
     def descriptor(self) -> dict:
-        return {"n": self.n,
-                "terms": [{"coef": c, "factors": [list(L.coeffs) for L in fs]}
-                          for c, fs in self.product_terms],
-                "monomials": [{"coef": c, "powers": list(map(list, pw))}
-                              for c, pw in self.monomial_terms]}
+        """The phase as a config `phase` section: `resolve_phase` of it on
+        G_n gives this phase back."""
+        return {"terms": [{"coef": c, "factors": [list(L.coeffs) for L in fs]}
+                          for c, fs in self.product_terms]}
 
     def __repr__(self):
         return (f"PolynomialPhase(n={self.n}, degree={self.degree}, "
-                f"{len(self.product_terms)} product terms, "
-                f"{len(self.monomial_terms)} monomials)")
+                f"{len(self.product_terms)} product terms)")
 
 
 def eval_phase(P: PolynomialPhase, g: Poly) -> int:
@@ -251,59 +244,30 @@ def eval_phase(P: PolynomialPhase, g: Poly) -> int:
 
 
 def delta(P: PolynomialPhase, h: Poly) -> PolynomialPhase:
-    """Delta_h P(g) = P(g+h) - P(g), expanded symbolically (exact)."""
+    """Delta_h P(g) = P(g+h) - P(g), expanded symbolically (exact).
+
+    Each run L^e of a term expands by the binomial theorem,
+    (L + L(h))^e = sum_t C(e, t) L(h)^(e-t) L^t; the all-top choice
+    (t = e in every run) is the term itself and cancels against -P(g)."""
     F = P.field
     if h.field != F:
         raise ValueError("shift from a different field")
-    add, mul, neg = F.add_py, F.mul_py, F.neg_py
-    new_products = []
+    mul = F.mul_py
+    out = []
     for c, factors in P.product_terms:
-        k = len(factors)
-        if k == 0:
-            continue  # constants die
-        lh = [linear_form(L, h) for L in factors]
-        for mask in range(1, 1 << k):
-            coef = c
-            rest = []
-            for i in range(k):
-                if mask >> i & 1:
-                    coef = mul[coef][lh[i]]
-                else:
-                    rest.append(factors[i])
-            if coef:
-                new_products.append((coef, tuple(rest)))
-    new_monomials = []
-    for c, powers in P.monomial_terms:
-        # expand prod (g_j + h_j)^{e_j} by the binomial theorem, drop the
-        # original monomial (the all-top choice)
+        # each run's nonzero choices (t, L, weight), t = e (weight 1) first
         choices = []
-        for j, e in powers:
-            hj = h.coeff(j)
-            opts = []
-            for t in range(e + 1):
-                if t == e:
-                    opts.append((e, 1))
-                    continue
-                binom = math.comb(e, t) % F.p
-                if binom == 0 or (hj == 0 and e - t > 0):
-                    continue
-                opts.append((t, mul[binom][F.pow_(hj, e - t)]))
-            choices.append(((j), opts))
-        for combo in itertools.product(*(opts for _, opts in choices)):
-            if all(t == e for (t, _), (_, e) in zip(combo, powers)):
-                continue  # the untouched monomial cancels against -P(g)
-            coef = c
-            pw = []
-            for ((t, w), (j, _)) in zip(combo, powers):
+        for L, e in _runs(factors):
+            a = linear_form(L, h)
+            choices.append([(t, L, w) for t in range(e, -1, -1)
+                            if (w := mul[math.comb(e, t) % F.p][F.pow_(a, e - t)])])
+        for combo in itertools.islice(itertools.product(*choices), 1, None):
+            coef, rest = c, []
+            for t, L, w in combo:
                 coef = mul[coef][w]
-                if t > 0:
-                    pw.append((j, t))
-            if coef:
-                if pw:
-                    new_monomials.append((coef, tuple(pw)))
-                else:
-                    new_products.append((coef, ()))
-    return PolynomialPhase(F, P.n, tuple(new_products), tuple(new_monomials))
+                rest += [L] * t
+            out.append((coef, rest))
+    return PolynomialPhase(F, P.n, out)
 
 
 def iterated_difference(P: PolynomialPhase, hs, g: Poly) -> int:
@@ -481,31 +445,15 @@ def derivative_form(P: PolynomialPhase, m: int, verify: bool = True) -> Multilin
 
     Terms of structural degree < m are killed by m derivatives; each
     degree-m product term L_1...L_m polarizes into the sum over all ways to
-    assign its factors to the m slots.  Coordinate monomials of total
-    degree m are lowered to products of coordinate functionals first (all
-    exponents must stay below char(F_q), otherwise the formal degree lies).
+    assign its factors to the m slots.
     """
     F = P.field
     if m >= F.p:
         raise ValueError(f"m = {m} >= char = {F.p}: factorial degeneracy")
     if P.degree > m:
         raise ValueError(f"phase has structural degree {P.degree} > m = {m}")
-    top = []
-    for c, factors in P.product_terms:
-        if len(factors) == m:
-            top.append((c, factors))
-    for c, powers in P.monomial_terms:
-        if sum(e for _, e in powers) == m:
-            if any(e >= F.p for _, e in powers):
-                raise ValueError("monomial exponent >= char: degree bookkeeping unsound")
-            flat = []
-            for j, e in powers:
-                flat.extend([LaurentTruncation.coordinate(F, j, P.n)] * e)
-            top.append((c, tuple(flat)))
-    terms = []
-    for c, factors in top:
-        for perm in itertools.permutations(range(m)):
-            terms.append((c, tuple(factors[perm[s]] for s in range(m))))
+    terms = [(c, perm) for c, factors in P.product_terms if len(factors) == m
+             for perm in itertools.permutations(factors)]
     Q = MultilinearForm(F, (P.n,) * m, terms,
                         source={"kind": "derivative", "m": m,
                                 "schmidt_upper": _schmidt_upper(P)})

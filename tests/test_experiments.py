@@ -5,11 +5,15 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from ffmult.errors import BudgetError, ConfigError
-from ffmult.experiments import (list_builtins, run_experiment, validate_config)
+from ffmult.experiments import (_SECTIONS, list_builtins, resolve_phase, run_experiment,
+                                 validate_config)
 from ffmult.fields import build_field
+from ffmult.laurent import LaurentTruncation
+from ffmult.phases import PolynomialPhase
 from ffmult.polys import Poly
 
 
@@ -183,16 +187,60 @@ def test_json_output_format():
     assert len(doc["rows"]) == 4
 
 
+def _top_keys(text: str) -> set:
+    """The keys at depth 1 of a printed `{key: value, key, ...}`."""
+    keys, depth, part = set(), 0, ""
+    for ch in text.strip():
+        if ch in "{[":
+            depth += 1
+        if depth == 1 and ch in "{,}":
+            if part.strip():
+                keys.add(part.split(":")[0].strip())
+            part = ""
+        elif depth == 1:
+            part += ch
+        if ch in "}]":
+            depth -= 1
+    return keys
+
+
 def test_list_builtins_text():
     text = list_builtins()
     assert "moebius" in text and "decay-table" in text
+    printed = dict(line.split(": ", 1) for line in text.splitlines()
+                   if line.endswith("}") and " descriptor: {" in line)
+    assert _top_keys(printed["hayes descriptor"]) == _SECTIONS["hayes"]
+    assert _top_keys(printed["phase descriptor"]) == _SECTIONS["phase"]
+
+
+def test_phase_descriptor_is_a_valid_phase_section():
+    F = build_field(3, 1)
+    L = LaurentTruncation(F, [1, 2, 0, 1])
+    P = PolynomialPhase(F, 4, [(2, (L, L)), (1, ())], [(1, ((0, 2), (3, 1)))])
+    desc = P.descriptor()
+    cfg = validate_config(decay_config(field={"p": 3, "r": 1}, n={"start": 4, "stop": 4},
+                                       phase=desc))
+    assert cfg.sections["phase"] == desc
+    assert np.array_equal(resolve_phase(F, desc, P.n).values_on_gn(), P.values_on_gn())
+
+
+def test_empty_monomial_is_its_constant():
+    # prod over no coordinates is 1, so {coef, powers: []} is the constant coef
+    def rows(phase):
+        cfg = decay_config(n={"start": 2, "stop": 2}, phase=phase,
+                           function={"kind": "builtin", "name": "moebius"})
+        return run_experiment(cfg).rows
+
+    assert (rows({"monomials": [{"coef": 1, "powers": []}]})
+            == rows({"terms": [{"coef": 1, "factors": []}]}))
 
 
 # -- CLI ------------------------------------------------------------------------
 
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "ffmult.cli", *args],
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ffmult.cli",
+                           *args],
                           capture_output=True, text=True)
 
 

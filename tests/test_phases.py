@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ F2 = build_field(2, 1)
 F3 = build_field(3, 1)
 F5 = build_field(5, 1)
 F7 = build_field(7, 1)
+F4 = build_field(2, 2)
+F8 = build_field(2, 3)
+F9 = build_field(3, 2)
 
 
 def random_phase(F, n, rng, max_terms=3, max_factors=3, monomials=False):
@@ -170,8 +174,80 @@ def test_monomial_lowering_in_derivative():
     assert Q.eval(h1, h2) == F5.mul(2, 3)
     assert Q.eval(h2, h1) == F5.mul(2, 3)
     bad = PolynomialPhase(F3, 2, monomial_terms=((1, ((0, 3),)),))
-    with pytest.raises(ValueError, match="char"):
+    with pytest.raises(ValueError, match="factorial degeneracy"):
         derivative_form(bad, 3)
+
+
+def _coordinate_power_oracle(F, monos, g):
+    """sum_t c_t prod g_j^e_j, straight from the coefficients of g."""
+    acc = 0
+    for c, powers in monos:
+        v = c
+        for j, e in powers:
+            v = F.mul(v, F.pow_(g.coeff(j), e))
+        acc = F.add(acc, v)
+    return acc
+
+
+# runs at and past the characteristic: x -> x^p is additive, x^q = x
+_LONG_RUNS = [(F2, ((0, 4),)), (F5, ((0, 5),)), (F9, ((0, 9),)), (F4, ((0, 4), (1, 2))),
+              (F8, ((1, 8),)), (F9, ((0, 3), (1, 10)))]
+
+
+@pytest.mark.parametrize("F, powers", _LONG_RUNS,
+                         ids=[f"F{F.q}-" + "".join(f"g{j}^{e}" for j, e in powers)
+                              for F, powers in _LONG_RUNS])
+def test_coordinate_powers_past_the_characteristic(F, powers):
+    n = 2
+    monos = [(F.q - 1, powers)]
+    P = PolynomialPhase(F, n, monomial_terms=monos)
+    assert P.degree == sum(e for _, e in powers)
+    vals = P.values_on_gn()
+    h = Poly.from_index(F, F.q + 1)
+    dvals = delta(P, h).values_on_gn()
+    for gi in range(F.q ** n):
+        g = Poly.from_index(F, gi)
+        want = _coordinate_power_oracle(F, monos, g)
+        assert vals[gi] == P.eval(g) == want
+        assert dvals[gi] == F.sub(_coordinate_power_oracle(F, monos, g + h), want)
+
+
+def test_coordinate_powers_over_extension_fields():
+    rng = random.Random(26)
+    for F in (F4, F8, F9):
+        for _ in range(8):
+            n = rng.randint(2, 3)
+            monos = [(rng.randrange(1, F.q),
+                      tuple((j, rng.randint(1, 2 * F.p + 1))
+                            for j in rng.sample(range(n), k=rng.randint(1, n))))
+                     for _ in range(rng.randint(1, 3))]
+            terms = [(rng.randrange(1, F.q), (LaurentTruncation.random(F, n, rng),))]
+            P = PolynomialPhase(F, n, terms, monos)
+            h = Poly.from_index(F, rng.randrange(F.q ** n))
+            vals, dvals = P.values_on_gn(), delta(P, h).values_on_gn()
+            lin = PolynomialPhase(F, n, terms)
+            for gi in range(F.q ** n):
+                g = Poly.from_index(F, gi)
+                want = F.add(lin.eval(g), _coordinate_power_oracle(F, monos, g))
+                assert vals[gi] == P.eval(g) == want
+                assert dvals[gi] == F.sub(P.eval(g + h), want)
+
+
+def test_delta_of_a_long_run_is_fast_and_pointwise():
+    # a run of 20 equal factors expands binomially: 21 choices, not 2^20
+    n = 3
+    L = LaurentTruncation.random(F3, n, random.Random(20))
+    P = PolynomialPhase(F3, n, ((2, (L,) * 20), (1, (L,) * 7)))
+    h = Poly.from_index(F3, 11)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        dP = delta(P, h)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05
+    for gi in range(F3.q ** n):
+        g = Poly.from_index(F3, gi)
+        assert dP.eval(g) == F3.sub(P.eval(g + h), P.eval(g))
 
 
 def test_diagonal_examples():
