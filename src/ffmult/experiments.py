@@ -3,8 +3,11 @@
 Configs are JSON objects with nested sections; unknown keys anywhere are
 errors (no silent typo tolerance), every violation is reported at once,
 and a seed is mandatory as soon as any randomized object is referenced.
-`_SECTIONS` declares each section's keys and defaults once; the checks,
-the budget estimate and the runners all read the sections validate_config
+`_SECTIONS` declares each section's keys once, and each key of a value
+section with its default and its check; `_KIND_TABLE` declares each
+experiment kind once: its columns, the sections it requires and reads, its
+rule across keys, its kernel's charges and its rows.  The checks, the
+budget estimate and the runners all read the sections validate_config
 fills in, so the estimate reads exactly the values the run reads.  The
 same config and seed always produce a byte-identical numeric payload;
 output files carry no timestamps.
@@ -31,61 +34,79 @@ from .characters import (DegreeTwist, HayesCharacter, UnitCharacter, dirichlet_c
 from .errors import ConfigError
 from .fields import DEFAULT_BUDGET, MAX_Q, Field, build_field, is_prime, within_table_limit
 from .laurent import LaurentTruncation
-from .multiplicative import _BUILTINS, builtin, from_character, random_on_irreducibles, twist
-from .phases import MultilinearForm, PolynomialPhase, bias_cost, projective_common_zeros
+from .multiplicative import (_BUILTINS, _VALUE_SETS, builtin, from_character,
+                             random_on_irreducibles, twist)
+from .phases import MultilinearForm, PolynomialPhase, projective_common_zeros
 from .polys import Poly, factor, sieve_through
-
-KINDS = ("decay-table", "distance-growth", "gowers-decay", "ap-decay",
-         "katai-check", "tk-check", "bias-rank-demo", "zero-count-check")
 
 SCHEMA_VERSION = "v1"
 
-COLUMNS = {
-    "decay-table": ("n", "abs_mean", "re", "im", "count"),
-    "distance-growth": ("N", "distance"),
-    "gowers-decay": ("n", "norm"),
-    "ap-decay": ("n", "abs_mean", "gowers_bound", "satisfied"),
-    "katai-check": ("n", "statistic"),
-    "tk-check": ("n", "A", "lhs", "ratio"),
-    "bias-rank-demo": ("r", "bias", "analytic_rank", "bound", "meets_bound"),
-    "zero-count-check": ("trial", "count", "projective_size", "bound",
-                         "passes", "total_degree", "forms"),
-}
+_FUNCTION_KINDS = ("builtin", "random", "character", "twist")
 
-# every section's keys.  A value section maps each key to the default that
-# validate_config fills in, or to None: required, or its absence defers
-# (n.stop to n.start, output.path to stdout).  A descriptor section is a set
-# of keys; its resolver holds its defaults (values, conjugate, index), and
-# function.seed defers to the config seed.
+
+def _is_int(v) -> bool:
+    """A JSON integer: a Python bool is an int too, but true is not 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_coefficient(c, q: int) -> bool:
+    return _is_int(c) and 0 <= c < q
+
+
+class _Check:
+    """A value's check: a value failing `test` is the problem `where: rule`,
+    `where` being section.key unless set."""
+    __slots__ = ("test", "rule", "where")
+
+    def __init__(self, test, rule: str, where: str = ""):
+        self.test, self.rule, self.where = test, rule, where
+
+
+def _integer(lo: int) -> _Check:
+    return _Check(lambda v: _is_int(v) and v >= lo, f"must be an integer >= {lo}")
+
+
+def _one_of(choices) -> _Check:
+    # a string first: no list is looked up in a dict
+    return _Check(lambda v: isinstance(v, str) and v in choices,
+                  f"must be one of {', '.join(choices)}")
+
+
+_FLAG = _Check(lambda v: isinstance(v, bool), "must be true or false")
+_STRING = _Check(lambda v: isinstance(v, str), "must be a string")
+_INTEGER_LIST = _Check(lambda v: isinstance(v, list) and all(_is_int(r) and r >= 1 for r in v),
+                 "must be a list of integers >= 1")
+# W and H bound one window, so a bad one is reported for both
+_WINDOW = _Check(_is_int, "required integers", "tk.W, tk.H")
+
+# the default of a value key that a config must give
+_REQUIRED = object()
+
+# every section's keys.  A value section maps each key to its default and
+# its check; the absence of n.stop defers to n.start, that of output.path to
+# stdout.  A descriptor section is a set of keys, checked by its walker; its
+# resolver holds its defaults (values, conjugate, index), and function.seed
+# defers to the config seed.
 _SECTIONS = {
-    "field": {"p": None, "r": 1},
-    "n": {"start": None, "stop": None},
-    "budget": {"max_evals_per_n": DEFAULT_BUDGET},
+    "field": {"p": (_REQUIRED, _integer(2)), "r": (1, _integer(1))},
+    "n": {"start": (_REQUIRED, _integer(1)), "stop": (None, _integer(1))},
+    "budget": {"max_evals_per_n": (DEFAULT_BUDGET, _integer(1))},
     "function": {"kind", "name", "seed", "values", "hayes", "base", "conjugate"},
     "phase": {"terms", "monomials"},
     "hayes": {"dirichlet", "short", "theta", "unit_index"},
-    "gowers": {"k": 2},
-    "ap": {"k": 3},
-    "katai": {"k": 2, "pair_set": "P_k", "per_pair": False},
-    "tk": {"W": None, "H": None},
-    "bias": {"r_values": [1, 2, 3], "slot_dim": 3, "arity": 2},
-    "zero_count": {"dim": 3, "trials": 20, "max_total_degree": 3},
-    "output": {"path": None, "format": "csv"},
+    "gowers": {"k": (2, _integer(1))},
+    "ap": {"k": (3, _integer(2))},
+    "katai": {"k": (2, _integer(1)), "pair_set": ("P_k", _one_of(analytics._PAIR_SETS)),
+              "per_pair": (False, _FLAG)},
+    "tk": {"W": (_REQUIRED, _WINDOW), "H": (_REQUIRED, _WINDOW)},
+    "bias": {"r_values": ([1, 2, 3], _INTEGER_LIST), "slot_dim": (3, _integer(1)),
+             "arity": (2, _integer(1))},
+    "zero_count": {"dim": (3, _integer(1)), "trials": (20, _integer(1)),
+                   "max_total_degree": (3, _integer(1))},
+    "output": {"path": (None, _STRING), "format": ("csv", _one_of(("csv", "json")))},
 }
 
 _TOP_KEYS = {"kind", "seed", "domain", *_SECTIONS}
-
-# the sections each kind requires; the kinds that require "function" resolve it
-_NEEDS = {
-    "decay-table": ("function", "phase"),
-    "distance-growth": ("function", "hayes"),
-    "gowers-decay": ("function",),
-    "ap-decay": ("function",),
-    "katai-check": ("function",),
-    "tk-check": ("tk",),
-    "bias-rank-demo": (),
-    "zero-count-check": ("zero_count",),
-}
 
 
 @dataclass
@@ -168,10 +189,19 @@ def _check_keys(problems, obj, allowed, where):
     return True
 
 
-def _unit_count(p: int, r: int, modulus: list) -> int:
+def _degree(coeffs: list) -> int:
+    """The degree of a coefficient list, trailing zeros dropped (0 for none)."""
+    return max((i for i, c in enumerate(coeffs) if c), default=0)
+
+
+def _fits(q: int, e: int, budget: int) -> bool:
+    """q^e <= budget; since q^e >= 2^e, no power longer than the budget is built."""
+    return e < budget.bit_length() and q ** e <= budget
+
+
+def _unit_count(field: Field, modulus: list) -> int:
     """|(F_q[x]/g)^*|, the number of Dirichlet characters mod g, from the
     factorization of g (degree >= 1): prod q^((k-1) deg P) (q^deg P - 1)."""
-    field = build_field(p, r)
     q = field.q
     _, parts = factor(Poly(field, modulus))
     return math.prod(q ** ((k - 1) * int(P.degree)) * (q ** int(P.degree) - 1)
@@ -183,31 +213,29 @@ def _check_index(problems, index, count: int, where: str):
         problems.append(f"{where}.index: must be an integer in [0, {count})")
 
 
-def _check_hayes(problems, desc, where: str, p: int, r: int):
-    """The problems of one Hayes descriptor over F_{p^r}, an object whose
-    keys the caller has checked: character indices in range, a modulus of
-    degree >= 1, a parsable theta."""
-    q = p ** r
+def _check_hayes(problems, desc, where: str, q: int, budget: int, dirichlet: list):
+    """The problems of one Hayes descriptor over F_q, an object whose keys the
+    caller has checked: character indices in range, a modulus of degree >= 1,
+    a parsable theta.  An index is checked only when the q^e residues of its
+    group fit `budget` (past it the estimate refuses the config); a Dirichlet
+    index goes to `dirichlet` as (modulus, index, where), whose groups
+    validate_config counts over one field."""
     chi = desc.get("dirichlet")
     if chi is not None and _check_keys(problems, chi, {"modulus", "index"}, f"{where}.dirichlet"):
         modulus = chi.get("modulus")
         if not (isinstance(modulus, list) and all(_is_coefficient(c, q) for c in modulus)):
             problems.append(f"{where}.dirichlet.modulus: required list of coefficients "
                             f"in [0, {q})")
-        else:
-            while modulus and modulus[-1] == 0:
-                modulus = modulus[:-1]
-            if len(modulus) < 2:
-                problems.append(f"{where}.dirichlet.modulus: degree must be >= 1")
-            elif "index" in chi:
-                _check_index(problems, chi["index"], _unit_count(p, r, modulus),
-                             f"{where}.dirichlet")
+        elif _degree(modulus) < 1:
+            problems.append(f"{where}.dirichlet.modulus: degree must be >= 1")
+        elif "index" in chi and _fits(q, _degree(modulus), budget):
+            dirichlet.append((modulus[:_degree(modulus) + 1], chi["index"], f"{where}.dirichlet"))
     xi = desc.get("short")
     if xi is not None and _check_keys(problems, xi, {"s", "index"}, f"{where}.short"):
         length = xi.get("s")
         if not _is_int(length) or length < 0:
             problems.append(f"{where}.short.s: required integer >= 0")
-        elif "index" in xi:
+        elif "index" in xi and _fits(q, length, budget):
             _check_index(problems, xi["index"], q ** length, f"{where}.short")
     theta = desc.get("theta")
     if theta is not None:
@@ -220,19 +248,19 @@ def _check_hayes(problems, desc, where: str, p: int, r: int):
         problems.append(f"{where}.unit_index: must be an integer")
 
 
-def _check_function(problems, desc, where: str, field_pr, seeded: bool):
+def _check_function(problems, desc, where: str, scope, seeded: bool):
     """The problems of a function descriptor and of a twist's base (whose
     keys are the function section's): a known kind, a builtin name, a given
     random value set and conjugate flag, a seed (its own, or the config's
-    when `seeded`), and the Hayes descriptors over F_{p^r} when field_pr =
-    (p, r) (None when the field is invalid)."""
+    when `seeded`), and the Hayes descriptors under `scope`, the arguments
+    (q, budget, dirichlet) of `_check_hayes` (None when the field is invalid)."""
     kind = desc.get("kind")
     if kind == "builtin":
         if not isinstance(desc.get("name"), str) or desc["name"] not in _BUILTINS:
             problems.append(f"{where}.name: required, one of {', '.join(_BUILTINS)}")
     elif kind == "random":
-        if "values" in desc and desc["values"] not in ("pm1", "unit"):
-            problems.append(f"{where}.values: must be pm1 or unit")
+        if "values" in desc and desc["values"] not in _VALUE_SETS:
+            problems.append(f"{where}.values: must be {' or '.join(_VALUE_SETS)}")
         if "seed" in desc and not _is_int(desc["seed"]):
             problems.append(f"{where}.seed: must be an integer")
         elif "seed" not in desc and not seeded:
@@ -241,27 +269,18 @@ def _check_function(problems, desc, where: str, field_pr, seeded: bool):
         if "hayes" not in desc:
             problems.append(f"{where}.hayes: required for kind {kind}")
         elif (_check_keys(problems, desc["hayes"], _SECTIONS["hayes"], f"{where}.hayes")
-              and field_pr is not None):
-            _check_hayes(problems, desc["hayes"], f"{where}.hayes", *field_pr)
+              and scope is not None):
+            _check_hayes(problems, desc["hayes"], f"{where}.hayes", *scope)
         if kind == "twist":
             if not isinstance(desc.get("base"), dict):
                 problems.append(f"{where}.base: required object for kind twist")
             else:
                 _check_keys(problems, desc["base"], _SECTIONS["function"], f"{where}.base")
-                _check_function(problems, desc["base"], f"{where}.base", field_pr, seeded)
+                _check_function(problems, desc["base"], f"{where}.base", scope, seeded)
     else:
-        problems.append(f"{where}.kind: must be one of builtin, random, character, twist")
+        problems.append(f"{where}.kind: must be one of {', '.join(_FUNCTION_KINDS)}")
     if "conjugate" in desc and not isinstance(desc["conjugate"], bool):
         problems.append(f"{where}.conjugate: must be true or false")
-
-
-def _is_coefficient(c, q: int) -> bool:
-    return _is_int(c) and 0 <= c < q
-
-
-def _is_int(v) -> bool:
-    """A JSON integer: a Python bool is an int too, but true is not 1."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _phase_entries(problems, desc, name: str, parts: str, q: int):
@@ -313,97 +332,52 @@ def _check_phase(problems, desc, q: int, n_start: int, n_stop: int):
             seen.add(j)
 
 
-def _check_values(problems, kind: str, sections: dict, p, n_start: int):
-    """The problems of the section values `kind` reads, defaults included:
-    katai k, pair set, per_pair flag and pair degrees against n.start,
-    gowers k, ap k against the characteristic p (None when the field is
-    invalid), the TK window, the bias slot_dim, arity and r_values (each
-    at most slot_dim), and the zero-count dim, trials and degree bound.
-    Integers exclude booleans."""
-    if kind == "katai-check":
-        sec, sets = sections["katai"], analytics._PAIR_SETS
-        k, pair_set = sec["k"], sec["pair_set"]
-        known = isinstance(pair_set, str) and pair_set in sets
-        if not known:
-            problems.append(f"katai.pair_set: must be one of {', '.join(sets)}")
-        if not _is_int(k) or k < 1:
-            problems.append("katai.k: must be an integer >= 1")
-        elif known and n_start < max(sets[pair_set][0](k)):
-            problems.append("n.start: n too small for the chosen pair degrees")
-        if not isinstance(sec["per_pair"], bool):
-            problems.append("katai.per_pair: must be true or false")
-    elif kind == "gowers-decay":
-        k = sections["gowers"]["k"]
-        if not _is_int(k) or k < 1:
-            problems.append("gowers.k: must be an integer >= 1")
-    elif kind == "ap-decay":
-        k = sections["ap"]["k"]
-        if p is not None and not (_is_int(k) and 2 <= k < p):
-            problems.append(f"ap.k: must be an integer with 2 <= k < p = {p} "
-                            f"(default {_SECTIONS['ap']['k']})")
-    elif kind == "tk-check":
-        W, H = sections["tk"].get("W"), sections["tk"].get("H")
-        if not (_is_int(W) and _is_int(H)):
-            problems.append("tk.W, tk.H: required integers")
-        elif max(W + 1, 1) >= H:
-            problems.append(f"tk.H: the window W < deg p < H holds no degree >= 1 "
-                            f"(W={W}, H={H})")
-    elif kind == "bias-rank-demo":
-        sec = sections["bias"]
-        dim, arity, r_values = sec["slot_dim"], sec["arity"], sec["r_values"]
-        if not (_is_int(dim) and dim >= 1):
-            problems.append("bias.slot_dim: must be an integer >= 1")
-        if not (_is_int(arity) and arity >= 1):
-            problems.append("bias.arity: must be an integer >= 1")
-        if not (isinstance(r_values, list) and all(_is_int(r) and r >= 1 for r in r_values)):
-            problems.append("bias.r_values: must be a list of integers >= 1")
-        elif _is_int(dim):
-            for r in r_values:
-                if r > dim:
-                    problems.append(f"bias.r_values: r={r} above slot_dim={dim}")
-    elif kind == "zero-count-check":
-        for key, value in sections["zero_count"].items():
-            if not (_is_int(value) and value >= 1):
-                problems.append(f"zero_count.{key}: must be an integer >= 1")
+def _failed_sections(problems, sections: dict, names) -> set:
+    """The named value sections holding a value that fails its declared
+    check, a missing required key included; each failure is reported once,
+    as `where: rule`."""
+    failed = set()
+    for name in names:
+        for key, (default, check) in _SECTIONS[name].items():
+            if key not in sections[name] and default is not _REQUIRED:
+                continue                # its absence defers to another value
+            if not check.test(sections[name].get(key)):
+                failed.add(name)
+                problem = f"{check.where or f'{name}.{key}'}: {check.rule}"
+                if problem not in problems:
+                    problems.append(problem)
+    return failed
 
 
-def _character_exponents(kind: str, sections: dict) -> list:
-    """e of the q^e residues mod each Dirichlet modulus (`unit_group`) and of
-    each R_s (`r_s_group`) in the Hayes descriptors the run of `kind` resolves."""
-    descriptors = [sections["hayes"]] if kind == "distance-growth" else []
-    desc = sections["function"] if "function" in _NEEDS[kind] else {}
+def _exponents(kind: str, n: int, sections: dict) -> list:
+    """The exponents e of the q^e charges the run of `kind` makes at n: G_n
+    for a kind with an n-range (it stands also for the arrays on G_{n.stop}
+    and the sieve at degree n), the residues mod each Dirichlet modulus
+    (`unit_group`) and each R_s (`r_s_group`) of the Hayes descriptors it
+    resolves, and its kernel's powers."""
+    spec = _KIND_TABLE[kind]
+    hayes = [sections["hayes"]] if "hayes" in spec.requires else []
+    desc = sections["function"] if "function" in spec.requires else {}
     while desc.get("kind") in ("character", "twist"):
-        descriptors.append(desc["hayes"])
+        hayes.append(desc["hayes"])
         desc = desc.get("base", {})
-    return ([max(i for i, c in enumerate(h["dirichlet"]["modulus"]) if c)
-             for h in descriptors if h.get("dirichlet") is not None]
-            + [h["short"]["s"] for h in descriptors if h.get("short") is not None])
+    return (([n] if "n" in spec.reads else []) + spec.powers(n, sections)
+            + [_degree(h["dirichlet"]["modulus"])
+               for h in hayes if h.get("dirichlet") is not None]
+            + [h["short"]["s"] for h in hayes if h.get("short") is not None])
 
 
 def _estimated_cost(kind: str, n: int, q: int, sections: dict) -> int:
     """The largest charge the run of `kind` makes to its field at n (0
-    without an n-range): G_n, also for the arrays on G_{n.stop} and the sieve
-    at degree n, the Hayes sets, and the kernel's declared cost."""
-    if kind == "bias-rank-demo":
-        sec = sections["bias"]
-        return bias_cost(q, (sec["slot_dim"],) * sec["arity"])
-    if kind == "zero-count-check":
-        return q ** sections["zero_count"]["dim"]     # projective_common_zeros
-    costs = [q ** n] + [q ** e for e in _character_exponents(kind, sections)]
-    if kind == "katai-check":
-        sec = sections["katai"]
-        costs.append(analytics.katai_cost(q, n, sec["k"], sec["pair_set"]))
-    elif kind == "gowers-decay":
-        # k = 2 runs u2_fourier, one transform of G_n
-        k = sections["gowers"]["k"]
-        costs.append(q ** n if k == 2 else analytics.gowers_cost(q, n, k))
-    elif kind == "ap-decay":
-        costs.append(analytics.ap_cost(q, n, sections["ap"]["k"]))
-    elif kind == "tk-check":
-        # the window's counts, and the sieve of its top degree H - 1
-        W, H = sections["tk"]["W"], sections["tk"]["H"]
-        costs += [analytics.tk_cost(q, n, W, H), q ** (H - 1)]
-    return max(costs)
+    without an n-range): the largest q^e of `_exponents`, or a count of its
+    kernel's."""
+    return max([q ** max(_exponents(kind, n, sections)),
+                *_KIND_TABLE[kind].counts(q, n, sections)])
+
+
+# Python prints no integer of more decimal digits (its default limit), and
+# json reads none, so 10^_DIGITS is over every budget a JSON config gives
+_DIGITS = 4300
 
 
 def validate_config(source) -> ExperimentConfig:
@@ -413,7 +387,9 @@ def validate_config(source) -> ExperimentConfig:
     every violation found.  Budget overruns are reported with a 'budget:'
     prefix so the CLI can map them to their own exit code.  cfg.sections
     holds fresh dicts, the defaults of `_SECTIONS` under the config's keys;
-    the config itself is never changed.
+    the config itself is never changed.  The rules across keys (the field's
+    table limit and primality, n.stop >= n.start, the kind's rule) read only
+    sections whose values passed their declared checks.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -428,6 +404,9 @@ def validate_config(source) -> ExperimentConfig:
     _check_keys(problems, raw, _TOP_KEYS, "config")
 
     kind = raw.get("kind")
+    # `in` a tuple compares, so a kind that is a list is refused, not hashed;
+    # an unknown kind is checked as one with an n-range
+    spec = _KIND_TABLE[kind] if kind in KINDS else _Kind((), (), ("n",), None)
     if kind not in KINDS:
         problems.append(f"kind: must be one of {', '.join(KINDS)} (got {kind!r})")
 
@@ -435,90 +414,84 @@ def validate_config(source) -> ExperimentConfig:
     for name, keys in _SECTIONS.items():
         given = name in raw and _check_keys(problems, raw[name], keys, name)
         if isinstance(keys, dict):      # a value section: always there
-            defaults = {key: copy.copy(value) for key, value in keys.items() if value is not None}
+            defaults = {key: copy.copy(default) for key, (default, _) in keys.items()
+                        if default not in (None, _REQUIRED)}
             sections[name] = {**defaults, **(raw[name] if given else {})}
         elif given:                     # a descriptor: when the config gives it
             sections[name] = dict(raw[name])
-    for req in _NEEDS.get(kind, ()):
+    for req in spec.requires:
         if not isinstance(raw.get(req), dict):
             problems.append(f"{req}: required for kind {kind}")
+    failed = _failed_sections(problems, sections, ("field", "budget", "output", *spec.reads))
 
     p, r = sections["field"].get("p"), sections["field"]["r"]
-    p_ok, r_ok = _is_int(p) and p >= 2, _is_int(r) and r >= 1
     # the table limit before primality, whose trial division of a huge p
     # does not end; no huge p^r is formed
-    if p_ok and not within_table_limit(p, r if r_ok else 1):
+    if "field" not in failed and not within_table_limit(p, r):
         problems.append(f"field.p, field.r: q = p^r is over {MAX_Q}, too large for "
                         f"table-driven arithmetic")
-        p_ok = False
-    elif not (p_ok and is_prime(p)):
+        failed.add("field")
+    elif "field" not in failed and not is_prime(p):
         problems.append("field.p: required prime")
-        p_ok = False
-    if not r_ok:
-        problems.append("field.r: must be a positive integer")
-    field_ok = p_ok and r_ok
-
+        failed.add("field")
     n_start = n_stop = 0
-    if kind in ("bias-rank-demo", "zero-count-check"):
-        if "n" in raw:
-            problems.append("n: not used by this experiment kind")
-    else:
-        n_start = sections["n"].get("start")
+    if "n" not in spec.reads and "n" in raw:
+        problems.append("n: not used by this experiment kind")
+    elif "n" in spec.reads and "n" not in failed:
+        n_start = sections["n"]["start"]
         n_stop = sections["n"].get("stop", n_start)
-        if not _is_int(n_start) or n_start < 1:
-            problems.append("n.start: required positive integer")
-            n_start = n_stop = 1
-        elif not _is_int(n_stop) or n_stop < n_start:
+        if n_stop < n_start:
             problems.append("n.stop: must be an integer >= n.start")
-            n_stop = n_start
-
-    budget = sections["budget"]["max_evals_per_n"]
-    if not _is_int(budget) or budget < 1:
-        problems.append("budget.max_evals_per_n: must be a positive integer")
+            failed.add("n")
+    if not failed & {"field", *spec.reads}:
+        problems += spec.rule(sections, p)
 
     domain = raw.get("domain", "all")
     if domain not in ("all", "nonzero", "monic"):
         problems.append("domain: must be all | nonzero | monic")
-
-    if field_ok and "hayes" in sections:
-        _check_hayes(problems, sections["hayes"], "hayes", p, r)
     seed = raw.get("seed")
-    if "function" in sections:
-        _check_function(problems, sections["function"], "function",
-                        (p, r) if field_ok else None, seed is not None)
-    if field_ok and kind == "decay-table" and "phase" in sections:
-        _check_phase(problems, sections["phase"], p ** r, n_start, n_stop)
-    _check_values(problems, kind, sections, p if field_ok else None, n_start)
-
-    if kind == "zero-count-check" and seed is None:
-        problems.append("seed: required because a randomized object is referenced")
     if seed is not None and not _is_int(seed):
         problems.append("seed: must be an integer")
+    elif seed is None and spec.seeded:
+        problems.append("seed: required because a randomized object is referenced")
 
-    output_path, output_format = sections["output"].get("path"), sections["output"]["format"]
-    if output_path is not None and not isinstance(output_path, str):
-        problems.append("output.path: must be a string")
-    if output_format not in ("csv", "json"):
-        problems.append("output.format: must be csv or json")
+    # the Hayes checks' (q, budget, Dirichlet indices); a budget of 0 checks
+    # no index
+    budget, dirichlet = sections["budget"]["max_evals_per_n"], []
+    scope = None if "field" in failed else (p ** r, 0 if "budget" in failed else budget,
+                                            dirichlet)
+    if scope and "hayes" in sections:
+        _check_hayes(problems, sections["hayes"], "hayes", *scope)
+    if "function" in sections:
+        _check_function(problems, sections["function"], "function", scope, seed is not None)
+    if scope and "phase" in spec.requires and "phase" in sections and "n" not in failed:
+        _check_phase(problems, sections["phase"], p ** r, n_start, n_stop)
+    if dirichlet:
+        # one field at the config's budget counts every Dirichlet group
+        field = build_field(p, r, enumeration_budget=budget)
+        for modulus, index, where in dirichlet:
+            _check_index(problems, index, _unit_count(field, modulus), where)
 
-    # the cost is estimated for an otherwise valid config only
-    if kind in KINDS and not problems:
-        # the kinds without an n-range have n.start = n.stop = 0
-        for n in range(n_start, n_stop + 1):
-            cost = _estimated_cost(kind, n, p ** r, sections)
-            if cost > budget:
-                at = f"n={n}" if n else "experiment"
-                problems.append(f"budget: {at} needs {cost} evaluations, "
-                                f"over max_evals_per_n={budget}")
-                break
+    # the cost is estimated for an otherwise valid config only, in this one
+    # place; the kinds without an n-range have n.start = n.stop = 0.  A q^e
+    # of _DIGITS digits is never built: like a count that long, the problem
+    # says the run needs at least 10^_DIGITS
+    for n in range(n_start, n_stop + 1) if not problems else ():
+        small = max(_exponents(kind, n, sections)) < _DIGITS / math.log10(p ** r)
+        cost = _estimated_cost(kind, n, p ** r, sections) if small else 10 ** _DIGITS
+        if cost > budget:
+            needs = cost if math.log10(cost) < _DIGITS else f"at least 10^{_DIGITS}"
+            problems.append(f"budget: {f'n={n}' if n else 'experiment'} needs {needs} "
+                            f"evaluations, over max_evals_per_n={budget}")
+            break
 
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(kind=kind, field_params={"p": p, "r": r}, seed=seed,
                             n_start=n_start, n_stop=n_stop, budget=budget,
                             domain=domain, sections=sections,
-                            output_path=output_path, output_format=output_format,
-                            raw=raw)
+                            output_path=sections["output"].get("path"),
+                            output_format=sections["output"]["format"], raw=raw)
 
 
 # -- execution -----------------------------------------------------------------------
@@ -674,16 +647,87 @@ def _rows_zero_count(cfg: ExperimentConfig, field: Field):
                res.total_degree, len(phases))
 
 
-_RUNNERS = {
-    "decay-table": _rows_decay_table,
-    "distance-growth": _rows_distance_growth,
-    "gowers-decay": _rows_gowers_decay,
-    "ap-decay": _rows_ap_decay,
-    "katai-check": _rows_katai,
-    "tk-check": _rows_tk,
-    "bias-rank-demo": _rows_bias_rank,
-    "zero-count-check": _rows_zero_count,
+# -- the experiment kinds ---------------------------------------------------------------
+
+
+class _Kind:
+    """An experiment kind: its CSV columns; the sections a config must give
+    and the value sections it reads besides field, budget and output; its
+    `rows(cfg, field)`; `rule(sections, p)`, its problems across keys;
+    `powers(n, sections)`, the exponents e of the q^e its kernel charges at
+    n, and `counts(q, n, sections)`, the kernel's other charges; and whether
+    its rows draw from the config seed, which it then requires."""
+    __slots__ = ("columns", "requires", "reads", "rows", "rule", "powers", "counts", "seeded")
+
+    def __init__(self, columns: tuple, requires: tuple, reads: tuple, rows,
+                 rule=lambda s, p: (), powers=lambda n, s: [], counts=lambda q, n, s: (),
+                 seeded: bool = False):
+        self.columns, self.requires, self.reads, self.rows = columns, requires, reads, rows
+        self.rule, self.powers, self.counts, self.seeded = rule, powers, counts, seeded
+
+
+def _katai_rule(s: dict, p: int):
+    # the pair degrees ascend: the last is the largest
+    if s["n"]["start"] < analytics._PAIR_SETS[s["katai"]["pair_set"]][0](s["katai"]["k"])[-1]:
+        yield "n.start: n too small for the chosen pair degrees"
+
+
+def _ap_rule(s: dict, p: int):
+    if s["ap"]["k"] >= p:
+        yield (f"ap.k: must be an integer with 2 <= k < p = {p} "
+               f"(default {_SECTIONS['ap']['k'][0]})")
+
+
+def _tk_rule(s: dict, p: int):
+    W, H = s["tk"]["W"], s["tk"]["H"]
+    if max(W + 1, 1) >= H:
+        yield f"tk.H: the window W < deg p < H holds no degree >= 1 (W={W}, H={H})"
+
+
+def _bias_rule(s: dict, p: int):
+    dim = s["bias"]["slot_dim"]
+    yield from (f"bias.r_values: r={r} above slot_dim={dim}"
+                for r in s["bias"]["r_values"] if r > dim)
+
+
+_KIND_TABLE = {
+    "decay-table": _Kind(("n", "abs_mean", "re", "im", "count"), ("function", "phase"),
+                         ("n",), _rows_decay_table),
+    "distance-growth": _Kind(("N", "distance"), ("function", "hayes"), ("n",),
+                             _rows_distance_growth),
+    # k = 2 runs u2_fourier, one transform of G_n; another k the cube
+    # recursion's gowers_cost q^(kn)
+    "gowers-decay": _Kind(("n", "norm"), ("function",), ("n", "gowers"), _rows_gowers_decay,
+                          powers=lambda n, s: [n if s["gowers"]["k"] == 2
+                                               else n * s["gowers"]["k"]]),
+    # ap_cost: the q^(2n) pairs and the q^((k-1)n) cube of the U^(k-1) bound
+    "ap-decay": _Kind(("n", "abs_mean", "gowers_bound", "satisfied"), ("function",),
+                      ("n", "ap"), _rows_ap_decay, rule=_ap_rule,
+                      powers=lambda n, s: [2 * n, (s["ap"]["k"] - 1) * n]),
+    "katai-check": _Kind(("n", "statistic"), ("function",), ("n", "katai"), _rows_katai,
+                         rule=_katai_rule,
+                         counts=lambda q, n, s: [analytics.katai_cost(
+                             q, n, s["katai"]["k"], s["katai"]["pair_set"])]),
+    # the sieve of the window's top degree H - 1, and the tk_cost rows the
+    # counts mark
+    "tk-check": _Kind(("n", "A", "lhs", "ratio"), ("tk",), ("n", "tk"), _rows_tk,
+                      rule=_tk_rule, powers=lambda n, s: [s["tk"]["H"] - 1],
+                      counts=lambda q, n, s: [analytics.tk_cost(q, n, s["tk"]["W"],
+                                                                s["tk"]["H"])]),
+    # bias_cost: the q^(slot_dim arity) slot tuples of an exhaustive bias
+    "bias-rank-demo": _Kind(("r", "bias", "analytic_rank", "bound", "meets_bound"), (),
+                            ("bias",), _rows_bias_rank, rule=_bias_rule,
+                            powers=lambda n, s: [s["bias"]["slot_dim"] * s["bias"]["arity"]]),
+    # projective_common_zeros runs over G_dim
+    "zero-count-check": _Kind(("trial", "count", "projective_size", "bound", "passes",
+                               "total_degree", "forms"), ("zero_count",), ("zero_count",),
+                              _rows_zero_count, powers=lambda n, s: [s["zero_count"]["dim"]],
+                              seeded=True),
 }
+
+KINDS = tuple(_KIND_TABLE)
+
+COLUMNS = {kind: spec.columns for kind, spec in _KIND_TABLE.items()}
 
 
 def run_experiment(config, stream=None) -> ExperimentResult:
@@ -707,7 +751,7 @@ def run_experiment(config, stream=None) -> ExperimentResult:
     if stream is not None:
         stream.writelines(line + "\n" for line in result.header_lines())
         stream.flush()
-    for row in _RUNNERS[cfg.kind](cfg, field):
+    for row in _KIND_TABLE[cfg.kind].rows(cfg, field):
         result.rows.append(row)
         if stream is not None:
             stream.write(_csv_row(row) + "\n")
@@ -718,9 +762,9 @@ def run_experiment(config, stream=None) -> ExperimentResult:
 def list_builtins() -> str:
     lines = ["experiment kinds:"]
     lines += [f"  {k}  (columns: {', '.join(COLUMNS[k])})" for k in KINDS]
-    lines.append("builtin multiplicative functions: moebius, liouville, one")
-    lines.append("random function value sets: pm1, unit")
-    lines.append("function descriptor kinds: builtin, random, character, twist")
+    lines.append(f"builtin multiplicative functions: {', '.join(_BUILTINS)}")
+    lines.append(f"random function value sets: {', '.join(_VALUE_SETS)}")
+    lines.append(f"function descriptor kinds: {', '.join(_FUNCTION_KINDS)}")
     lines.append("hayes descriptor: {dirichlet: {modulus, index}, short: {s, index}, "
                  "theta: float|'a/b', unit_index}")
     lines.append("phase descriptor: {terms: [{coef, factors: [[b_-1..b_-M], ...]}], "

@@ -249,7 +249,7 @@ def builtin(field: Field, name: str) -> MultiplicativeFunction:
     profile, so the array paths, which read the profile once per degree,
     give the scalar path's values by construction."""
     if name not in _BUILTINS:
-        raise ValueError(f"unknown builtin {name!r}; have moebius, liouville, one")
+        raise ValueError(f"unknown builtin {name!r}; have {', '.join(_BUILTINS)}")
     profile, completely = _BUILTINS[name]
     return MultiplicativeFunction(
         field, lambda p, k: profile(p.degree, k), name=name,
@@ -276,6 +276,10 @@ def from_character(H: HayesCharacter) -> MultiplicativeFunction:
     return f
 
 
+# the value sets of `random_on_irreducibles`
+_VALUE_SETS = ("pm1", "unit")
+
+
 def random_on_irreducibles(field: Field, seed: int,
                            value_set: str = "pm1") -> MultiplicativeFunction:
     """Seeded i.i.d. values on irreducibles, extended completely multiplicatively.
@@ -286,8 +290,8 @@ def random_on_irreducibles(field: Field, seed: int,
     evaluation order; the prime-power rule finds a prime's
     value by its index, and the array paths read the blocks directly.
     """
-    if value_set not in ("pm1", "unit"):
-        raise ValueError("value_set must be 'pm1' or 'unit'")
+    if value_set not in _VALUE_SETS:
+        raise ValueError(f"value_set must be {' or '.join(map(repr, _VALUE_SETS))}")
     blocks: dict[int, np.ndarray] = {}
 
     def drawn(d: int) -> np.ndarray:

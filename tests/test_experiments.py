@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from ffmult.errors import BudgetError, ConfigError
-from ffmult.experiments import (_SECTIONS, list_builtins, resolve_phase, run_experiment,
-                                 validate_config)
+from ffmult.experiments import (_FUNCTION_KINDS, _KIND_TABLE, _SECTIONS, KINDS, list_builtins,
+                                 resolve_phase, run_experiment, validate_config)
 from ffmult.fields import build_field
 from ffmult.laurent import LaurentTruncation
 from ffmult.phases import PolynomialPhase
@@ -211,6 +211,21 @@ def test_list_builtins_text():
                    if line.endswith("}") and " descriptor: {" in line)
     assert _top_keys(printed["hayes descriptor"]) == _SECTIONS["hayes"]
     assert _top_keys(printed["phase descriptor"]) == _SECTIONS["phase"]
+    # the lists are printed from the tables validation checks against
+    from ffmult.multiplicative import _BUILTINS, _VALUE_SETS
+    listed = dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
+    assert listed["builtin multiplicative functions"].split(", ") == list(_BUILTINS)
+    assert listed["random function value sets"].split(", ") == list(_VALUE_SETS)
+    assert listed["function descriptor kinds"].split(", ") == list(_FUNCTION_KINDS)
+    for name in listed["builtin multiplicative functions"].split(", "):
+        validate_config(_decay(function={"kind": "builtin", "name": name}))
+    for values in listed["random function value sets"].split(", "):
+        validate_config(_decay(function={"kind": "random", "values": values}))
+    for kind in listed["function descriptor kinds"].split(", "):
+        with pytest.raises(ConfigError) as e:
+            validate_config(_decay(function={"kind": kind, "seed": "x"}))
+        assert not [p for p in e.value.problems if p.startswith("function.kind")]
+    assert [line.split()[0] for line in text.splitlines() if "(columns: " in line] == list(KINDS)
 
 
 def test_phase_descriptor_is_a_valid_phase_section():
@@ -664,6 +679,7 @@ INVALID_CONFIGS = {
     "ap-k-true": (_one("ap-decay", p=5, ap={"k": True}), "ap.k"),
     "tk-w-true": (_tk(W=True), "tk.W, tk.H: required integers"),
     "tk-h-true": (_tk(W=-1, H=True), "tk.W, tk.H: required integers"),
+    "tk-w-and-h-strings": (_tk(W="1", H="4"), "tk.W, tk.H: required integers"),
     # booleans read as integers in these keys too: n.start = true ran as 1, and
     # budget.max_evals_per_n = true was refused as a budget overrun (exit 2);
     # field.p = true was already refused, since 1 is not prime
@@ -938,3 +954,126 @@ def test_charges_the_old_estimate_missed_are_refused_at_validation():
         with pytest.raises(ConfigError) as e:
             validate_config(cfg)
         assert [p for p in e.value.problems if p.startswith(problem)], e.value.problems
+
+
+# -- the declared value checks and the kind table -------------------------------------
+
+# a valid config of each kind
+KIND_BASES = {
+    "decay-table": _decay(),
+    "distance-growth": distance_config({"theta": "1/3"}),
+    "gowers-decay": _one("gowers-decay"),
+    "ap-decay": _one("ap-decay", p=5),
+    "katai-check": _katai(),
+    "tk-check": _tk(),
+    "bias-rank-demo": _bias(),
+    "zero-count-check": _zero_count(),
+}
+
+
+def _subject(problem: str) -> list:
+    """The keys a problem names before its ': ' ("tk.W, tk.H" names both)."""
+    return problem.partition(": ")[0].split(", ")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_value_key_a_kind_reads_is_checked_once(kind):
+    assert set(KIND_BASES) == set(KINDS)
+    validate_config(KIND_BASES[kind])
+    for section in ("field", "budget", "output", *_KIND_TABLE[kind].reads):
+        for key, (default, _) in _SECTIONS[section].items():
+            # true is a value of a flag
+            for bad in ({},) if isinstance(default, bool) else (True, {}):
+                cfg = json.loads(json.dumps(KIND_BASES[kind]))
+                cfg.setdefault(section, {})[key] = bad
+                with pytest.raises(ConfigError) as e:
+                    validate_config(cfg)
+                problems = e.value.problems
+                named = [p for p in problems if f"{section}.{key}" in _subject(p)]
+                assert len(named) == 1, (section, key, bad, problems)
+                assert not any(p.startswith("budget:") for p in problems), problems
+
+
+# each exited 3, the kind with TypeError and the others with ValueError on
+# printing a cost of over 4300 digits; the last did not finish validation
+# in 100 s, building 3^(10^8)
+OVER_EVERY_BUDGET = {
+    "tk-n-start": {**_tk(), "n": {"start": 100_000}},
+    "tk-h": {**_tk(H=100_000)},
+    "gowers-k": _one("gowers-decay", p=3, gowers={"k": 100_000}),
+    "zero-count-dim": _zero_count(dim=100_000),
+    "bias-slot-dim": _bias(slot_dim=100_000),
+    "short-s": distance_config({"short": {"s": 1_000_000, "index": 0}}),
+    "tk-f3-n-start": {**_tk(), "field": {"p": 3}, "n": {"start": 100_000_000}},
+}
+
+
+def _cli_config(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return run_cli("run", str(path))
+
+
+def test_a_kind_that_is_not_a_string_is_a_validation_problem(tmp_path):
+    r = _cli_config(tmp_path, {"kind": ["tk-check"], "field": {"p": 2}})
+    _cli_config_error(r, "kind: must be one of decay-table, ")
+
+
+@pytest.mark.parametrize("case", sorted(OVER_EVERY_BUDGET))
+def test_costs_too_large_to_print_are_budget_problems(case, tmp_path):
+    cfg = OVER_EVERY_BUDGET[case]
+    start = time.perf_counter()
+    with pytest.raises(ConfigError) as e:
+        validate_config(cfg)
+    assert time.perf_counter() - start < 1.0
+    assert [p for p in e.value.problems if p.startswith("budget:")] == e.value.problems
+    assert "needs at least 10^4300 evaluations" in e.value.problems[0]
+    r = _cli_config(tmp_path, cfg)
+    assert r.returncode == 2 and "config error: budget:" in r.stderr, r.stderr
+
+
+def test_dirichlet_residues_over_the_budget_are_refused_by_the_estimate(tmp_path):
+    # the index check factored x^47 + x^5 + 1 at the default budget, and its
+    # sieve's BudgetError ("degree 21 needs 2097152") escaped validation
+    modulus = [1, 0, 0, 0, 0, 1] + [0] * 41 + [1]
+    cfg = {**distance_config({"dirichlet": {"modulus": modulus, "index": 3}}),
+           "field": {"p": 2}}
+    problem = ("budget: n=1 needs 140737488355328 evaluations, "
+               "over max_evals_per_n=2000000")
+    with pytest.raises(ConfigError) as e:
+        validate_config(cfg)
+    assert e.value.problems == [problem]
+    r = _cli_config(tmp_path, cfg)
+    assert r.returncode == 2 and f"config error: {problem}" in r.stderr, r.stderr
+
+
+def test_one_field_at_the_config_budget_counts_every_dirichlet_index(monkeypatch):
+    from ffmult import experiments
+    built = []
+
+    def counting(p, r, enumeration_budget):
+        built.append(enumeration_budget)
+        return build_field(p, r, enumeration_budget)
+
+    monkeypatch.setattr(experiments, "build_field", counting)
+    # (F_4[x]/(x^2 + x + 2))^* has 15 elements, (F_4[x]/x^3)^* 48
+    chi = {"modulus": [2, 1, 1]}
+    function = {"kind": "twist", "hayes": {"dirichlet": {**chi, "index": 14}},
+                "base": {"kind": "character", "hayes": {"dirichlet": {"modulus": [0, 0, 0, 1],
+                                                                       "index": 47}}}}
+    cfg = {**distance_config({"dirichlet": {**chi, "index": 15}}, function),
+           "field": {"p": 2, "r": 2}, "budget": {"max_evals_per_n": 5000}}
+    with pytest.raises(ConfigError) as e:
+        validate_config(cfg)
+    assert e.value.problems == ["hayes.dirichlet.index: must be an integer in [0, 15)"]
+    assert built == [5000]
+
+
+def test_katai_pair_degrees_are_not_enumerated():
+    # the rule took max(range(k + 1)) for G_{k+1}: 2.4 s at k = 10^8
+    cfg = _katai(k=10 ** 12, pair_set="G_{k+1}")
+    start = time.perf_counter()
+    with pytest.raises(ConfigError) as e:
+        validate_config(cfg)
+    assert time.perf_counter() - start < 1.0
+    assert e.value.problems == ["n.start: n too small for the chosen pair degrees"]
