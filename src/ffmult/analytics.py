@@ -28,6 +28,11 @@ whose trends the theory predicts.  Conventions shared by all ops:
   integer (+0.0 when it is 0), so the bits are those of the fsum.  Gowers
   and progression averages use numpy's mean and complex products:
   deterministic, with no scalar twin.
+* `correlate_prefixes` and `katai_prefixes` give a statistic for every n
+  of a range from f on G_N, N the largest n, bit for bit as the statistic
+  of each n alone: G_n is the index prefix of G_N.  The Katai range maps
+  the products a*g once per pair degree, for N, and its integer Gram
+  matrices grow by the cofactors of each new degree.
 * Gowers norms: the U^k brute-force cube average is computed by iterating
   multiplicative derivatives (an exact regrouping of the sum over
   (x, h_1..h_k)); the independent U^2 route goes through the additive
@@ -323,47 +328,93 @@ def katai_statistic(field: Field, f, n: int, k: int, pair_set: str = "P_k",
     nonzero polynomials of degree <= k; both are index arrays (`_pair_set`).
 
     `f` is in any form `sample_on_gn` reads; it is sampled once on all of
-    G_n (a plain callable is called q^n times; q^n and the `katai_cost` are
-    charged to the field).  The pairs whose larger degree is D share
-    m = n - D, and f(a g) for the a of one degree is read from that array
-    through one `times_fixed` block per (deg a, m).  Every inner sum and the
-    total are fsums, so the order of the pairs does not change the result.
-    When `_unit_integer_parts` reads the rows of one D, their inner sums S
-    are instead exact int64 Gram matrices of the rows' parts R and I,
-    Re S = R R^T + I I^T and Im S = I R^T - R I^T, which give the fsums'
-    bits; the total is still an fsum.  |S| is `np.hypot` over each block,
-    which gives the bits of abs(complex).
+    G_n (a plain callable is called q^n times; the `katai_cost` and q^n are
+    charged to the field, in that order).  This is the one-n case of
+    `katai_prefixes`, which says how the sums are taken.
+    """
+    return next(katai_prefixes(field, f, [n], k, pair_set, per_pair))
+
+
+def katai_prefixes(field: Field, f, ns, k: int, pair_set: str = "P_k",
+                   per_pair: bool = False):
+    """katai_statistic(field, f on G_n, n, k, pair_set, per_pair) for every n
+    of the ascending `ns` in turn, bit for bit, from `f` on G_N, N the last
+    n: an index-order array on G_N (G_n reads its prefix) or any other form
+    `sample_on_gn` reads on G_N.  A descending `ns`, or an n below the
+    largest pair degree, is a ValueError; then every n's `katai_cost` is
+    charged to the field, before f is sampled or any product is mapped.
+
+    The pairs whose larger degree is D share m = n - D.  f(a g) for the a of
+    degree d is read through one `times_fixed` map per d, at m = N - d: G_m
+    is the index prefix of G_{m+1}, so the g of a smaller m are the first
+    q^m columns of that map.  Only the inner sums S(a, b) with deg a = D are
+    taken: S(b, a) is their conjugate, whose |S| has the same bits, so those
+    of a lower a against the b of degree D are counted from them again.
+    Every inner sum and the total are fsums, so the order of the pairs does
+    not change the result.  When `_unit_integer_parts` reads the values of
+    every map, the inner sums of one D are instead exact int64 Gram matrices
+    of the rows' parts R and I, Re S = R R^T + I I^T and Im S = I R^T - R I^T,
+    which give the fsums' bits; each n adds its columns past those of the n
+    before, the degree blocks [q^(m-1), q^m) of the cofactors g.  |S| is
+    `np.hypot` over each matrix, which gives the bits of abs(complex).
     """
     q = field.q
+    ns = list(ns)
     pairs = _pair_set(field, k, pair_set)
-    if n < max(pairs):
+    if ns != sorted(ns):
+        raise ValueError(f"the n of a Katai range must ascend, got {ns}")
+    if ns and ns[0] < max(pairs):
         raise ValueError("n too small for the chosen pair degrees")
-    field.charge(katai_cost(q, n, k, pair_set), f"the Katai inner sums on G_{n}")
-    f_arr = sample_on_gn(field, n, f)
-    parts = []
-    for top, members in pairs.items():
-        m, scale = n - top, q ** (n - top) if per_pair else 1
-        rows = np.concatenate([f_arr[times_fixed(field, idx, m)]
-                               for d, idx in pairs.items() if d <= top])
-        below = len(rows) - len(members)      # rows of degree < top pair with degree top only
-        exact = _unit_integer_parts(rows)
+    for n in ns:
+        field.charge(katai_cost(q, n, k, pair_set), f"the Katai inner sums on G_{n}")
+    if not ns:
+        return
+    N = ns[-1]
+    f_arr = sample_on_gn(field, N, f)
+    values = [f_arr[times_fixed(field, idx, N - d)] for d, idx in pairs.items()]
+    exact = [_unit_integer_parts(v) for v in values]
+    if any(parts is None for parts in exact):
+        exact = None
+    # per top degree D: the rows of every degree <= D on G_{N-D} (an array,
+    # or the int64 parts R and I), the number of them of degree < D, which
+    # pair with those of degree D only, and on the integer route the Gram
+    # matrices (Re S, Im S) of the rows of degree D against every row, over
+    # the columns summed so far (none yet)
+    tops, below = [], 0
+    for i, (top, members) in enumerate(pairs.items()):
+        width = q ** (N - top)
         if exact is None:
-            for a, row in enumerate(rows):
-                re, im = _products(row, rows[below:] if a < below else rows, conjugate_b=True)
-                sums = [[math.fsum(x) for x in part.tolist()] for part in (re, im)]
-                parts += (np.hypot(*sums) / scale).tolist()
-            continue
-        R, I = exact
-        # the rows of degree top against every row, the lower rows against those of degree top
-        for a, b in ((slice(below, None), slice(None)), (slice(below), slice(below, None))):
-            re = R[a] @ R[b].T + I[a] @ I[b].T
-            im = I[a] @ R[b].T - R[a] @ I[b].T
-            parts += (np.hypot(re, im) / scale).ravel().tolist()
-    size = sum(len(idx) for idx in pairs.values())
-    total = math.fsum(parts)
-    if per_pair:
-        return total / size ** 2
-    return total / (size ** 2 * q ** (n - k))
+            rows, grams = np.concatenate([v[:, :width] for v in values[:i + 1]]), None
+        else:
+            rows = [np.concatenate([e[j][:, :width] for e in exact[:i + 1]]) for j in (0, 1)]
+            grams = [np.zeros((len(members), len(rows[0])), dtype=np.int64) for _ in (0, 1)]
+        tops.append((top, rows, below, grams))
+        below += len(members)
+    size, prev = below, None
+    for n in ns:
+        parts = []
+        for top, rows, below, grams in tops:
+            m, scale = n - top, q ** (n - top) if per_pair else 1
+            if grams is None:
+                rows = rows[:, :q ** m]
+                # [row of degree D][re, im][row]
+                fsums = np.array([[[math.fsum(x) for x in part.tolist()]
+                                   for part in _products(row, rows, conjugate_b=True)]
+                                  for row in rows[below:]])
+                re, im = fsums[:, 0], fsums[:, 1]
+            else:
+                # the columns of G_m past those of the n before
+                R, I = (part[:, 0 if prev is None else q ** (prev - top):q ** m] for part in rows)
+                re, im = grams
+                re += R[below:] @ R.T + I[below:] @ I.T
+                im += I[below:] @ R.T - R[below:] @ I.T
+            sums = np.hypot(re, im) / scale
+            # S(b, a) is the conjugate of S(a, b): the lower rows against those
+            # of degree D are the first `below` columns again
+            parts += sums.ravel().tolist() + sums[:, :below].ravel().tolist()
+        prev = n
+        total = math.fsum(parts)
+        yield total / size ** 2 if per_pair else total / (size ** 2 * q ** (n - k))
 
 
 # -- derivative bias statistic ------------------------------------------------------

@@ -18,7 +18,7 @@ import json
 import sys
 
 from .errors import BudgetError, ConfigError
-from .experiments import KINDS, list_builtins, run_experiment, validate_config
+from .experiments import KINDS, list_builtins, parse_json, run_experiment, validate_config
 from .fields import DEFAULT_BUDGET
 
 EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET, EXIT_INTERNAL = 0, 1, 2, 3
@@ -43,8 +43,8 @@ _FLAGS = (
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, "r") as fh:
-        return json.load(fh)
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), path)
 
 
 def _assign(cfg, key: str, value, source: str) -> None:
@@ -76,6 +76,8 @@ def _build_config(args) -> dict:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text  # keep the raw string
+        except ValueError as e:     # JSON, but an integer past Python's digit limit
+            raise ConfigError([f"--set {key}: {e}"])
         _assign(cfg, key, value, f"--set {key}")
     return cfg
 
@@ -141,7 +143,7 @@ def main(argv=None) -> int:
     except BudgetError as e:
         print(f"budget refusal: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (OSError, json.JSONDecodeError) as e:
+    except OSError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as e:  # pragma: no cover - tripwire

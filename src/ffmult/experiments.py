@@ -380,6 +380,16 @@ def _estimated_cost(kind: str, n: int, q: int, sections: dict) -> int:
 _DIGITS = 4300
 
 
+def parse_json(text, what: str = "config"):
+    """json.loads(text); a ConfigError naming `what` when the text is not
+    JSON, and also when it holds an integer of more than _DIGITS digits or
+    bytes that are not text, which json reports as a plain ValueError."""
+    try:
+        return json.loads(text)
+    except ValueError as e:
+        raise ConfigError([f"{what} is not valid JSON: {e}"])
+
+
 def validate_config(source) -> ExperimentConfig:
     """Parse and normalize a config (dict, JSON text, or path-like).
 
@@ -391,13 +401,7 @@ def validate_config(source) -> ExperimentConfig:
     table limit and primality, n.stop >= n.start, the kind's rule) read only
     sections whose values passed their declared checks.
     """
-    if isinstance(source, (str, bytes)):
-        try:
-            raw = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise ConfigError([f"config is not valid JSON: {e}"])
-    else:
-        raw = source
+    raw = parse_json(source) if isinstance(source, (str, bytes)) else source
     problems: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
@@ -590,10 +594,9 @@ def _rows_ap_decay(cfg: ExperimentConfig, field: Field):
 def _rows_katai(cfg: ExperimentConfig, field: Field):
     f = _function_on_prefixes(cfg, field)
     sec = cfg.sections["katai"]
-    for n in range(cfg.n_start, cfg.n_stop + 1):
-        stat = analytics.katai_statistic(field, f[:field.q ** n], n, sec["k"],
-                                         sec["pair_set"], sec["per_pair"])
-        yield (n, stat)
+    ns = range(cfg.n_start, cfg.n_stop + 1)
+    yield from zip(ns, analytics.katai_prefixes(field, f, ns, sec["k"], sec["pair_set"],
+                                                sec["per_pair"]))
 
 
 def _rows_tk(cfg: ExperimentConfig, field: Field):

@@ -9,7 +9,8 @@ nothing builds Poly objects.  The kernels:
 * `degrees`: the degree of every index of an array;
 * `times_fixed`: the indices of p*h for every h in G_m (or ranges or
   given rows of it) and every p of an int64 index array of polynomials of
-  one degree, as one block, for the Katai inner sums;
+  one degree, as one block: the Katai inner sums map each pair degree
+  once for a whole n-range and read a smaller G_m as a column prefix;
   `times_fixed_chunks`: the same products a chunk at a time, for the
   irreducible sieve, the sieve of `function_on_gn` and the
   Turan-Kubilius counts, which consume each chunk and never hold the

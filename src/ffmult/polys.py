@@ -50,8 +50,10 @@ class Poly:
 
     def __init__(self, field: Field, coeffs=()):
         t = tuple(int(c) for c in coeffs)
-        while t and t[-1] == 0:
-            t = t[:-1]
+        end = len(t)
+        while end and t[end - 1] == 0:
+            end -= 1
+        t = t[:end]
         if any(c < 0 or c >= field.q for c in t):
             raise ValueError("coefficient out of range for " + repr(field))
         object.__setattr__(self, "field", field)

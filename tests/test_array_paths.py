@@ -1457,6 +1457,72 @@ def test_decay_table_checks_its_values_once(monkeypatch):
     assert checks == [2 ** 5, 2 ** 5]
 
 
+# (p, r) -> (k, N): n-ranges of at least 3 rows ending at N for both pair sets
+KATAI_RANGES = {(2, 1): (2, 8), (3, 1): (1, 5), (2, 2): (1, 4), (5, 1): (1, 4)}
+# values read by the integer route, then by the float route
+KATAI_INPUTS = {"random-pm1": True, "moebius": True, "liouville": True,
+                "random-unit": False, "twist": False}
+
+
+@pytest.mark.parametrize("pr", sorted(KATAI_RANGES))
+@pytest.mark.parametrize("name", sorted(KATAI_INPUTS))
+def test_katai_prefixes_give_the_bits_of_katai_statistic_per_n(pr, name, monkeypatch):
+    field = build_field(*pr)
+    q = field.q
+    k, N = KATAI_RANGES[pr]
+    f = sample_on_gn(field, N, make_function(field, name))
+    for pair_set in ("P_k", "G_{k+1}"):
+        ns = range(max(analytics._pair_set(field, k, pair_set)), N + 1)
+        assert len(ns) >= 3
+        for per_pair in (False, True):
+            reference = [struct.pack("<d", fsum_katai(field, f[:q ** n], n, k, pair_set, per_pair))
+                         for n in ns]
+            for chunk in (7, 40):
+                monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+                per_n = [struct.pack("<d", katai_statistic(field, f[:q ** n], n, k, pair_set,
+                                                           per_pair)) for n in ns]
+                fsum = FsumCalls(monkeypatch)
+                got = [struct.pack("<d", stat) for stat in
+                       analytics.katai_prefixes(field, f, ns, k, pair_set, per_pair)]
+                # the integer route sums only each n's total with an fsum
+                assert (fsum.calls == len(ns)) == KATAI_INPUTS[name]
+                monkeypatch.undo()
+                assert got == per_n == reference, (pair_set, per_pair, chunk)
+
+
+def test_katai_maps_each_pair_degree_once_per_run(monkeypatch):
+    maps = []
+    real = analytics.times_fixed
+    monkeypatch.setattr(analytics, "times_fixed",
+                        lambda field, polys, m: maps.append((len(polys), m)) or real(field, polys, m))
+    # the katai-random benchmark config: P_5 over F_2 (6 primes of degree 5,
+    # 9 of degree 6) for n = 11..13, one map per degree at m = 13 - d
+    config = {"kind": "katai-check", "field": {"p": 2}, "seed": 577090037,
+              "n": {"start": 11, "stop": 13}, "function": {"kind": "random", "values": "pm1"},
+              "katai": {"k": 5}}
+    rows = run_experiment(config).rows
+    assert maps == [(6, 8), (9, 7)]
+    assert rows == [(11, 0.564375), (12, 0.5721875), (13, 0.57609375)]
+    maps.clear()
+    run_experiment({**config, "field": {"p": 3}, "n": {"start": 2, "stop": 5},
+                    "katai": {"k": 2, "pair_set": "G_{k+1}"}})
+    assert maps == [(2, 5), (6, 4), (18, 3)]
+
+
+def test_katai_range_is_refused_before_any_engine_call(monkeypatch):
+    field = build_field(2, 1, enumeration_budget=analytics.katai_cost(2, 8, 2, "P_k"))
+    maps = []
+    monkeypatch.setattr(analytics, "times_fixed", lambda *args: maps.append(args))
+    f = Counting(lambda g: 1.0)
+    with pytest.raises(BudgetError, match="the Katai inner sums on G_9"):
+        next(analytics.katai_prefixes(field, f, range(3, 10), 2))
+    with pytest.raises(ValueError, match="must ascend"):
+        next(analytics.katai_prefixes(field, f, [5, 4], 2))
+    with pytest.raises(ValueError, match="n too small"):
+        next(analytics.katai_prefixes(field, f, range(2, 5), 2))
+    assert maps == [] and f.calls == 0
+
+
 def with_value(values, at, value):
     out = values.copy()
     out[at] = value

@@ -304,6 +304,26 @@ def test_cli_set_through_a_scalar_is_a_config_error():
         assert "internal error" not in r.stderr
 
 
+# Python converts no integer of more decimal digits (4300, its default limit)
+_HUGE = "9" * 4400
+
+
+def test_an_integer_past_the_digit_limit_is_a_config_error(tmp_path):
+    # json raises a plain ValueError here, not a JSONDecodeError: the file,
+    # --set and the bytes below used to end in "internal error" and exit 3
+    text = '{"kind": "tk-check", "field": {"p": 3}, "tk": {"H": %s}}' % _HUGE
+    with pytest.raises(ConfigError, match="config is not valid JSON: Exceeds the limit"):
+        validate_config(text)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    _cli_config_error(run_cli("run", str(path)), f"{path} is not valid JSON: Exceeds the limit")
+    r = run_cli("tk-check", "--p", "3", "--n-start", "9", "--n-stop", "9", "--set", f"tk.H={_HUGE}")
+    _cli_config_error(r, "--set tk.H: Exceeds the limit")
+    # bytes that are not UTF-8 are json's other plain ValueError
+    path.write_bytes(b'{"kind": "\xff"}')
+    _cli_config_error(run_cli("run", str(path)), f"{path} is not valid JSON: 'utf-8' codec")
+
+
 _TK_FILE = {"kind": "tk-check", "field": {"p": 2}, "n": {"start": 4}, "tk": {"W": 1, "H": 4}}
 
 

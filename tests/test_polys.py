@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,15 @@ def test_zero_polynomial_degree_is_neg_inf():
     assert z.degree == NEG_INF
     assert z.degree < 0 and z.degree < -10 ** 9
     assert P(F2, 1).degree == 0
+
+
+def test_trailing_zeros_are_dropped_in_linear_time():
+    # one slice per zero made this quadratic: 25,000 zeros took about 1 s
+    start = time.perf_counter()
+    g = Poly(F2, [1, 1] + [0] * 200_000)
+    assert time.perf_counter() - start < 1.0
+    assert g == P(F2, 1, 1) and g.coeffs == (1, 1)
+    assert Poly(F3, [0] * 1000) == Poly.zero(F3)
 
 
 def test_basic_identities():
