@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gn
 from .characters import HayesCharacter, dirichlet_characters, short_interval_characters
 from .fields import Field
 from .gn import times_fixed, times_fixed_chunks, translates
@@ -545,6 +546,8 @@ def window_divisor_counts(field: Field, n: int, W: int, H: int) -> np.ndarray:
     p != x of h, so the counts of the multiples of x are copied from those
     of their cofactors a degree block at a time, in ascending order; x
     itself, when in the window (W <= 0), then adds 1 to each of them.
+    `turan_kubilius_from_counts` reads the lhs of any G_m, m <= n, from
+    these counts, with no float array on G_m.
     """
     degrees = _tk_degrees(W, H)
     q = field.q
@@ -584,11 +587,11 @@ def turan_kubilius(field: Field, n: int, W: int, H: int) -> TKResult:
     A = sum over irreducibles with W < deg p < H of q^{-deg p};
     lhs = sum over G_n of |#{p in window : p | g} - A|^2; ratio = lhs/(A q^n).
     Every p divides g = 0, so the count at g = 0 is the number of primes in
-    the window.
+    the window.  lhs is the float64 squares summed in numpy's pairwise
+    order (`turan_kubilius_from_counts`), not the exact value rounded once.
     """
     A = window_mass(field, W, H)
-    return turan_kubilius_from_squares(
-        field, squared_deviations(window_divisor_counts(field, n, W, H), A), n, A, W, H)
+    return turan_kubilius_from_counts(field, window_divisor_counts(field, n, W, H), n, A, W, H)
 
 
 def window_mass(field: Field, W: int, H: int) -> float:
@@ -598,24 +601,40 @@ def window_mass(field: Field, W: int, H: int) -> float:
                      for _ in range(irreducible_count(field, d)))
 
 
-def squared_deviations(counts: np.ndarray, A: float) -> np.ndarray:
-    """float64 (count - A)^2 of every window count, built in place: on
-    window_divisor_counts of G_N, the squares on every G_n, n <= N, are its
-    prefix."""
-    squares = counts.astype(np.float64)
-    squares -= A
-    squares *= squares
-    return squares
+def turan_kubilius_from_counts(field: Field, counts: np.ndarray, n: int, A: float,
+                               W: int, H: int) -> TKResult:
+    """turan_kubilius on G_n from its window_divisor_counts (or those of a
+    larger G_N, read as the prefix) and the window's `window_mass` A.
 
-
-def turan_kubilius_from_squares(field: Field, squares: np.ndarray, n: int, A: float,
-                                W: int, H: int) -> TKResult:
-    """turan_kubilius on G_n from the `squared_deviations` of its window
-    counts (or of those of a larger G_N, read as the prefix) and the
-    window's `window_mass` A: lhs is numpy's pairwise sum of the q^n
-    squares."""
+    lhs has the bits of `np.sum` over the float64 squares (c_g - A)^2 of
+    G_n, which are never built: numpy's pairwise_sum splits a block of
+    m > 128 elements at m//2 - (m//2 mod 8) and adds the halves left then
+    right.  That tree is walked here down to blocks of at most
+    max(CHUNK_ELEMENTS, 128) elements; each is gathered by one `take` from
+    a table of (c - A)^2 per count value and summed by `np.sum` itself.
+    The table is sized by the largest count at g != 0, at most n; the count
+    at g = 0, the number of window primes, has its square alone.  The sum
+    keeps numpy's rounding, so lhs is not the exact value rounded once.
+    """
     size = field.q ** n
-    lhs = float(np.sum(squares[:size]))
+    counts = counts[:size]
+    table = np.arange(int(counts[1:].max(initial=0)) + 1, dtype=np.float64)
+    table -= A
+    table *= table
+    zero = float(counts[0]) - A
+    leaf = max(gn.CHUNK_ELEMENTS, 128)
+    block = np.empty(min(leaf, size))
+
+    def pairwise(lo: int, m: int) -> float:
+        if m > leaf:
+            half = m // 2 - m // 2 % 8
+            return pairwise(lo, half) + pairwise(lo + half, m - half)
+        squares = table.take(counts[lo:lo + m], out=block[:m], mode="clip")
+        if lo == 0:
+            squares[0] = zero * zero
+        return float(np.sum(squares))
+
+    lhs = pairwise(0, size)
     return TKResult(A, lhs, lhs / (A * size), n, (W, H))
 
 

@@ -603,10 +603,9 @@ def _rows_tk(cfg: ExperimentConfig, field: Field):
     W, H = cfg.sections["tk"]["W"], cfg.sections["tk"]["H"]
     # a divisor count does not depend on n: G_n reads the prefix of G_{n_stop}
     A = analytics.window_mass(field, W, H)
-    squares = analytics.squared_deviations(
-        analytics.window_divisor_counts(field, cfg.n_stop, W, H), A)
+    counts = analytics.window_divisor_counts(field, cfg.n_stop, W, H)
     for n in range(cfg.n_start, cfg.n_stop + 1):
-        res = analytics.turan_kubilius_from_squares(field, squares, n, A, W, H)
+        res = analytics.turan_kubilius_from_counts(field, counts, n, A, W, H)
         yield (n, res.A, res.lhs, res.ratio)
 
 

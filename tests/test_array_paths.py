@@ -5,7 +5,9 @@ of the Poly products p*h for stacks of polynomials, cofactor ranges (mapped
 as outer sums) and the same rows as explicit index arrays, and any
 chunking; the Turan-Kubilius counts built once on G_{n_stop} must equal
 the counts built on each G_n and those of a per-prime loop, and each
-tk-check row the result of `turan_kubilius` for its n alone.
+tk-check row the result of `turan_kubilius` for its n alone.  The lhs,
+summed from the counts a block at a time, must give the bits of `np.sum`
+over the float64 squares (c_g - A)^2, with no float array on G_n built.
 
 The residue and top-coefficient kernels must equal `Poly.__mod__` and
 `top_coefficient_tuple`; a Hayes product read as an array
@@ -51,6 +53,7 @@ import math
 import random
 import struct
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -63,8 +66,8 @@ from ffmult import (BudgetError, DegreeTwist, HayesCharacter, LaurentTruncation,
                     phase_character_array, r_bias_statistic, random_on_irreducibles,
                     run_experiment, sample_on_gn, short_interval_characters, twist, u2_fourier)
 from ffmult import analytics, gn
-from ffmult.analytics import (distance_terms, min_distance_over_hayes, squared_deviations,
-                              turan_kubilius, turan_kubilius_from_squares,
+from ffmult.analytics import (TKResult, distance_terms, min_distance_over_hayes,
+                              turan_kubilius, turan_kubilius_from_counts,
                               window_divisor_counts, window_mass)
 from ffmult.characters import DirichletCharacter, top_coefficient_tuple
 from ffmult.experiments import resolve_hayes
@@ -787,8 +790,8 @@ def test_tk_counts_on_g_n_stop_have_the_per_n_counts_as_prefixes(pr, n_stop, W, 
     for n in range(1, n_stop + 1):
         per_n = window_divisor_counts(field, n, W, H)
         assert np.array_equal(full[:field.q ** n], per_n), n
-        a = turan_kubilius_from_squares(field, squared_deviations(full, A), n, A, W, H)
-        b = turan_kubilius_from_squares(field, squared_deviations(per_n, A), n, A, W, H)
+        a = turan_kubilius_from_counts(field, full, n, A, W, H)
+        b = turan_kubilius_from_counts(field, per_n, n, A, W, H)
         assert struct.pack("<3d", a.A, a.lhs, a.ratio) == struct.pack("<3d", b.A, b.lhs, b.ratio)
     primes = sum(len(irreducibles_of_degree(field, d)) for d in range(max(W + 1, 1), H))
     assert full[0] == primes
@@ -820,7 +823,7 @@ def test_tk_counts_equal_the_per_prime_loop(pr, n, W, H):
 
 @pytest.mark.parametrize("pr,n,W,H", TK_GRID)
 def test_tk_check_rows_are_turan_kubilius_per_n(pr, n, W, H):
-    # the squares built once on G_{n_stop} give each n the lhs of its own run
+    # the counts built once on G_{n_stop} give each n the lhs of its own run
     field = build_field(*pr)
     rows = run_experiment({"kind": "tk-check", "field": {"p": pr[0], "r": pr[1]},
                            "n": {"start": 1, "stop": n}, "tk": {"W": W, "H": H}}).rows
@@ -842,12 +845,73 @@ def test_tk_counts_are_unsigned_and_give_the_int32_bits(pr, n, W, H):
     assert reference.dtype == np.int32 and np.array_equal(counts, reference)
     assert int(counts[0]) == primes
     A = window_mass(field, W, H)
-    squares, expected = squared_deviations(counts, A), squared_deviations(reference, A)
+    squares, expected = float_squares(counts, A), float_squares(reference, A)
     assert squares.tobytes() == expected.tobytes()
     for m in range(1, n + 1):
-        a = turan_kubilius_from_squares(field, squares, m, A, W, H)
-        b = turan_kubilius_from_squares(field, expected, m, A, W, H)
+        a = turan_kubilius_from_counts(field, counts, m, A, W, H)
+        b = turan_kubilius_from_counts(field, reference, m, A, W, H)
         assert struct.pack("<3d", a.A, a.lhs, a.ratio) == struct.pack("<3d", b.A, b.lhs, b.ratio)
+
+
+def float_squares(counts, A):
+    """The float64 (count - A)^2 of every count, built in place."""
+    squares = counts.astype(np.float64)
+    squares -= A
+    squares *= squares
+    return squares
+
+
+def tk_by_float_squares(q, counts, n, A, W, H):
+    """The TKResult on G_n with lhs `np.sum` over the float64 squares of
+    the prefix of `counts`: the lhs the blocked sum must reproduce."""
+    size = q ** n
+    lhs = float(np.sum(float_squares(counts[:size], A)))
+    return TKResult(A, lhs, lhs / (A * size), n, (W, H))
+
+
+def _tk_bits(res):
+    return struct.pack("<3d", res.A, res.lhs, res.ratio)
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 40])
+@pytest.mark.parametrize("pr,n,W,H", TK_GRID + [((3, 1), 12, 1, 9)])
+def test_tk_blocked_sum_gives_the_bits_of_the_float_squares(pr, n, W, H, chunk, monkeypatch):
+    # every n of the grid and the benchmark's tk-f3 window, read as
+    # prefixes of the counts on G_n as the tk-check rows read them; the
+    # counts at other chunk sizes are tested above, the blocks of the sum here
+    field = build_field(*pr)
+    counts = window_divisor_counts(field, n, W, H)
+    A = window_mass(field, W, H)
+    if chunk is not None:
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    for m in range(1, n + 1):
+        expected = tk_by_float_squares(field.q, counts, m, A, W, H)
+        assert _tk_bits(turan_kubilius_from_counts(field, counts, m, A, W, H)) \
+            == _tk_bits(expected), m
+
+
+# sizes under 8, from 8 to 128, either side of 2^14 and 3^k; the first
+# count is that at g = 0 (the number of window primes), above the others
+BLOCK_SIZES = list(range(1, 8)) + [8, 9, 15, 16, 17, 100, 127, 128, 129, 136, 137, 1000,
+                                   2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 2 ** 14 + 8, 2 ** 15 + 3,
+                                   3 ** 5, 3 ** 9, 3 ** 10, 3 ** 11]
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 40])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+def test_tk_blocked_sum_of_random_counts_gives_the_bits_of_the_float_squares(dtype, chunk,
+                                                                              monkeypatch):
+    # turan_kubilius_from_counts reads only field.q: a stand-in with
+    # q = size makes G_1 any size
+    if chunk is not None:
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(len(BLOCK_SIZES) + np.dtype(dtype).itemsize)
+    for size in BLOCK_SIZES:
+        counts = rng.integers(0, 13, size=size).astype(dtype)
+        counts[0] = rng.integers(13, 250)
+        A = float(rng.uniform(0.1, 4.0))
+        res = turan_kubilius_from_counts(types.SimpleNamespace(q=size), counts, 1, A, 1, 9)
+        assert _tk_bits(res) == _tk_bits(tk_by_float_squares(size, counts, 1, A, 1, 9)), size
 
 
 def tk_moments(q: int, n: int, W: int, H: int) -> tuple:
@@ -865,6 +929,27 @@ def tk_moments(q: int, n: int, W: int, H: int) -> tuple:
 
 def test_tk_moments_of_the_benchmark_window():
     assert tk_moments(3, 12, 1, 9) == (783_675, 3_399_041)
+
+
+# The tk-f3 rows (F_3, W = 1, H = 9) whose lhs is not the exact value
+# rounded once: n -> (the lhs the row prints, S2 - 2A*S1 + A^2*q^n for the
+# float A, an exact rational, rounded once).  Rounding the lhs once is
+# ROADMAP item 12, which moves these rows off this list.
+TK_F3_LHS = {9: (1731838.0740740737, 1731838.0740740742),
+             10: (1755734.222222222, 1755734.2222222222),
+             11: (1859990.6666666665, 1859990.6666666667),
+             12: (2243415.9999999995, 2243416.0)}
+
+
+def test_tk_f3_lhs_is_numpys_pairwise_sum_not_the_value_rounded_once():
+    rows = run_experiment({"kind": "tk-check", "field": {"p": 3, "r": 1},
+                           "n": {"start": 9, "stop": 12}, "tk": {"W": 1, "H": 9}}).rows
+    assert [row[0] for row in rows] == list(TK_F3_LHS)
+    for n, A, lhs, _ in rows:
+        printed, rounded_once = TK_F3_LHS[n]
+        s1, s2 = tk_moments(3, n, 1, 9)
+        exact = s2 - 2 * Fraction(A) * s1 + Fraction(A) ** 2 * 3 ** n
+        assert float(exact) == rounded_once and lhs == printed != rounded_once, n
 
 
 @pytest.mark.parametrize("chunk", [None, 7, 40])
@@ -937,6 +1022,35 @@ def test_tk_counts_memory_is_the_counts_and_a_few_chunks():
     counts, peak = _traced_peak(lambda: window_divisor_counts(build_field(3, 1), 12, 1, 9))
     assert peak <= counts.nbytes + CHUNK_ALLOWANCE * gn.CHUNK_ELEMENTS * 8
     assert counts.dtype == np.uint16
+
+
+# the counts on G_11 and a few chunks: less than the float64 array of G_11
+TK_RUN_CHUNKS = 6
+
+
+def test_tk_check_run_holds_no_float_array_on_g_n():
+    # a tk-check run peaks at its uint16 counts, its sieve and lhs chunks:
+    # the squares (c_g - A)^2 are gathered a block at a time
+    config = {"kind": "tk-check", "field": {"p": 3, "r": 1}, "n": {"start": 9, "stop": 11},
+              "tk": {"W": 1, "H": 9}}
+    run_experiment(config)      # the engine's decode tables, built once per process
+    rows, peak = _traced_peak(lambda: run_experiment(config).rows)
+    counts_bytes = 3 ** 11 * np.dtype(np.uint16).itemsize
+    assert [row[0] for row in rows] == [9, 10, 11]
+    assert TK_RUN_CHUNKS * gn.CHUNK_ELEMENTS * 8 < 3 ** 11 * 8
+    assert peak <= counts_bytes + TK_RUN_CHUNKS * gn.CHUNK_ELEMENTS * 8
+
+
+def test_tk_lhs_builds_nothing_sized_by_the_number_of_window_primes():
+    # F_2, n = 4: 58,634 window primes divide g = 0 and at most 3 any other
+    # g of G_4; the table of squares is sized by the latter
+    field = build_field(2, 1)
+    counts = window_divisor_counts(field, 4, 1, 20)
+    A = window_mass(field, 1, 20)
+    assert int(counts[0]) == 58_634 and int(counts[1:].max()) <= 3
+    res, peak = _traced_peak(lambda: turan_kubilius_from_counts(field, counts, 4, A, 1, 20))
+    assert peak < 4096 < int(counts[0]) * 8
+    assert _tk_bits(res) == _tk_bits(tk_by_float_squares(2, counts, 4, A, 1, 20))
 
 
 def test_decoder_cache_follows_chunk_elements(monkeypatch):
