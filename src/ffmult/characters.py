@@ -13,13 +13,19 @@
 
 Character values are exact exponents of a root of unity (exposed as
 Fraction "turns" in [0,1)); `turns_to_complex` of the exact turns is the
-one conversion to complex, whichever path reads a value.  Dirichlet,
-short-interval and unit characters share one table class: a character of
-a decomposed abelian group held as an int table of exponents, -1 at
-positions of no group element.  Each says only where its arguments land
-in the table: a Dirichlet character at residue indices (`gn.residues`), a
-short-interval character at top-coefficient codes (`gn.top_codes`), a
-unit character at leading coefficients.  A degree twist is one exact
+one conversion to complex, whichever path reads a value.  Every group is
+decomposed by `groups.decompose_abelian_group` on int codes, with no Poly
+or tuple per element: (F_q[x]/g)^* as the residue indices prime to g under
+`gn.residue_products`, R_s as the top-coefficient codes under the
+truncated series product (the same kernel mod x^(s+1)), F_q^* as the
+field elements under the multiplication table.  Dirichlet, short-interval
+and unit characters share one table class: a character of a decomposed
+group held as an int table of exponents indexed by code, one dot of the
+group's dlog array with the character's exponents, -1 at codes of no
+group element.  Each says only where its arguments land in the table: a
+Dirichlet character at residue indices (`gn.residues`), a short-interval
+character at top-coefficient codes (`gn.top_codes`), a unit character at
+leading coefficients.  A degree twist is one exact
 Fraction per degree.  A Hayes product on an index array
 (`HayesCharacter.values_at`) reads those tables through the `gn` kernels
 and looks its values up in a table of the distinct (degree, exponent)
@@ -41,9 +47,9 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import Field
-from .gn import degrees, residues, top_codes
+from .gn import degrees, digit_matrix, residue_products, residues, top_codes
 from .groups import AbelianGroupStructure, decompose_abelian_group
-from .polys import Poly, poly_gcd
+from .polys import Poly, factor
 
 _QUARTER_TURNS = {Fraction(0): 1 + 0j, Fraction(1, 4): 1j,
                   Fraction(1, 2): -1 + 0j, Fraction(3, 4): -1j}
@@ -67,35 +73,33 @@ def _lookup(code: np.ndarray, size: int, value) -> np.ndarray:
     return np.array([value(c) for c in present.tolist()], dtype=np.complex128)[slot[code]]
 
 
-def _character_table(structure: AbelianGroupStructure, exponents: tuple, position, size: int):
-    """(table, L): table[position(element)] is the numerator mod L of the
-    character picked by `exponents`, -1 at positions of no element."""
+def _character_table(structure: AbelianGroupStructure, exponents: tuple, size: int):
+    """(table, L): table[element code] is the numerator mod L of the
+    character picked by `exponents`, dlog . (e_i L / d_i), -1 at the codes
+    below `size` of no element."""
     orders = structure.orders
     L = orders[0] if orders else 1
+    weights = np.array([e * (L // d) for e, d in zip(exponents, orders)], dtype=np.int64)
     table = np.full(size, -1, dtype=np.int64)
-    for el, dl in structure.dlog.items():
-        num = 0
-        for e_i, x_i, d_i in zip(exponents, dl, orders):
-            num += e_i * x_i * (L // d_i)
-        table[position(el)] = num % L
+    table[structure.elements] = structure.dlog @ weights % L
     return table, L
 
 
 class _TableCharacter:
     """A character of a decomposed abelian group, read from its exponent table.
 
-    table[position(element)] is the numerator mod `order` of the value at
-    the group element, -1 at positions of no element (value 0).  A
-    subclass passes its element positions and table size, and says where a
-    scalar argument (`_position`) and an index array (`_positions`) land.
+    table[code] is the numerator mod `order` of the value at the group
+    element of that code, -1 at codes of no element (value 0).  A subclass
+    passes its table size, and says where a scalar argument (`_position`)
+    and an index array (`_positions`) land among the codes.
     """
 
     def __init__(self, field: Field, structure: AbelianGroupStructure, exponents: tuple,
-                 position, size: int):
+                 size: int):
         self.field = field
         self.structure = structure
         self.exponents = tuple(exponents)
-        self.table, self.order = _character_table(structure, self.exponents, position, size)
+        self.table, self.order = _character_table(structure, self.exponents, size)
 
     @property
     def is_principal(self) -> bool:
@@ -133,8 +137,7 @@ class DirichletCharacter(_TableCharacter):
     def __init__(self, field: Field, modulus: Poly, structure, exponents: tuple):
         self.modulus = modulus
         # exponent per residue index, -1 off the units
-        super().__init__(field, structure, exponents, Poly.to_index,
-                         field.q ** int(modulus.degree))
+        super().__init__(field, structure, exponents, field.q ** int(modulus.degree))
 
     @classmethod
     def trivial(cls, field: Field):
@@ -155,22 +158,30 @@ class DirichletCharacter(_TableCharacter):
         return f"DirichletCharacter(mod {self.modulus}, index {self.exponents})"
 
 
+def unit_count(modulus: Poly) -> int:
+    """|(F_q[x]/g)^*|, the number of Dirichlet characters mod g, from the
+    factorization of g: prod q^((k-1) deg P) (q^deg P - 1), 1 mod a unit."""
+    q = modulus.field.q
+    return math.prod(q ** ((k - 1) * int(P.degree)) * (q ** int(P.degree) - 1)
+                     for P, k in factor(modulus)[1])
+
+
 def unit_group(field: Field, modulus: Poly) -> AbelianGroupStructure:
-    """(F_q[x]/g)^* as a decomposed abelian group, residues in index order;
-    mod 1 it is the one-element group of the residue 0."""
+    """(F_q[x]/g)^* as a decomposed abelian group: the residue indices h <
+    q^deg g, ascending, with h mod P nonzero for every prime P | g, under
+    `gn.residue_products`; mod 1 it is the one-element group of the
+    residue 0."""
     if modulus.is_zero():
         raise ValueError("modulus must be nonzero")
     modulus = modulus.monic()
-    field.charge(field.q ** int(modulus.degree), f"the residues mod {modulus}")
-    units = [h for h in _residues(field, modulus)
-             if poly_gcd(h, modulus) == Poly.one(field)]
-    return decompose_abelian_group(units, lambda a, b: (a * b) % modulus)
-
-
-def _residues(field: Field, modulus: Poly):
-    d = int(modulus.degree)
-    for idx in range(field.q ** d):
-        yield Poly.from_index(field, idx)
+    size = field.q ** int(modulus.degree)
+    field.charge(size, f"the residues mod {modulus}")
+    every, units = np.arange(size, dtype=np.int64), np.ones(size, dtype=bool)
+    for P, _ in factor(modulus)[1]:
+        units &= residues(field, P.coeffs, every) != 0
+    if units.sum() != unit_count(modulus):
+        raise AssertionError("the units mod g are not the count of their factorization")
+    return decompose_abelian_group(every[units], residue_products(field, modulus.coeffs))
 
 
 def character_exponents(structure: AbelianGroupStructure, index: int) -> tuple:
@@ -204,23 +215,18 @@ def dirichlet_characters(modulus: Poly) -> list:
 
 
 def r_s_group(field: Field, s: int) -> AbelianGroupStructure:
-    """R_s: tuples (a_1..a_s) as series 1 + a_1/x + ... under truncated product."""
+    """R_s: the series 1 + a_1/x + ... + a_s/x^s under truncated product, by
+    their codes `_code(a)`, listed in the order of itertools.product over
+    the tuples (a_1 slowest).  With X = 1/x the code c is the index
+    (1 + q c) of 1 + a_1 X + ... + a_s X^s, and the product is that of
+    those indices mod X^(s+1)."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    field.charge(field.q ** s, f"R_{s}")
-    add, mul = field.add_py, field.mul_py
-
-    def op(a, b):
-        c = []
-        for k in range(1, s + 1):
-            acc = add[a[k - 1]][b[k - 1]]
-            for i in range(1, k):
-                acc = add[acc][mul[a[i - 1]][b[k - i - 1]]]
-            c.append(acc)
-        return tuple(c)
-
-    elements = list(itertools.product(range(field.q), repeat=s))
-    return decompose_abelian_group(elements, op)
+    q = field.q
+    field.charge(q ** s, f"R_{s}")
+    codes = digit_matrix(q, s, np.arange(q ** s))[:, ::-1] @ q ** np.arange(s, dtype=np.int64)
+    series = residue_products(field, (0,) * (s + 1) + (1,))
+    return decompose_abelian_group(codes, lambda a, b: (series(1 + q * a, 1 + q * b) - 1) // q)
 
 
 def _code(field: Field, a: tuple) -> int:
@@ -244,7 +250,7 @@ class ShortIntervalCharacter(_TableCharacter):
     def __init__(self, field: Field, s: int, structure, exponents: tuple):
         self.s = s
         # exponent per top-coefficient code
-        super().__init__(field, structure, exponents, lambda a: _code(field, a), field.q ** s)
+        super().__init__(field, structure, exponents, field.q ** s)
 
     @property
     def length(self) -> int:
@@ -305,12 +311,11 @@ class UnitCharacter(_TableCharacter):
     """
 
     def __init__(self, field: Field, index: int):
-        mul = field.mul_py
-        structure = decompose_abelian_group(range(1, field.q), lambda a, b: mul[a][b])
+        structure = decompose_abelian_group(np.arange(1, field.q), lambda a, b:
+                                            field.mul_table[a, b].astype(np.int64))
         self.index = index % (field.q - 1)
         # exponent per field element, -1 at 0
-        super().__init__(field, structure, character_exponents(structure, self.index),
-                         lambda c: c, field.q)
+        super().__init__(field, structure, character_exponents(structure, self.index), field.q)
 
     def _position(self, c: int) -> int:
         return c

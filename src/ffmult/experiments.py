@@ -30,14 +30,14 @@ import numpy as np
 
 from . import analytics
 from .characters import (DegreeTwist, HayesCharacter, UnitCharacter, dirichlet_character,
-                         short_interval_character)
+                         short_interval_character, unit_count)
 from .errors import ConfigError
 from .fields import DEFAULT_BUDGET, MAX_Q, Field, build_field, is_prime, within_table_limit
 from .laurent import LaurentTruncation
 from .multiplicative import (_BUILTINS, _VALUE_SETS, builtin, from_character,
                              random_on_irreducibles, twist)
 from .phases import MultilinearForm, PolynomialPhase, projective_common_zeros
-from .polys import Poly, factor, sieve_through
+from .polys import Poly, sieve_through
 
 SCHEMA_VERSION = "v1"
 
@@ -197,15 +197,6 @@ def _degree(coeffs: list) -> int:
 def _fits(q: int, e: int, budget: int) -> bool:
     """q^e <= budget; since q^e >= 2^e, no power longer than the budget is built."""
     return e < budget.bit_length() and q ** e <= budget
-
-
-def _unit_count(field: Field, modulus: list) -> int:
-    """|(F_q[x]/g)^*|, the number of Dirichlet characters mod g, from the
-    factorization of g (degree >= 1): prod q^((k-1) deg P) (q^deg P - 1)."""
-    q = field.q
-    _, parts = factor(Poly(field, modulus))
-    return math.prod(q ** ((k - 1) * int(P.degree)) * (q ** int(P.degree) - 1)
-                     for P, k in parts)
 
 
 def _check_index(problems, index, count: int, where: str):
@@ -474,7 +465,7 @@ def validate_config(source) -> ExperimentConfig:
         # one field at the config's budget counts every Dirichlet group
         field = build_field(p, r, enumeration_budget=budget)
         for modulus, index, where in dirichlet:
-            _check_index(problems, index, _unit_count(field, modulus), where)
+            _check_index(problems, index, unit_count(Poly(field, modulus)), where)
 
     # the cost is estimated for an otherwise valid config only, in this one
     # place; the kinds without an n-range have n.start = n.stop = 0.  A q^e

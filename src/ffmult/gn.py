@@ -18,7 +18,10 @@ nothing builds Poly objects.  The kernels:
   h(0) != 0 alone (`nonzero_constant`): x*g has the index q*g, so they
   read the multiples of x off index arithmetic;
 * `residues`: the indices of h mod g for a fixed modulus g (Dirichlet
-  characters);
+  characters, and the units mod g); `residue_products`: the index of
+  a*b mod g for two index arrays of residues, the convolution of their
+  digits reduced by the same rows x^j mod g (the unit group's operation,
+  and mod x^(s+1) that of R_s);
 * `top_codes`: the normalized top-s coefficients of every index as one
   code (short-interval characters);
 * `translates`: the index of x + c*y for every pair (x, y) of G_n and a
@@ -157,30 +160,65 @@ def residues(field: Field, modulus, idx) -> np.ndarray:
     modulus g given as coefficients lowest first: an F_p-linear map."""
     p, r, q = field.p, field.r, field.q
     idx = np.asarray(idx, dtype=np.int64)
+    m = int(degrees(q, [idx.max(initial=0)])[0]) + 1     # digits of the largest index
+    rows = _reduction_rows(field, modulus, m)
+    width = rows.shape[1]
+    if width == 0:
+        return np.zeros(len(idx), dtype=np.int64)
+    # images[j, t]: the index of u^t * (x^j mod g)
+    codes = field.mul_table[rows.reshape(m, 1, width), (p ** np.arange(r))[:, None]].astype(np.int64)
+    images = codes @ q ** np.arange(width, dtype=np.int64)
+    return _linear_map(field, images.reshape(r * m, 1), width, idx)[0]
+
+
+def residue_products(field: Field, modulus):
+    """The product mod g of residues, for the fixed modulus g given as
+    coefficients lowest first: a function of two equal-length int64 arrays
+    `a` and `b` of residue indices (below q^deg g) that gives the int64
+    index of a*b mod g for every pair.  It convolves their digits and
+    reduces by the rows x^j mod g of `residues`, built once.  The digits
+    are summed and multiplied through the field's tables, a chunk of at
+    most CHUNK_ELEMENTS digits of the convolution at a time."""
+    q, add, mul = field.q, field.add_table.ravel(), field.mul_table.ravel()
+    rows = _reduction_rows(field, modulus, 2 * len(modulus))
+    width = rows.shape[1]
+    places = np.arange(width, dtype=np.int64)
+    high = [j for j in range(width, 2 * width - 1) if rows[j].any()]   # none for g = x^k
+
+    def product(a, b):
+        out = np.zeros(len(a), dtype=np.int64)
+        step = max(1, CHUNK_ELEMENTS // (2 * width or 1))
+        for c0 in range(0, len(a), step):
+            x, y = (digit(v[None, c0:c0 + step], q, places[:, None]) for v in (a, b))
+            conv = np.zeros((2 * width, x.shape[1]), dtype=np.int64)
+            for i in range(width):      # table entry (s, t) at s*q + t
+                conv[i:i + width] = add.take(q * conv[i:i + width] + mul.take(q * x[i] + y))
+            for j in high:
+                conv[:width] = add.take(q * conv[:width] + mul.take(q * rows[j][:, None] + conv[j]))
+            out[c0:c0 + step] = q ** places @ conv[:width]
+        return out
+
+    return product
+
+
+def _reduction_rows(field: Field, modulus, m: int) -> np.ndarray:
+    """(m, deg g) intp coefficients of x^j mod g, j < m, lowest first, for
+    the modulus g given as coefficients lowest first: x^(j+1) = x * x^j
+    (no rows for a constant g)."""
     g = [int(c) for c in modulus]
     while g and g[-1] == 0:
         g.pop()
     if not g:
         raise ValueError("reduction modulo the zero polynomial")
     width = len(g) - 1
-    if width == 0:
-        return np.zeros(len(idx), dtype=np.int64)
-    m, top = 0, int(idx.max()) if idx.size else 0
-    while q ** m <= top:                # digits of the largest index
-        m += 1
-    # rows[j]: coefficients of x^j mod g, from x^(j+1) = x * x^j mod g
     add, mul, neg = field.add_py, field.mul_py, field.neg_py
     monic = [mul[c][field.inv_py[g[-1]]] for c in g]
     rows, row = [], [1] + [0] * (width - 1)
-    for _ in range(m):
+    for _ in range(m if width else 0):
         rows.append(row)
         top = row[-1]
         row = [add[a][neg[mul[top][b]]] for a, b in zip([0] + row[:-1], monic)]
-    # images[j, t]: the index of u^t * (x^j mod g)
-    codes = field.mul_table[np.array(rows, dtype=np.intp).reshape(m, 1, width),
-                            (p ** np.arange(r))[:, None]].astype(np.int64)
-    images = codes @ q ** np.arange(width, dtype=np.int64)
-    return _linear_map(field, images.reshape(r * m, 1), width, idx)[0]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
 
 
 def translates(field: Field, n: int, c: int) -> np.ndarray:

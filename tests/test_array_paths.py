@@ -9,8 +9,8 @@ tk-check row the result of `turan_kubilius` for its n alone.  The lhs,
 summed from the counts a block at a time, must give the bits of `np.sum`
 over the float64 squares (c_g - A)^2, with no float array on G_n built.
 
-The residue and top-coefficient kernels must equal `Poly.__mod__` and
-`top_coefficient_tuple`; a Hayes product read as an array
+The residue, residue-product and top-coefficient kernels must equal
+`Poly.__mod__`, the Poly product mod g and `top_coefficient_tuple`; a Hayes product read as an array
 (`HayesCharacter.values_at`) must give the bytes of [H(g)], and of [H(g) ** 1]
 where the prime-power rule applies it.
 
@@ -40,7 +40,9 @@ its per-prime rule, and the array paths of the built-ins and random
 functions (the sieve, the Turan-Kubilius counts, function and prime
 arrays, distance terms against a Hayes character, the Katai statistic on
 either pair set, the Euler product of every function but a built-in
-without its profile, a run of every experiment kind) must build no Poly.
+without its profile, a run of every experiment kind) must build no Poly,
+and a run with a Dirichlet character only its modulus and the Poly of one
+factorization of it.
 The Katai and r-bias pair sets read as index arrays must be `p_k` and the
 nonzero G_{k+1} in order, `halasz_product` must give the bits of its
 per-prime loop, and a phase on G_{n_stop} must have the phase on each G_n
@@ -70,11 +72,11 @@ from ffmult.analytics import (TKResult, distance_terms, min_distance_over_hayes,
                               turan_kubilius, turan_kubilius_from_counts,
                               window_divisor_counts, window_mass)
 from ffmult.characters import DirichletCharacter, top_coefficient_tuple
-from ffmult.experiments import resolve_hayes
+from ffmult.experiments import resolve_hayes, validate_config
 from ffmult.gn import times_fixed, translates
 from ffmult.laurent import linear_form, linear_form_table
 from ffmult.multiplicative import _products, function_on_gn, prime_values
-from ffmult.polys import (irreducible_count, irreducible_indices, irreducibles_of_degree,
+from ffmult.polys import (factor, irreducible_count, irreducible_indices, irreducibles_of_degree,
                           necklace_count, sieve_through)
 
 # (p, r) -> largest n of the grid
@@ -1105,6 +1107,24 @@ def test_residues_equal_poly_mod(q, chunk, monkeypatch):
 
 @pytest.mark.parametrize("q", sorted(KERNEL_GRID))
 @pytest.mark.parametrize("chunk", [None, 7, 40])
+def test_residue_products_equal_poly_products_mod_g(q, chunk, monkeypatch):
+    # over F_2 also degrees 32 and 33: residue indices past 32 bits
+    if chunk is not None:
+        monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
+    (p, r), _ = KERNEL_GRID[q]
+    field = build_field(p, r)
+    rng = np.random.default_rng(q)
+    wide = [Poly.from_index(field, 2 ** d + 2 ** 7 + 1) for d in (32, 33)] if q == 2 else []
+    for g in kernel_moduli(field) + wide:
+        a, b = rng.integers(0, q ** int(g.degree), (2, 60))
+        expected = [(Poly.from_index(field, int(x)) * Poly.from_index(field, int(y)) % g).to_index()
+                    for x, y in zip(a, b)]
+        out = gn.residue_products(field, g.coeffs)(a, b)
+        assert out.dtype == np.int64 and out.tolist() == expected, g
+
+
+@pytest.mark.parametrize("q", sorted(KERNEL_GRID))
+@pytest.mark.parametrize("chunk", [None, 7, 40])
 def test_top_codes_equal_top_coefficient_tuples(q, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(gn, "CHUNK_ELEMENTS", chunk)
@@ -1249,9 +1269,8 @@ def test_array_paths_build_no_poly(pr, poly_constructions):
 
 _HAYES = {"theta": "1/3", "short": {"s": 1, "index": 1}}
 _LIOUVILLE = {"kind": "builtin", "name": "liouville"}
-# one small run of every experiment kind; the Hayes descriptors leave out
-# Dirichlet characters, whose unit groups still box residues as Poly
-# (ROADMAP item 10): modulus x^2 + 1 over F_3 builds 346
+# one small run of every experiment kind; Dirichlet characters have their
+# own runs below, since their moduli are given and factored as Poly
 KIND_RUNS = {
     "decay-table": {
         "kind": "decay-table", "field": {"p": 2}, "seed": 1, "n": {"start": 2, "stop": 5},
@@ -1290,6 +1309,36 @@ KIND_RUNS = {
 def test_every_experiment_kind_builds_no_poly(run, poly_constructions):
     assert run_experiment(KIND_RUNS[run]).rows
     assert poly_constructions == []
+
+
+# runs with a Dirichlet character: a decay table of a character mod
+# x^7 + x + 1 over F_2 (128 residues; 8,000 Poly when unit groups boxed
+# their residues), and a distance-growth against chi * xi * e_theta mod
+# x^2 + 1 over F_3 (336 Poly then)
+DIRICHLET_RUNS = {
+    "decay-table": ([1, 1, 0, 0, 0, 0, 0, 1], dict(KIND_RUNS["decay-table"], function={
+        "kind": "character",
+        "hayes": {"dirichlet": {"modulus": [1, 1, 0, 0, 0, 0, 0, 1], "index": 5}}})),
+    "distance-growth": ([1, 0, 1], dict(KIND_RUNS["distance-growth"], hayes={
+        **_HAYES, "dirichlet": {"modulus": [1, 0, 1], "index": 5}})),
+}
+
+
+@pytest.mark.parametrize("run", sorted(DIRICHLET_RUNS))
+def test_dirichlet_runs_box_only_the_modulus_and_its_factorization(run, poly_constructions):
+    # validation and the run each box at most what factoring the modulus
+    # boxes on a fresh field, whatever the number of residues
+    modulus, cfg = DIRICHLET_RUNS[run]
+    field = build_field(cfg["field"]["p"], 1)
+    poly_constructions.clear()
+    factor(Poly(field, modulus))
+    boxed = len(poly_constructions)
+    poly_constructions.clear()
+    checked = validate_config(cfg)
+    assert len(poly_constructions) <= boxed
+    poly_constructions.clear()
+    assert run_experiment(checked).rows
+    assert len(poly_constructions) <= boxed
 
 
 def scalar_distance_terms(f, g, d):

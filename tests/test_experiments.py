@@ -873,6 +873,12 @@ AGREEMENT_GRID = {
     "distance-dirichlet": {"kind": "distance-growth", "field": {"p": 2},
                            "n": {"start": 1, "stop": 4}, "function": _MOEBIUS,
                            "hayes": {"dirichlet": {"modulus": [1, 1, 0, 0, 0, 0, 0, 1]}}},
+    # the residues of a degree-13 modulus dominate: x^13 + x^4 + x^3 + x + 1,
+    # a unit group Z/8191
+    "distance-dirichlet-13": {
+        "kind": "distance-growth", "field": {"p": 2}, "n": {"start": 1, "stop": 4},
+        "function": _MOEBIUS,
+        "hayes": {"dirichlet": {"modulus": [1, 1, 0, 1, 1] + [0] * 8 + [1], "index": 5}}},
     # R_8 dominates
     "distance-short": {"kind": "distance-growth", "field": {"p": 2},
                        "n": {"start": 1, "stop": 5}, "function": _MOEBIUS,
@@ -894,7 +900,7 @@ AGREEMENT_GRID = {
 }
 
 # the budget exponents of the grid, where 2^6..2^14 does not reach a config
-AGREEMENT_EXPONENTS = {"distance-block": range(18, 21)}
+AGREEMENT_EXPONENTS = {"distance-block": range(18, 21), "distance-dirichlet-13": range(12, 15)}
 
 
 def _validates(cfg, budget: int) -> bool:
