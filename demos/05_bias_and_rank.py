@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Bias of multilinear forms, analytic rank, derivative identities, zero counts.
 
-The exhaustive bias of a multilinear form is a mean of p-th roots of unity
-computed from exact integer exponent counts; it is real, nonnegative, and
-bounded below by q^(-partition rank).  Direct sums of r independent
+The exhaustive bias of a multilinear form is the share of prefixes (all
+slots but the last) at which the form, linear in its last slot, vanishes
+on it: an exact count over the slices, rounded once.  It is nonnegative
+and bounded below by q^(-partition rank).  Direct sums of r independent
 rank-one blocks meet the bound with equality, so the analytic rank reads
 off r exactly.
 """
@@ -27,7 +28,7 @@ for F in (F2, F3):
                                         for i in range(r)], block_count=r)
         res = Q.bias()
         print(f"  q={F.q} r={r}: bias = {res.bias:.6f} = q^-{r}?"
-              f" {abs(res.bias - F.q ** -r) < 1e-12}   analytic rank ="
+              f" {res.bias == F.q ** -r}   analytic rank ="
               f" {res.analytic_rank:.3f}")
 
 print("\nRandom partition-rank-2 block forms stay above q^-2")

@@ -46,6 +46,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .gn import times_fixed, times_fixed_chunks, translates
 from .laurent import LaurentTruncation, linear_form_table
 from .multiplicative import (MultiplicativeFunction, _complex, _prime_power_values, _products,
                              from_character, function_on_gn, prime_values)
-from .phases import PolynomialPhase, _counts_mean, _form_counts, derivative_form
+from .phases import PolynomialPhase, _form_counts, _vanishing_prefixes, bias_cost, derivative_form
 from .polys import (Poly, irreducible_count, irreducible_indices, monic_of_degree,
                     necklace_count, sieve_through)
 
@@ -424,7 +425,6 @@ def katai_prefixes(field: Field, f, ns, k: int, pair_set: str = "P_k",
 @dataclass
 class RBiasResult:
     value: float
-    imag_residual: float
     pairs: int
     inner_evaluations: int
     mode: str
@@ -447,19 +447,16 @@ def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
                      seed: int = 0, m: int | None = None) -> RBiasResult:
     """E_{a,b} E_{g in G_{n-k}^m} alpha_1(d^mP(a g) - d^mP(b g)).
 
-    The inner form is m-linear in g for each fixed (a, b) (slot functionals
-    compose with multiplication by a), so each inner mean is an exact bias
-    computation.  The (a,b) average of the difference structure makes the
-    statistic a modulus-squared average: real and nonnegative.  Declaring
-    m above the structural degree makes d^mP vanish and the statistic is
-    exactly 1.  The pairs' inner evaluations are charged to the field, and
-    so are the entries of the `_dilated_rows` tables, (distinct functionals)
-    * |base| * q^(n-k).
-
-    A pair's inner mean is the exponent counts of the terms (c, rows of a)
-    and (-c, rows of b) of `_dilated_rows`.  Sampled, the N pairs are drawn
+    For each pair (a, b) the inner form is m-linear in g (slot functionals
+    compose with multiplication by a), so its mean is an exact bias: the
+    `_vanishing_prefixes` of the terms (c, rows of a) and (-c, rows of b) of
+    `_dilated_rows` over q^((n-k)(m-1)).  The statistic, their exact mean
+    rounded once, is a modulus-squared average (real, >= 0), and exactly 1
+    for an m above the structural degree, where d^mP vanishes.  Charged: the
+    pairs' `bias_cost` entries, then the `_dilated_rows` tables, (distinct
+    functionals) * |base| * q^(n-k).  Sampled, the N pairs are drawn
     without replacement as pair numbers a*|base| + b in [0, M), M = |base|^2,
-    and the stderr is that of the mean of their real parts, with the finite
+    and the stderr is that of the mean of their inner means, with the finite
     population correction sqrt((M - N) / (M - 1)): 0 when every pair is
     drawn.
     """
@@ -478,7 +475,8 @@ def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
     dQ = derivative_form(P, m, verify=False)
     base = _pair_set(field, k, base_set)
     size = sum(len(members) for members in base.values())
-    inner_size = field.q ** (inner_dim * m)
+    dims = (inner_dim,) * m
+    inner_cost = bias_cost(field.q, dims)
     total = size * size
     mode_used = "sampled" if mode == "sampled" or total > max_pairs else "exhaustive"
     chosen = range(total)
@@ -486,26 +484,32 @@ def r_bias_statistic(P: PolynomialPhase, n: int, k: int,
         rng = np.random.default_rng(seed)
         chosen = np.sort(rng.choice(total, size=min(max_pairs, total), replace=False)).tolist()
     pairs = len(chosen)
-    field.charge(pairs * inner_size, f"the inner means of {pairs} pairs")
+    field.charge(pairs * inner_cost, f"the inner means of {pairs} pairs")
     functionals = dict.fromkeys(L for _, funcs in dQ.terms for L in funcs)
     field.charge(len(functionals) * size * field.q ** inner_dim,
                  f"the dilated tables of {len(functionals)} functionals")
     rows = _dilated_rows(field, functionals, base, inner_dim)
     neg = field.neg_py
-    parts = []
+    basis = field.q ** np.arange(inner_dim)
+
+    def slots(funcs, i):
+        # the whole tables of the prefix slots, the last slot at its basis
+        return [rows[L][i] for L in funcs[:-1]] + [rows[funcs[-1]][i][basis]]
+
+    zeros = []
     for pair in chosen:
         a, b = divmod(pair, size)
-        terms = [(c, [rows[L][a] for L in funcs]) for c, funcs in dQ.terms]
-        terms += [(neg[c], [rows[L][b] for L in funcs]) for c, funcs in dQ.terms]
-        counts = _form_counts(field, terms, (field.q ** inner_dim,) * m)
-        parts.append(_counts_mean(field, counts, inner_size))
-    vals = np.array(parts)
-    mean = _fsum_arrays(vals.real, vals.imag) / pairs
+        terms = [(c, slots(funcs, a)) for c, funcs in dQ.terms]
+        terms += [(neg[c], slots(funcs, b)) for c, funcs in dQ.terms]
+        zeros.append(_vanishing_prefixes(field, terms, dims))
+    prefixes = field.q ** (inner_dim * (m - 1))
     stderr = None
     if mode_used == "sampled":
         correction = (total - pairs) / (total - 1) if total > pairs else 0.0
-        stderr = float(vals.real.std() / math.sqrt(pairs) * math.sqrt(correction))
-    return RBiasResult(mean.real, abs(mean.imag), pairs, pairs * inner_size, mode_used, stderr)
+        means = np.array(zeros) / prefixes
+        stderr = float(means.std() / math.sqrt(pairs) * math.sqrt(correction))
+    return RBiasResult(float(Fraction(sum(zeros), pairs * prefixes)), pairs,
+                       pairs * inner_cost, mode_used, stderr)
 
 
 # -- Turan-Kubilius ------------------------------------------------------------------
@@ -850,4 +854,4 @@ def linear_phase_sum(field: Field, beta: LaurentTruncation, n: int) -> complex:
     """
     field.charge(field.q ** n, f"G_{n}")
     counts = _form_counts(field, [(1, [linear_form_table(beta, n)])], (field.q ** n,))
-    return _counts_mean(field, counts, 1)
+    return complex(np.sum(counts * field.roots))

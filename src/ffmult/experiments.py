@@ -36,7 +36,7 @@ from .fields import DEFAULT_BUDGET, MAX_Q, Field, build_field, is_prime, within_
 from .laurent import LaurentTruncation
 from .multiplicative import (_BUILTINS, _VALUE_SETS, builtin, from_character,
                              random_on_irreducibles, twist)
-from .phases import MultilinearForm, PolynomialPhase, projective_common_zeros
+from .phases import MultilinearForm, PolynomialPhase, bias_cost, projective_common_zeros
 from .polys import Poly, sieve_through
 
 SCHEMA_VERSION = "v1"
@@ -603,13 +603,16 @@ def _rows_tk(cfg: ExperimentConfig, field: Field):
 def _rows_bias_rank(cfg: ExperimentConfig, field: Field):
     sec = cfg.sections["bias"]
     dim, arity = sec["slot_dim"], sec["arity"]
-    coords = [LaurentTruncation.coordinate(field, j, dim) for j in range(dim)]
+    top = max(sec["r_values"], default=0)
+    field.charge(top * dim, f"{top} coordinate functionals of depth {dim}")
+    coords = [LaurentTruncation.coordinate(field, j, dim) for j in range(top)]
     for r in sec["r_values"]:
         terms = [(1, tuple(coords[i] for _ in range(arity))) for i in range(r)]
         Q = MultilinearForm(field, (dim,) * arity, terms, block_count=r)
         res = Q.bias()
-        bound = field.q ** -r
-        yield (r, res.bias, res.analytic_rank, bound, res.bias >= bound - 1e-9)
+        # both rounded once, so they compare as the exact values do
+        bound = float(Fraction(1, field.q ** r))
+        yield (r, res.bias, res.analytic_rank, bound, res.bias >= bound)
 
 
 def _rows_zero_count(cfg: ExperimentConfig, field: Field):
@@ -707,10 +710,15 @@ _KIND_TABLE = {
                       rule=_tk_rule, powers=lambda n, s: [s["tk"]["H"] - 1],
                       counts=lambda q, n, s: [analytics.tk_cost(q, n, s["tk"]["W"],
                                                                 s["tk"]["H"])]),
-    # bias_cost: the q^(slot_dim arity) slot tuples of an exhaustive bias
+    # bias_cost: the slot_dim basis points of the last slot at each of the
+    # q^(slot_dim (arity - 1)) prefixes (the power) of an exhaustive bias;
+    # and the max(r_values) coordinate functionals of depth slot_dim
     "bias-rank-demo": _Kind(("r", "bias", "analytic_rank", "bound", "meets_bound"), (),
                             ("bias",), _rows_bias_rank, rule=_bias_rule,
-                            powers=lambda n, s: [s["bias"]["slot_dim"] * s["bias"]["arity"]]),
+                            powers=lambda n, s: [s["bias"]["slot_dim"] * (s["bias"]["arity"] - 1)],
+                            counts=lambda q, n, s: [
+                                bias_cost(q, (s["bias"]["slot_dim"],) * s["bias"]["arity"]),
+                                max(s["bias"]["r_values"], default=0) * s["bias"]["slot_dim"]]),
     # projective_common_zeros runs over G_dim
     "zero-count-check": _Kind(("trial", "count", "projective_size", "bound", "passes",
                                "total_degree", "forms"), ("zero_count",), ("zero_count",),

@@ -139,7 +139,7 @@ def decompose_abelian_group(elements, op) -> AbelianGroupStructure:
     n = len(elements)
     if not n or elements.min() < 0:
         raise ValueError("a universe is a nonempty array of codes >= 0")
-    at = np.full(int(elements.max()) + 1, -1, dtype=np.int64)
+    at = np.full(int(elements.max()) + 1, -1, dtype=np.min_scalar_type(-n))  # -1, 0..n-1
     at[elements] = np.arange(n)
     if not np.array_equal(at[elements], np.arange(n)):
         raise ValueError("duplicate elements in universe")

@@ -15,15 +15,16 @@ d^mP; restricting it back to the diagonal multiplies by m!, which is why
 everything here insists on m < char(F_q).
 
 Bias of a multilinear form is the mean of the additive character alpha_1
-over all slot tuples, computed by counting trace exponents (exact integer
-counts; floats appear only in the final root-of-unity sum), and
-analytic rank is -log_q of it.
+over all slot tuples, and analytic rank is -log_q of it.  Q is linear in
+its last slot, so the bias is the share Z / q^(d_1 + ... + d_{m-1}) of the
+prefixes x at which y -> Q(x, y) vanishes, an exact rational rounded once.
 
 One kernel, `_term_values`, evaluates phases and forms (at a point, on
 G_n, at sampled slot tuples) from tables of field codes, one per factor;
-`_form_counts` counts its trace exponents over all slot tuples.  Like
-terms combine through one `_merge_terms`, and `_runs` groups a term's
-equal factors for Delta_h's binomial expansion and G_n's power tables.
+`_form_blocks` runs it over all slot tuples, reduced by `_form_counts`
+(trace exponent counts) and `_vanishing_prefixes` (Z).  Like terms combine
+through one `_merge_terms`, and `_runs` groups a term's equal factors for
+Delta_h's binomial expansion and G_n's power tables.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import gn
-from .fields import Field
+from .fields import Field, factor_int
 from .laurent import LaurentTruncation, linear_form, linear_form_table
 from .polys import Poly
 
@@ -54,28 +56,43 @@ def _term_values(field: Field, terms, shape) -> np.ndarray:
     return acc
 
 
-def _form_counts(field: Field, terms, sizes) -> np.ndarray:
-    """Counts of each trace exponent of sum_t c_t prod_s tables_ts[x_s] over
-    every slot tuple x of prod range(sizes): `terms` is (c, tables) pairs,
-    one 1-D table per slot.  The rows of slot 0 go a block of
-    max(1, CHUNK_ELEMENTS // |other slots|) at a time."""
+def _form_blocks(field: Field, terms, sizes):
+    """sum_t c_t prod_s tables_ts[x_s] as int16 codes over every slot tuple x of
+    prod range(sizes), `terms` (c, tables) pairs with one 1-D table per slot:
+    blocks of max(1, CHUNK_ELEMENTS // |other slots|) rows of slot 0."""
     rest = tuple(sizes[1:])
     block = max(1, gn.CHUNK_ELEMENTS // math.prod(rest))
     # the table of slot s on axis s; leading axes broadcast
     shaped = [(c, [t.reshape((-1,) + (1,) * (len(rest) - s)) for s, t in enumerate(tabs)])
               for c, tabs in terms]
-    counts = np.zeros(field.p, dtype=np.int64)
     for lo in range(0, sizes[0], block):
         hi = min(lo + block, sizes[0])
         rows = [(c, [tabs[0][lo:hi]] + tabs[1:]) for c, tabs in shaped]
-        acc = _term_values(field, rows, (hi - lo,) + rest)
+        yield _term_values(field, rows, (hi - lo,) + rest)
+
+
+def _form_counts(field: Field, terms, sizes) -> np.ndarray:
+    """Counts of each trace exponent over the `_form_blocks`."""
+    counts = np.zeros(field.p, dtype=np.int64)
+    for acc in _form_blocks(field, terms, sizes):
         counts += np.bincount(field.trace_table[acc].ravel(), minlength=field.p)
     return counts
 
 
-def _counts_mean(field: Field, counts, total: int) -> complex:
-    """The mean of alpha_1 from its exponent counts over `total` points."""
-    return complex(np.sum(counts * field.roots) / total)
+def _vanishing_prefixes(field: Field, terms, dims) -> int:
+    """Z, the prefixes x (all slots but the last) at which y -> Q(x, y) is zero,
+    Q the form of `terms`: (c, tables) pairs holding each prefix slot's whole
+    table and the last slot's d_m values at its basis points x^j (indices
+    q^j).  Q is F_q-linear in y, so it vanishes where it does at those.
+    Arity 1 has one empty prefix, here a slot of size 1 whose table is the
+    field's 1."""
+    d = dims[-1]
+    if d == 0:
+        return field.q ** sum(dims[:-1])
+    lead = [np.ones(1, dtype=np.int16)] if len(dims) == 1 else []
+    sizes = [1] * len(lead) + [field.q ** e for e in dims[:-1]] + [d]
+    return sum(int(np.count_nonzero(~acc.reshape(-1, d).any(axis=1))) for acc in
+               _form_blocks(field, [(c, lead + list(tabs)) for c, tabs in terms], sizes))
 
 
 def _merge_terms(field: Field, raw, key):
@@ -292,8 +309,9 @@ def iterated_difference(P: PolynomialPhase, hs, g: Poly) -> int:
 
 
 def bias_cost(q: int, dims) -> int:
-    """The slot tuples an exhaustive bias evaluates: q^(d_1 + ... + d_m)."""
-    return math.prod(q ** d for d in dims)
+    """The entries an exhaustive bias evaluates: the d_m basis points of the
+    last slot at each of the q^(d_1 + ... + d_{m-1}) prefixes."""
+    return q ** sum(dims[:-1]) * dims[-1]
 
 
 @dataclass
@@ -303,7 +321,7 @@ class BiasResult:
     mode: str
     evaluations: int
     stderr: float | None = None
-    imag_residual: float = 0.0
+    imag_residual: float = 0.0  # sampled only: an exhaustive bias is rational
 
 
 class MultilinearForm:
@@ -390,25 +408,33 @@ class MultilinearForm:
         counts = _form_counts(self.field, [
             (c, [linear_form_table(L, d) for L, d in zip(funcs, self.dims)])
             for c, funcs in self.terms], [self.field.q ** d for d in self.dims])
-        assert counts.sum() == bias_cost(self.field.q, self.dims)
+        assert counts.sum() == self.field.q ** sum(self.dims)
         return counts
 
     def bias(self, mode: str = "exhaustive", samples: int = 10000,
              seed: int = 0) -> BiasResult:
         """E over slot tuples of alpha_1(Q(x)); real and >= q^{-partition rank}.
-        Charged: the slot tuples, or the `samples`.  Sampled, the stderr is
-        that of the real part, the reported bias."""
+        Exhaustive: Z / q^D rounded once, Z the `_vanishing_prefixes` and D =
+        d_1 + ... + d_{m-1}, charged `bias_cost`; the rank is D - e/r exactly
+        when Z = p^e (`factor_int`), else a float.  Sampled: charged the
+        `samples`, with the stderr of the real part, the reported bias."""
         F = self.field
-        total = bias_cost(F.q, self.dims)
         if mode == "exhaustive":
-            F.charge(total, f"the exhaustive bias over {len(self.dims)} slots")
-            val = _counts_mean(F, self.exponent_counts(), total)
-            imag = abs(val.imag)
-            bias = val.real
-            if bias < 0 and bias > -1e-9:
-                bias = 0.0
-            rank = -math.log(bias, F.q) if bias > 0 else math.inf
-            return BiasResult(bias, rank, "exhaustive", total, None, imag)
+            cost, D = bias_cost(F.q, self.dims), sum(self.dims[:-1])
+            F.charge(cost, f"the exhaustive bias over {len(self.dims)} slots")
+            # L(x^j) = (beta x^j)_{-1} = beta_j: the last slot's basis values
+            zeros = _vanishing_prefixes(F, [
+                (c, [linear_form_table(L, d) for L, d in zip(funcs[:-1], self.dims)]
+                 + [np.array(funcs[-1].coeffs[:self.dims[-1]], dtype=np.int16)])
+                for c, funcs in self.terms], self.dims)
+            e = dict(factor_int(zeros)).get(F.p, 0)
+            if not zeros:
+                rank = math.inf
+            elif zeros == F.p ** e:  # the bias is p^(e - rD)
+                rank = float(Fraction(D * F.r - e, F.r))
+            else:
+                rank = -math.log(zeros / F.q ** D, F.q)
+            return BiasResult(float(Fraction(zeros, F.q ** D)), rank, "exhaustive", cost)
         if mode != "sampled":
             raise ValueError("mode must be 'exhaustive' or 'sampled'")
         if samples < 1:

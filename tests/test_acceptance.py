@@ -163,12 +163,12 @@ def test_05_bias_rank_lower_bound():
                                      tuple(LaurentTruncation.random(F, dim, rng)
                                            for _ in range(m - ks)))]))
                 Qr = MultilinearForm.from_blocks(F, (dim,) * m, blocks)
-                ok_all &= Qr.bias().bias >= F.q ** -r - 1e-9
+                ok_all &= Qr.bias().bias >= F.q ** -r
     elapsed = time.time() - t0
-    ok = ok_all and worst_eq <= 1e-9 and elapsed < 60
+    ok = ok_all and worst_eq == 0 and elapsed < 60
     report("5", ok, "bias >= q^-r for rank-r blocks; direct sums exactly q^-r",
            f"direct-sum error = {worst_eq:.2e}, {elapsed:.1f}s")
-    assert worst_eq <= 1e-9
+    assert worst_eq == 0
     assert ok_all
     assert elapsed < 60
 

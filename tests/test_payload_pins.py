@@ -28,6 +28,10 @@ The tk-check and distance-growth pins over F_9 and the decay-table pin over
 F_7 were recorded while the product, residue and linear-form maps of odd
 characteristic still summed float digit images, so they hold the packed
 integer lanes of those maps, with r > 1 and p > 5, to that payload.
+The bias-rank-f3 pin was re-recorded when the exhaustive bias became a
+count of vanishing prefixes rounded once: its r = 2 row printed the root
+sum's 0.11111111111111105 and 2.0000000000000004 for 1/9 and 2, and
+tests/test_exactness.py asserts every column of it against its exact value.
 """
 
 import hashlib
@@ -198,7 +202,7 @@ PINS = {
     "bias-rank-f3": (
         {"kind": "bias-rank-demo", "field": {"p": 3, "r": 1},
          "bias": {"r_values": [1, 2], "slot_dim": 3, "arity": 2}},
-        "3b8aa25ce2f6774c377c74c890b947f3a605de596d3bdda1a2b03adf29e583d7"),
+        "9224cf8932f0d1d8b730e2998b3b6e7681528f0c3e7c838431f986cc71f896d4"),
     "zero-count-f2": (
         {"kind": "zero-count-check", "field": {"p": 2, "r": 1}, "seed": 9,
          "zero_count": {"dim": 5, "trials": 6, "max_total_degree": 3}},
